@@ -32,6 +32,7 @@ from .verify import (
     CHECK_IDS,
     ModelCase,
     SuiteConfig,
+    SuiteResult,
     default_suite_config,
     run_check,
     run_suite,
@@ -329,32 +330,14 @@ def cmd_verify(args):
 
     if args.check:
         report = run_check(args.check, config)
-        reports = (report,)
-        passed = report.passed
+        result = SuiteResult(reports=(report,), passed=report.passed)
     else:
         result = run_suite(config)
-        reports = result.reports
-        passed = result.passed
 
     if args.json:
-        checks = []
-        for r in reports:
-            checks.append({
-                "check_id": r.check_id,
-                "negative_control": r.negative_control,
-                "points_evaluated": r.points_evaluated,
-                "flat_points": r.flat_points,
-                "max_abs_residual": r.max_abs_residual,
-                "max_rel_residual": r.max_rel_residual,
-                "tolerance": r.tolerance,
-                "trace_residual": r.trace_residual,
-                "decomp_residual": r.decomp_residual,
-                "passed": r.passed,
-                "worst_point": list(r.worst_point),
-            })
-        print(render_json({"passed": passed, "seed": args.seed, "checks": checks}))
+        print(render_json(result.summary(args.seed)))
     else:
-        for r in reports:
+        for r in result.reports:
             outcome = "pass" if r.passed else "FAIL"
             if r.negative_control:
                 outcome += " (negative control, expected to fail)"
@@ -363,8 +346,8 @@ def cmd_verify(args):
                 extras += f"  flat={r.flat_points}"
             print(f"{r.check_id:22s} residual {r.max_rel_residual:.3e} "
                   f"(tol {r.tolerance:.0e}, {r.points_evaluated} evals){extras}  {outcome}")
-        print("suite: " + ("PASS" if passed else "FAIL"))
-    return 0 if passed else 1
+        print("suite: " + ("PASS" if result.passed else "FAIL"))
+    return 0 if result.passed else 1
 
 
 def cmd_estimate(args):

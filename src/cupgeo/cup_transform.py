@@ -26,8 +26,8 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_assign
-from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_point
-from .geometry import NonlinearCoupling, PointGeometry
+from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
+from .geometry import NonlinearCoupling, PointGeometry, _real
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,13 @@ class OperatorType:
 
 
 def _component(jet, index):
-    """Scalar jet of one component of an array-valued jet."""
-    parts = [jet.deriv(k)[index] for k in range(1, jet.order + 1)]
-    return jets.Jet(jet.dim, jet.order, jet.value[index], *parts)
+    """Scalar jet of one component of an array-valued jet, indexed past its batch axes."""
+    key = (slice(None),) * (np.ndim(jet.value) - len(index)) + index
+    return jets.Jet(jet.dim, jet.order, *[jet.deriv(k)[key] for k in range(jet.order + 1)])
+
+
+def _source(field):
+    return getattr(field, "source", type(field).__name__)
 
 
 class CupRescaling:
@@ -67,11 +71,15 @@ class CupRescaling:
         self.dim = potential.dim
 
     def eta_jet(self, coords, order):
-        phi = self.potential.jet(coords, order)
-        return jets.exp((-self.alpha) * phi)
+        return field_jet(f"conformal factor of potential {_source(self.potential)!r}",
+                         coords, order, self._eta_jet, coords, order)
+
+    def _eta_jet(self, coords, order):
+        return jets.exp((-self.alpha) * self.potential.jet(coords, order))
 
     def eta(self, p):
-        return float(self.eta_jet(as_point(p).coords, 0).value)
+        """eta at one point (a float) or at each row of a batch (an array)."""
+        return _real(self.eta_jet(as_coords(p), 0).value)
 
     def psi_jet(self, coords, order):
         """Array jet of psi = d(potential); order m consumes potential order m+1."""
@@ -84,7 +92,7 @@ class CupRescaling:
         return jets.Jet(phi.dim, order, phi.d1, *parts)
 
     def psi(self, p):
-        return Tensor(self.dim, (COV,), self.psi_jet(as_point(p).coords, 0).value)
+        return Tensor(self.dim, (COV,), self.psi_jet(as_coords(p), 0).value)
 
 
 def make_rescaling(alpha, potential):
@@ -121,7 +129,11 @@ class _ScaledMetricField:
         self.rank = 2
 
     def jet(self, coords, order):
-        return self.resc.eta_jet(coords, order) * self.base.jet(coords, order)
+        return field_jet(f"rescaled metric of potential {_source(self.resc.potential)!r}",
+                         coords, order, self._jet, coords, order)
+
+    def _jet(self, coords, order):
+        return self.resc.eta_jet(coords, order).expand(2) * self.base.jet(coords, order)
 
 
 class _ShiftedSkewnessField:
@@ -142,11 +154,15 @@ class _ShiftedSkewnessField:
         self.rank = 3
 
     def jet(self, coords, order):
+        return field_jet(f"rescaled skewness of potential {_source(self.resc.potential)!r}",
+                         coords, order, self._jet, coords, order)
+
+    def _jet(self, coords, order):
         n = self.dim
         gj = self.model.metric.jet(coords, order)
         tj = self.model.skewness.jet(coords, order)
         psi = self.resc.psi_jet(coords, order)
-        sym = jets.Jet.constant(np.zeros((n, n, n)), n, order)
+        sym = jets.constant_at(np.zeros((n, n, n)), coords, order)
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
@@ -158,7 +174,7 @@ class _ShiftedSkewnessField:
                     if self.weight != 1.0:
                         s = self.weight * s
                     _mirror_assign(sym, (i, j, k), s, order)
-        return self.resc.eta_jet(coords, order) * (tj + sym)
+        return self.resc.eta_jet(coords, order).expand(3) * (tj + sym)
 
 
 class _PoweredScaleField(ScalarField):
@@ -174,6 +190,10 @@ class _PoweredScaleField(ScalarField):
         self.mode = base.mode
 
     def jet(self, coords, order):
+        return field_jet(f"eta^{self.power:g} times field {_source(self.base)!r}",
+                         coords, order, self._jet, coords, order)
+
+    def _jet(self, coords, order):
         factor = self.resc.eta_jet(coords, order) ** self.power
         return factor * self.base.jet(coords, order)
 
@@ -231,7 +251,7 @@ def connection_shift_prediction(resc, p):
     n = resc.dim
     eye = np.eye(n)
     comps = -resc.alpha * (
-        np.einsum("ki,j->kij", eye, psi) + np.einsum("kj,i->kij", eye, psi)
+        np.einsum("ki,...j->...kij", eye, psi) + np.einsum("kj,...i->...kij", eye, psi)
     )
     return Tensor(n, (CONTRA, COV, COV), comps)
 
@@ -239,13 +259,12 @@ def connection_shift_prediction(resc, p):
 def _psi_shift_core(model, resc, p):
     """M_ij = (nabla^alpha psi)_ij + alpha psi_i psi_j on the base model."""
     _check_chart(model, resc)
-    point = model.require_inside(as_point(p))
-    ws = PointGeometry(model, resc.alpha, point)
-    pj = resc.psi_jet(point.coords, 1)
+    ws = PointGeometry(model, resc.alpha, p)
+    pj = resc.psi_jet(ws.p, 1)
     psi, dpsi = pj.value, pj.d1
     # (nabla psi)_ij = d_i psi_j - Gamma^k_ij psi_k; dpsi[j, i] = d_i psi_j
-    grad = np.einsum("ji->ij", dpsi) - np.einsum("kij,k->ij", ws.gamma, psi)
-    return grad + resc.alpha * np.einsum("i,j->ij", psi, psi)
+    grad = np.swapaxes(dpsi, -1, -2) - np.einsum("...kij,...k->...ij", ws.gamma, psi)
+    return grad + resc.alpha * np.einsum("...i,...j->...ij", psi, psi)
 
 
 def ricci_shift_prediction(model, resc, p):
@@ -260,6 +279,6 @@ def curvature_shift_prediction(model, resc, p):
     m = _psi_shift_core(model, resc, p)
     eye = np.eye(model.dim)
     comps = resc.alpha * (
-        np.einsum("ik,lj->ijkl", eye, m) - np.einsum("il,kj->ijkl", eye, m)
+        np.einsum("ik,...lj->...ijkl", eye, m) - np.einsum("il,...kj->...ijkl", eye, m)
     )
     return Tensor(model.dim, (CONTRA, COV, COV, COV), comps)

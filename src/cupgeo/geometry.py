@@ -13,8 +13,12 @@ Ric_jl = R^k_jkl.  Derivatives of Gamma are assembled by the product rule
 from metric and skewness jets, so the same code path serves exact-jet and
 finite-difference models.
 
-All functions are pure and pointwise.  A :class:`PointGeometry` instance
-caches the intermediate arrays for one (model, alpha, point) triple; it is
+All functions are pure.  Each takes one point or a ``(P, n)`` batch of
+points: a batch adds one leading axis to every array and every returned
+tensor (component axes follow it, derivative axes trail as above), and a
+scalar result becomes an array of shape ``(P,)``.  One point keeps batch
+shape ``()`` and returns plain floats.  A :class:`PointGeometry` instance
+caches the intermediate arrays for one (model, alpha, points) triple; it is
 never shared across evaluations.
 """
 
@@ -24,16 +28,24 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError
+from .jets import _bc
 from .tensor_core import (
     CONTRA,
     COV,
     ConstantField,
     ScalarField,
     Tensor,
-    as_point,
+    as_coords,
     evaluate_jet,
+    first_false,
     invert_metric,
+    point_text,
 )
+
+
+def _real(x):
+    """A float for one point, the per-row array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 @dataclass(frozen=True)
@@ -75,25 +87,26 @@ class NonlinearCoupling:
 
 
 class PointGeometry:
-    """Lazily computed geometric data of one model at one point.
+    """Lazily computed geometric data of one model at one point or a batch.
 
-    Construction validates the point against the model domain; every array
-    is computed at most once per instance.
+    Construction validates every point against the model domain and keeps
+    the coordinates as ``p`` (shape ``(n,)`` or ``(P, n)``); every array is
+    computed at most once per instance.
     """
 
     def __init__(self, model, alpha, p):
         self.model = model
         self.alpha = float(alpha)
-        self.p = model.require_inside(as_point(p))
+        self.p = model.require_inside(p)
         self.dim = model.dim
 
     @cached_property
     def _gjet(self):
-        return self.model.metric_jet(self.p, 2)
+        return self.model.metric.jet(self.p, 2)
 
     @cached_property
     def _tjet(self):
-        return self.model.skewness_jet(self.p, 1)
+        return self.model.skewness.jet(self.p, 1)
 
     @property
     def g(self):
@@ -117,29 +130,30 @@ class PointGeometry:
 
     @cached_property
     def ginv(self):
-        return invert_metric(self.g)
+        return invert_metric(self.g, at=self.p)
 
     @cached_property
     def dginv(self):
         # d_l g^{ab} = -g^{am} (d_l g_{mq}) g^{qb}
-        return -np.einsum("am,mql,qb->abl", self.ginv, self.dg, self.ginv)
+        return -np.einsum("...am,...mql,...qb->...abl", self.ginv, self.dg, self.ginv)
 
     @cached_property
     def _lowered(self):
         # A[m, i, j] = (1/2)(d_i g_{jm} + d_j g_{im} - d_m g_{ij})
         dg = self.dg
         return 0.5 * (
-            np.einsum("jmi->mij", dg) + np.einsum("imj->mij", dg) - np.einsum("ijm->mij", dg)
+            np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg)
+            - np.einsum("...ijm->...mij", dg)
         )
 
     @cached_property
     def gamma0(self):
-        return np.einsum("km,mij->kij", self.ginv, self._lowered)
+        return np.einsum("...km,...mij->...kij", self.ginv, self._lowered)
 
     @cached_property
     def skew_mixed(self):
         # (t . g^{-1})^k_{ij} = t_{ijm} g^{mk}
-        return np.einsum("ijm,mk->kij", self.t, self.ginv)
+        return np.einsum("...ijm,...mk->...kij", self.t, self.ginv)
 
     @cached_property
     def gamma(self):
@@ -152,33 +166,33 @@ class PointGeometry:
         # d_l of gamma, by the product rule on g^{-1}, the lowered symbol,
         # and the skewness correction
         dA = 0.5 * (
-            np.einsum("jmil->mijl", self.d2g)
-            + np.einsum("imjl->mijl", self.d2g)
-            - np.einsum("ijml->mijl", self.d2g)
+            np.einsum("...jmil->...mijl", self.d2g)
+            + np.einsum("...imjl->...mijl", self.d2g)
+            - np.einsum("...ijml->...mijl", self.d2g)
         )
-        out = np.einsum("kml,mij->kijl", self.dginv, self._lowered)
-        out += np.einsum("km,mijl->kijl", self.ginv, dA)
+        out = np.einsum("...kml,...mij->...kijl", self.dginv, self._lowered)
+        out += np.einsum("...km,...mijl->...kijl", self.ginv, dA)
         if self.alpha != 0.0:
-            dskew = np.einsum("ijml,mk->kijl", self.dt, self.ginv)
-            dskew += np.einsum("ijm,mkl->kijl", self.t, self.dginv)
+            dskew = np.einsum("...ijml,...mk->...kijl", self.dt, self.ginv)
+            dskew += np.einsum("...ijm,...mkl->...kijl", self.t, self.dginv)
             out -= 0.5 * self.alpha * dskew
         return out
 
     @cached_property
     def riemann(self):
         dG = self.dgamma
-        curl = np.transpose(dG, (0, 2, 3, 1)) - np.transpose(dG, (0, 2, 1, 3))
-        quad = np.einsum("ikm,mlj->ijkl", self.gamma, self.gamma)
-        quad = quad - np.transpose(quad, (0, 1, 3, 2))
+        curl = np.einsum("...kijl->...kjli", dG) - np.einsum("...kijl->...kjil", dG)
+        quad = np.einsum("...ikm,...mlj->...ijkl", self.gamma, self.gamma)
+        quad = quad - np.swapaxes(quad, -1, -2)
         return curl + quad
 
     @cached_property
     def ricci(self):
-        return np.einsum("kjkl->jl", self.riemann)
+        return np.einsum("...kjkl->...jl", self.riemann)
 
     @cached_property
     def scalar(self):
-        return float(np.einsum("jl,jl->", self.ginv, self.ricci))
+        return _real(np.einsum("...jl,...jl->...", self.ginv, self.ricci))
 
 
 # -- connections ------------------------------------------------------------
@@ -203,9 +217,9 @@ def covariant_derivative_metric(model, alpha, p):
     skewness tensor for every model that honors the metric/skewness pairing.
     """
     ws = PointGeometry(model, alpha, p)
-    comps = np.einsum("ijk->kij", ws.dg)
-    comps = comps - np.einsum("lki,lj->kij", ws.gamma, ws.g)
-    comps = comps - np.einsum("lkj,il->kij", ws.gamma, ws.g)
+    comps = np.einsum("...ijk->...kij", ws.dg)
+    comps = comps - np.einsum("...lki,...lj->...kij", ws.gamma, ws.g)
+    comps = comps - np.einsum("...lkj,...il->...kij", ws.gamma, ws.g)
     return Tensor(model.dim, (COV, COV, COV), comps)
 
 
@@ -261,7 +275,7 @@ def alpha_hessian(model, alpha, f, p):
     """Second covariant derivative of f: d_i d_j f - Gamma^k_ij d_k f."""
     fj = _field_jet(f, model, p, 2)
     ws = PointGeometry(model, alpha, p)
-    comps = fj.d2 - np.einsum("kij,k->ij", ws.gamma, fj.d1)
+    comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
     return Tensor(model.dim, (COV, COV), comps)
 
 
@@ -282,9 +296,9 @@ def modified_hessian(model, alpha, spec, f, p):
     k = spec.k if isinstance(spec, HessianSpec) else float(spec)
     fj = _field_jet(f, model, p, 2)
     ws = PointGeometry(model, alpha, p)
-    comps = fj.d2 - np.einsum("kij,k->ij", ws.gamma, fj.d1)
+    comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
     if k != 0.0:
-        comps = comps + k * ws.ricci * fj.value
+        comps = comps + k * ws.ricci * _bc(fj.value, 2)
     return Tensor(model.dim, (COV, COV), comps)
 
 
@@ -293,18 +307,18 @@ def cup_laplacian(model, alpha, f, p):
     k = _ricci_coupling(model.dim)
     fj = _field_jet(f, model, p, 2)
     ws = PointGeometry(model, alpha, p)
-    hess = fj.d2 - np.einsum("kij,k->ij", ws.gamma, fj.d1)
-    return float(np.einsum("ij,ij->", ws.ginv, hess) + k * ws.scalar * fj.value)
+    hess = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
+    return _real(np.einsum("...ij,...ij->...", ws.ginv, hess) + k * ws.scalar * fj.value)
 
 
 def alpha_laplacian(model, alpha, f, p):
     """Divergence-form Laplacian: d_i(g^{ij} d_j f) + Gamma^i_im g^{mj} d_j f."""
     fj = _field_jet(f, model, p, 2)
     ws = PointGeometry(model, alpha, p)
-    out = np.einsum("ij,ij->", ws.ginv, fj.d2)
-    out += np.einsum("iji,j->", ws.dginv, fj.d1)
-    out += np.einsum("iim,mj,j->", ws.gamma, ws.ginv, fj.d1)
-    return float(out)
+    out = np.einsum("...ij,...ij->...", ws.ginv, fj.d2)
+    out = out + np.einsum("...iji,...j->...", ws.dginv, fj.d1)
+    out = out + np.einsum("...iim,...mj,...j->...", ws.gamma, ws.ginv, fj.d1)
+    return _real(out)
 
 
 def cup_laplacian_decomposed(model, alpha, f, p):
@@ -319,25 +333,28 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     fj = _field_jet(f, model, p, 2)
     ws = PointGeometry(model, alpha, p)
     out = alpha_laplacian(model, alpha, f, p)
-    out += alpha * np.einsum("abm,ab,mk,k->", ws.t, ws.ginv, ws.ginv, fj.d1)
-    out += k * ws.scalar * fj.value
-    return float(out)
+    out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...", ws.t, ws.ginv, ws.ginv, fj.d1)
+    out = out + k * ws.scalar * fj.value
+    return _real(out)
 
 
 def nonlinear_cup_operator(model, alpha, f, coupling, p):
     """cup_laplacian(f) plus the zeroth-order term lam(p) * f(p)^a."""
-    point = as_point(p)
-    base = cup_laplacian(model, alpha, f, point)
-    fval = float(_field_jet(f, model, point, 0).value)
-    lam = float(_field_jet(coupling.lam, model, point, 0).value)
+    x = as_coords(p)
+    base = cup_laplacian(model, alpha, f, x)
+    fval = _field_jet(f, model, x, 0).value
+    lam = _field_jet(coupling.lam, model, x, 0).value
     a = coupling.a
-    if fval < 0.0 and not float(a).is_integer():
+    if not float(a).is_integer() and np.any(np.less(fval, 0.0)):
+        row = first_false(np.greater_equal(fval, 0.0))
         raise DomainError(
-            f"density value {fval} is negative; exponent {a} needs a positive base"
+            f"density value {np.reshape(fval, -1)[row]} is negative at {point_text(x, row)}; "
+            f"exponent {a} needs a positive base"
         )
-    if fval == 0.0 and a < 0.0:
-        raise DomainError(f"density vanishes at {point.coords}; exponent {a} is negative")
-    return base + lam * fval ** a
+    if a < 0.0 and np.any(np.equal(fval, 0.0)):
+        row = first_false(np.not_equal(fval, 0.0))
+        raise DomainError(f"density vanishes at {point_text(x, row)}; exponent {a} is negative")
+    return _real(base + lam * fval ** a)
 
 
 def integrability_residual(model, alpha, k, p):
@@ -353,6 +370,7 @@ def integrability_residual(model, alpha, k, p):
     ws = PointGeometry(model, alpha, p)
     eye = np.eye(model.dim)
     predicted = k * (
-        np.einsum("ik,jl->ijkl", eye, ws.ricci) - np.einsum("il,jk->ijkl", eye, ws.ricci)
+        np.einsum("ik,...jl->...ijkl", eye, ws.ricci)
+        - np.einsum("il,...jk->...ijkl", eye, ws.ricci)
     )
-    return float(np.max(np.abs(ws.riemann - predicted)))
+    return _real(np.max(np.abs(ws.riemann - predicted), axis=(-4, -3, -2, -1)))

@@ -12,14 +12,19 @@ which already consume metric derivatives.
 Derivative axes trail the value axes: ``d1[..., i]`` is the first partial
 with respect to coordinate ``i``, ``d2[..., i, j]`` the second, and so on.
 The value may be a scalar or any ndarray, which lets a single evaluation
-carry a whole batch of Monte-Carlo samples through the same arithmetic.
+carry a whole batch through the same arithmetic.  The value axes start
+with the batch axes: :func:`seed` of one point (shape ``(n,)``) gives
+Python-float values and batch shape ``()``, while a ``(P, n)`` array of
+points gives values of shape ``(P,)``.  Component axes of a tensor-valued
+jet follow the batch axes, and the derivative axes trail both, so the
+jet of a rank-2 field over P points has ``value`` of shape ``(P, n, n)``
+and ``d1`` of shape ``(P, n, n, n)``.  Monte-Carlo samples ride the same
+leading axis.
 
 For black-box callables that only map coordinates to floats,
 :func:`finite_difference_jet` fills the same structure with fourth-order
 central differences.
 """
-
-import math
 
 import numpy as np
 
@@ -32,15 +37,40 @@ _EPS = float(np.finfo(float).eps)
 
 def _bc(value, k):
     """Append ``k`` singleton axes so a value broadcasts against a rank-k derivative."""
-    if k == 0 or np.ndim(value) == 0:
+    if k == 0 or not isinstance(value, np.ndarray) or value.ndim == 0:
         return value
-    return np.reshape(value, np.shape(value) + (1,) * k)
+    return value.reshape(value.shape + (1,) * k)
 
 
-def _elem(value, fn_scalar, fn_array):
-    if isinstance(value, np.ndarray):
-        return fn_array(value)
-    return fn_scalar(value)
+def _elem(value, ufunc):
+    """A numpy ufunc on an array, or on a plain number as a float.
+
+    numpy rounds a number exactly as it rounds the same array element, where
+    the ``math`` functions may differ from it in the last bit; so one point
+    and a batch containing it evaluate alike.
+    """
+    out = ufunc(value)
+    return out if isinstance(value, np.ndarray) else float(out)
+
+
+def _power(v, p):
+    """``v ** p``, rounded alike for a number and for an array element.
+
+    Integer exponents square and multiply; others go through ``np.power``.
+    """
+    if not float(p).is_integer():
+        return _elem(v, lambda x: np.power(x, p))
+    k = abs(int(p))
+    if k == 0:
+        return np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
+    out = None
+    while True:
+        if k & 1:
+            out = v if out is None else out * v
+        k >>= 1
+        if not k:
+            return 1.0 / out if p < 0 else out
+        v = v * v
 
 
 class Jet:
@@ -81,9 +111,9 @@ class Jet:
         """Seed coordinate ``index``: unit first derivative, zero higher ones."""
         if not 0 <= index < dim:
             raise IndexError(f"coordinate index {index} out of range for dim {dim}")
-        jet = cls.constant(float(value), dim, order)
+        jet = cls.constant(value if np.ndim(value) else float(value), dim, order)
         if order >= 1:
-            jet.d1[index] = 1.0
+            jet.d1[..., index] = 1.0
         return jet
 
     def _lift(self, other):
@@ -108,6 +138,17 @@ class Jet:
         parts = [self.d1, self.d2, self.d3][:order]
         return Jet(self.dim, order, self.value, *parts)
 
+    def expand(self, k):
+        """This jet with ``k`` singleton axes appended to its value axes.
+
+        A scalar jet expanded by the rank of a tensor-valued jet multiplies
+        it componentwise, batch row by batch row.
+        """
+        nv = np.ndim(self.value)
+        axes = tuple(range(nv, nv + k))
+        parts = [np.expand_dims(self.deriv(j), axes) for j in range(self.order + 1)]
+        return Jet(self.dim, self.order, *parts)
+
     def partial(self, index):
         """The jet of the partial derivative with respect to coordinate ``index``.
 
@@ -124,6 +165,9 @@ class Jet:
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, (int, float)):
+            # a plain number shifts the value only; derivative arrays are shared
+            return Jet(self.dim, self.order, self.value + other, self.d1, self.d2, self.d3)
         g = self._lift(other)
         parts = [self.deriv(k) + g.deriv(k) for k in range(1, self.order + 1)]
         return Jet(self.dim, self.order, self.value + g.value, *parts)
@@ -135,12 +179,17 @@ class Jet:
         return Jet(self.dim, self.order, -self.value, *parts)
 
     def __sub__(self, other):
+        if isinstance(other, (int, float)):
+            return self + (-other)
         return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            parts = [other * self.deriv(k) for k in range(1, self.order + 1)]
+            return Jet(self.dim, self.order, self.value * other, *parts)
         g = self._lift(other)
         f = self
         n, m = f.dim, f.order
@@ -168,6 +217,8 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, float)):
+            return self * (1.0 / other)
         return self * self._lift(other)._reciprocal()
 
     def __rtruediv__(self, other):
@@ -176,7 +227,7 @@ class Jet:
     def _reciprocal(self):
         v = self.value
         inv = 1.0 / v
-        return self._compose(inv, -(inv * inv), 2.0 * inv ** 3, -6.0 * inv ** 4)
+        return self._compose(inv, -(inv * inv), 2.0 * _power(inv, 3), -6.0 * _power(inv, 4))
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -199,16 +250,16 @@ class Jet:
             # (e.g. the third derivative of v**2 at v = 0).
             if factor == 0.0:
                 return 0.0
-            return factor * v ** power
+            return factor * _power(v, power)
 
-        c0 = v ** e
+        c0 = _power(v, e)
         c1 = coeff(e, e - 1)
         c2 = coeff(e * (e - 1), e - 2)
         c3 = coeff(e * (e - 1) * (e - 2), e - 3)
         return self._compose(c0, c1, c2, c3)
 
     def __rpow__(self, base):
-        return exp(self * _elem(base, math.log, np.log))
+        return exp(self * _elem(base, np.log))
 
     # -- composition with a smooth univariate function --------------------
 
@@ -240,52 +291,71 @@ class Jet:
 
 def exp(x):
     if not isinstance(x, Jet):
-        return _elem(x, math.exp, np.exp)
-    v = _elem(x.value, math.exp, np.exp)
+        return _elem(x, np.exp)
+    v = _elem(x.value, np.exp)
     return x._compose(v, v, v, v)
 
 
 def log(x):
-    if not isinstance(x, Jet):
-        return _elem(x, math.log, np.log)
-    if np.any(np.asarray(x.value) <= 0.0):
+    v = x.value if isinstance(x, Jet) else x
+    if np.any(np.asarray(v) <= 0.0):
         raise DomainError("log of a non-positive value")
-    v = x.value
+    if not isinstance(x, Jet):
+        return _elem(x, np.log)
     inv = 1.0 / v
-    return x._compose(_elem(v, math.log, np.log), inv, -(inv * inv), 2.0 * inv ** 3)
+    return x._compose(_elem(v, np.log), inv, -(inv * inv), 2.0 * _power(inv, 3))
 
 
 def sqrt(x):
-    if not isinstance(x, Jet):
-        return _elem(x, math.sqrt, np.sqrt)
-    if np.any(np.asarray(x.value) < 0.0):
+    v = x.value if isinstance(x, Jet) else x
+    if np.any(np.asarray(v) < 0.0):
         raise DomainError("sqrt of a negative value")
-    r = _elem(x.value, math.sqrt, np.sqrt)
+    if not isinstance(x, Jet):
+        return _elem(x, np.sqrt)
+    r = _elem(x.value, np.sqrt)
     inv = 1.0 / x.value
-    return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv, 0.375 * r * inv ** 3)
+    return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv, 0.375 * r * _power(inv, 3))
 
 
 def sin(x):
     if not isinstance(x, Jet):
-        return _elem(x, math.sin, np.sin)
-    s = _elem(x.value, math.sin, np.sin)
-    c = _elem(x.value, math.cos, np.cos)
+        return _elem(x, np.sin)
+    s = _elem(x.value, np.sin)
+    c = _elem(x.value, np.cos)
     return x._compose(s, c, -s, -c)
 
 
 def cos(x):
     if not isinstance(x, Jet):
-        return _elem(x, math.cos, np.cos)
-    s = _elem(x.value, math.sin, np.sin)
-    c = _elem(x.value, math.cos, np.cos)
+        return _elem(x, np.cos)
+    s = _elem(x.value, np.sin)
+    c = _elem(x.value, np.cos)
     return x._compose(c, -s, -c, s)
 
 
 def seed(coords, order):
-    """Variable jets for a coordinate tuple, one per chart coordinate."""
-    coords = [float(c) for c in coords]
-    n = len(coords)
-    return [Jet.variable(c, i, n, order) for i, c in enumerate(coords)]
+    """Variable jets, one per chart coordinate, at one point or a batch.
+
+    ``coords`` of shape ``(n,)`` gives float values (batch shape ``()``);
+    shape ``(P, n)`` gives values of shape ``(P,)``, one row per point.
+    """
+    x = np.asarray(coords, dtype=float)
+    columns = [float(c) for c in x] if x.ndim == 1 else list(x.T)
+    return [Jet.variable(c, i, x.shape[-1], order) for i, c in enumerate(columns)]
+
+
+def constant_at(value, coords, order):
+    """The constant jet of ``value`` (a number or a component array) at ``coords``.
+
+    Its value axes are the batch axes of ``coords`` followed by the axes of
+    ``value``; one point with a plain number gives a float value.
+    """
+    batch = np.shape(coords)[:-1]
+    if batch or np.ndim(value):
+        value = np.full(batch + np.shape(value), value, dtype=float)
+    else:
+        value = float(value)
+    return Jet.constant(value, np.shape(coords)[-1], order)
 
 
 # -- finite-difference jets for black-box callables ------------------------
@@ -340,10 +410,17 @@ def finite_difference_jet(fn, coords, order):
     permutations, so the symmetry invariant holds exactly.  Truncation error
     is O(h^4); with the eps^(1/(order+2)) step rule the third-order partials
     keep roughly seven significant digits.
+
+    ``fn`` takes one point, so a ``(P, n)`` batch of ``coords`` is
+    differenced row by row and the row jets are stacked on a leading axis.
     """
     if not 0 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(f"finite-difference order must be in [0, {MAX_ORDER}]")
-    x = np.asarray([float(c) for c in coords])
+    x = np.asarray(coords, dtype=float)
+    if x.ndim == 2:
+        rows = [finite_difference_jet(fn, row, order) for row in x]
+        parts = [np.stack([j.deriv(k) for j in rows]) for k in range(order + 1)]
+        return Jet(x.shape[1], order, *parts)
     n = x.size
     f0 = np.asarray(fn(x.copy()), dtype=float)
     jet = Jet.constant(float(f0) if f0.ndim == 0 else f0, n, order)

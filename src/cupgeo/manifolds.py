@@ -10,8 +10,9 @@ coordinate names, and a domain predicate.  Three sources are supported:
 * black-box callables, differentiated by finite differences.
 
 Tensor-field evaluations return array-valued jets: ``.value`` has the
-component shape and each derivative axis trails it, ready for the geometry
-layer's contractions.  Component symmetry is enforced by evaluating one
+batch axes of the points (none for one point) followed by the component
+axes, and each derivative axis trails them, ready for the geometry layer's
+contractions.  Component symmetry is enforced by evaluating one
 representative per index class and mirroring, so it holds bitwise.
 
 The Monte-Carlo oracle (:func:`estimate_fisher_tensors`) derives g and t
@@ -29,7 +30,16 @@ import numpy as np
 
 from . import expr, jets
 from .errors import ConfigError, DomainError, EvaluationError
-from .tensor_core import COV, CONTRA, Point, ScalarField, Tensor, as_point
+from .tensor_core import (
+    COV,
+    ScalarField,
+    Tensor,
+    as_coords,
+    as_point,
+    field_jet,
+    first_false,
+    point_text,
+)
 
 DOMAIN_MARGIN = 1e-6
 
@@ -49,18 +59,23 @@ class Domain:
     simplex: bool = False
     margin: float = DOMAIN_MARGIN
 
+    def __post_init__(self):
+        # the faces pulled in by the margin, as arrays every row is compared against
+        object.__setattr__(self, "_lo", np.array(
+            [-np.inf if lo is None else lo + self.margin for lo, _ in self.bounds]))
+        object.__setattr__(self, "_hi", np.array(
+            [np.inf if hi is None else hi - self.margin for _, hi in self.bounds]))
+
     def contains(self, p):
-        p = as_point(p)
-        if len(p) != len(self.bounds):
-            return False
-        for c, (lo, hi) in zip(p, self.bounds):
-            if lo is not None and c < lo + self.margin:
-                return False
-            if hi is not None and c > hi - self.margin:
-                return False
-        if self.simplex and sum(p.coords) > 1.0 - self.margin:
-            return False
-        return True
+        """Whether one point lies inside; for a ``(P, n)`` batch, one bool per row."""
+        x = as_coords(p)
+        if x.shape[-1] != len(self.bounds):
+            inside = np.zeros(x.shape[:-1], dtype=bool)
+        else:
+            inside = ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
+            if self.simplex:
+                inside &= x.sum(axis=-1) <= 1.0 - self.margin
+        return inside if inside.ndim else bool(inside)
 
 
 def unbounded_domain(dim):
@@ -71,10 +86,17 @@ def unbounded_domain(dim):
 
 
 def _mirror_assign(out_jet, index, value_jet, order):
+    """Write a scalar jet into every permutation of one component index.
+
+    The component axes of ``out_jet`` follow its batch axes, so the index
+    is applied past them.
+    """
+    lead = (slice(None),) * (out_jet.value.ndim - len(index))
+    parts = [(out_jet.deriv(k), value_jet.deriv(k)) for k in range(order + 1)]
     for perm in set(permutations(index)):
-        out_jet.value[perm] = value_jet.value
-        for k in range(1, order + 1):
-            out_jet.deriv(k)[perm] = value_jet.deriv(k)
+        key = lead + perm
+        for out, val in parts:
+            out[key] = val
 
 
 class TensorField:
@@ -83,11 +105,11 @@ class TensorField:
     mode = "jet"
 
     def jet(self, coords, order):
-        """Array-valued jet of all components at ``coords``."""
+        """Array-valued jet of all components at one point or a ``(P, n)`` batch."""
         raise NotImplementedError
 
     def at(self, p):
-        comps = self.jet(as_point(p).coords, 0).value
+        comps = self.jet(as_coords(p), 0).value
         return Tensor(self.dim, (COV,) * self.rank, comps)
 
 
@@ -107,16 +129,22 @@ class ExprTensorField(TensorField):
 
     def jet(self, coords, order):
         env = dict(zip(self.coord_names, jets.seed(coords, order)))
-        out = jets.Jet.constant(np.zeros((self.dim,) * self.rank), self.dim, order)
+        try:
+            return field_jet(f"rank-{self.rank} tensor field", coords, order,
+                             self._assemble, env, coords, order)
+        except EvaluationError:
+            # checked once as a whole; on failure, name the first failing component
+            for index, expression in self.entries.items():
+                field_jet(f"component {index} ({expression.source!r})", coords, order,
+                          expression, env)
+            raise
+
+    def _assemble(self, env, coords, order):
+        out = jets.constant_at(np.zeros((self.dim,) * self.rank), coords, order)
         for index, expression in self.entries.items():
-            try:
-                val = expression(env)
-            except Exception as e:
-                raise EvaluationError(
-                    f"component {index} ({expression.source!r}) failed at {tuple(coords)}: {e}"
-                ) from e
+            val = expression(env)
             if not isinstance(val, jets.Jet):
-                val = jets.Jet.constant(float(val), self.dim, order)
+                val = jets.constant_at(val, coords, order)
             _mirror_assign(out, index, val, order)
         return out
 
@@ -160,7 +188,9 @@ class NumericTensorField(TensorField):
         return _component_symmetrize(arr, self.rank)
 
     def jet(self, coords, order):
-        return jets.finite_difference_jet(self._sym_fn, coords, order)
+        name = getattr(self.fn, "__name__", type(self.fn).__name__)
+        return field_jet(f"tensor callable {name!r}", coords, order,
+                         jets.finite_difference_jet, self._sym_fn, coords, order)
 
 
 # -- scalar fields bound to a chart -----------------------------------------
@@ -186,10 +216,7 @@ class ExprScalarField(ScalarField):
 
     def jet(self, coords, order):
         env = dict(zip(self.coord_names, jets.seed(coords, order)))
-        val = self.expression(env)
-        if not isinstance(val, jets.Jet):
-            val = jets.Jet.constant(float(val), len(self.coord_names), order)
-        return val
+        return field_jet(f"field {self.source!r}", coords, order, self.expression, env)
 
 
 # -- models -----------------------------------------------------------------
@@ -240,22 +267,27 @@ class ManifoldModel:
         self.sample_spec_factory = sample_spec_factory
 
     def require_inside(self, p):
-        p = as_point(p)
-        if len(p) != self.dim:
+        """Validated coordinates of one point, or of every row of a ``(P, n)`` batch.
+
+        The first row outside the domain is named in the DomainError.
+        """
+        x = as_coords(p)
+        if x.shape[-1] != self.dim:
             raise DomainError(
-                f"point {p.coords} has {len(p)} coordinates, model {self.name!r} has {self.dim}"
+                f"point {point_text(x)} has {x.shape[-1]} coordinates, "
+                f"model {self.name!r} has {self.dim}"
             )
-        if not self.domain.contains(p):
-            raise DomainError(f"point {p.coords} outside the domain of model {self.name!r}")
-        return p
+        inside = self.domain.contains(x)
+        if inside is not True and not np.all(inside):
+            raise DomainError(f"point {point_text(x, first_false(inside))} "
+                              f"outside the domain of model {self.name!r}")
+        return x
 
     def metric_jet(self, p, order):
-        p = self.require_inside(p)
-        return self.metric.jet(p.coords, order)
+        return self.metric.jet(self.require_inside(p), order)
 
     def skewness_jet(self, p, order):
-        p = self.require_inside(p)
-        return self.skewness.jet(p.coords, order)
+        return self.skewness.jet(self.require_inside(p), order)
 
     def metric_at(self, p):
         return Tensor(self.dim, (COV, COV), self.metric_jet(p, 0).value)

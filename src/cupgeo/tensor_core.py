@@ -1,11 +1,16 @@
 """Dense chart-local tensor values and the scalar-field evaluation layer.
 
-Everything here is pointwise and tiny: statistical manifolds live in a
+Everything here is tiny per point: statistical manifolds live in a
 handful of dimensions, so tensors are dense ndarrays with an explicit
 variance signature, and index gymnastics go through einsum.  Slot 0 is
-always the leftmost written index.
+always the leftmost written component index.
+
+Points are given either one at a time (a coordinate tuple, shape ``(n,)``)
+or as a batch (a ``(P, n)`` array); :func:`as_coords` normalizes both.
+Values over a batch carry its axis first, ahead of the component axes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +19,7 @@ from . import jets
 from .errors import (
     DimensionMismatchError,
     DomainError,
+    EvaluationError,
     SingularMetricError,
     UnsupportedOrderError,
     VarianceError,
@@ -52,12 +58,45 @@ def as_point(p):
     return p if isinstance(p, Point) else Point(p)
 
 
+def as_coords(p):
+    """Coordinates as a float array: shape ``(n,)`` for one point, ``(P, n)`` for a batch.
+
+    Non-finite coordinates raise :class:`DomainError` naming the first
+    offending row.
+    """
+    try:
+        x = np.asarray(p.coords if isinstance(p, Point) else p, dtype=float)
+    except (TypeError, ValueError):
+        raise DimensionMismatchError(
+            "points must be a coordinate sequence or a (P, n) array of reals") from None
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise DimensionMismatchError(f"points must have shape (n,) or (P, n), got {x.shape}")
+    finite = np.isfinite(x)
+    if not finite.all():
+        rows = finite.all(axis=-1)
+        raise DomainError(f"non-finite coordinates: {point_text(x, first_false(rows))}")
+    return x
+
+
+def first_false(mask):
+    """Index of the first False entry of a per-row mask (0 for one point)."""
+    return int(np.argmin(mask))
+
+
+def point_text(x, row=0):
+    """One point as a coordinate tuple; a batch row also gives its index."""
+    if x.ndim == 1:
+        return str(tuple(float(c) for c in x))
+    return f"{tuple(float(c) for c in x[row])} (row {row})"
+
+
 @dataclass(frozen=True)
 class Tensor:
-    """A dense tensor at a point: dimension, slot variances, components.
+    """A dense tensor at a point or a batch: dimension, slot variances, components.
 
     ``variance`` lists one of ``"cov"`` / ``"contra"`` per slot, leftmost
-    written index first.  Components are stored fully, no symmetry packing.
+    written index first.  Components are stored fully, no symmetry packing,
+    after any leading batch axes: shape ``batch + (dim,) * rank``.
     """
 
     dim: int
@@ -69,9 +108,10 @@ class Tensor:
         if any(v not in (COV, CONTRA) for v in variance):
             raise VarianceError(f"unknown slot kind in {variance}")
         components = np.asarray(components, dtype=float)
-        if components.shape != (dim,) * len(variance):
+        expected = (dim,) * len(variance)
+        if components.shape[components.ndim - len(variance):] != expected:
             raise DimensionMismatchError(
-                f"components shape {components.shape} != {(dim,) * len(variance)}"
+                f"components shape {components.shape} does not end in {expected}"
             )
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "variance", variance)
@@ -81,13 +121,19 @@ class Tensor:
     def rank(self):
         return len(self.variance)
 
+    @property
+    def batch_ndim(self):
+        return self.components.ndim - self.rank
+
     def is_fully_symmetric(self, tol=0.0):
         """Componentwise equality under every index permutation."""
         from itertools import permutations
 
         c = self.components
+        b = self.batch_ndim
         for perm in permutations(range(self.rank)):
-            if not np.allclose(c, np.transpose(c, perm), rtol=0.0, atol=tol):
+            axes = tuple(range(b)) + tuple(b + q for q in perm)
+            if not np.allclose(c, np.transpose(c, axes), rtol=0.0, atol=tol):
                 return False
         return True
 
@@ -105,10 +151,11 @@ def contract(t, slot_a, slot_b):
             f"contraction needs one covariant and one contravariant slot, "
             f"got {t.variance[slot_a]} and {t.variance[slot_b]}"
         )
-    components = np.trace(t.components, axis1=slot_a, axis2=slot_b)
+    b = t.batch_ndim
+    components = np.trace(t.components, axis1=b + slot_a, axis2=b + slot_b)
     variance = tuple(v for i, v in enumerate(t.variance) if i not in (slot_a, slot_b))
     if not variance:
-        return float(components)
+        return components if b else float(components)
     return Tensor(t.dim, variance, components)
 
 
@@ -117,29 +164,34 @@ def raise_index(t, slot, g_inv):
     if t.variance[slot] != COV:
         raise VarianceError(f"slot {slot} is not covariant")
     ginv = g_inv.components if isinstance(g_inv, Tensor) else np.asarray(g_inv, dtype=float)
-    components = np.tensordot(t.components, ginv, axes=([slot], [0]))
-    # tensordot appends the new axis; rotate it back into the slot's place
-    components = np.moveaxis(components, -1, slot)
+    idx = "abcdefgh"[:t.rank]
+    raised = idx[:slot] + "z" + idx[slot + 1:]
+    components = np.einsum(f"...{idx},...{idx[slot]}z->...{raised}", t.components, ginv)
     variance = list(t.variance)
     variance[slot] = CONTRA
     return Tensor(t.dim, tuple(variance), components)
 
 
-def invert_metric(g):
-    """Inverse of a symmetric positive-definite cov-2 tensor.
+def invert_metric(g, at=None):
+    """Inverse of a symmetric positive-definite cov-2 tensor, or of a stack of them.
 
     Raises :class:`SingularMetricError` (reporting the smallest eigenvalue)
-    when positive-definiteness fails.
+    when positive-definiteness fails; ``at``, the coordinates the metric was
+    evaluated at, lets the message name the first offending point.
     """
     m = g.components if isinstance(g, Tensor) else np.asarray(g, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (m + m.T))
-    if eigs[0] <= 0.0:
+    eigs = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    positive = eigs[..., 0] > 0.0
+    if not np.all(positive):
+        row = first_false(positive)
+        low = float(eigs[..., 0].reshape(-1)[row])
+        where = "" if at is None else f" at {point_text(np.asarray(at), row)}"
         raise SingularMetricError(
-            f"metric is not positive-definite (min eigenvalue {eigs[0]:.3e})",
-            min_eigenvalue=float(eigs[0]),
+            f"metric is not positive-definite{where} (min eigenvalue {low:.3e})",
+            min_eigenvalue=low,
         )
     inv = np.linalg.inv(m)
-    inv = 0.5 * (inv + inv.T)
+    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
     if isinstance(g, Tensor):
         return Tensor(g.dim, (CONTRA, CONTRA), inv)
     return inv
@@ -155,62 +207,61 @@ def symmetrize_cov3(u, g):
     """
     uc = u.components if isinstance(u, Tensor) else np.asarray(u, dtype=float)
     gc = g.components if isinstance(g, Tensor) else np.asarray(g, dtype=float)
-    n = uc.shape[0]
-    if gc.shape != (n, n):
+    n = uc.shape[-1]
+    if gc.shape[-2:] != (n, n):
         raise DimensionMismatchError(f"dimension mismatch: u has {n}, g has {gc.shape}")
-    out = np.empty((n, n, n))
+    out = np.empty(np.broadcast_shapes(uc.shape[:-1], gc.shape[:-2]) + (n, n, n))
     for i in range(n):
         for j in range(i, n):
             for k in range(j, n):
-                s = gc[i, j] * uc[k] + gc[j, k] * uc[i] + gc[k, i] * uc[j]
+                s = (gc[..., i, j] * uc[..., k] + gc[..., j, k] * uc[..., i]
+                     + gc[..., k, i] * uc[..., j])
                 # one representative per symmetry class keeps the result
                 # bitwise permutation-invariant
                 for p, q, r in ((i, j, k), (i, k, j), (j, i, k),
                                 (j, k, i), (k, i, j), (k, j, i)):
-                    out[p, q, r] = s
+                    out[..., p, q, r] = s
     return Tensor(n, (COV, COV, COV), out)
 
 
-# -- tensor-field jets ------------------------------------------------------
-
-
-class TensorJet:
-    """Derivatives of a tensor field at a point, stacked into float arrays.
-
-    ``value`` has the component shape; each derivative array appends one
-    trailing coordinate axis per order (``d1[..., k]`` is the k-partial).
-    """
-
-    __slots__ = ("dim", "order", "value", "d1", "d2", "d3")
-
-    def __init__(self, dim, order, value, d1=None, d2=None, d3=None):
-        self.dim = dim
-        self.order = order
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
-
-    def deriv(self, k):
-        return (self.value, self.d1, self.d2, self.d3)[k]
-
-
-def stack_jets(jet_grid, dim, order):
-    """Stack a nested list (or object array) of scalar jets into a TensorJet."""
-    grid = np.asarray(jet_grid, dtype=object)
-    shape = grid.shape
-    flat = grid.reshape(-1)
-    parts = [np.empty(shape) if shape else np.empty(())]
-    for k in range(1, order + 1):
-        parts.append(np.empty(shape + (dim,) * k))
-    out_flat = [p.reshape((-1,) + p.shape[len(shape):]) for p in parts]
-    for idx, jet in enumerate(flat):
-        for k in range(order + 1):
-            out_flat[k][idx] = jet.deriv(k)
-    return TensorJet(dim, order, *parts)
-
-
 # -- scalar fields ----------------------------------------------------------
+
+
+def field_jet(source, coords, order, compute, *args):
+    """``compute(*args)`` as one field evaluation at ``coords``, checked.
+
+    The arithmetic runs under ``np.errstate``, so batched division by zero
+    or overflow yields inf/nan instead of a warning; those values, and the
+    ZeroDivisionError/OverflowError of scalar arithmetic, raise an
+    :class:`EvaluationError` naming ``source`` and the first offending
+    point.  A plain-number result becomes a constant jet over ``coords``.
+    """
+    x = np.asarray(coords, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            jet = compute(*args)
+        except (ZeroDivisionError, OverflowError) as e:
+            raise EvaluationError(f"{source} failed at {point_text(x)}: {e}") from e
+        if not isinstance(jet, jets.Jet):
+            jet = jets.constant_at(jet, x, order)
+        parts = [jet.deriv(k) for k in range(jet.order + 1)]
+        # a finite sum of squares proves every entry finite, so only a
+        # non-finite one needs the entry-by-entry check
+        total = 0.0
+        for part in parts:
+            total += np.vdot(part, part)
+        if math.isfinite(total):
+            return jet
+    finite = np.ones(x.shape[:-1], dtype=bool)
+    for part in parts:
+        ok = np.isfinite(part)
+        if ok.shape[:finite.ndim] == finite.shape:
+            finite &= ok.reshape(finite.shape + (-1,)).all(axis=-1)
+        else:
+            finite &= ok.all()
+    if np.all(finite):
+        return jet
+    raise EvaluationError(f"{source} is not finite at {point_text(x, first_false(finite))}")
 
 
 class ScalarField:
@@ -219,6 +270,8 @@ class ScalarField:
     Subclasses fix how derivatives are obtained: exact jet arithmetic for
     analytic rules and parsed expressions, fourth-order central differences
     for black-box callables.  Evaluation at a fixed point is deterministic.
+    ``jet(coords, order)`` takes one point or a ``(P, n)`` batch and goes
+    through :func:`field_jet`.
     """
 
     mode = "jet"
@@ -228,7 +281,7 @@ class ScalarField:
         raise NotImplementedError
 
     def __call__(self, p):
-        return self.jet(as_point(p).coords, 0).value
+        return self.jet(as_coords(p), 0).value
 
 
 class FuncField(ScalarField):
@@ -240,10 +293,8 @@ class FuncField(ScalarField):
         self.domain = domain
 
     def jet(self, coords, order):
-        out = self.fn(jets.seed(coords, order))
-        if not isinstance(out, jets.Jet):
-            out = jets.Jet.constant(float(out), len(tuple(coords)), order)
-        return out
+        name = getattr(self.fn, "__name__", type(self.fn).__name__)
+        return field_jet(f"rule {name!r}", coords, order, self.fn, jets.seed(coords, order))
 
 
 class NumericField(ScalarField):
@@ -257,7 +308,9 @@ class NumericField(ScalarField):
         self.domain = domain
 
     def jet(self, coords, order):
-        return jets.finite_difference_jet(self.fn, coords, order)
+        name = getattr(self.fn, "__name__", type(self.fn).__name__)
+        return field_jet(f"callable {name!r}", coords, order,
+                         jets.finite_difference_jet, self.fn, coords, order)
 
 
 class ConstantField(ScalarField):
@@ -266,18 +319,23 @@ class ConstantField(ScalarField):
         self.dim = dim
 
     def jet(self, coords, order):
-        return jets.Jet.constant(self.value, len(tuple(coords)), order)
+        return field_jet(f"constant {self.value!r}", coords, order,
+                         jets.constant_at, self.value, coords, order)
 
 
 def evaluate_jet(field, p, order):
     """Value and all mixed partials of ``field`` at ``p`` up to ``order``.
 
-    Orders above 3 are rejected: nothing downstream differentiates deeper
-    than curvature, which consumes third metric derivatives.
+    ``p`` is one point or a ``(P, n)`` batch.  Orders above 3 are rejected:
+    nothing downstream differentiates deeper than curvature, which consumes
+    third metric derivatives.
     """
     if order > jets.MAX_ORDER or order < 0:
         raise UnsupportedOrderError(f"order {order} not supported (max {jets.MAX_ORDER})")
-    point = as_point(p)
-    if field.domain is not None and not field.domain.contains(point):
-        raise DomainError(f"point {point.coords} outside the field's domain")
-    return field.jet(point.coords, order)
+    x = as_coords(p)
+    if field.domain is not None:
+        inside = field.domain.contains(x)
+        if not np.all(inside):
+            raise DomainError(f"point {point_text(x, first_false(inside))} "
+                              "outside the field's domain")
+    return field.jet(x, order)

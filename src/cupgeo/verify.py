@@ -3,8 +3,11 @@
 Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
-residual.  Relative residuals are normalized by max(1, |lhs|, |rhs|) so
-near-zero references cannot inflate them.
+residual.  The operators take a case's whole grid as one batch, and the
+residuals are then recorded row by row in grid order.  Relative residuals
+are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
+inflate them; a non-finite side or difference counts as an infinite
+residual, so it fails the check.
 
 Three deliberately wrong configurations run as first-class suite members:
 dropping the Ricci coupling, normalizing the skewness shift by 1/3, and
@@ -42,7 +45,7 @@ from .geometry import (
     riemann,
 )
 from .manifolds import gaussian_model, multinomial_model
-from .tensor_core import as_point
+from .tensor_core import as_coords
 
 MODE_TOLERANCE = {"jet": 1e-7, "fd": 1e-4}
 TRACE_TOLERANCE = 1e-9
@@ -118,8 +121,17 @@ class SuiteConfig:
                 raise ConfigError(f"model case {case.model.name!r} has no rescaling potentials")
             if not case.densities:
                 raise ConfigError(f"model case {case.model.name!r} has no densities")
-            for p in case.points:
-                case.model.require_inside(p)
+            case.model.require_inside(case.points)
+
+
+def _grid(case):
+    return as_coords(case.points).reshape(-1, case.model.dim)
+
+
+def _rows(values, like):
+    """Per-row ``values`` with trailing axes to scale the rows of ``like``."""
+    values = np.asarray(values)
+    return values.reshape(values.shape + (1,) * (np.ndim(like) - values.ndim))
 
 
 class _Residuals:
@@ -129,19 +141,26 @@ class _Residuals:
         self.max_rel = 0.0
         self.worst = None
 
-    def add(self, point, lhs, rhs):
-        lhs = np.asarray(lhs, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
-        diff = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        scale = max(1.0, float(np.max(np.abs(lhs))) if lhs.size else 0.0,
-                    float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-        rel = diff / scale
-        self.count += 1
-        self.max_abs = max(self.max_abs, diff)
-        if rel >= self.max_rel:
-            self.max_rel = rel
-            self.worst = as_point(point).coords
-        return rel
+    def add(self, points, lhs, rhs):
+        """Record one residual per row of a batch, in row order."""
+        rows = len(points)
+        if rows == 0:
+            return
+        with np.errstate(all="ignore"):
+            lhs = np.asarray(lhs, dtype=float).reshape(rows, -1)
+            rhs = np.asarray(rhs, dtype=float).reshape(rows, -1)
+            gap = np.abs(lhs - rhs)
+            finite = np.isfinite(gap).all(axis=1)
+            diff = np.where(finite, gap.max(axis=1, initial=0.0), np.inf)
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
+                                               np.abs(rhs).max(axis=1, initial=0.0)))
+            rel = np.where(finite, diff / scale, np.inf)
+        for point, d, r in zip(points, diff.tolist(), rel.tolist()):
+            self.count += 1
+            self.max_abs = max(self.max_abs, d)
+            if r >= self.max_rel:
+                self.max_rel = r
+                self.worst = tuple(float(c) for c in point)
 
     def report(self, check_id, tolerance, passed=None, **extra):
         if passed is None:
@@ -184,22 +203,22 @@ def _model_variants(config, case, alpha):
 def _check_metric_compat(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for model in _model_variants(config, case, alpha):
-                for p in case.points:
-                    nabla_g = covariant_derivative_metric(model, alpha, p).components
-                    res.add(p, nabla_g, alpha * model.skewness_at(p).components)
+                nabla_g = covariant_derivative_metric(model, alpha, pts).components
+                res.add(pts, nabla_g, alpha * model.skewness_at(pts).components)
     return res.report("metric_compat", tol)
 
 
 def _check_codazzi(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for model in _model_variants(config, case, alpha):
-                for p in case.points:
-                    nabla_g = covariant_derivative_metric(model, alpha, p).components
-                    res.add(p, nabla_g, np.transpose(nabla_g, (1, 0, 2)))
+                nabla_g = covariant_derivative_metric(model, alpha, pts).components
+                res.add(pts, nabla_g, np.swapaxes(nabla_g, -3, -2))
     return res.report("codazzi", tol)
 
 
@@ -209,13 +228,13 @@ def _check_codazzi(config, tol):
 def _check_conn_shift(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha):
-                for p in case.points:
-                    pred = connection_shift_prediction(resc, p).components
-                    direct = (alpha_connection(varied, alpha, p).components
-                              - alpha_connection(case.model, alpha, p).components)
-                    res.add(p, pred, direct)
+                pred = connection_shift_prediction(resc, pts).components
+                direct = (alpha_connection(varied, alpha, pts).components
+                          - alpha_connection(case.model, alpha, pts).components)
+                res.add(pts, pred, direct)
     return res.report("conn_shift", tol)
 
 
@@ -223,15 +242,15 @@ def _check_curv_shift(config, tol):
     res = _Residuals()
     trace = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha):
-                for p in case.points:
-                    pred = curvature_shift_prediction(case.model, resc, p).components
-                    direct = (riemann(varied, alpha, p).components
-                              - riemann(case.model, alpha, p).components)
-                    res.add(p, pred, direct)
-                    trace.add(p, np.einsum("kjkl->jl", pred),
-                              ricci_shift_prediction(case.model, resc, p).components)
+                pred = curvature_shift_prediction(case.model, resc, pts).components
+                direct = (riemann(varied, alpha, pts).components
+                          - riemann(case.model, alpha, pts).components)
+                res.add(pts, pred, direct)
+                trace.add(pts, np.einsum("...kjkl->...jl", pred),
+                          ricci_shift_prediction(case.model, resc, pts).components)
     passed = res.max_rel <= tol and trace.max_rel <= TRACE_TOLERANCE
     return res.report("curv_shift", tol, passed=passed, trace_residual=trace.max_rel)
 
@@ -239,13 +258,13 @@ def _check_curv_shift(config, tol):
 def _check_ricci_shift(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha):
-                for p in case.points:
-                    pred = ricci_shift_prediction(case.model, resc, p).components
-                    direct = (ricci(varied, alpha, p).components
-                              - ricci(case.model, alpha, p).components)
-                    res.add(p, pred, direct)
+                pred = ricci_shift_prediction(case.model, resc, pts).components
+                direct = (ricci(varied, alpha, pts).components
+                          - ricci(case.model, alpha, pts).components)
+                res.add(pts, pred, direct)
     return res.report("ricci_shift", tol)
 
 
@@ -255,6 +274,7 @@ def _check_ricci_shift(config, tol):
 def _check_hessian_inv(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         n = case.model.dim
         k = config.hessian_k if config.hessian_k is not None else 1.0 / (n - 1)
         spec = HessianSpec(k)
@@ -262,11 +282,9 @@ def _check_hessian_inv(config, tol):
             for resc, varied in _rescalings(config, case, alpha):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
-                    for p in case.points:
-                        lhs = modified_hessian(varied, alpha, spec, scaled.f, p).components
-                        rhs = resc.eta(p) * modified_hessian(
-                            case.model, alpha, spec, density.f, p).components
-                        res.add(p, lhs, rhs)
+                    lhs = modified_hessian(varied, alpha, spec, scaled.f, pts).components
+                    rhs = modified_hessian(case.model, alpha, spec, density.f, pts).components
+                    res.add(pts, lhs, _rows(resc.eta(pts), rhs) * rhs)
     return res.report("hessian_inv", tol)
 
 
@@ -275,18 +293,17 @@ def _check_laplacian_inv(config, tol):
     decomp = _Residuals()
     s = config.laplacian_s
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
-                    for p in case.points:
-                        lhs = cup_laplacian(varied, alpha, scaled.f, p)
-                        base = cup_laplacian(case.model, alpha, density.f, p)
-                        res.add(p, lhs, resc.eta(p) ** s * base if s != 0.0 else base)
-                        decomp.add(p, lhs,
-                                   cup_laplacian_decomposed(varied, alpha, scaled.f, p))
-                        decomp.add(p, base,
-                                   cup_laplacian_decomposed(case.model, alpha, density.f, p))
+                    lhs = cup_laplacian(varied, alpha, scaled.f, pts)
+                    base = cup_laplacian(case.model, alpha, density.f, pts)
+                    res.add(pts, lhs, resc.eta(pts) ** s * base if s != 0.0 else base)
+                    decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled.f, pts))
+                    decomp.add(pts, base,
+                               cup_laplacian_decomposed(case.model, alpha, density.f, pts))
     passed = res.max_rel <= tol and decomp.max_rel <= DECOMPOSITION_TOLERANCE
     return res.report("laplacian_inv", tol, passed=passed, decomp_residual=decomp.max_rel)
 
@@ -294,18 +311,16 @@ def _check_laplacian_inv(config, tol):
 def _check_nonlinear_inv(config, tol):
     res = _Residuals()
     for case in config.cases:
+        pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
                     for coupling in case.couplings:
                         scaled_coupling = transform_coupling(coupling, resc)
-                        for p in case.points:
-                            lhs = nonlinear_cup_operator(
-                                varied, alpha, scaled.f, scaled_coupling, p)
-                            rhs = nonlinear_cup_operator(
-                                case.model, alpha, density.f, coupling, p)
-                            res.add(p, lhs, rhs)
+                        lhs = nonlinear_cup_operator(varied, alpha, scaled.f, scaled_coupling, pts)
+                        rhs = nonlinear_cup_operator(case.model, alpha, density.f, coupling, pts)
+                        res.add(pts, lhs, rhs)
     return res.report("nonlinear_inv", tol)
 
 
@@ -314,18 +329,18 @@ def _check_integrability(config, tol):
     flat = 0
     k = config.hessian_k
     for case in config.cases:
+        pts = _grid(case)
+        kk = k if k is not None else 1.0 / (case.model.dim - 1)
+        eye = np.eye(case.model.dim)
         for alpha in config.alphas:
-            for p in case.points:
-                riem = riemann(case.model, alpha, p).components
-                if float(np.max(np.abs(riem))) <= tol:
-                    flat += 1
-                    continue
-                ric = np.einsum("kjkl->jl", riem)
-                kk = k if k is not None else 1.0 / (case.model.dim - 1)
-                eye = np.eye(case.model.dim)
-                predicted = kk * (np.einsum("ik,jl->ijkl", eye, ric)
-                                  - np.einsum("il,jk->ijkl", eye, ric))
-                res.add(p, riem, predicted)
+            riem = riemann(case.model, alpha, pts).components
+            curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
+            flat += len(pts) - int(np.count_nonzero(curved))
+            riem = riem[curved]
+            ric = np.einsum("...kjkl->...jl", riem)
+            predicted = kk * (np.einsum("ik,...jl->...ijkl", eye, ric)
+                              - np.einsum("il,...jk->...ijkl", eye, ric))
+            res.add(pts[curved], riem, predicted)
     return res.report("integrability", tol, flat_points=flat)
 
 
@@ -346,17 +361,18 @@ def check_type_invariance(operator, op_type, model, resc, density, points):
     """Generic (r; s) residual: operator of eta^r f on the rescaled model
     against eta^s times the operator of f on the original.
 
-    ``operator(model, f, p)`` may return a scalar or tensor components.
+    ``operator(model, f, p)`` is called once with the whole ``(P, n)`` batch
+    of ``points`` and may return per-row scalars or tensor components.
     """
     varied = rescaled_model(model, resc)
     scaled = transform_density(WeightedDensity(density.f, op_type.r), resc)
+    pts = as_coords(points).reshape(-1, model.dim)
+    lhs = operator(varied, scaled.f, pts)
+    rhs = operator(model, density.f, pts)
+    lhs = lhs.components if hasattr(lhs, "components") else lhs
+    rhs = np.asarray(rhs.components if hasattr(rhs, "components") else rhs, dtype=float)
     res = _Residuals()
-    for p in points:
-        lhs = operator(varied, scaled.f, p)
-        rhs = operator(model, density.f, p)
-        lhs = lhs.components if hasattr(lhs, "components") else lhs
-        rhs = rhs.components if hasattr(rhs, "components") else rhs
-        res.add(p, lhs, resc.eta(p) ** op_type.s * np.asarray(rhs, dtype=float))
+    res.add(pts, lhs, _rows(resc.eta(pts) ** op_type.s, rhs) * rhs)
     tol = MODE_TOLERANCE[model.mode]
     return res.report("type_invariance", tol)
 
@@ -390,9 +406,10 @@ class SuiteResult:
                 "passed": r.passed,
                 "worst_point": list(r.worst_point),
             })
-        out = {"passed": self.passed, "checks": checks}
+        out = {"passed": self.passed}
         if seed is not None:
             out["seed"] = seed
+        out["checks"] = checks
         return out
 
 

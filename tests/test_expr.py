@@ -1,12 +1,14 @@
 """Expression grammar: parsing, precedence, evaluation, error positions."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupgeo.errors import EvaluationError, ExpressionError
-from cupgeo.expr import Expression, evaluate, parse, variables
+from cupgeo.expr import _FUNCTIONS, Expression, evaluate, parse, variables
 from cupgeo.jets import seed
 
 
@@ -146,3 +148,13 @@ def test_powers_match_python(base, k):
     assert ev("exp(k*log(x))", x=base, k=float(k)) == pytest.approx(
         base ** k, rel=1e-12
     )
+
+
+def test_readme_function_list_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"the usual functions \(([^)]*)\)", " ".join(readme.split()))
+    names = re.findall(r"`(\w+)`", listed.group(1))
+    assert names
+    for name in names:
+        assert Expression(f"{name}(x)").variables == {"x"}
+    assert sorted(names) == sorted(_FUNCTIONS)

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from cupgeo.cli import render_json
@@ -14,6 +15,7 @@ from cupgeo.verify import (
     CONTROL_FACTOR,
     ModelCase,
     SuiteConfig,
+    _Residuals,
     check_type_invariance,
     control_failed_as_expected,
     default_suite_config,
@@ -267,6 +269,19 @@ class TestTypeInvarianceHelper:
         report = check_type_invariance(
             op, OperatorType(r=1.0, s=1.0), GAUSS, resc, density, self.POINTS)
         assert not report.passed
+
+
+def test_non_finite_residual_fails_the_check():
+    res = _Residuals()
+    points = np.array([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)])
+    res.add(points, [[1.0], [np.nan], [np.inf]], [[1.0], [0.0], [0.0]])
+    report = res.report("demo", 1e-7)
+    assert report.points_evaluated == 3
+    assert report.max_rel_residual == np.inf
+    assert report.max_abs_residual == np.inf
+    assert not report.passed
+    # ties keep the later row, as for finite residuals
+    assert report.worst_point == (2.0, 1.0)
 
 
 def test_full_default_suite_passes():
