@@ -47,6 +47,7 @@ from .geometry import (
     levi_civita,
     modified_hessian,
     nonlinear_cup_operator,
+    point_geometry,
     ricci,
     riemann,
     scalar_curvature,

@@ -186,7 +186,7 @@ def cmd_tensors(args):
     names = model.coord_names
     results = []
     for p in _points(args, model):
-        ws = geometry.PointGeometry(model, alpha, p)
+        ws = geometry.point_geometry(model, alpha, p)
         results.append({
             "point": list(p),
             "g": ws.g,

@@ -27,7 +27,7 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_assign
 from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
-from .geometry import NonlinearCoupling, PointGeometry, _real
+from .geometry import NonlinearCoupling, _real, point_geometry
 
 
 @dataclass(frozen=True)
@@ -259,7 +259,7 @@ def connection_shift_prediction(resc, p):
 def _psi_shift_core(model, resc, p):
     """M_ij = (nabla^alpha psi)_ij + alpha psi_i psi_j on the base model."""
     _check_chart(model, resc)
-    ws = PointGeometry(model, resc.alpha, p)
+    ws = point_geometry(model, resc.alpha, p)
     pj = resc.psi_jet(ws.p, 1)
     psi, dpsi = pj.value, pj.d1
     # (nabla psi)_ij = d_i psi_j - Gamma^k_ij psi_k; dpsi[j, i] = d_i psi_j

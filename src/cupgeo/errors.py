@@ -6,7 +6,16 @@ class CupGeoError(Exception):
 
 
 class DomainError(CupGeoError):
-    """A point lies outside the valid chart domain (boundary margin included)."""
+    """A point lies outside the valid chart domain (boundary margin included).
+
+    Jet arithmetic raises it with ``mask``, the per-entry flags of the
+    offending operand values; a field evaluation replaces such an error with
+    one that names the field and the first offending point, and no mask.
+    """
+
+    def __init__(self, message, mask=None):
+        super().__init__(message)
+        self.mask = mask
 
 
 class UnsupportedOrderError(CupGeoError):

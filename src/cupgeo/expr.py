@@ -203,7 +203,7 @@ def evaluate(node, env):
     if kind == "/":
         return a / b
     if kind == "^":
-        return a ** b
+        return jets.power(a, b)
     raise EvaluationError(f"bad AST node {kind!r}")
 
 

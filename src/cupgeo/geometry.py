@@ -18,10 +18,16 @@ points: a batch adds one leading axis to every array and every returned
 tensor (component axes follow it, derivative axes trail as above), and a
 scalar result becomes an array of shape ``(P,)``.  One point keeps batch
 shape ``()`` and returns plain floats.  A :class:`PointGeometry` instance
-caches the intermediate arrays for one (model, alpha, points) triple; it is
-never shared across evaluations.
+caches the intermediate arrays for one (model, alpha, points) triple, and
+:func:`point_geometry` shares one instance between every call with the same
+triple: each model owns a memo of its :data:`GEOMETRY_MEMO_SIZE` most
+recently used geometries, keyed by ``float(alpha)`` and the shape and bytes
+of the validated coordinates.  Sharing is sound because models are
+immutable and their fields pure; the shared arrays are read-only, so a
+caller cannot alter what a later call returns.
 """
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,9 +49,20 @@ from .tensor_core import (
 )
 
 
+GEOMETRY_MEMO_SIZE = 16
+
+
 def _real(x):
     """A float for one point, the per-row array for a batch."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _readonly(x):
+    """A read-only view of an array (a number passes through)."""
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -90,76 +107,91 @@ class PointGeometry:
     """Lazily computed geometric data of one model at one point or a batch.
 
     Construction validates every point against the model domain and keeps
-    the coordinates as ``p`` (shape ``(n,)`` or ``(P, n)``); every array is
-    computed at most once per instance.
+    a read-only copy of the coordinates as ``p`` (shape ``(n,)`` or
+    ``(P, n)``); every array is computed at most once per instance and is
+    read-only.  Each construction is a fresh instance: the operators share
+    instances through :func:`point_geometry` instead.
+
+    The instance holds the model's metric and skewness fields, and the model
+    itself only weakly, so that a model's memo of its geometries does not
+    keep the model alive; ``model`` is None once the model is gone, while
+    the geometry still computes.
     """
 
     def __init__(self, model, alpha, p):
-        self.model = model
+        self._model = weakref.ref(model)
+        self._metric = model.metric
+        self._skewness = model.skewness
         self.alpha = float(alpha)
-        self.p = model.require_inside(p)
+        self.p = _readonly(np.array(model.require_inside(p)))
         self.dim = model.dim
+
+    @property
+    def model(self):
+        return self._model()
 
     @cached_property
     def _gjet(self):
-        return self.model.metric.jet(self.p, 2)
+        jet = self._metric.jet(self.p, 2)
+        return tuple(_readonly(jet.deriv(k)) for k in range(3))
 
     @cached_property
     def _tjet(self):
-        return self.model.skewness.jet(self.p, 1)
+        jet = self._skewness.jet(self.p, 1)
+        return tuple(_readonly(jet.deriv(k)) for k in range(2))
 
     @property
     def g(self):
-        return self._gjet.value
+        return self._gjet[0]
 
     @property
     def dg(self):
-        return self._gjet.d1
+        return self._gjet[1]
 
     @property
     def d2g(self):
-        return self._gjet.d2
+        return self._gjet[2]
 
     @property
     def t(self):
-        return self._tjet.value
+        return self._tjet[0]
 
     @property
     def dt(self):
-        return self._tjet.d1
+        return self._tjet[1]
 
     @cached_property
     def ginv(self):
-        return invert_metric(self.g, at=self.p)
+        return _readonly(invert_metric(self.g, at=self.p))
 
     @cached_property
     def dginv(self):
         # d_l g^{ab} = -g^{am} (d_l g_{mq}) g^{qb}
-        return -np.einsum("...am,...mql,...qb->...abl", self.ginv, self.dg, self.ginv)
+        return _readonly(-np.einsum("...am,...mql,...qb->...abl", self.ginv, self.dg, self.ginv))
 
     @cached_property
     def _lowered(self):
         # A[m, i, j] = (1/2)(d_i g_{jm} + d_j g_{im} - d_m g_{ij})
         dg = self.dg
-        return 0.5 * (
+        return _readonly(0.5 * (
             np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg)
             - np.einsum("...ijm->...mij", dg)
-        )
+        ))
 
     @cached_property
     def gamma0(self):
-        return np.einsum("...km,...mij->...kij", self.ginv, self._lowered)
+        return _readonly(np.einsum("...km,...mij->...kij", self.ginv, self._lowered))
 
     @cached_property
     def skew_mixed(self):
         # (t . g^{-1})^k_{ij} = t_{ijm} g^{mk}
-        return np.einsum("...ijm,...mk->...kij", self.t, self.ginv)
+        return _readonly(np.einsum("...ijm,...mk->...kij", self.t, self.ginv))
 
     @cached_property
     def gamma(self):
         if self.alpha == 0.0:
             return self.gamma0
-        return self.gamma0 - 0.5 * self.alpha * self.skew_mixed
+        return _readonly(self.gamma0 - 0.5 * self.alpha * self.skew_mixed)
 
     @cached_property
     def dgamma(self):
@@ -176,7 +208,7 @@ class PointGeometry:
             dskew = np.einsum("...ijml,...mk->...kijl", self.dt, self.ginv)
             dskew += np.einsum("...ijm,...mkl->...kijl", self.t, self.dginv)
             out -= 0.5 * self.alpha * dskew
-        return out
+        return _readonly(out)
 
     @cached_property
     def riemann(self):
@@ -184,15 +216,36 @@ class PointGeometry:
         curl = np.einsum("...kijl->...kjli", dG) - np.einsum("...kijl->...kjil", dG)
         quad = np.einsum("...ikm,...mlj->...ijkl", self.gamma, self.gamma)
         quad = quad - np.swapaxes(quad, -1, -2)
-        return curl + quad
+        return _readonly(curl + quad)
 
     @cached_property
     def ricci(self):
-        return np.einsum("...kjkl->...jl", self.riemann)
+        return _readonly(np.einsum("...kjkl->...jl", self.riemann))
 
     @cached_property
     def scalar(self):
-        return _real(np.einsum("...jl,...jl->...", self.ginv, self.ricci))
+        return _readonly(_real(np.einsum("...jl,...jl->...", self.ginv, self.ricci)))
+
+
+def point_geometry(model, alpha, p):
+    """The shared :class:`PointGeometry` of ``model`` at ``alpha`` and ``p``.
+
+    The points are validated first, so an invalid point raises before any
+    lookup.  The instance comes from the model's memo when the same
+    ``float(alpha)`` and the same coordinates (shape and bytes) were asked
+    for among its last :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is
+    built and remembered otherwise.
+    """
+    x = model.require_inside(p)
+    key = (float(alpha), x.shape, x.tobytes())
+    memo = model.geometry_memo
+    ws = memo.pop(key, None)
+    if ws is None:
+        ws = PointGeometry(model, alpha, x)
+    memo[key] = ws
+    if len(memo) > GEOMETRY_MEMO_SIZE:
+        memo.popitem(last=False)
+    return ws
 
 
 # -- connections ------------------------------------------------------------
@@ -200,13 +253,13 @@ class PointGeometry:
 
 def levi_civita(model, p):
     """Metric-compatible torsion-free connection from the metric jets."""
-    ws = PointGeometry(model, 0.0, p)
+    ws = point_geometry(model, 0.0, p)
     return Christoffel(model.dim, 0.0, ws.gamma0)
 
 
 def alpha_connection(model, alpha, p):
     """The skewness-shifted connection: Gamma^0 - (alpha/2) t . g^{-1}."""
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     return Christoffel(model.dim, float(alpha), ws.gamma)
 
 
@@ -216,7 +269,7 @@ def covariant_derivative_metric(model, alpha, p):
     Slot 0 is the differentiation direction.  Equals alpha times the
     skewness tensor for every model that honors the metric/skewness pairing.
     """
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     comps = np.einsum("...ijk->...kij", ws.dg)
     comps = comps - np.einsum("...lki,...lj->...kij", ws.gamma, ws.g)
     comps = comps - np.einsum("...lkj,...il->...kij", ws.gamma, ws.g)
@@ -227,22 +280,22 @@ def covariant_derivative_metric(model, alpha, p):
 
 
 def riemann(model, alpha, p):
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     return Tensor(model.dim, (CONTRA, COV, COV, COV), ws.riemann)
 
 
 def ricci(model, alpha, p):
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     return Tensor(model.dim, (COV, COV), ws.ricci)
 
 
 def scalar_curvature(model, alpha, p):
-    return PointGeometry(model, alpha, p).scalar
+    return point_geometry(model, alpha, p).scalar
 
 
 def curvature(model, alpha, p):
     """Riemann, Ricci, and scalar curvature in one evaluation."""
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     return CurvaturePack(
         riemann=Tensor(model.dim, (CONTRA, COV, COV, COV), ws.riemann),
         ricci=Tensor(model.dim, (COV, COV), ws.ricci),
@@ -274,7 +327,7 @@ def _field_jet(f, model, p, order):
 def alpha_hessian(model, alpha, f, p):
     """Second covariant derivative of f: d_i d_j f - Gamma^k_ij d_k f."""
     fj = _field_jet(f, model, p, 2)
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
     return Tensor(model.dim, (COV, COV), comps)
 
@@ -295,26 +348,30 @@ def modified_hessian(model, alpha, spec, f, p):
     """
     k = spec.k if isinstance(spec, HessianSpec) else float(spec)
     fj = _field_jet(f, model, p, 2)
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
     if k != 0.0:
         comps = comps + k * ws.ricci * _bc(fj.value, 2)
     return Tensor(model.dim, (COV, COV), comps)
 
 
+def _cup_trace(model, alpha, k, fj, p):
+    """The trace operator at coupling ``k`` on ``fj``, the order-2 density jet."""
+    ws = point_geometry(model, alpha, p)
+    hess = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
+    return np.einsum("...ij,...ij->...", ws.ginv, hess) + k * ws.scalar * fj.value
+
+
 def cup_laplacian(model, alpha, f, p):
     """Metric trace of the curvature-corrected Hessian at k = 1/(n-1)."""
     k = _ricci_coupling(model.dim)
-    fj = _field_jet(f, model, p, 2)
-    ws = PointGeometry(model, alpha, p)
-    hess = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
-    return _real(np.einsum("...ij,...ij->...", ws.ginv, hess) + k * ws.scalar * fj.value)
+    return _real(_cup_trace(model, alpha, k, _field_jet(f, model, p, 2), p))
 
 
 def alpha_laplacian(model, alpha, f, p):
     """Divergence-form Laplacian: d_i(g^{ij} d_j f) + Gamma^i_im g^{mj} d_j f."""
     fj = _field_jet(f, model, p, 2)
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     out = np.einsum("...ij,...ij->...", ws.ginv, fj.d2)
     out = out + np.einsum("...iji,...j->...", ws.dginv, fj.d1)
     out = out + np.einsum("...iim,...mj,...j->...", ws.gamma, ws.ginv, fj.d1)
@@ -331,7 +388,7 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     """
     k = _ricci_coupling(model.dim)
     fj = _field_jet(f, model, p, 2)
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     out = alpha_laplacian(model, alpha, f, p)
     out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...", ws.t, ws.ginv, ws.ginv, fj.d1)
     out = out + k * ws.scalar * fj.value
@@ -340,9 +397,11 @@ def cup_laplacian_decomposed(model, alpha, f, p):
 
 def nonlinear_cup_operator(model, alpha, f, coupling, p):
     """cup_laplacian(f) plus the zeroth-order term lam(p) * f(p)^a."""
+    k = _ricci_coupling(model.dim)
     x = as_coords(p)
-    base = cup_laplacian(model, alpha, f, x)
-    fval = _field_jet(f, model, x, 0).value
+    fj = _field_jet(f, model, x, 2)
+    base = _cup_trace(model, alpha, k, fj, x)
+    fval = fj.value
     lam = _field_jet(coupling.lam, model, x, 0).value
     a = coupling.a
     if not float(a).is_integer() and np.any(np.less(fval, 0.0)):
@@ -367,7 +426,7 @@ def integrability_residual(model, alpha, k, p):
         k = _ricci_coupling(model.dim)
     elif model.dim < 2:
         raise DimensionMismatchError("integrability check needs dimension >= 2")
-    ws = PointGeometry(model, alpha, p)
+    ws = point_geometry(model, alpha, p)
     eye = np.eye(model.dim)
     predicted = k * (
         np.einsum("ik,...jl->...ijkl", eye, ws.ricci)

@@ -73,6 +73,20 @@ def _power(v, p):
         v = v * v
 
 
+def _require(bad, message):
+    """Raise a DomainError carrying the per-entry flags ``bad`` if any is set."""
+    if bad.any():
+        raise DomainError(message, mask=bad)
+
+
+def _require_power_base(v, e):
+    """A fractional power ``v ** e`` needs a positive base; an integer one any base."""
+    if not float(e).is_integer():
+        v = np.asarray(v)
+        _require(v < 0.0, f"negative base raised to fractional exponent {e}")
+        _require(v == 0.0, f"zero base raised to fractional exponent {e}")
+
+
 class Jet:
     """Value plus mixed partials up to ``order`` with respect to ``dim`` coordinates."""
 
@@ -238,11 +252,7 @@ class Jet:
                                 self.dim, self.order)
         if e == 1.0:
             return self
-        if not e.is_integer():
-            if np.any(np.asarray(self.value) < 0.0):
-                raise DomainError(f"negative base raised to fractional exponent {e}")
-            if np.any(np.asarray(self.value) == 0.0):
-                raise DomainError(f"zero base raised to fractional exponent {e}")
+        _require_power_base(self.value, e)
         v = self.value
 
         def coeff(factor, power):
@@ -298,8 +308,7 @@ def exp(x):
 
 def log(x):
     v = x.value if isinstance(x, Jet) else x
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError("log of a non-positive value")
+    _require(np.asarray(v) <= 0.0, "log of a non-positive value")
     if not isinstance(x, Jet):
         return _elem(x, np.log)
     inv = 1.0 / v
@@ -308,13 +317,24 @@ def log(x):
 
 def sqrt(x):
     v = x.value if isinstance(x, Jet) else x
-    if np.any(np.asarray(v) < 0.0):
-        raise DomainError("sqrt of a negative value")
+    _require(np.asarray(v) < 0.0, "sqrt of a negative value")
     if not isinstance(x, Jet):
         return _elem(x, np.sqrt)
     r = _elem(x.value, np.sqrt)
     inv = 1.0 / x.value
     return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv, 0.375 * r * _power(inv, 3))
+
+
+def power(base, exponent):
+    """``base ** exponent`` for jets and plain numbers alike.
+
+    Plain numbers follow the domain rule of :meth:`Jet.__pow__`, so a
+    negative base under a fractional exponent raises DomainError instead of
+    giving a complex number.
+    """
+    if not isinstance(base, Jet) and not isinstance(exponent, Jet):
+        _require_power_base(base, exponent)
+    return base ** exponent
 
 
 def sin(x):

@@ -23,6 +23,7 @@ forms, with componentwise standard errors.
 import json
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 
@@ -132,7 +133,7 @@ class ExprTensorField(TensorField):
         try:
             return field_jet(f"rank-{self.rank} tensor field", coords, order,
                              self._assemble, env, coords, order)
-        except EvaluationError:
+        except (EvaluationError, DomainError):
             # checked once as a whole; on failure, name the first failing component
             for index, expression in self.entries.items():
                 field_jet(f"component {index} ({expression.source!r})", coords, order,
@@ -247,6 +248,13 @@ class ManifoldModel:
     Immutable after construction; evaluations are pure.  ``mode`` records
     how derivatives are obtained ("jet" exact, "fd" finite differences),
     which downstream tolerance defaults key off.
+
+    Purity is a contract, not only a property of the built-in models: the
+    model owns ``geometry_memo``, in which :func:`cupgeo.geometry.point_geometry`
+    keeps the geometry of its most recent (alpha, points) requests, so a
+    second request returns what the first computed.  Replacing a field of a
+    model, or passing :func:`model_from_callables` a callable whose output
+    changes between calls, would make those answers stale.
     """
 
     def __init__(self, dim, coord_names, metric, skewness, domain, name="model",
@@ -265,6 +273,7 @@ class ManifoldModel:
         self.metric_exprs = metric_exprs
         self.skewness_exprs = skewness_exprs
         self.sample_spec_factory = sample_spec_factory
+        self.geometry_memo = OrderedDict()
 
     def require_inside(self, p):
         """Validated coordinates of one point, or of every row of a ``(P, n)`` batch.
@@ -646,7 +655,11 @@ def serialize_model(model):
 
 
 def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, name="callable"):
-    """Wrap black-box component callables as a finite-difference model."""
+    """Wrap black-box component callables as a finite-difference model.
+
+    The callables must be pure: the same point always gives the same
+    components, since the model's geometry is computed once per point.
+    """
     domain = domain if domain is not None else unbounded_domain(dim)
     return ManifoldModel(
         dim=dim,

@@ -227,6 +227,16 @@ def symmetrize_cov3(u, g):
 # -- scalar fields ----------------------------------------------------------
 
 
+def _row_all(flags, batch):
+    """Per batch row, whether every one of its entries' ``flags`` is set.
+
+    Flags without the batch axes (those of a plain number) hold for every row.
+    """
+    if flags.shape[:len(batch)] == batch:
+        return flags.reshape(batch + (-1,)).all(axis=-1)
+    return np.full(batch, flags.all())
+
+
 def field_jet(source, coords, order, compute, *args):
     """``compute(*args)`` as one field evaluation at ``coords``, checked.
 
@@ -234,7 +244,9 @@ def field_jet(source, coords, order, compute, *args):
     or overflow yields inf/nan instead of a warning; those values, and the
     ZeroDivisionError/OverflowError of scalar arithmetic, raise an
     :class:`EvaluationError` naming ``source`` and the first offending
-    point.  A plain-number result becomes a constant jet over ``coords``.
+    point.  A :class:`DomainError` of the jet arithmetic (``log`` of a
+    non-positive value, say) is raised again naming them too.  A
+    plain-number result becomes a constant jet over ``coords``.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
@@ -242,6 +254,11 @@ def field_jet(source, coords, order, compute, *args):
             jet = compute(*args)
         except (ZeroDivisionError, OverflowError) as e:
             raise EvaluationError(f"{source} failed at {point_text(x)}: {e}") from e
+        except DomainError as e:
+            if e.mask is None:
+                raise
+            row = first_false(_row_all(~e.mask, x.shape[:-1]))
+            raise DomainError(f"{source} failed at {point_text(x, row)}: {e}") from e
         if not isinstance(jet, jets.Jet):
             jet = jets.constant_at(jet, x, order)
         parts = [jet.deriv(k) for k in range(jet.order + 1)]
@@ -254,11 +271,7 @@ def field_jet(source, coords, order, compute, *args):
             return jet
     finite = np.ones(x.shape[:-1], dtype=bool)
     for part in parts:
-        ok = np.isfinite(part)
-        if ok.shape[:finite.ndim] == finite.shape:
-            finite &= ok.reshape(finite.shape + (-1,)).all(axis=-1)
-        else:
-            finite &= ok.all()
+        finite &= _row_all(np.isfinite(part), x.shape[:-1])
     if np.all(finite):
         return jet
     raise EvaluationError(f"{source} is not finite at {point_text(x, first_false(finite))}")

@@ -185,38 +185,49 @@ def _tolerance_for(config, check_id):
     return max(MODE_TOLERANCE[case.model.mode] for case in config.cases)
 
 
-def _rescalings(config, case, alpha):
-    for potential in case.potentials:
-        resc = make_rescaling(alpha, potential)
-        yield resc, rescaled_model(case.model, resc, sym_weight=config.sym_weight)
+def _rescalings(config, case, alpha, variants):
+    """The (rescaling, rescaled model) pairs of ``case`` at ``alpha``, one per potential.
+
+    ``variants`` holds them for one run over ``config``'s cases, keyed by
+    case, alpha and skewness-shift weight, so every check of the run reuses
+    the same models and with them their memoized geometry.
+    """
+    key = (id(case), float(alpha), float(config.sym_weight))
+    if key not in variants:
+        pairs = []
+        for potential in case.potentials:
+            resc = make_rescaling(alpha, potential)
+            pairs.append((resc, rescaled_model(case.model, resc, sym_weight=config.sym_weight)))
+        variants[key] = tuple(pairs)
+    return variants[key]
 
 
 # -- structural checks on models --------------------------------------------
 
 
-def _model_variants(config, case, alpha):
+def _model_variants(config, case, alpha, variants):
     yield case.model
-    for _, varied in _rescalings(config, case, alpha):
+    for _, varied in _rescalings(config, case, alpha, variants):
         yield varied
 
 
-def _check_metric_compat(config, tol):
+def _check_metric_compat(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for model in _model_variants(config, case, alpha):
+            for model in _model_variants(config, case, alpha, variants):
                 nabla_g = covariant_derivative_metric(model, alpha, pts).components
                 res.add(pts, nabla_g, alpha * model.skewness_at(pts).components)
     return res.report("metric_compat", tol)
 
 
-def _check_codazzi(config, tol):
+def _check_codazzi(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for model in _model_variants(config, case, alpha):
+            for model in _model_variants(config, case, alpha, variants):
                 nabla_g = covariant_derivative_metric(model, alpha, pts).components
                 res.add(pts, nabla_g, np.swapaxes(nabla_g, -3, -2))
     return res.report("codazzi", tol)
@@ -225,12 +236,12 @@ def _check_codazzi(config, tol):
 # -- shift predictions vs direct recomputation ------------------------------
 
 
-def _check_conn_shift(config, tol):
+def _check_conn_shift(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 pred = connection_shift_prediction(resc, pts).components
                 direct = (alpha_connection(varied, alpha, pts).components
                           - alpha_connection(case.model, alpha, pts).components)
@@ -238,13 +249,13 @@ def _check_conn_shift(config, tol):
     return res.report("conn_shift", tol)
 
 
-def _check_curv_shift(config, tol):
+def _check_curv_shift(config, tol, variants):
     res = _Residuals()
     trace = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 pred = curvature_shift_prediction(case.model, resc, pts).components
                 direct = (riemann(varied, alpha, pts).components
                           - riemann(case.model, alpha, pts).components)
@@ -255,12 +266,12 @@ def _check_curv_shift(config, tol):
     return res.report("curv_shift", tol, passed=passed, trace_residual=trace.max_rel)
 
 
-def _check_ricci_shift(config, tol):
+def _check_ricci_shift(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 pred = ricci_shift_prediction(case.model, resc, pts).components
                 direct = (ricci(varied, alpha, pts).components
                           - ricci(case.model, alpha, pts).components)
@@ -271,7 +282,7 @@ def _check_ricci_shift(config, tol):
 # -- operator invariances ---------------------------------------------------
 
 
-def _check_hessian_inv(config, tol):
+def _check_hessian_inv(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
@@ -279,7 +290,7 @@ def _check_hessian_inv(config, tol):
         k = config.hessian_k if config.hessian_k is not None else 1.0 / (n - 1)
         spec = HessianSpec(k)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
                     lhs = modified_hessian(varied, alpha, spec, scaled.f, pts).components
@@ -288,14 +299,14 @@ def _check_hessian_inv(config, tol):
     return res.report("hessian_inv", tol)
 
 
-def _check_laplacian_inv(config, tol):
+def _check_laplacian_inv(config, tol, variants):
     res = _Residuals()
     decomp = _Residuals()
     s = config.laplacian_s
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
                     lhs = cup_laplacian(varied, alpha, scaled.f, pts)
@@ -308,12 +319,12 @@ def _check_laplacian_inv(config, tol):
     return res.report("laplacian_inv", tol, passed=passed, decomp_residual=decomp.max_rel)
 
 
-def _check_nonlinear_inv(config, tol):
+def _check_nonlinear_inv(config, tol, variants):
     res = _Residuals()
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha):
+            for resc, varied in _rescalings(config, case, alpha, variants):
                 for density in case.densities:
                     scaled = transform_density(density, resc)
                     for coupling in case.couplings:
@@ -324,7 +335,7 @@ def _check_nonlinear_inv(config, tol):
     return res.report("nonlinear_inv", tol)
 
 
-def _check_integrability(config, tol):
+def _check_integrability(config, tol, variants):
     res = _Residuals()
     flat = 0
     k = config.hessian_k
@@ -379,10 +390,14 @@ def check_type_invariance(operator, op_type, model, resc, density, points):
 
 def run_check(check_id, config):
     """One named check over the full matrix of ``config``."""
+    return _run_check(check_id, config, {})
+
+
+def _run_check(check_id, config, variants):
     if check_id not in _CHECK_FUNCTIONS:
         raise ConfigError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
     config.validate()
-    return _CHECK_FUNCTIONS[check_id](config, _tolerance_for(config, check_id))
+    return _CHECK_FUNCTIONS[check_id](config, _tolerance_for(config, check_id), variants)
 
 
 @dataclass(frozen=True)
@@ -433,10 +448,11 @@ def run_suite(config):
     ConfigError/geometry exceptions rather than being swallowed.
     """
     config.validate()
-    reports = [run_check(check_id, config) for check_id in CHECK_IDS]
+    variants = {}
+    reports = [_run_check(check_id, config, variants) for check_id in CHECK_IDS]
     for label, base_id, overrides in _NEGATIVE_CONTROLS:
         varied = dataclasses.replace(config, **overrides)
-        report = run_check(base_id, varied)
+        report = _run_check(base_id, varied, variants)
         reports.append(dataclasses.replace(report, check_id=label, negative_control=True))
     passed = all(r.passed for r in reports if not r.negative_control) and all(
         control_failed_as_expected(r) for r in reports if r.negative_control

@@ -27,6 +27,7 @@ from cupgeo import (
     modified_hessian,
     multinomial_model,
     nonlinear_cup_operator,
+    parse_model,
     rescaled_model,
     ricci_shift_prediction,
 )
@@ -127,3 +128,15 @@ def test_batch_names_the_first_point_outside_the_domain():
                  lambda: cup_laplacian(GAUSS, 0.5, f, points)):
         with pytest.raises(DomainError, match=r"\(0\.5, -0\.2\) \(row 1\)"):
             call()
+
+
+def test_batch_names_the_first_point_where_a_field_leaves_its_domain():
+    points = np.array([[1.0, 1.0], [2.0, 0.5], [-1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(DomainError, match=r"field 'log\(mu\)' failed at "
+                                          r"\(-1\.0, 1\.0\) \(row 2\)"):
+        cup_laplacian(GAUSS, 0.5, GAUSS.scalar_field("log(mu)"), points)
+    model = parse_model('{"dim": 2, "coords": ["x", "y"], '
+                        '"metric": {"11": "1 + sqrt(x)", "22": "1"}}')
+    with pytest.raises(DomainError, match=r"component \(0, 0\) \('1 \+ sqrt\(x\)'\) "
+                                          r"failed at \(-1\.0, 1\.0\) \(row 2\)"):
+        curvature(model, 0.5, points)

@@ -285,15 +285,18 @@ class TestErrorPaths:
                              "--rescaling", "/no/such/file.json", capsys=capsys)
         assert rc == 2
 
-    @pytest.mark.parametrize("density", ["1/mu", "exp(1000*sigma)", "1e400*mu"])
+    @pytest.mark.parametrize("density", ["1/mu", "exp(1000*sigma)", "1e400*mu",
+                                         "(0-8)^(1/3)", "log(mu)"])
     def test_undefined_density_is_one_error_line(self, density):
-        # division by zero, overflow, and an infinite literal at mu=0, sigma=1
+        # division by zero, overflow, an infinite literal, a negative constant
+        # under a fractional power, and log of zero, at mu=0, sigma=1
         proc = run_subprocess("laplacian", "--model", "gaussian", "--point", "0,1",
                               "--density", density)
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and density in lines[0]
+        assert "(0.0, 1.0)" in lines[0]
 
     def test_expression_error_positions_surface(self, capsys):
         rc, _, err = run_cli("laplacian", "--model", "gaussian",

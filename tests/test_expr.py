@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgeo.errors import EvaluationError, ExpressionError
+from cupgeo.errors import DomainError, EvaluationError, ExpressionError
 from cupgeo.expr import _FUNCTIONS, Expression, evaluate, parse, variables
 from cupgeo.jets import seed
 
@@ -139,6 +139,15 @@ def test_arithmetic_matches_python(a, b, c):
 @settings(max_examples=200, deadline=None)
 def test_float_literals_round_trip(x):
     assert ev(repr(x)) == x
+
+
+def test_plain_number_power_follows_the_jet_domain_rule():
+    assert ev("(0-8)^2") == 64.0
+    assert ev("(0-2)^(0-1)") == -0.5
+    with pytest.raises(DomainError, match="negative base raised to fractional exponent"):
+        ev("(0-8)^(1/3)")
+    with pytest.raises(DomainError, match="negative base raised to fractional exponent"):
+        ev("x^0.5", x=-4.0)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0), st.integers(min_value=-3, max_value=5))

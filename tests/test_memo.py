@@ -1,0 +1,171 @@
+"""The per-model geometry memo and the suite's shared rescaled models.
+
+Every operator fetches its geometry through ``point_geometry``, which keeps
+the most recent (alpha, points) geometries on the model; a verification run
+builds each rescaled model once and shares it across checks.  The memo must
+return what a fresh ``PointGeometry`` computes, hand out read-only arrays,
+stay bounded, and never keep a model alive on its own.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+
+from cupgeo import (
+    DomainError,
+    HessianSpec,
+    NonlinearCoupling,
+    PointGeometry,
+    alpha_connection,
+    curvature,
+    curvature_shift_prediction,
+    default_suite_config,
+    gaussian_model,
+    make_rescaling,
+    modified_hessian,
+    multinomial_model,
+    nonlinear_cup_operator,
+    rescaled_model,
+    ricci,
+    riemann,
+    run_suite,
+)
+from cupgeo import geometry
+from cupgeo.geometry import GEOMETRY_MEMO_SIZE, point_geometry
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """A list that grows by one entry per PointGeometry construction."""
+    made = []
+    init = PointGeometry.__init__
+
+    def counting(self, model, alpha, p):
+        made.append((model.name, float(alpha)))
+        init(self, model, alpha, p)
+
+    monkeypatch.setattr(geometry.PointGeometry, "__init__", counting)
+    return made
+
+
+def _query(model, alpha, p):
+    f = model.scalar_field("1 + 0.1*mu*sigma")
+    coupling = NonlinearCoupling(model.scalar_field("2"), 0.5)
+    curvature(model, alpha, p)
+    modified_hessian(model, alpha, HessianSpec(1.0), f, p)
+    nonlinear_cup_operator(model, alpha, f, coupling, p)
+
+
+def test_one_query_builds_one_geometry(builds):
+    model = gaussian_model()
+    _query(model, 0.5, (0.3, 1.2))
+    assert len(builds) == 1
+    _query(model, 0.5, (0.3, 1.2))
+    assert len(builds) == 1
+    _query(model, -0.5, (0.3, 1.2))
+    assert len(builds) == 2
+    _query(model, 0.5, (0.3, 1.3))
+    assert len(builds) == 3
+    _query(model, 0.5, np.array([[0.3, 1.2]]))
+    assert len(builds) == 4
+
+
+def test_each_model_object_has_its_own_memo(builds):
+    p = (0.3, 1.2)
+    curvature(gaussian_model(), 0.5, p)
+    curvature(gaussian_model(), 0.5, p)
+    assert len(builds) == 2
+
+
+def test_suite_pass_builds_fifty_geometries(builds):
+    for _ in range(2):
+        builds.clear()
+        assert run_suite(default_suite_config()).passed
+        assert len(builds) == 50
+
+
+def test_memo_is_a_bounded_lru(builds):
+    model = gaussian_model()
+    points = [(0.1 * i, 1.0) for i in range(GEOMETRY_MEMO_SIZE + 1)]
+    for p in points[:GEOMETRY_MEMO_SIZE]:
+        riemann(model, 0.5, p)
+    riemann(model, 0.5, points[0])
+    riemann(model, 0.5, points[-1])
+    assert len(builds) == GEOMETRY_MEMO_SIZE + 1
+    assert len(model.geometry_memo) == GEOMETRY_MEMO_SIZE
+    riemann(model, 0.5, points[0])
+    assert len(builds) == GEOMETRY_MEMO_SIZE + 1
+    riemann(model, 0.5, points[1])
+    assert len(builds) == GEOMETRY_MEMO_SIZE + 2
+
+
+def test_invalid_point_raises_before_any_lookup():
+    model = gaussian_model()
+    riemann(model, 0.5, (0.0, 1.0))
+    with pytest.raises(DomainError):
+        riemann(model, 0.5, (0.0, -1.0))
+    assert len(model.geometry_memo) == 1
+
+
+def test_memo_hit_matches_a_fresh_geometry_bitwise():
+    base = multinomial_model(3)
+    resc = make_rescaling(0.5, base.scalar_field("0.2*p1*p2"))
+    points = np.array([[0.2, 0.3], [0.25, 0.4]])
+    for model in (base, rescaled_model(base, resc)):
+        first = riemann(model, 0.5, points).components.copy()
+        again = riemann(model, 0.5, points).components
+        fresh = PointGeometry(model, 0.5, points).riemann
+        assert np.array_equal(first, again)
+        assert np.array_equal(first, fresh)
+
+
+def test_shared_arrays_are_read_only():
+    model = gaussian_model()
+    p = (0.0, 1.0)
+    before = riemann(model, 0.5, p).components.copy()
+    for comps in (riemann(model, 0.5, p).components, ricci(model, 0.5, p).components,
+                  alpha_connection(model, 0.5, p).components):
+        with pytest.raises(ValueError):
+            comps[(0,) * comps.ndim] = 1.0
+    with pytest.raises(ValueError):
+        point_geometry(model, 0.5, p).g[0, 0] = 1.0
+    assert np.array_equal(riemann(model, 0.5, p).components, before)
+
+
+def test_mutating_the_callers_points_does_not_reach_the_memo():
+    model = gaussian_model()
+    grid = [[0.0, 1.0], [0.5, 1.5]]
+    points = np.array(grid)
+    point_geometry(model, 0.5, points)  # remembered, nothing computed yet
+    points[0, 1] = 2.0
+    expected = PointGeometry(model, 0.5, grid).riemann
+    assert np.array_equal(riemann(model, 0.5, grid).components, expected)
+
+
+def test_used_models_die_without_the_cycle_collector():
+    gc.disable()
+    try:
+        base = multinomial_model(3)
+        resc = make_rescaling(0.5, base.scalar_field("0.2*p1*p2"))
+        varied = rescaled_model(base, resc)
+        p = (0.2, 0.3)
+        curvature(base, 0.5, p)
+        curvature(varied, 0.5, p)
+        curvature_shift_prediction(base, resc, p)
+        varied_ref, base_ref = weakref.ref(varied), weakref.ref(base)
+        del varied
+        assert varied_ref() is None
+        del base, resc
+        assert base_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_geometry_of_a_temporary_model_still_computes():
+    geo = PointGeometry(gaussian_model(), 0.5, (0.0, 1.0))
+    assert geo.scalar == pytest.approx(-0.75, abs=1e-12)
+    assert geo.model is None
+    model = gaussian_model()
+    assert PointGeometry(model, 0.5, (0.0, 1.0)).model is model
