@@ -95,7 +95,7 @@ def _parse_point(text):
 def _load_model(args):
     model = resolve_model(args.model)
     resc = None
-    if getattr(args, "rescaling", None):
+    if args.rescaling:
         try:
             with open(args.rescaling, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -351,7 +351,7 @@ def cmd_verify(args):
 
 
 def cmd_estimate(args):
-    model, _ = _load_model(args)
+    model = resolve_model(args.model)
     spec = model.sample_spec(count=args.count, seed=args.seed)
     results = []
     for p in _points(args, model):
@@ -403,25 +403,30 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, model_required=True):
+    flags = {
+        "alpha": dict(type=float, default=0.0),
+        "point": dict(action="append", default=[],
+                      help="comma-separated coordinates; repeatable"),
+        "rescaling": dict(metavar="PATH", help="rescaling config JSON with alpha and potential"),
+        "json": dict(action="store_true", help="machine-readable output"),
+        "seed": dict(type=int, default=0),
+        "tol": dict(type=float, default=None, help="override every tolerance"),
+    }
+
+    def common(p, *names, model_required=True):
+        """``--model`` plus the shared flags ``names`` that subcommand reads."""
         p.add_argument("--model", required=model_required,
                        help="built-in name (gaussian, multinomial:K, euclidean:N) "
                             "or path to a model config JSON")
-        p.add_argument("--alpha", type=float, default=0.0)
-        p.add_argument("--point", action="append", default=[],
-                       help="comma-separated coordinates; repeatable")
-        p.add_argument("--rescaling", metavar="PATH",
-                       help="rescaling config JSON with alpha and potential")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        for name in names:
+            p.add_argument("--" + name, **flags[name])
 
     t = sub.add_parser("tensors", help="print g, g^-1, t, connections, curvature")
-    common(t)
+    common(t, "alpha", "point", "rescaling", "json")
     t.set_defaults(func=cmd_tensors)
 
     l = sub.add_parser("laplacian", help="evaluate the trace operator on a density")
-    common(l)
+    common(l, "alpha", "point", "rescaling", "json")
     l.add_argument("--density", help="density expression in model coordinates")
     l.add_argument("--weight", type=float, default=1.0, help="density weight r")
     l.add_argument("--lambda", dest="lam", help="coupling expression")
@@ -429,7 +434,7 @@ def build_parser():
     l.set_defaults(func=cmd_laplacian)
 
     v = sub.add_parser("verify", help="run the residual check suite")
-    common(v, model_required=False)
+    common(v, "json", "seed", "tol", model_required=False)
     v.add_argument("--default", action="store_true",
                    help="use the default Gaussian + multinomial matrix")
     v.add_argument("--check", choices=CHECK_IDS, help="run a single check")
@@ -438,7 +443,7 @@ def build_parser():
     v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("estimate", help="Monte-Carlo estimates of g and t")
-    common(e)
+    common(e, "point", "json", "seed")
     e.add_argument("--count", type=int, default=100_000, help="sample count")
     e.set_defaults(func=cmd_estimate)
 

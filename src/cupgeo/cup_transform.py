@@ -27,7 +27,7 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_assign
 from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
-from .geometry import NonlinearCoupling, _real, point_geometry
+from .geometry import NonlinearCoupling, _hessian, _real, point_geometry, ricci_reconstruction
 
 
 @dataclass(frozen=True)
@@ -260,11 +260,9 @@ def _psi_shift_core(model, resc, p):
     """M_ij = (nabla^alpha psi)_ij + alpha psi_i psi_j on the base model."""
     _check_chart(model, resc)
     ws = point_geometry(model, resc.alpha, p)
-    pj = resc.psi_jet(ws.p, 1)
-    psi, dpsi = pj.value, pj.d1
-    # (nabla psi)_ij = d_i psi_j - Gamma^k_ij psi_k; dpsi[j, i] = d_i psi_j
-    grad = np.swapaxes(dpsi, -1, -2) - np.einsum("...kij,...k->...ij", ws.gamma, psi)
-    return grad + resc.alpha * np.einsum("...i,...j->...ij", psi, psi)
+    # psi = d(potential), so nabla psi is the Hessian of the potential
+    phi = resc.potential.jet(ws.p, 2)
+    return _hessian(ws, phi) + resc.alpha * np.einsum("...i,...j->...ij", phi.d1, phi.d1)
 
 
 def ricci_shift_prediction(model, resc, p):
@@ -274,11 +272,12 @@ def ricci_shift_prediction(model, resc, p):
 
 
 def curvature_shift_prediction(model, resc, p):
-    """Predicted Riem-tilde minus Riem, as delta-slot insertions of the
-    psi-shift core; its first/third-slot trace is the Ricci prediction."""
+    """Predicted Riem-tilde minus Riem: alpha (delta^i_k M_lj - delta^i_l M_kj).
+
+    The delta-slot insertions of the psi-shift core M, i.e. the Ricci
+    reconstruction of M transposed; its first/third-slot trace is the
+    Ricci prediction.
+    """
     m = _psi_shift_core(model, resc, p)
-    eye = np.eye(model.dim)
-    comps = resc.alpha * (
-        np.einsum("ik,...lj->...ijkl", eye, m) - np.einsum("il,...kj->...ijkl", eye, m)
-    )
+    comps = ricci_reconstruction(np.swapaxes(m, -1, -2), resc.alpha)
     return Tensor(model.dim, (CONTRA, COV, COV, COV), comps)

@@ -324,12 +324,21 @@ def _field_jet(f, model, p, order):
     return jet
 
 
+def _hessian(ws, fj):
+    """Second covariant derivative d_i d_j f - Gamma^k_ij d_k f of the order-2 jet ``fj``."""
+    return fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
+
+
+def _laplacian(ws, fj):
+    """Divergence-form Laplacian d_i(g^{ij} d_j f) + Gamma^i_im g^{mj} d_j f of ``fj``."""
+    out = np.einsum("...ij,...ij->...", ws.ginv, fj.d2)
+    out = out + np.einsum("...iji,...j->...", ws.dginv, fj.d1)
+    return out + np.einsum("...iim,...mj,...j->...", ws.gamma, ws.ginv, fj.d1)
+
+
 def alpha_hessian(model, alpha, f, p):
     """Second covariant derivative of f: d_i d_j f - Gamma^k_ij d_k f."""
-    fj = _field_jet(f, model, p, 2)
-    ws = point_geometry(model, alpha, p)
-    comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
-    return Tensor(model.dim, (COV, COV), comps)
+    return modified_hessian(model, alpha, 0.0, f, p)
 
 
 def _ricci_coupling(dim):
@@ -349,7 +358,7 @@ def modified_hessian(model, alpha, spec, f, p):
     k = spec.k if isinstance(spec, HessianSpec) else float(spec)
     fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
-    comps = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
+    comps = _hessian(ws, fj)
     if k != 0.0:
         comps = comps + k * ws.ricci * _bc(fj.value, 2)
     return Tensor(model.dim, (COV, COV), comps)
@@ -358,8 +367,7 @@ def modified_hessian(model, alpha, spec, f, p):
 def _cup_trace(model, alpha, k, fj, p):
     """The trace operator at coupling ``k`` on ``fj``, the order-2 density jet."""
     ws = point_geometry(model, alpha, p)
-    hess = fj.d2 - np.einsum("...kij,...k->...ij", ws.gamma, fj.d1)
-    return np.einsum("...ij,...ij->...", ws.ginv, hess) + k * ws.scalar * fj.value
+    return np.einsum("...ij,...ij->...", ws.ginv, _hessian(ws, fj)) + k * ws.scalar * fj.value
 
 
 def cup_laplacian(model, alpha, f, p):
@@ -371,11 +379,7 @@ def cup_laplacian(model, alpha, f, p):
 def alpha_laplacian(model, alpha, f, p):
     """Divergence-form Laplacian: d_i(g^{ij} d_j f) + Gamma^i_im g^{mj} d_j f."""
     fj = _field_jet(f, model, p, 2)
-    ws = point_geometry(model, alpha, p)
-    out = np.einsum("...ij,...ij->...", ws.ginv, fj.d2)
-    out = out + np.einsum("...iji,...j->...", ws.dginv, fj.d1)
-    out = out + np.einsum("...iim,...mj,...j->...", ws.gamma, ws.ginv, fj.d1)
-    return _real(out)
+    return _real(_laplacian(point_geometry(model, alpha, p), fj))
 
 
 def cup_laplacian_decomposed(model, alpha, f, p):
@@ -389,7 +393,7 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     k = _ricci_coupling(model.dim)
     fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
-    out = alpha_laplacian(model, alpha, f, p)
+    out = _laplacian(ws, fj)
     out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...", ws.t, ws.ginv, ws.ginv, fj.d1)
     out = out + k * ws.scalar * fj.value
     return _real(out)
@@ -427,9 +431,16 @@ def integrability_residual(model, alpha, k, p):
     elif model.dim < 2:
         raise DimensionMismatchError("integrability check needs dimension >= 2")
     ws = point_geometry(model, alpha, p)
-    eye = np.eye(model.dim)
-    predicted = k * (
-        np.einsum("ik,...jl->...ijkl", eye, ws.ricci)
-        - np.einsum("il,...jk->...ijkl", eye, ws.ricci)
-    )
-    return _real(np.max(np.abs(ws.riemann - predicted), axis=(-4, -3, -2, -1)))
+    gap = ws.riemann - ricci_reconstruction(ws.ricci, k)
+    return _real(np.max(np.abs(gap), axis=(-4, -3, -2, -1)))
+
+
+def ricci_reconstruction(ric, k):
+    """The curvature a Ricci tensor predicts: k (delta^i_k Ric_jl - delta^i_l Ric_jk).
+
+    ``ric`` holds Ric_jl components with any leading batch axes; the result
+    has components R[..., i, j, k, l].
+    """
+    eye = np.eye(np.shape(ric)[-1])
+    return k * (np.einsum("ik,...jl->...ijkl", eye, ric)
+                - np.einsum("il,...jk->...ijkl", eye, ric))

@@ -2,15 +2,16 @@
 
 A :class:`Jet` carries the value of a scalar quantity and all of its mixed
 partial derivatives with respect to ``dim`` chart coordinates, up to a
-truncation ``order`` of at most 3.  Arithmetic on jets propagates the
-derivative arrays exactly (Leibniz rule for products, Faa di Bruno for the
-elementary functions), so derivatives of any analytic expression built from
-seeded coordinate jets are exact to roundoff.  Third order is the deepest
-anything downstream needs: curvature differentiates Christoffel symbols,
-which already consume metric derivatives.
+truncation ``order`` of at most 2.  Arithmetic on jets propagates the
+derivative arrays exactly (Leibniz rule for products, the chain rule for
+the elementary functions), so derivatives of any analytic expression built
+from seeded coordinate jets are exact to roundoff.  Second order is the
+deepest anything downstream needs: curvature consumes second metric
+derivatives and first skewness derivatives, and the operators second
+derivatives of their density.
 
 Derivative axes trail the value axes: ``d1[..., i]`` is the first partial
-with respect to coordinate ``i``, ``d2[..., i, j]`` the second, and so on.
+with respect to coordinate ``i``, ``d2[..., i, j]`` the second.
 The value may be a scalar or any ndarray, which lets a single evaluation
 carry a whole batch through the same arithmetic.  The value axes start
 with the batch axes: :func:`seed` of one point (shape ``(n,)``) gives
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedOrderError
 
-MAX_ORDER = 3
+MAX_ORDER = 2
 
 _EPS = float(np.finfo(float).eps)
 
@@ -90,13 +91,13 @@ def _require_power_base(v, e):
 class Jet:
     """Value plus mixed partials up to ``order`` with respect to ``dim`` coordinates."""
 
-    __slots__ = ("dim", "order", "value", "d1", "d2", "d3")
+    __slots__ = ("dim", "order", "value", "d1", "d2")
 
     # Keep numpy from broadcasting elementwise over a Jet operand; binary ops
     # with ndarrays then fall back to the reflected Jet methods.
     __array_ufunc__ = None
 
-    def __init__(self, dim, order, value, d1=None, d2=None, d3=None):
+    def __init__(self, dim, order, value, d1=None, d2=None):
         if not 0 <= order <= MAX_ORDER:
             raise UnsupportedOrderError(f"jet order must be in [0, {MAX_ORDER}], got {order}")
         self.dim = dim
@@ -104,21 +105,18 @@ class Jet:
         self.value = value
         self.d1 = d1
         self.d2 = d2
-        self.d3 = d3
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def constant(cls, value, dim, order):
         shape = np.shape(value)
-        d1 = d2 = d3 = None
+        d1 = d2 = None
         if order >= 1:
             d1 = np.zeros(shape + (dim,))
         if order >= 2:
             d2 = np.zeros(shape + (dim, dim))
-        if order >= 3:
-            d3 = np.zeros(shape + (dim, dim, dim))
-        return cls(dim, order, value, d1, d2, d3)
+        return cls(dim, order, value, d1, d2)
 
     @classmethod
     def variable(cls, value, index, dim, order):
@@ -143,14 +141,7 @@ class Jet:
 
     def deriv(self, k):
         """The order-``k`` derivative array (``k = 0`` gives the value)."""
-        return (self.value, self.d1, self.d2, self.d3)[k]
-
-    def truncate(self, order):
-        """A view of this jet keeping derivatives only up to ``order``."""
-        if order > self.order:
-            raise UnsupportedOrderError(f"cannot extend jet of order {self.order} to {order}")
-        parts = [self.d1, self.d2, self.d3][:order]
-        return Jet(self.dim, order, self.value, *parts)
+        return (self.value, self.d1, self.d2)[k]
 
     def expand(self, k):
         """This jet with ``k`` singleton axes appended to its value axes.
@@ -163,25 +154,12 @@ class Jet:
         parts = [np.expand_dims(self.deriv(j), axes) for j in range(self.order + 1)]
         return Jet(self.dim, self.order, *parts)
 
-    def partial(self, index):
-        """The jet of the partial derivative with respect to coordinate ``index``.
-
-        Drops one order: the k-th derivative of the result is the (k+1)-th of
-        this jet with its last axis fixed at ``index``.
-        """
-        if self.order < 1:
-            raise UnsupportedOrderError("cannot take the partial of an order-0 jet")
-        parts = []
-        for k in range(1, self.order + 1):
-            parts.append(self.deriv(k)[..., index])
-        return Jet(self.dim, self.order - 1, parts[0], *parts[1:])
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
             # a plain number shifts the value only; derivative arrays are shared
-            return Jet(self.dim, self.order, self.value + other, self.d1, self.d2, self.d3)
+            return Jet(self.dim, self.order, self.value + other, self.d1, self.d2)
         g = self._lift(other)
         parts = [self.deriv(k) + g.deriv(k) for k in range(1, self.order + 1)]
         return Jet(self.dim, self.order, self.value + g.value, *parts)
@@ -219,13 +197,6 @@ class Jet:
                 + cross
                 + np.swapaxes(cross, -1, -2)
             )
-        if m >= 3:
-            d3 = _bc(f.value, 3) * g.d3 + _bc(g.value, 3) * f.d3
-            for a, b in ((f, g), (g, f)):
-                d3 = d3 + np.einsum("...ij,...k->...ijk", a.d2, b.d1)
-                d3 = d3 + np.einsum("...ik,...j->...ijk", a.d2, b.d1)
-                d3 = d3 + np.einsum("...jk,...i->...ijk", a.d2, b.d1)
-            parts.append(d3)
         return Jet(n, m, value, *parts)
 
     __rmul__ = __mul__
@@ -241,7 +212,7 @@ class Jet:
     def _reciprocal(self):
         v = self.value
         inv = 1.0 / v
-        return self._compose(inv, -(inv * inv), 2.0 * _power(inv, 3), -6.0 * _power(inv, 4))
+        return self._compose(inv, -(inv * inv), 2.0 * _power(inv, 3))
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -254,27 +225,15 @@ class Jet:
             return self
         _require_power_base(self.value, e)
         v = self.value
-
-        def coeff(factor, power):
-            # A vanishing prefactor kills the term before v**power can blow up
-            # (e.g. the third derivative of v**2 at v = 0).
-            if factor == 0.0:
-                return 0.0
-            return factor * _power(v, power)
-
-        c0 = _power(v, e)
-        c1 = coeff(e, e - 1)
-        c2 = coeff(e * (e - 1), e - 2)
-        c3 = coeff(e * (e - 1) * (e - 2), e - 3)
-        return self._compose(c0, c1, c2, c3)
+        return self._compose(_power(v, e), e * _power(v, e - 1), e * (e - 1) * _power(v, e - 2))
 
     def __rpow__(self, base):
         return exp(self * _elem(base, np.log))
 
     # -- composition with a smooth univariate function --------------------
 
-    def _compose(self, c0, c1, c2, c3):
-        """Chain rule through phi given phi(v), phi'(v), phi''(v), phi'''(v)."""
+    def _compose(self, c0, c1, c2):
+        """Chain rule through phi given phi(v), phi'(v), phi''(v)."""
         m = self.order
         parts = []
         if m >= 1:
@@ -282,14 +241,6 @@ class Jet:
         if m >= 2:
             outer11 = np.einsum("...i,...j->...ij", self.d1, self.d1)
             parts.append(_bc(c2, 2) * outer11 + _bc(c1, 2) * self.d2)
-        if m >= 3:
-            outer111 = np.einsum("...i,...j,...k->...ijk", self.d1, self.d1, self.d1)
-            mix = (
-                np.einsum("...ij,...k->...ijk", self.d2, self.d1)
-                + np.einsum("...ik,...j->...ijk", self.d2, self.d1)
-                + np.einsum("...jk,...i->...ijk", self.d2, self.d1)
-            )
-            parts.append(_bc(c3, 3) * outer111 + _bc(c2, 3) * mix + _bc(c1, 3) * self.d3)
         return Jet(self.dim, m, c0, *parts)
 
     def __repr__(self):
@@ -303,7 +254,7 @@ def exp(x):
     if not isinstance(x, Jet):
         return _elem(x, np.exp)
     v = _elem(x.value, np.exp)
-    return x._compose(v, v, v, v)
+    return x._compose(v, v, v)
 
 
 def log(x):
@@ -312,7 +263,7 @@ def log(x):
     if not isinstance(x, Jet):
         return _elem(x, np.log)
     inv = 1.0 / v
-    return x._compose(_elem(v, np.log), inv, -(inv * inv), 2.0 * _power(inv, 3))
+    return x._compose(_elem(v, np.log), inv, -(inv * inv))
 
 
 def sqrt(x):
@@ -322,7 +273,7 @@ def sqrt(x):
         return _elem(x, np.sqrt)
     r = _elem(x.value, np.sqrt)
     inv = 1.0 / x.value
-    return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv, 0.375 * r * _power(inv, 3))
+    return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv)
 
 
 def power(base, exponent):
@@ -342,7 +293,7 @@ def sin(x):
         return _elem(x, np.sin)
     s = _elem(x.value, np.sin)
     c = _elem(x.value, np.cos)
-    return x._compose(s, c, -s, -c)
+    return x._compose(s, c, -s)
 
 
 def cos(x):
@@ -350,7 +301,7 @@ def cos(x):
         return _elem(x, np.cos)
     s = _elem(x.value, np.sin)
     c = _elem(x.value, np.cos)
-    return x._compose(c, -s, -c, s)
+    return x._compose(c, -s, -c)
 
 
 def seed(coords, order):
@@ -384,7 +335,6 @@ def constant_at(value, coords, order):
 _STENCILS = {
     1: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), 12.0),
     2: ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
-    3: ((-3, -2, -1, 1, 2, 3), (1.0, -8.0, 13.0, -13.0, 8.0, -1.0), 8.0),
 }
 
 
@@ -428,7 +378,7 @@ def finite_difference_jet(fn, coords, order):
     derivative axes trail the value axes, i.e. the jet of a whole tensor
     field in one pass.  Every mixed partial is mirrored across index
     permutations, so the symmetry invariant holds exactly.  Truncation error
-    is O(h^4); with the eps^(1/(order+2)) step rule the third-order partials
+    is O(h^4); with the eps^(1/(order+2)) step rule the second-order partials
     keep roughly seven significant digits.
 
     ``fn`` takes one point, so a ``(P, n)`` batch of ``coords`` is
@@ -453,15 +403,4 @@ def finite_difference_jet(fn, coords, order):
                 axes = {i: 2} if i == j else {i: 1, j: 1}
                 val = _fd_partial(fn, x, axes)
                 jet.d2[..., i, j] = jet.d2[..., j, i] = val
-    if order >= 3:
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    axes = {}
-                    for a in (i, j, k):
-                        axes[a] = axes.get(a, 0) + 1
-                    val = _fd_partial(fn, x, axes)
-                    for p, q, r in ((i, j, k), (i, k, j), (j, i, k),
-                                    (j, k, i), (k, i, j), (k, j, i)):
-                        jet.d3[..., p, q, r] = val
     return jet

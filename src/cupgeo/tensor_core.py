@@ -339,9 +339,9 @@ class ConstantField(ScalarField):
 def evaluate_jet(field, p, order):
     """Value and all mixed partials of ``field`` at ``p`` up to ``order``.
 
-    ``p`` is one point or a ``(P, n)`` batch.  Orders above 3 are rejected:
-    nothing downstream differentiates deeper than curvature, which consumes
-    third metric derivatives.
+    ``p`` is one point or a ``(P, n)`` batch.  Orders above
+    :data:`jets.MAX_ORDER` (2) are rejected: curvature consumes second
+    metric derivatives and the operators second density derivatives.
     """
     if order > jets.MAX_ORDER or order < 0:
         raise UnsupportedOrderError(f"order {order} not supported (max {jets.MAX_ORDER})")

@@ -42,6 +42,7 @@ from .geometry import (
     modified_hessian,
     nonlinear_cup_operator,
     ricci,
+    ricci_reconstruction,
     riemann,
 )
 from .manifolds import gaussian_model, multinomial_model
@@ -342,16 +343,12 @@ def _check_integrability(config, tol, variants):
     for case in config.cases:
         pts = _grid(case)
         kk = k if k is not None else 1.0 / (case.model.dim - 1)
-        eye = np.eye(case.model.dim)
         for alpha in config.alphas:
             riem = riemann(case.model, alpha, pts).components
             curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
             flat += len(pts) - int(np.count_nonzero(curved))
-            riem = riem[curved]
-            ric = np.einsum("...kjkl->...jl", riem)
-            predicted = kk * (np.einsum("ik,...jl->...ijkl", eye, ric)
-                              - np.einsum("il,...jk->...ijkl", eye, ric))
-            res.add(pts[curved], riem, predicted)
+            predicted = ricci_reconstruction(ricci(case.model, alpha, pts).components, kk)
+            res.add(pts[curved], riem[curved], predicted[curved])
     return res.report("integrability", tol, flat_points=flat)
 
 

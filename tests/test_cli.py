@@ -305,6 +305,29 @@ class TestErrorPaths:
         assert "error:" in err
 
 
+class TestFlagScope:
+    """Each subcommand accepts only the shared flags it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ("tensors", "--model", "gaussian", "--point", "0,1", "--seed", "1"),
+        ("tensors", "--model", "gaussian", "--point", "0,1", "--tol", "1e-3"),
+        ("laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1", "--seed", "1"),
+        ("laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1", "--tol", "1e-3"),
+        ("verify", "--default", "--alpha", "0.5"),
+        ("verify", "--default", "--point", "0,1"),
+        ("verify", "--default", "--rescaling", "r.json"),
+        ("estimate", "--model", "gaussian", "--point", "0,1", "--count", "10", "--alpha", "0.5"),
+        ("estimate", "--model", "gaussian", "--point", "0,1", "--count", "10", "--tol", "1e-3"),
+        ("estimate", "--model", "gaussian", "--point", "0,1", "--count", "10",
+         "--rescaling", "r.json"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSubprocessEntry:
     """The installed module entry point, end to end."""
 

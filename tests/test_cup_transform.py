@@ -74,9 +74,11 @@ def test_psi_exactness_at_jet_level():
 
 
 def test_psi_jet_order_capped():
+    # a psi jet of order m needs the potential to order m + 1
     r = resc(0.5, "mu")
+    assert r.psi_jet((0.0, 1.0), 1).order == 1
     with pytest.raises(UnsupportedOrderError):
-        r.psi_jet((0.0, 1.0), 3)
+        r.psi_jet((0.0, 1.0), 2)
 
 
 def test_potential_must_be_scalar_field():

@@ -36,6 +36,7 @@ from cupgeo.manifolds import (
     multinomial_model,
     resolve_model,
 )
+from cupgeo.tensor_core import FuncField
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -243,6 +244,23 @@ class TestTraceOperator:
                     direct = cup_laplacian(GAUSS, a, f, p)
                     split = cup_laplacian_decomposed(GAUSS, a, f, p)
                     assert abs(direct - split) / max(1.0, abs(direct)) <= 1e-8
+
+    @pytest.mark.parametrize("model, points", [
+        (GAUSS, ((0.3, 1.2), (-1.0, 0.7))),
+        (TRI, ((0.2, 0.3), (0.25, 0.4))),
+    ], ids=["gaussian", "multinomial:3"])
+    def test_decomposition_evaluates_the_density_once(self, model, points):
+        calls = []
+
+        def rule(c):
+            calls.append(1)
+            return 1.0 + 0.1 * c[0] * c[1]
+
+        f = FuncField(rule, dim=2)
+        for p in (points[0], np.array(points)):
+            calls.clear()
+            cup_laplacian_decomposed(model, 0.5, f, p)
+            assert len(calls) == 1
 
     def test_alpha_correction_vanishes_at_alpha_zero(self):
         f = TRI.scalar_field("p1^2 + p2")

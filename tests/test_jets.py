@@ -41,13 +41,12 @@ def test_square_at_three():
     assert j.d2[0, 0] == 2.0
 
 
-def test_exp_at_zero_has_unit_partials_to_third_order():
-    (x,) = seed((0.0,), 3)
+def test_exp_at_zero_has_unit_partials_to_second_order():
+    (x,) = seed((0.0,), 2)
     j = exp(x)
     assert j.value == 1.0
     assert j.d1[0] == 1.0
     assert j.d2[0, 0] == 1.0
-    assert j.d3[0, 0, 0] == 1.0
 
 
 def test_inverse_square_partials():
@@ -59,59 +58,52 @@ def test_inverse_square_partials():
     assert j.d2[1, 1] == 6.0
 
 
-def test_composed_exponential_third_order():
-    # f = exp(x^2): f' = 2x f, f'' = (2 + 4x^2) f, f''' = (12x + 8x^3) f
+def test_composed_exponential_second_order():
+    # f = exp(x^2): f' = 2x f, f'' = (2 + 4x^2) f
     a = 0.7
-    (x,) = seed((a,), 3)
+    (x,) = seed((a,), 2)
     j = exp(x * x)
     f = math.exp(a * a)
     assert j.value == pytest.approx(f, rel=1e-14)
     assert j.d1[0] == pytest.approx(2 * a * f, rel=1e-14)
     assert j.d2[0, 0] == pytest.approx((2 + 4 * a * a) * f, rel=1e-14)
-    assert j.d3[0, 0, 0] == pytest.approx((12 * a + 8 * a ** 3) * f, rel=1e-14)
 
 
 def test_product_rule_cross_terms():
     a, b = 2.0, 0.5
-    x, y = seed((a, b), 3)
+    x, y = seed((a, b), 2)
     j = x * sin(y)
     s, c = math.sin(b), math.cos(b)
     assert j.value == pytest.approx(a * s, rel=1e-14)
     assert np.allclose(j.d1, [s, a * c], rtol=1e-14)
     assert np.allclose(j.d2, [[0.0, c], [c, -a * s]], rtol=1e-14)
-    assert j.d3[0, 1, 1] == pytest.approx(-s, rel=1e-14)
-    assert j.d3[1, 1, 1] == pytest.approx(-a * c, rel=1e-14)
-    assert j.d3[0, 0, 0] == 0.0
-    assert j.d3[0, 0, 1] == 0.0
 
 
 def test_quotient_matches_negative_power():
-    x, y = seed((1.3, 0.8), 3)
+    x, y = seed((1.3, 0.8), 2)
     via_div = x / y
     via_pow = x * y ** -1.0
-    for k in range(4):
+    for k in range(3):
         assert np.allclose(via_div.deriv(k), via_pow.deriv(k), rtol=1e-13, atol=1e-13)
 
 
 def test_integer_power_closed_form():
     a = 2.0
-    (x,) = seed((a,), 3)
+    (x,) = seed((a,), 2)
     j = x ** -2
     assert j.value == pytest.approx(a ** -2, rel=1e-14)
     assert j.d1[0] == pytest.approx(-2 * a ** -3, rel=1e-14)
     assert j.d2[0, 0] == pytest.approx(6 * a ** -4, rel=1e-14)
-    assert j.d3[0, 0, 0] == pytest.approx(-24 * a ** -5, rel=1e-14)
 
 
 def test_power_at_zero_base_keeps_high_derivatives_finite():
-    # d^3/dx^3 of x^2 is 0; the naive c3 * v**(e-3) form would hit 0**-1
-    (x,) = seed((0.0,), 3)
+    # the power rule at v = 0: 2 * 0**1 = 0 and 2 * 1 * 0**0 = 2
+    (x,) = seed((0.0,), 2)
     j = x ** 2
     assert j.value == 0.0
     assert j.d1[0] == 0.0
     assert j.d2[0, 0] == 2.0
-    assert j.d3[0, 0, 0] == 0.0
-    assert np.isfinite(j.d3).all()
+    assert np.isfinite(j.d2).all()
 
 
 def test_exponential_base_power():
@@ -153,31 +145,11 @@ def test_log_and_sqrt_domain_guards():
 # -- structural behavior ----------------------------------------------------
 
 
-def test_partial_drops_one_order():
-    x, y = seed((2.0, 3.0), 3)
-    j = x * x * y
-    dx = j.partial(0)  # jet of 2xy
-    assert dx.order == 2
-    assert dx.value == 12.0
-    assert np.allclose(dx.d1, [6.0, 4.0], rtol=1e-14)
-    assert np.allclose(dx.d2, [[0.0, 2.0], [2.0, 0.0]], rtol=1e-14)
-
-
-def test_truncate_views_lower_order():
-    x, y = seed((1.0, 2.0), 3)
-    j = x * y
-    t = j.truncate(1)
-    assert t.order == 1 and t.value == j.value
-    assert np.array_equal(t.d1, j.d1)
-    with pytest.raises(UnsupportedOrderError):
-        t.truncate(2)
-
-
 def test_order_cap_enforced():
     with pytest.raises(UnsupportedOrderError):
-        Jet.constant(1.0, 2, 4)
+        Jet.constant(1.0, 2, 3)
     with pytest.raises(UnsupportedOrderError):
-        finite_difference_jet(lambda v: v[0], (1.0,), 4)
+        finite_difference_jet(lambda v: v[0], (1.0,), 3)
 
 
 def test_variable_index_validated():
@@ -200,12 +172,10 @@ def test_order_mismatch_rejected():
 
 
 def test_mixed_partials_symmetric_within_roundoff():
-    x, y = seed((1.2, 0.7), 3)
+    x, y = seed((1.2, 0.7), 2)
     j = exp(x * y) * sin(x + 2.0 * y)
-    for k in (2, 3):
-        arr = j.deriv(k)
-        scale = max(1.0, float(np.abs(arr).max()))
-        assert _sym_defect(arr) <= 10 * EPS * scale
+    scale = max(1.0, float(np.abs(j.d2).max()))
+    assert _sym_defect(j.d2) <= 10 * EPS * scale
 
 
 # -- array-valued jets ------------------------------------------------------
@@ -253,13 +223,12 @@ def test_stencils_reproduce_analytic_jet():
         x, y = v
         return math.sin(x) * math.exp(0.3 * y) + x * x * y
 
-    x, y = seed((0.9, 0.4), 3)
+    x, y = seed((0.9, 0.4), 2)
     exact = sin(x) * exp(0.3 * y) + x * x * y
-    fd = finite_difference_jet(fn, (0.9, 0.4), 3)
+    fd = finite_difference_jet(fn, (0.9, 0.4), 2)
     assert fd.value == pytest.approx(exact.value, rel=1e-12)
     assert np.allclose(fd.d1, exact.d1, rtol=0, atol=1e-7)
     assert np.allclose(fd.d2, exact.d2, rtol=0, atol=1e-6)
-    assert np.allclose(fd.d3, exact.d3, rtol=0, atol=1e-4)
 
 
 def test_fd_mixed_partials_mirrored_exactly():
@@ -267,9 +236,8 @@ def test_fd_mixed_partials_mirrored_exactly():
         x, y = v
         return math.exp(x * y)
 
-    fd = finite_difference_jet(fn, (0.3, 0.8), 3)
+    fd = finite_difference_jet(fn, (0.3, 0.8), 2)
     assert np.array_equal(fd.d2, fd.d2.T)
-    assert _sym_defect(fd.d3) == 0.0
 
 
 # -- property-based checks --------------------------------------------------
@@ -281,29 +249,27 @@ positive = st.floats(min_value=0.2, max_value=2.0, allow_nan=False, allow_infini
 @given(coord, coord)
 @settings(max_examples=150, deadline=None)
 def test_polynomial_derivatives_match_hand_formulas(a, b):
-    x, y = seed((a, b), 3)
+    x, y = seed((a, b), 2)
     j = x * x * y + 3.0 * y - x
     assert j.value == pytest.approx(a * a * b + 3 * b - a, rel=1e-12, abs=1e-12)
     assert np.allclose(j.d1, [2 * a * b - 1, a * a + 3], rtol=1e-12, atol=1e-12)
     assert np.allclose(j.d2, [[2 * b, 2 * a], [2 * a, 0.0]], rtol=1e-12, atol=1e-12)
-    assert j.d3[0, 0, 1] == pytest.approx(2.0, rel=1e-12)
-    assert j.d3[0, 0, 0] == 0.0
 
 
 @given(positive, positive)
 @settings(max_examples=100, deadline=None)
 def test_exponential_factorizes(a, b):
-    x, y = seed((a, b), 3)
+    x, y = seed((a, b), 2)
     whole = exp(x + y)
     parts = exp(x) * exp(y)
-    for k in range(4):
+    for k in range(3):
         assert np.allclose(whole.deriv(k), parts.deriv(k), rtol=1e-12, atol=1e-12)
 
 
 @given(positive)
 @settings(max_examples=100, deadline=None)
 def test_log_exp_and_sqrt_square_roundtrip(a):
-    (x,) = seed((a,), 3)
+    (x,) = seed((a,), 2)
     back = log(exp(x))
     assert back.value == pytest.approx(a, rel=1e-13)
     assert back.d1[0] == pytest.approx(1.0, rel=1e-12)

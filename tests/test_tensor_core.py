@@ -84,8 +84,8 @@ class TestEvaluateJet:
         from cupgeo import jets
 
         field = FuncField(lambda c: jets.exp(c[0]), dim=1)
-        j = evaluate_jet(field, (0.0,), 3)
-        assert j.value == j.d1[0] == j.d2[0, 0] == j.d3[0, 0, 0] == 1.0
+        j = evaluate_jet(field, (0.0,), 2)
+        assert j.value == j.d1[0] == j.d2[0, 0] == 1.0
 
     def test_inverse_square_against_finite_differences(self):
         analytic = FuncField(lambda c: 1.0 / (c[1] * c[1]), dim=2)
@@ -100,7 +100,7 @@ class TestEvaluateJet:
     def test_order_cap(self):
         field = FuncField(lambda c: c[0], dim=1)
         with pytest.raises(UnsupportedOrderError):
-            evaluate_jet(field, (1.0,), 4)
+            evaluate_jet(field, (1.0,), 3)
 
     def test_domain_guard(self):
         field = FuncField(lambda c: c[0], dim=1, domain=Domain(((0.0, None),)))
