@@ -321,10 +321,9 @@ def cmd_verify(args):
             cases=(case,),
             alphas=(-1.0, -0.5, 0.0, 0.5, 1.0),
             tolerance=args.tol,
-            seed=args.seed,
         )
     else:
-        config = default_suite_config(seed=args.seed, tolerance=args.tol)
+        config = default_suite_config(tolerance=args.tol)
     if args.k is not None:
         config = dataclasses.replace(config, hessian_k=args.k)
 

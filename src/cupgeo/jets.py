@@ -194,8 +194,7 @@ class Jet:
             parts.append(
                 _bc(f.value, 2) * g.d2
                 + _bc(g.value, 2) * f.d2
-                + cross
-                + np.swapaxes(cross, -1, -2)
+                + (cross + np.swapaxes(cross, -1, -2))
             )
         return Jet(n, m, value, *parts)
 

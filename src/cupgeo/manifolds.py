@@ -506,52 +506,84 @@ class FisherEstimate:
         return iter((self.metric, self.skewness))
 
 
+def _batch_moment_sums(spec, point, coord_jets, size, rng):
+    """Score-product sums over one freshly drawn batch of ``size`` samples.
+
+    Returns the batch sums of s_i s_j, (s_i s_j)^2, s_i s_j s_k and
+    (s_i s_j s_k)^2 as ``(n, n)``, ``(n, n)``, ``(n, n, n)`` and
+    ``(n, n, n)`` arrays.  Each is formed by matrix products, so BLAS does
+    the summing: the triple sums take one product per leading index, on
+    row-scaled copies written into a single reused ``(size, n)`` buffer.
+    Only the four small sums leave this call; the samples, the jets and the
+    score are freed with it, before the next batch is drawn.
+    """
+    n = len(point)
+    samples = spec.sampler(point, size, rng)
+    ll = spec.log_likelihood(samples, coord_jets)
+    if not isinstance(ll, jets.Jet):
+        raise EvaluationError("log-likelihood did not propagate coordinate jets")
+    score = np.asarray(ll.d1, dtype=float)
+    if score.shape != (size, n):
+        raise EvaluationError(
+            f"score batch has shape {score.shape}, expected {(size, n)}"
+        )
+    if not np.all(np.isfinite(score)):
+        raise EvaluationError(f"non-finite log-likelihood derivatives at {point.coords}")
+    sq = score * score
+    scaled = np.empty_like(score)
+    triple = np.empty((n, n, n))
+    triple_sq = np.empty((n, n, n))
+    for i in range(n):
+        np.multiply(score, score[:, i, None], out=scaled)
+        triple[i] = scaled.T @ score
+        np.multiply(sq, sq[:, i, None], out=scaled)
+        triple_sq[i] = scaled.T @ sq
+    return score.T @ score, sq.T @ sq, triple, triple_sq
+
+
+def _mirror_sorted(arr):
+    """Copy each entry with sorted indices into every permutation of them."""
+    return arr[tuple(np.sort(np.indices(arr.shape), axis=0))]
+
+
 def estimate_fisher_tensors(spec, p, batch_size=250_000):
     """Sample-mean estimates of the score-moment tensors at ``p``.
 
     g is estimated by the mean of score outer products, t by the mean of
     score triple products; both converge at the usual count^(-1/2) rate.
-    Fixed seed implies identical estimates.
+    The samples are drawn and reduced ``batch_size`` at a time: each batch
+    adds its sums of score products and of their squares, formed by matrix
+    products, and is freed before the next one is drawn, so peak memory
+    scales with ``batch_size`` times the dimension, not with the count.
+    The totals keep one representative per index class (sorted indices,
+    i <= j <= k), mirrored into every permutation, so the estimates and
+    both standard-error arrays are bitwise symmetric.  Fixed seed implies
+    identical estimates.
     """
     point = as_point(p)
     n = len(point)
     rng = np.random.default_rng(spec.seed)
     coord_jets = jets.seed(point.coords, 1)
-    pair_sum = np.zeros((n, n))
-    pair_sq = np.zeros((n, n))
-    triple_sum = np.zeros((n, n, n))
-    triple_sq = np.zeros((n, n, n))
+    # pair sum, pair squares, triple sum, triple squares
+    sums = [np.zeros((n,) * rank) for rank in (2, 2, 3, 3)]
     remaining = spec.count
     while remaining > 0:
         size = min(batch_size, remaining)
-        samples = spec.sampler(point, size, rng)
-        ll = spec.log_likelihood(samples, coord_jets)
-        if not isinstance(ll, jets.Jet):
-            raise EvaluationError("log-likelihood did not propagate coordinate jets")
-        score = np.asarray(ll.d1, dtype=float)
-        if score.shape != (size, n):
-            raise EvaluationError(
-                f"score batch has shape {score.shape}, expected {(size, n)}"
-            )
-        if not np.all(np.isfinite(score)):
-            raise EvaluationError(f"non-finite log-likelihood derivatives at {point.coords}")
-        sq = score * score
-        pair_sum += np.einsum("si,sj->ij", score, score)
-        pair_sq += np.einsum("si,sj->ij", sq, sq)
-        triple_sum += np.einsum("si,sj,sk->ijk", score, score, score)
-        triple_sq += np.einsum("si,sj,sk->ijk", sq, sq, sq)
+        for total, part in zip(sums, _batch_moment_sums(spec, point, coord_jets, size, rng)):
+            total += part
         remaining -= size
     count = spec.count
 
     def finish(total, total_sq):
+        total, total_sq = _mirror_sorted(total), _mirror_sorted(total_sq)
         mean = total / count
         if count < 2:
             return mean, np.full_like(mean, np.nan)
         var = np.maximum(total_sq - count * mean * mean, 0.0) / (count - 1)
         return mean, np.sqrt(var / count)
 
-    g_est, g_se = finish(pair_sum, pair_sq)
-    t_est, t_se = finish(triple_sum, triple_sq)
+    g_est, g_se = finish(*sums[:2])
+    t_est, t_se = finish(*sums[2:])
     return FisherEstimate(
         metric=Tensor(n, (COV, COV), g_est),
         skewness=Tensor(n, (COV,) * 3, t_est),

@@ -108,7 +108,6 @@ class SuiteConfig:
     hessian_k: float = None
     sym_weight: float = 1.0
     laplacian_s: float = 0.0
-    seed: int = 0
 
     def validate(self):
         if not self.cases:
@@ -462,7 +461,7 @@ def run_suite(config):
 DEFAULT_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
-def default_suite_config(seed=0, tolerance=None):
+def default_suite_config(tolerance=None):
     """Gaussian and 3-category models on small interior grids, five alphas,
     two rescaling potentials, two densities, and four coupling exponents."""
     gauss = gaussian_model()
@@ -506,5 +505,4 @@ def default_suite_config(seed=0, tolerance=None):
             "ricci_shift": 1e-6,
             "integrability": 1e-6,
         },
-        seed=seed,
     )

@@ -26,7 +26,7 @@ ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 @pytest.fixture(scope="module")
 def suite():
-    config = default_suite_config(seed=0)
+    config = default_suite_config()
     assert config.alphas == ALPHAS
     result = run_suite(config)
     return {r.check_id: r for r in result.reports}, result, config

@@ -1,8 +1,11 @@
 """Command-line surface: output shapes, exit codes, byte determinism."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +249,16 @@ class TestEstimate:
         _, c, _ = run_cli(*args, "--seed", "2", capsys=capsys)
         assert a == b
         assert a != c
+
+    def test_readme_example_matches_the_code(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"\$ cupgeo (estimate .*)\n((?:.*\n)*?)    \.\.\.\n", readme)
+        shown = block.group(2).splitlines()
+        assert len(shown) == 3
+        assert shown[-1].endswith("[mu,mu] 1.007438237 / 1 / 0.004530905967")
+        rc, out, _ = run_cli(*shlex.split(block.group(1)), capsys=capsys)
+        assert rc == 0
+        assert out.splitlines()[:3] == shown
 
     def test_model_without_sampler(self, capsys):
         rc, _, err = run_cli("estimate", "--model", "euclidean:2",

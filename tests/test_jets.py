@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupgeo.errors import DomainError, UnsupportedOrderError
+from cupgeo.expr import Expression
 from cupgeo.jets import Jet, cos, exp, finite_difference_jet, log, seed, sin, sqrt
 
 EPS = np.finfo(float).eps
@@ -176,6 +177,17 @@ def test_mixed_partials_symmetric_within_roundoff():
     j = exp(x * y) * sin(x + 2.0 * y)
     scale = max(1.0, float(np.abs(j.d2).max()))
     assert _sym_defect(j.d2) <= 10 * EPS * scale
+
+
+@pytest.mark.parametrize("source", [
+    "sin(mu*sigma)*cos(mu+sigma)",
+    "exp(0.2*mu)*sigma^2/(3+mu*sigma^2)",
+])
+def test_exact_second_partials_are_bitwise_symmetric(source):
+    grid = np.array([(mu, s) for mu in (-1.0, 0.0, 1.0) for s in (0.6, 1.0, 1.8)])
+    mu, sigma = seed(grid, 2)
+    d2 = Expression(source)({"mu": mu, "sigma": sigma}).d2
+    assert np.array_equal(d2, np.swapaxes(d2, -1, -2))
 
 
 # -- array-valued jets ------------------------------------------------------

@@ -1,14 +1,18 @@
 """Model families: closed-form tensors, domains, configs, sampling oracle."""
 
 import json
+import math
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cupgeo import jets
 from cupgeo.errors import ConfigError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
+    SampleSpec,
     estimate_fisher_tensors,
     euclidean_model,
     gaussian_model,
@@ -18,6 +22,7 @@ from cupgeo.manifolds import (
     resolve_model,
     serialize_model,
 )
+from cupgeo.tensor_core import as_point
 
 
 class TestGaussianFamily:
@@ -128,6 +133,10 @@ class TestDomain:
         assert not d.contains((0.5, 0.0))
 
 
+def _estimate_arrays(est):
+    return (est.metric.components, est.metric_se, est.skewness.components, est.skewness_se)
+
+
 class TestMonteCarloOracle:
     def test_gaussian_estimates_within_three_standard_errors(self):
         m = gaussian_model()
@@ -168,11 +177,60 @@ class TestMonteCarloOracle:
         assert not np.array_equal(a.metric.components, c.metric.components)
 
     def test_batching_does_not_change_the_estimate(self):
-        m = gaussian_model()
-        spec = m.sample_spec(count=30_000, seed=7)
-        whole = estimate_fisher_tensors(spec, (0.5, 1.5), batch_size=100_000)
-        split = estimate_fisher_tensors(spec, (0.5, 1.5), batch_size=7_000)
-        assert np.allclose(whole.metric.components, split.metric.components, rtol=1e-12)
+        for name, point in (("gaussian", (0.5, 1.5)), ("multinomial:4", (0.2, 0.3, 0.25))):
+            spec = resolve_model(name).sample_spec(count=30_000, seed=7)
+            whole = estimate_fisher_tensors(spec, point, batch_size=100_000)
+            split = estimate_fisher_tensors(spec, point, batch_size=7_000)
+            for a, b in zip(_estimate_arrays(whole), _estimate_arrays(split)):
+                assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("name, point", [
+        ("gaussian", (0.3, 1.7)),
+        ("multinomial:3", (0.3, 0.3)),
+        ("multinomial:4", (0.2, 0.3, 0.25)),
+    ])
+    def test_estimates_are_bitwise_symmetric(self, name, point):
+        est = estimate_fisher_tensors(
+            resolve_model(name).sample_spec(count=300_000, seed=5), point)
+        for arr in _estimate_arrays(est):
+            for perm in permutations(range(arr.ndim)):
+                assert np.array_equal(arr, np.transpose(arr, perm))
+
+    @pytest.mark.parametrize("name, point", [
+        ("gaussian", (0.3, 1.7)),
+        ("multinomial:4", (0.2, 0.3, 0.25)),
+    ])
+    def test_sums_match_an_exactly_rounded_reference(self, name, point):
+        count = 2000
+        spec = resolve_model(name).sample_spec(count=count, seed=11)
+        est = estimate_fisher_tensors(spec, point)
+        # the same draws, reduced component by component with math.fsum
+        pt = as_point(point)
+        samples = spec.sampler(pt, count, np.random.default_rng(spec.seed))
+        score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
+        n = len(point)
+        for rank, mean, se in ((2, est.metric.components, est.metric_se),
+                               (3, est.skewness.components, est.skewness_se)):
+            ref_mean = np.empty((n,) * rank)
+            ref_se = np.empty((n,) * rank)
+            for index in product(range(n), repeat=rank):
+                terms = np.prod(score[:, list(index)], axis=1)
+                m = math.fsum(terms) / count
+                var = (math.fsum(terms * terms) - count * m * m) / (count - 1)
+                ref_mean[index] = m
+                ref_se[index] = math.sqrt(var / count)
+            assert np.allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
+            assert np.allclose(se, ref_se, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("log_likelihood, message", [
+        (lambda x, cj: x, "did not propagate"),
+        (lambda x, cj: cj[0] * x[:1], "score batch has shape"),
+        (lambda x, cj: jets.Jet(2, 1, x, np.full((x.size, 2), np.inf)), "non-finite"),
+    ])
+    def test_malformed_log_likelihood_rejected(self, log_likelihood, message):
+        spec = SampleSpec(log_likelihood, lambda point, size, rng: np.zeros(size), count=10)
+        with pytest.raises(EvaluationError, match=message):
+            estimate_fisher_tensors(spec, (0.5, 1.0))
 
     def test_single_sample_marks_errors_unreliable(self):
         m = gaussian_model()

@@ -219,8 +219,7 @@ class TestTolerances:
 
 class TestDefaultConfig:
     def test_matrix_shape(self):
-        config = default_suite_config(seed=3)
-        assert config.seed == 3
+        config = default_suite_config()
         assert len(config.cases) == 2
         assert {c.model.name for c in config.cases} == {"gaussian", "multinomial:3"}
         assert config.alphas == (-1.0, -0.5, 0.0, 0.5, 1.0)
@@ -286,7 +285,7 @@ def test_non_finite_residual_fails_the_check():
 
 def test_full_default_suite_passes():
     """The slow one: the complete shipped matrix, all twelve reports."""
-    result = run_suite(default_suite_config(seed=0))
+    result = run_suite(default_suite_config())
     assert result.passed
     by_id = {r.check_id: r for r in result.reports}
     assert by_id["curv_shift"].trace_residual <= 1e-9
