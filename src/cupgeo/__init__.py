@@ -8,7 +8,6 @@ invariance laws that tie all of these together.
 
 from .cup_transform import (
     CupRescaling,
-    OperatorType,
     WeightedDensity,
     connection_shift_prediction,
     curvature_shift_prediction,
@@ -80,7 +79,6 @@ from .tensor_core import (
     evaluate_jet,
     invert_metric,
     raise_index,
-    symmetrize_cov3,
 )
 from .verify import (
     CheckReport,

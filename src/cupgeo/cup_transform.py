@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
-from .manifolds import ManifoldModel, _mirror_assign
+from .manifolds import ManifoldModel, _mirror_sorted
 from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
 from .geometry import NonlinearCoupling, _hessian, _real, point_geometry, ricci_reconstruction
 
@@ -36,20 +36,6 @@ class WeightedDensity:
 
     f: ScalarField
     r: float
-
-
-@dataclass(frozen=True)
-class OperatorType:
-    """Invariance signature (r; s): weight-r input, weight-s output."""
-
-    r: float
-    s: float
-
-
-def _component(jet, index):
-    """Scalar jet of one component of an array-valued jet, indexed past its batch axes."""
-    key = (slice(None),) * (np.ndim(jet.value) - len(index)) + index
-    return jets.Jet(jet.dim, jet.order, *[jet.deriv(k)[key] for k in range(jet.order + 1)])
 
 
 def _source(field):
@@ -158,23 +144,35 @@ class _ShiftedSkewnessField:
                          coords, order, self._jet, coords, order)
 
     def _jet(self, coords, order):
-        n = self.dim
         gj = self.model.metric.jet(coords, order)
         tj = self.model.skewness.jet(coords, order)
-        psi = self.resc.psi_jet(coords, order)
-        sym = jets.constant_at(np.zeros((n, n, n)), coords, order)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    s = (
-                        _component(gj, (i, j)) * _component(psi, (k,))
-                        + _component(gj, (j, k)) * _component(psi, (i,))
-                        + _component(gj, (k, i)) * _component(psi, (j,))
-                    )
-                    if self.weight != 1.0:
-                        s = self.weight * s
-                    _mirror_assign(sym, (i, j, k), s, order)
+        sym = symmetric_g_psi(gj, self.resc.psi_jet(coords, order))
+        if self.weight != 1.0:
+            sym = self.weight * sym
         return self.resc.eta_jet(coords, order).expand(3) * (tj + sym)
+
+
+def symmetric_g_psi(gj, psi):
+    """Jet of the symmetric 3-tensor g_ij psi_k + g_jk psi_i + g_ki psi_j.
+
+    ``gj`` and ``psi`` are array-valued jets of a metric and a covector over
+    the same batch axes.  The product g_ij psi_k is formed for every index
+    at once and summed over the three cyclic permutations of its component
+    axes; the entry of each sorted index class (i <= j <= k) is then copied
+    into every permutation of it, so the result is bitwise symmetric.
+
+    The three-term cyclic sum is deliberately unnormalized: it is the unique
+    weight for which the conformal change of the Levi-Civita connection and
+    the skewness correction cancel their g_ij-proportional parts, making the
+    predicted connection shift hold identically.
+    """
+    b = np.ndim(gj.value) - 2
+    prod = gj.map(lambda a: np.expand_dims(a, b + 2)) * psi.map(
+        lambda a: np.expand_dims(a, (b, b + 1)))
+    # (g psi)_jki and (g psi)_kij at [i, j, k]
+    total = (prod + prod.map(lambda a: np.moveaxis(a, b + 2, b))
+             + prod.map(lambda a: np.moveaxis(a, b, b + 2)))
+    return total.map(lambda a: _mirror_sorted(a, rank=3, lead=b))
 
 
 class _PoweredScaleField(ScalarField):

@@ -27,6 +27,7 @@ immutable and their fields pure; the shared arrays are read-only, so a
 caller cannot alter what a later call returns.
 """
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -99,6 +100,8 @@ class NonlinearCoupling:
     a: float
 
     def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ConfigError(f"nonlinearity exponent a must be finite, got {self.a}")
         if self.a == 0:
             raise ConfigError("nonlinearity exponent a must be nonzero")
 
@@ -230,13 +233,16 @@ class PointGeometry:
 def point_geometry(model, alpha, p):
     """The shared :class:`PointGeometry` of ``model`` at ``alpha`` and ``p``.
 
-    The points are validated first, so an invalid point raises before any
-    lookup.  The instance comes from the model's memo when the same
-    ``float(alpha)`` and the same coordinates (shape and bytes) were asked
-    for among its last :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is
-    built and remembered otherwise.
+    The points and ``alpha`` are validated first, so an invalid point or a
+    non-finite alpha raises before any lookup.  The instance comes from the
+    model's memo when the same ``float(alpha)`` and the same coordinates
+    (shape and bytes) were asked for among its last
+    :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is built and
+    remembered otherwise.
     """
     x = model.require_inside(p)
+    if not math.isfinite(alpha):
+        raise ConfigError(f"alpha must be finite, got {alpha}")
     key = (float(alpha), x.shape, x.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)

@@ -150,9 +150,11 @@ class Jet:
         it componentwise, batch row by batch row.
         """
         nv = np.ndim(self.value)
-        axes = tuple(range(nv, nv + k))
-        parts = [np.expand_dims(self.deriv(j), axes) for j in range(self.order + 1)]
-        return Jet(self.dim, self.order, *parts)
+        return self.map(lambda a: np.expand_dims(a, tuple(range(nv, nv + k))))
+
+    def map(self, fn):
+        """This jet with ``fn``, which must keep the trailing derivative axes, on every part."""
+        return Jet(self.dim, self.order, *[fn(self.deriv(k)) for k in range(self.order + 1)])
 
     # -- ring operations --------------------------------------------------
 

@@ -240,6 +240,8 @@ class SampleSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"sample seed must be >= 0, got {self.seed}")
 
 
 class ManifoldModel:
@@ -541,9 +543,13 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
     return score.T @ score, sq.T @ sq, triple, triple_sq
 
 
-def _mirror_sorted(arr):
-    """Copy each entry with sorted indices into every permutation of them."""
-    return arr[tuple(np.sort(np.indices(arr.shape), axis=0))]
+def _mirror_sorted(arr, rank=None, lead=0):
+    """Copy each entry with sorted indices into every permutation of them.
+
+    The indices are those of the ``rank`` axes (default: all) after ``lead`` batch axes.
+    """
+    index = np.sort(np.indices((arr.shape[lead],) * (rank or arr.ndim - lead)), axis=0)
+    return arr[(slice(None),) * lead + tuple(index)]
 
 
 def estimate_fisher_tensors(spec, p, batch_size=250_000):

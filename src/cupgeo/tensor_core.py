@@ -197,33 +197,6 @@ def invert_metric(g, at=None):
     return inv
 
 
-def symmetrize_cov3(u, g):
-    """The symmetric 3-tensor g_ij u_k + g_jk u_i + g_ki u_j.
-
-    The three-term cyclic sum is deliberately unnormalized: it is the unique
-    weight for which the conformal change of the Levi-Civita connection and
-    the skewness correction cancel their g_ij-proportional parts, making the
-    predicted connection shift hold identically.
-    """
-    uc = u.components if isinstance(u, Tensor) else np.asarray(u, dtype=float)
-    gc = g.components if isinstance(g, Tensor) else np.asarray(g, dtype=float)
-    n = uc.shape[-1]
-    if gc.shape[-2:] != (n, n):
-        raise DimensionMismatchError(f"dimension mismatch: u has {n}, g has {gc.shape}")
-    out = np.empty(np.broadcast_shapes(uc.shape[:-1], gc.shape[:-2]) + (n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                s = (gc[..., i, j] * uc[..., k] + gc[..., j, k] * uc[..., i]
-                     + gc[..., k, i] * uc[..., j])
-                # one representative per symmetry class keeps the result
-                # bitwise permutation-invariant
-                for p, q, r in ((i, j, k), (i, k, j), (j, i, k),
-                                (j, k, i), (k, i, j), (k, j, i)):
-                    out[..., p, q, r] = s
-    return Tensor(n, (COV, COV, COV), out)
-
-
 # -- scalar fields ----------------------------------------------------------
 
 

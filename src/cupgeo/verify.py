@@ -9,6 +9,14 @@ are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
 inflate them; a non-finite side or difference counts as an infinite
 residual, so it fails the check.
 
+The three operator checks share one (r; s) invariance engine: an operator
+applied to inputs of weight r, each rescaled to eta^r f, on the rescaled
+model equals eta^s times the operator on the original.  ``hessian_inv``
+runs it with s = 1, ``laplacian_inv`` with s = 0 (and reuses both sides
+for its decomposition residual), and ``nonlinear_inv`` with s = 0 and the
+coupling lam as a second input of weight -a.  :func:`check_type_invariance`
+is the same engine for one operator, rescaling and density.
+
 Three deliberately wrong configurations run as first-class suite members:
 dropping the Ricci coupling, normalizing the skewness shift by 1/3, and
 giving the trace operator a conformal output weight.  Each must fail by at
@@ -17,6 +25,7 @@ reporting vacuously and is itself considered broken.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +37,6 @@ from .cup_transform import (
     make_rescaling,
     rescaled_model,
     ricci_shift_prediction,
-    transform_coupling,
     transform_density,
 )
 from .errors import ConfigError
@@ -122,16 +130,19 @@ class SuiteConfig:
             if not case.densities:
                 raise ConfigError(f"model case {case.model.name!r} has no densities")
             case.model.require_inside(case.points)
+        tolerances = {"tolerance": self.tolerance,
+                      **{f"tol_overrides[{c!r}]": t for c, t in self.tol_overrides.items()}}
+        for name, value in tolerances.items():
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("hessian_k", "sym_weight", "laplacian_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def _grid(case):
     return as_coords(case.points).reshape(-1, case.model.dim)
-
-
-def _rows(values, like):
-    """Per-row ``values`` with trailing axes to scale the rows of ``like``."""
-    values = np.asarray(values)
-    return values.reshape(values.shape + (1,) * (np.ndim(like) - values.ndim))
 
 
 class _Residuals:
@@ -236,117 +247,128 @@ def _check_codazzi(config, tol, variants):
 # -- shift predictions vs direct recomputation ------------------------------
 
 
-def _check_conn_shift(config, tol, variants):
-    res = _Residuals()
+def _rescaled_cells(config, variants):
+    """Every (case, grid, alpha, rescaling, rescaled model) cell, in suite order."""
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
             for resc, varied in _rescalings(config, case, alpha, variants):
-                pred = connection_shift_prediction(resc, pts).components
-                direct = (alpha_connection(varied, alpha, pts).components
-                          - alpha_connection(case.model, alpha, pts).components)
-                res.add(pts, pred, direct)
+                yield case, pts, alpha, resc, varied
+
+
+def _check_conn_shift(config, tol, variants):
+    res = _Residuals()
+    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+        pred = connection_shift_prediction(resc, pts).components
+        direct = (alpha_connection(varied, alpha, pts).components
+                  - alpha_connection(case.model, alpha, pts).components)
+        res.add(pts, pred, direct)
     return res.report("conn_shift", tol)
 
 
 def _check_curv_shift(config, tol, variants):
     res = _Residuals()
     trace = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                pred = curvature_shift_prediction(case.model, resc, pts).components
-                direct = (riemann(varied, alpha, pts).components
-                          - riemann(case.model, alpha, pts).components)
-                res.add(pts, pred, direct)
-                trace.add(pts, np.einsum("...kjkl->...jl", pred),
-                          ricci_shift_prediction(case.model, resc, pts).components)
+    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+        pred = curvature_shift_prediction(case.model, resc, pts).components
+        direct = (riemann(varied, alpha, pts).components
+                  - riemann(case.model, alpha, pts).components)
+        res.add(pts, pred, direct)
+        trace.add(pts, np.einsum("...kjkl->...jl", pred),
+                  ricci_shift_prediction(case.model, resc, pts).components)
     passed = res.max_rel <= tol and trace.max_rel <= TRACE_TOLERANCE
     return res.report("curv_shift", tol, passed=passed, trace_residual=trace.max_rel)
 
 
 def _check_ricci_shift(config, tol, variants):
     res = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                pred = ricci_shift_prediction(case.model, resc, pts).components
-                direct = (ricci(varied, alpha, pts).components
-                          - ricci(case.model, alpha, pts).components)
-                res.add(pts, pred, direct)
+    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+        pred = ricci_shift_prediction(case.model, resc, pts).components
+        direct = (ricci(varied, alpha, pts).components
+                  - ricci(case.model, alpha, pts).components)
+        res.add(pts, pred, direct)
     return res.report("ricci_shift", tol)
 
 
 # -- operator invariances ---------------------------------------------------
 
 
+def _cells(config, variants):
+    """Every rescaled cell once per density of its case, in suite order."""
+    for cell in _rescaled_cells(config, variants):
+        for density in cell[0].densities:
+            yield cell + (density,)
+
+
+def _components(value):
+    return value.components if hasattr(value, "components") else value
+
+
+def _invariance(res, operator, s, model, varied, resc, inputs, pts):
+    """Record the (r; s) law on one grid and return both of its sides.
+
+    The law: ``operator`` on the rescaled model, applied to the weighted
+    ``inputs`` each rescaled to eta^r f, equals eta^s times ``operator`` on
+    the original model applied to the inputs themselves.
+    ``operator(model, *fields, pts)`` takes the whole grid as one batch and
+    returns per-row scalars or a tensor.  Returns the two operator values,
+    the rescaled side first, before any eta^s factor.
+    """
+    lhs = _components(operator(varied, *(transform_density(d, resc).f for d in inputs), pts))
+    base = _components(operator(model, *(d.f for d in inputs), pts))
+    rhs = base
+    if s != 0.0:
+        rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
+    res.add(pts, lhs, rhs)
+    return lhs, base
+
+
 def _check_hessian_inv(config, tol, variants):
     res = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        n = case.model.dim
-        k = config.hessian_k if config.hessian_k is not None else 1.0 / (n - 1)
-        spec = HessianSpec(k)
-        for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                for density in case.densities:
-                    scaled = transform_density(density, resc)
-                    lhs = modified_hessian(varied, alpha, spec, scaled.f, pts).components
-                    rhs = modified_hessian(case.model, alpha, spec, density.f, pts).components
-                    res.add(pts, lhs, _rows(resc.eta(pts), rhs) * rhs)
+    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+        k = config.hessian_k if config.hessian_k is not None else 1.0 / (case.model.dim - 1)
+        op = lambda m, f, p: modified_hessian(m, alpha, HessianSpec(k), f, p)
+        _invariance(res, op, 1.0, case.model, varied, resc, (density,), pts)
     return res.report("hessian_inv", tol)
 
 
 def _check_laplacian_inv(config, tol, variants):
     res = _Residuals()
     decomp = _Residuals()
-    s = config.laplacian_s
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                for density in case.densities:
-                    scaled = transform_density(density, resc)
-                    lhs = cup_laplacian(varied, alpha, scaled.f, pts)
-                    base = cup_laplacian(case.model, alpha, density.f, pts)
-                    res.add(pts, lhs, resc.eta(pts) ** s * base if s != 0.0 else base)
-                    decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled.f, pts))
-                    decomp.add(pts, base,
-                               cup_laplacian_decomposed(case.model, alpha, density.f, pts))
+    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+        op = lambda m, f, p: cup_laplacian(m, alpha, f, p)
+        lhs, base = _invariance(res, op, config.laplacian_s, case.model, varied, resc,
+                                (density,), pts)
+        scaled = transform_density(density, resc).f
+        decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled, pts))
+        decomp.add(pts, base, cup_laplacian_decomposed(case.model, alpha, density.f, pts))
     passed = res.max_rel <= tol and decomp.max_rel <= DECOMPOSITION_TOLERANCE
     return res.report("laplacian_inv", tol, passed=passed, decomp_residual=decomp.max_rel)
 
 
 def _check_nonlinear_inv(config, tol, variants):
+    """The coupling lam enters as a second input, of weight -a."""
     res = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                for density in case.densities:
-                    scaled = transform_density(density, resc)
-                    for coupling in case.couplings:
-                        scaled_coupling = transform_coupling(coupling, resc)
-                        lhs = nonlinear_cup_operator(varied, alpha, scaled.f, scaled_coupling, pts)
-                        rhs = nonlinear_cup_operator(case.model, alpha, density.f, coupling, pts)
-                        res.add(pts, lhs, rhs)
+    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+        for c in case.couplings:
+            op = lambda m, f, lam, p: nonlinear_cup_operator(
+                m, alpha, f, NonlinearCoupling(lam, c.a), p)
+            _invariance(res, op, 0.0, case.model, varied, resc,
+                        (density, WeightedDensity(c.lam, -c.a)), pts)
     return res.report("nonlinear_inv", tol)
 
 
 def _check_integrability(config, tol, variants):
     res = _Residuals()
     flat = 0
-    k = config.hessian_k
     for case in config.cases:
         pts = _grid(case)
-        kk = k if k is not None else 1.0 / (case.model.dim - 1)
+        k = config.hessian_k if config.hessian_k is not None else 1.0 / (case.model.dim - 1)
         for alpha in config.alphas:
             riem = riemann(case.model, alpha, pts).components
             curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
             flat += len(pts) - int(np.count_nonzero(curved))
-            predicted = ricci_reconstruction(ricci(case.model, alpha, pts).components, kk)
+            predicted = ricci_reconstruction(ricci(case.model, alpha, pts).components, k)
             res.add(pts[curved], riem[curved], predicted[curved])
     return res.report("integrability", tol, flat_points=flat)
 
@@ -364,24 +386,16 @@ _CHECK_FUNCTIONS = {
 }
 
 
-def check_type_invariance(operator, op_type, model, resc, density, points):
-    """Generic (r; s) residual: operator of eta^r f on the rescaled model
-    against eta^s times the operator of f on the original.
+def check_type_invariance(operator, s, model, resc, density, points):
+    """The (r; s) law for one operator, rescaling and density of weight r = ``density.r``.
 
     ``operator(model, f, p)`` is called once with the whole ``(P, n)`` batch
-    of ``points`` and may return per-row scalars or tensor components.
+    of ``points`` and may return per-row scalars or a tensor.
     """
-    varied = rescaled_model(model, resc)
-    scaled = transform_density(WeightedDensity(density.f, op_type.r), resc)
     pts = as_coords(points).reshape(-1, model.dim)
-    lhs = operator(varied, scaled.f, pts)
-    rhs = operator(model, density.f, pts)
-    lhs = lhs.components if hasattr(lhs, "components") else lhs
-    rhs = np.asarray(rhs.components if hasattr(rhs, "components") else rhs, dtype=float)
     res = _Residuals()
-    res.add(pts, lhs, _rows(resc.eta(pts) ** op_type.s, rhs) * rhs)
-    tol = MODE_TOLERANCE[model.mode]
-    return res.report("type_invariance", tol)
+    _invariance(res, operator, s, model, rescaled_model(model, resc), resc, (density,), pts)
+    return res.report("type_invariance", MODE_TOLERANCE[model.mode])
 
 
 def run_check(check_id, config):

@@ -311,6 +311,46 @@ class TestErrorPaths:
         assert lines[0].startswith("error:") and density in lines[0]
         assert "(0.0, 1.0)" in lines[0]
 
+    @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                                       ("--k", "nan"), ("--k", "inf")])
+    def test_non_finite_or_non_positive_verify_knob(self, flags, capsys):
+        # a zero or negative tolerance would let every negative control pass vacuously
+        rc, out, err = run_cli("verify", "--default", *flags, capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert ("tolerance" if flags[0] == "--tol" else "hessian_k") in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ("tensors", "--model", "gaussian", "--point", "0,1", "--alpha", "nan"),
+        ("tensors", "--model", "gaussian", "--point", "0,1", "--alpha", "inf", "--json"),
+        ("laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1+mu",
+         "--alpha", "inf"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_non_finite_alpha_is_one_error_line(self, argv):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: alpha must be finite")
+
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_non_finite_exponent(self, a, capsys):
+        rc, out, err = run_cli("laplacian", "--model", "gaussian", "--point", "0,1",
+                               "--density", "1+mu", "--lambda", "2", "--a", a, capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: nonlinearity exponent a must be finite")
+
+    def test_negative_seed(self, capsys):
+        rc, out, err = run_cli("estimate", "--model", "gaussian", "--point", "0,1",
+                               "--seed", "-1", capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
     def test_expression_error_positions_surface(self, capsys):
         rc, _, err = run_cli("laplacian", "--model", "gaussian",
                              "--point", "0,1", "--density", "1 +", capsys=capsys)

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cupgeo import jets
+from cupgeo.cup_transform import symmetric_g_psi
 from cupgeo.errors import (
     DimensionMismatchError,
     DomainError,
@@ -31,7 +33,6 @@ from cupgeo.tensor_core import (
     evaluate_jet,
     invert_metric,
     raise_index,
-    symmetrize_cov3,
 )
 
 
@@ -65,7 +66,7 @@ class TestTensor:
             Tensor(2, ("sideways",), np.zeros(2))
 
     def test_full_symmetry_detection(self):
-        sym = symmetrize_cov3(np.array([1.0, 2.0]), np.eye(2))
+        sym = Tensor(2, (COV,) * 3, symmetrize(np.array([1.0, 2.0]), np.eye(2)))
         assert sym.is_fully_symmetric()
         bad = np.zeros((2, 2, 2))
         bad[0, 1, 0] = 1.0
@@ -108,17 +109,23 @@ class TestEvaluateJet:
             evaluate_jet(field, (-1.0,), 1)
 
 
+def symmetrize(u, g):
+    """Components of g_ij u_k + g_jk u_i + g_ki u_j, through constant jets."""
+    dim = np.shape(u)[-1]
+    return symmetric_g_psi(jets.Jet.constant(g, dim, 0), jets.Jet.constant(u, dim, 0)).value
+
+
 class TestSymmetrize:
     def test_zero_covector_gives_zero(self):
-        out = symmetrize_cov3(np.zeros(3), np.eye(3) * 2.0)
-        assert np.array_equal(out.components, np.zeros((3, 3, 3)))
+        out = symmetrize(np.zeros(3), np.eye(3) * 2.0)
+        assert np.array_equal(out, np.zeros((3, 3, 3)))
 
     def test_one_dimensional_value(self):
-        out = symmetrize_cov3(np.array([5.0]), np.array([[2.0]]))
-        assert out.components[0, 0, 0] == 30.0
+        out = symmetrize(np.array([5.0]), np.array([[2.0]]))
+        assert out[0, 0, 0] == 30.0
 
     def test_two_dimensional_identity_metric(self):
-        out = symmetrize_cov3(np.array([1.0, 0.0]), np.eye(2)).components
+        out = symmetrize(np.array([1.0, 0.0]), np.eye(2))
         assert out[0, 0, 0] == 3.0
         assert out[0, 1, 1] == 1.0
         assert out[1, 1, 0] == 1.0
@@ -127,16 +134,26 @@ class TestSymmetrize:
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(5)
-        u = rng.standard_normal(4)
-        g = rng.standard_normal((4, 4))
-        g = g + g.T
-        out = symmetrize_cov3(u, g).components
+        u = rng.standard_normal((6, 4))
+        g = rng.standard_normal((6, 4, 4))
+        g = g + np.swapaxes(g, -1, -2)
+        # constant jets carry zero derivatives: give d1 some to mirror
+        ju = jets.Jet(4, 1, u, rng.standard_normal((6, 4, 4)))
+        jg = jets.Jet(4, 1, g, rng.standard_normal((6, 4, 4, 4)))
+        jg.d1 = jg.d1 + np.swapaxes(jg.d1, 1, 2)
+        batch = symmetric_g_psi(jg, ju)
+        single = symmetric_g_psi(jets.Jet(4, 1, g[2], jg.d1[2]), jets.Jet(4, 1, u[2], ju.d1[2]))
         for perm in itertools.permutations(range(3)):
-            assert np.array_equal(out, out.transpose(perm))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            symmetrize_cov3(np.zeros(2), np.eye(3))
+            for out, lead in ((batch, 1), (single, 0)):
+                axes = tuple(range(lead)) + tuple(lead + q for q in perm)
+                assert np.array_equal(out.value, out.value.transpose(axes))
+                assert np.array_equal(out.d1, out.d1.transpose(axes + (lead + 3,)))
+        assert np.array_equal(batch.value[2], single.value)
+        assert np.array_equal(batch.d1[2], single.d1)
+        # each index class holds the defining three-term sum, summed in this order
+        gg, uu = g[2], u[2]
+        for i, j, k in itertools.combinations_with_replacement(range(4), 3):
+            assert single.value[i, j, k] == gg[i, j] * uu[k] + gg[j, k] * uu[i] + gg[k, i] * uu[j]
 
 
 class TestContractAndRaise:

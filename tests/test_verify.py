@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cupgeo.cli import render_json
-from cupgeo.cup_transform import OperatorType, WeightedDensity, make_rescaling
+from cupgeo.cup_transform import WeightedDensity, make_rescaling
 from cupgeo.errors import ConfigError
 from cupgeo.geometry import NonlinearCoupling, cup_laplacian, modified_hessian, HessianSpec
 from cupgeo.manifolds import gaussian_model, multinomial_model
@@ -98,6 +98,20 @@ class TestValidation:
                                    points=((0.0, 1.0), (0.0, -1.0)))
         with pytest.raises(Exception, match="outside the domain"):
             run_check("codazzi", small_config(cases=(case,)))
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tol_overrides": {"codazzi": -1e-7}}, "tol_overrides['codazzi']"),
+        ({"tol_overrides": {"codazzi": float("inf")}}, "tol_overrides['codazzi']"),
+        ({"hessian_k": float("nan")}, "hessian_k"),
+        ({"sym_weight": float("inf")}, "sym_weight"),
+        ({"laplacian_s": float("-inf")}, "laplacian_s"),
+    ])
+    def test_bad_knob_names_its_field(self, overrides, field):
+        with pytest.raises(ConfigError) as exc:
+            run_check("codazzi", small_config(**overrides))
+        assert str(exc.value).startswith(field + " must be finite")
 
 
 class TestNegativeControls:
@@ -248,7 +262,7 @@ class TestTypeInvarianceHelper:
         density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
         op = lambda model, f, p: cup_laplacian(model, 0.5, f, p)
         report = check_type_invariance(
-            op, OperatorType(r=1.0, s=0.0), GAUSS, resc, density, self.POINTS)
+            op, 0.0, GAUSS, resc, density, self.POINTS)
         assert report.passed
         assert report.check_id == "type_invariance"
 
@@ -258,7 +272,7 @@ class TestTypeInvarianceHelper:
         spec = HessianSpec(1.0)
         op = lambda model, f, p: modified_hessian(model, 0.5, spec, f, p)
         report = check_type_invariance(
-            op, OperatorType(r=1.0, s=1.0), GAUSS, resc, density, self.POINTS)
+            op, 1.0, GAUSS, resc, density, self.POINTS)
         assert report.passed
 
     def test_wrong_signature_fails(self):
@@ -266,8 +280,24 @@ class TestTypeInvarianceHelper:
         density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
         op = lambda model, f, p: cup_laplacian(model, 0.5, f, p)
         report = check_type_invariance(
-            op, OperatorType(r=1.0, s=1.0), GAUSS, resc, density, self.POINTS)
+            op, 1.0, GAUSS, resc, density, self.POINTS)
         assert not report.passed
+
+    def test_one_cell_matches_the_suite_check(self):
+        # the helper and hessian_inv are the same engine: on a one-cell
+        # config they see the same residuals
+        potential = GAUSS.scalar_field("0.2*mu")
+        density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
+        case = ModelCase(model=GAUSS, points=self.POINTS, potentials=(potential,),
+                         densities=(density,), couplings=())
+        suite = run_check("hessian_inv", SuiteConfig(cases=(case,), alphas=(0.5,)))
+        spec = HessianSpec(1.0)
+        op = lambda model, f, p: modified_hessian(model, 0.5, spec, f, p)
+        report = check_type_invariance(
+            op, 1.0, GAUSS, make_rescaling(0.5, potential), density, self.POINTS)
+        assert report.points_evaluated == suite.points_evaluated == len(self.POINTS)
+        assert report.max_rel_residual == suite.max_rel_residual
+        assert report.worst_point == suite.worst_point
 
 
 def test_non_finite_residual_fails_the_check():
