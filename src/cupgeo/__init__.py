@@ -36,14 +36,10 @@ from .geometry import (
     NonlinearCoupling,
     PointGeometry,
     alpha_connection,
-    alpha_hessian,
-    alpha_laplacian,
     covariant_derivative_metric,
     cup_laplacian,
     cup_laplacian_decomposed,
     curvature,
-    integrability_residual,
-    levi_civita,
     modified_hessian,
     nonlinear_cup_operator,
     point_geometry,
@@ -63,7 +59,6 @@ from .manifolds import (
     multinomial_model,
     parse_model,
     resolve_model,
-    serialize_model,
 )
 from .tensor_core import (
     CONTRA,
@@ -75,10 +70,8 @@ from .tensor_core import (
     ScalarField,
     Tensor,
     as_point,
-    contract,
     evaluate_jet,
     invert_metric,
-    raise_index,
 )
 from .verify import (
     CheckReport,

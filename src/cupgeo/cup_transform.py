@@ -55,13 +55,29 @@ class CupRescaling:
             raise ConfigError(f"alpha must be finite, got {alpha}")
         self.potential = potential
         self.dim = potential.dim
+        self._last = None
+
+    def _jets(self, coords, order):
+        """The potential's jet and eta's jet at ``coords``, to ``order`` or higher.
+
+        Both are kept for the most recently asked coordinates, at the highest
+        order computed there so far: the fields of a rescaled model evaluate
+        the potential once per grid.
+        """
+        key = (np.shape(coords), np.asarray(coords, dtype=float).tobytes())
+        if self._last is None or self._last[0] != key or self._last[1].order < order:
+            phi = self.potential.jet(coords, order)
+            eta = field_jet(f"conformal factor of potential {_source(self.potential)!r}",
+                            coords, order, lambda: jets.exp((-self.alpha) * phi))
+            self._last = (key, phi, eta)
+        return self._last[1:]
 
     def eta_jet(self, coords, order):
-        return field_jet(f"conformal factor of potential {_source(self.potential)!r}",
-                         coords, order, self._eta_jet, coords, order)
-
-    def _eta_jet(self, coords, order):
-        return jets.exp((-self.alpha) * self.potential.jet(coords, order))
+        eta = self._jets(coords, order)[1]
+        if eta.order == order:
+            return eta
+        # truncation is exact: a jet's lower parts never read its higher ones
+        return jets.Jet(eta.dim, order, *(eta.deriv(k) for k in range(order + 1)))
 
     def eta(self, p):
         """eta at one point (a float) or at each row of a batch (an array)."""
@@ -73,7 +89,7 @@ class CupRescaling:
             raise UnsupportedOrderError(
                 f"psi jets available to order {jets.MAX_ORDER - 1}, requested {order}"
             )
-        phi = self.potential.jet(coords, order + 1)
+        phi = self._jets(coords, order + 1)[0]  # any higher order goes unread
         parts = [phi.deriv(k) for k in range(2, order + 2)]
         return jets.Jet(phi.dim, order, phi.d1, *parts)
 
@@ -112,7 +128,6 @@ class _ScaledMetricField:
         self.base = base
         self.resc = resc
         self.dim = base.dim
-        self.rank = 2
 
     def jet(self, coords, order):
         return field_jet(f"rescaled metric of potential {_source(self.resc.potential)!r}",
@@ -137,7 +152,6 @@ class _ShiftedSkewnessField:
         self.resc = resc
         self.weight = weight
         self.dim = model.dim
-        self.rank = 3
 
     def jet(self, coords, order):
         return field_jet(f"rescaled skewness of potential {_source(self.resc.potential)!r}",
@@ -259,7 +273,7 @@ def _psi_shift_core(model, resc, p):
     _check_chart(model, resc)
     ws = point_geometry(model, resc.alpha, p)
     # psi = d(potential), so nabla psi is the Hessian of the potential
-    phi = resc.potential.jet(ws.p, 2)
+    phi = resc._jets(ws.p, 2)[0]
     return _hessian(ws, phi) + resc.alpha * np.einsum("...i,...j->...ij", phi.d1, phi.d1)
 
 

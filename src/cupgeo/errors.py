@@ -54,4 +54,4 @@ class ConfigError(CupGeoError):
 
 
 class EvaluationError(CupGeoError):
-    """A field evaluation produced a non-finite or undefined value."""
+    """A field, connection, curvature or operator value is non-finite or undefined."""

@@ -25,6 +25,10 @@ recently used geometries, keyed by ``float(alpha)`` and the shape and bytes
 of the validated coordinates.  Sharing is sound because models are
 immutable and their fields pure; the shared arrays are read-only, so a
 caller cannot alter what a later call returns.
+
+A connection, curvature or operator value that is not finite (an overflow
+at a huge alpha, coupling k or exponent a) raises :class:`EvaluationError`
+naming the quantity, its parameters and the first offending point.
 """
 
 import math
@@ -34,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError
+from .errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from .jets import _bc
 from .tensor_core import (
     CONTRA,
@@ -58,6 +62,21 @@ def _real(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _finite(value, quantity, x, **params):
+    """``value`` if it is finite, else an EvaluationError naming ``quantity``,
+    ``params`` and the first offending point of ``x``.
+
+    Callers compute ``value`` under ``np.errstate(all="ignore")``: an
+    overflow arrives here as inf or nan, not as a numpy warning.
+    """
+    finite = np.isfinite(value)
+    if finite.all():
+        return value
+    row = first_false(finite.reshape(np.shape(x)[:-1] + (-1,)).all(axis=-1))
+    at = ", ".join(f"{name} = {v:g}" for name, v in params.items())
+    raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
+
+
 def _readonly(x):
     """A read-only view of an array (a number passes through)."""
     if isinstance(x, np.ndarray):
@@ -73,9 +92,6 @@ class Christoffel:
     dim: int
     alpha: float
     components: np.ndarray
-
-    def tensor(self):
-        return Tensor(self.dim, (CONTRA, COV, COV), self.components)
 
 
 @dataclass(frozen=True)
@@ -191,12 +207,15 @@ class PointGeometry:
         return _readonly(np.einsum("...ijm,...mk->...kij", self.t, self.ginv))
 
     @cached_property
+    @np.errstate(all="ignore")
     def gamma(self):
-        if self.alpha == 0.0:
-            return self.gamma0
-        return _readonly(self.gamma0 - 0.5 * self.alpha * self.skew_mixed)
+        gamma = self.gamma0
+        if self.alpha != 0.0:
+            gamma = gamma - 0.5 * self.alpha * self.skew_mixed
+        return _readonly(_finite(gamma, "alpha-connection", self.p, alpha=self.alpha))
 
     @cached_property
+    @np.errstate(all="ignore")
     def dgamma(self):
         # d_l of gamma, by the product rule on g^{-1}, the lowered symbol,
         # and the skewness correction
@@ -214,20 +233,23 @@ class PointGeometry:
         return _readonly(out)
 
     @cached_property
+    @np.errstate(all="ignore")
     def riemann(self):
         dG = self.dgamma
         curl = np.einsum("...kijl->...kjli", dG) - np.einsum("...kijl->...kjil", dG)
         quad = np.einsum("...ikm,...mlj->...ijkl", self.gamma, self.gamma)
         quad = quad - np.swapaxes(quad, -1, -2)
-        return _readonly(curl + quad)
+        return _readonly(_finite(curl + quad, "curvature", self.p, alpha=self.alpha))
 
     @cached_property
     def ricci(self):
-        return _readonly(np.einsum("...kjkl->...jl", self.riemann))
+        ricci = np.einsum("...kjkl->...jl", self.riemann)
+        return _readonly(_finite(ricci, "Ricci curvature", self.p, alpha=self.alpha))
 
     @cached_property
     def scalar(self):
-        return _readonly(_real(np.einsum("...jl,...jl->...", self.ginv, self.ricci)))
+        scalar = _real(np.einsum("...jl,...jl->...", self.ginv, self.ricci))
+        return _readonly(_finite(scalar, "scalar curvature", self.p, alpha=self.alpha))
 
 
 def point_geometry(model, alpha, p):
@@ -255,12 +277,6 @@ def point_geometry(model, alpha, p):
 
 
 # -- connections ------------------------------------------------------------
-
-
-def levi_civita(model, p):
-    """Metric-compatible torsion-free connection from the metric jets."""
-    ws = point_geometry(model, 0.0, p)
-    return Christoffel(model.dim, 0.0, ws.gamma0)
 
 
 def alpha_connection(model, alpha, p):
@@ -342,11 +358,6 @@ def _laplacian(ws, fj):
     return out + np.einsum("...iim,...mj,...j->...", ws.gamma, ws.ginv, fj.d1)
 
 
-def alpha_hessian(model, alpha, f, p):
-    """Second covariant derivative of f: d_i d_j f - Gamma^k_ij d_k f."""
-    return modified_hessian(model, alpha, 0.0, f, p)
-
-
 def _ricci_coupling(dim):
     if dim < 2:
         raise DimensionMismatchError(
@@ -364,28 +375,27 @@ def modified_hessian(model, alpha, spec, f, p):
     k = spec.k if isinstance(spec, HessianSpec) else float(spec)
     fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
-    comps = _hessian(ws, fj)
-    if k != 0.0:
-        comps = comps + k * ws.ricci * _bc(fj.value, 2)
+    with np.errstate(all="ignore"):
+        comps = _hessian(ws, fj)
+        if k != 0.0:
+            comps = comps + k * ws.ricci * _bc(fj.value, 2)
+    comps = _finite(comps, "Ricci-coupled Hessian", ws.p, alpha=alpha, k=k)
     return Tensor(model.dim, (COV, COV), comps)
 
 
-def _cup_trace(model, alpha, k, fj, p):
+def _cup_trace(ws, k, fj):
     """The trace operator at coupling ``k`` on ``fj``, the order-2 density jet."""
-    ws = point_geometry(model, alpha, p)
     return np.einsum("...ij,...ij->...", ws.ginv, _hessian(ws, fj)) + k * ws.scalar * fj.value
 
 
 def cup_laplacian(model, alpha, f, p):
     """Metric trace of the curvature-corrected Hessian at k = 1/(n-1)."""
     k = _ricci_coupling(model.dim)
-    return _real(_cup_trace(model, alpha, k, _field_jet(f, model, p, 2), p))
-
-
-def alpha_laplacian(model, alpha, f, p):
-    """Divergence-form Laplacian: d_i(g^{ij} d_j f) + Gamma^i_im g^{mj} d_j f."""
     fj = _field_jet(f, model, p, 2)
-    return _real(_laplacian(point_geometry(model, alpha, p), fj))
+    ws = point_geometry(model, alpha, p)
+    with np.errstate(all="ignore"):
+        out = _cup_trace(ws, k, fj)
+    return _real(_finite(out, "trace operator", ws.p, alpha=alpha))
 
 
 def cup_laplacian_decomposed(model, alpha, f, p):
@@ -399,10 +409,12 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     k = _ricci_coupling(model.dim)
     fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
-    out = _laplacian(ws, fj)
-    out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...", ws.t, ws.ginv, ws.ginv, fj.d1)
-    out = out + k * ws.scalar * fj.value
-    return _real(out)
+    with np.errstate(all="ignore"):
+        out = _laplacian(ws, fj)
+        out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...",
+                                      ws.t, ws.ginv, ws.ginv, fj.d1)
+        out = out + k * ws.scalar * fj.value
+    return _real(_finite(out, "decomposed trace operator", ws.p, alpha=alpha))
 
 
 def nonlinear_cup_operator(model, alpha, f, coupling, p):
@@ -410,7 +422,7 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     k = _ricci_coupling(model.dim)
     x = as_coords(p)
     fj = _field_jet(f, model, x, 2)
-    base = _cup_trace(model, alpha, k, fj, x)
+    ws = point_geometry(model, alpha, x)
     fval = fj.value
     lam = _field_jet(coupling.lam, model, x, 0).value
     a = coupling.a
@@ -423,22 +435,10 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     if a < 0.0 and np.any(np.equal(fval, 0.0)):
         row = first_false(np.not_equal(fval, 0.0))
         raise DomainError(f"density vanishes at {point_text(x, row)}; exponent {a} is negative")
-    return _real(base + lam * fval ** a)
-
-
-def integrability_residual(model, alpha, k, p):
-    """Max-norm gap between the curvature and its Ricci reconstruction.
-
-    Measures |R^i_jkl - k (delta^i_k Ric_jl - delta^i_l Ric_jk)| over all
-    indices; ``k=None`` selects the canonical coupling 1/(n-1).
-    """
-    if k is None:
-        k = _ricci_coupling(model.dim)
-    elif model.dim < 2:
-        raise DimensionMismatchError("integrability check needs dimension >= 2")
-    ws = point_geometry(model, alpha, p)
-    gap = ws.riemann - ricci_reconstruction(ws.ricci, k)
-    return _real(np.max(np.abs(gap), axis=(-4, -3, -2, -1)))
+    with np.errstate(all="ignore"):
+        # a numpy float overflows to inf where a plain float raises OverflowError
+        out = _cup_trace(ws, k, fj) + lam * np.float64(fval) ** a
+    return _real(_finite(out, "nonlinear operator", x, alpha=alpha, a=a))
 
 
 def ricci_reconstruction(ric, k):

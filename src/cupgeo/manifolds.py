@@ -4,8 +4,8 @@ A model bundles the Fisher metric g, the third-moment skewness tensor t,
 coordinate names, and a domain predicate.  Three sources are supported:
 
 * built-in closed forms (Gaussian location-scale, multinomial simplex,
-  flat Euclidean test chart), shipped as parsed expressions so that every
-  model serializes and differentiates the same way;
+  flat Euclidean test chart), shipped as parsed expressions so that they
+  differentiate exactly as a user config does;
 * user configs in JSON, one expression per independent tensor component;
 * black-box callables, differentiated by finite differences.
 
@@ -100,27 +100,15 @@ def _mirror_assign(out_jet, index, value_jet, order):
             out[key] = val
 
 
-class TensorField:
-    """A field of fully covariant, index-symmetric tensor components."""
-
-    mode = "jet"
-
-    def jet(self, coords, order):
-        """Array-valued jet of all components at one point or a ``(P, n)`` batch."""
-        raise NotImplementedError
-
-    def at(self, p):
-        comps = self.jet(as_coords(p), 0).value
-        return Tensor(self.dim, (COV,) * self.rank, comps)
-
-
-class ExprTensorField(TensorField):
-    """Components given as expressions over the chart coordinates.
+class ExprTensorField:
+    """Fully covariant, index-symmetric components given as expressions.
 
     ``entries`` maps a sorted index tuple (one representative per symmetry
-    class, 0-based) to a parsed :class:`~cupgeo.expr.Expression`; unlisted
-    components are zero.
+    class, 0-based) to a parsed :class:`~cupgeo.expr.Expression` over the
+    chart coordinates; unlisted components are zero.
     """
+
+    mode = "jet"
 
     def __init__(self, dim, rank, coord_names, entries):
         self.dim = dim
@@ -165,7 +153,7 @@ def _component_symmetrize(arr, rank):
     return out
 
 
-class NumericTensorField(TensorField):
+class NumericTensorField:
     """Black-box component callable; derivatives by finite differences.
 
     The raw output is symmetrized over component permutations before the
@@ -260,7 +248,7 @@ class ManifoldModel:
     """
 
     def __init__(self, dim, coord_names, metric, skewness, domain, name="model",
-                 mode="jet", metric_exprs=None, skewness_exprs=None, sample_spec_factory=None):
+                 mode="jet", sample_spec_factory=None):
         if dim < 1:
             raise ConfigError(f"dimension must be >= 1, got {dim}")
         if len(coord_names) != dim:
@@ -272,8 +260,6 @@ class ManifoldModel:
         self.domain = domain
         self.name = name
         self.mode = mode
-        self.metric_exprs = metric_exprs
-        self.skewness_exprs = skewness_exprs
         self.sample_spec_factory = sample_spec_factory
         self.geometry_memo = OrderedDict()
 
@@ -360,7 +346,7 @@ def _expr_entries(raw, rank, dim, coord_names, what):
             )
         entries[rep] = parsed
         sources[rep] = source
-    return entries, sources
+    return entries
 
 
 def _canonical_key(index):
@@ -371,18 +357,16 @@ def _canonical_key(index):
 
 def _expr_model(name, coord_names, metric_raw, skewness_raw, domain, sample_spec_factory=None):
     dim = len(coord_names)
-    metric_entries, metric_src = _expr_entries(metric_raw, 2, dim, coord_names, "metric")
-    skew_entries, skew_src = _expr_entries(skewness_raw, 3, dim, coord_names, "skewness")
+    metric = _expr_entries(metric_raw, 2, dim, coord_names, "metric")
+    skewness = _expr_entries(skewness_raw, 3, dim, coord_names, "skewness")
     return ManifoldModel(
         dim=dim,
         coord_names=coord_names,
-        metric=ExprTensorField(dim, 2, coord_names, metric_entries),
-        skewness=ExprTensorField(dim, 3, coord_names, skew_entries),
+        metric=ExprTensorField(dim, 2, coord_names, metric),
+        skewness=ExprTensorField(dim, 3, coord_names, skewness),
         domain=domain,
         name=name,
         mode="jet",
-        metric_exprs={_canonical_key(k): v for k, v in metric_src.items()},
-        skewness_exprs={_canonical_key(k): v for k, v in skew_src.items()},
         sample_spec_factory=sample_spec_factory,
     )
 
@@ -600,7 +584,7 @@ def estimate_fisher_tensors(spec, p, batch_size=250_000):
     )
 
 
-# -- config round trip ------------------------------------------------------
+# -- model configs ----------------------------------------------------------
 
 
 def parse_model(config_text):
@@ -665,31 +649,6 @@ def parse_model(config_text):
         skewness_raw,
         Domain(tuple(bounds), simplex=simplex),
     )
-
-
-def serialize_model(model):
-    """JSON config for a model built from expressions (inverse of parse_model).
-
-    Expression sources are emitted verbatim, so parse/serialize round-trips
-    are bit-exact on the expressions.
-    """
-    if model.metric_exprs is None or model.skewness_exprs is None:
-        raise ConfigError(f"model {model.name!r} was not built from expressions")
-    domain = {}
-    for coord, (lo, hi) in zip(model.coord_names, model.domain.bounds):
-        if lo is not None or hi is not None:
-            domain[coord] = [lo, hi]
-    if model.domain.simplex:
-        domain["simplex"] = True
-    data = {
-        "name": model.name,
-        "dim": model.dim,
-        "coords": list(model.coord_names),
-        "metric": dict(sorted(model.metric_exprs.items())),
-        "skewness": dict(sorted(model.skewness_exprs.items())),
-        "domain": domain,
-    }
-    return json.dumps(data, indent=2)
 
 
 def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, name="callable"):

@@ -50,9 +50,6 @@ class Point:
     def __iter__(self):
         return iter(self.coords)
 
-    def array(self):
-        return np.asarray(self.coords)
-
 
 def as_point(p):
     return p if isinstance(p, Point) else Point(p)
@@ -136,40 +133,6 @@ class Tensor:
             if not np.allclose(c, np.transpose(c, axes), rtol=0.0, atol=tol):
                 return False
         return True
-
-
-def contract(t, slot_a, slot_b):
-    """Trace a contravariant slot against a covariant slot.
-
-    The surviving slots keep their original left-to-right order.
-    """
-    if slot_a == slot_b:
-        raise VarianceError("cannot contract a slot with itself")
-    kinds = {t.variance[slot_a], t.variance[slot_b]}
-    if kinds != {COV, CONTRA}:
-        raise VarianceError(
-            f"contraction needs one covariant and one contravariant slot, "
-            f"got {t.variance[slot_a]} and {t.variance[slot_b]}"
-        )
-    b = t.batch_ndim
-    components = np.trace(t.components, axis1=b + slot_a, axis2=b + slot_b)
-    variance = tuple(v for i, v in enumerate(t.variance) if i not in (slot_a, slot_b))
-    if not variance:
-        return components if b else float(components)
-    return Tensor(t.dim, variance, components)
-
-
-def raise_index(t, slot, g_inv):
-    """Flip a covariant slot to contravariant with the inverse metric."""
-    if t.variance[slot] != COV:
-        raise VarianceError(f"slot {slot} is not covariant")
-    ginv = g_inv.components if isinstance(g_inv, Tensor) else np.asarray(g_inv, dtype=float)
-    idx = "abcdefgh"[:t.rank]
-    raised = idx[:slot] + "z" + idx[slot + 1:]
-    components = np.einsum(f"...{idx},...{idx[slot]}z->...{raised}", t.components, ginv)
-    variance = list(t.variance)
-    variance[slot] = CONTRA
-    return Tensor(t.dim, tuple(variance), components)
 
 
 def invert_metric(g, at=None):

@@ -43,6 +43,7 @@ from .errors import ConfigError
 from .geometry import (
     HessianSpec,
     NonlinearCoupling,
+    _ricci_coupling,
     alpha_connection,
     covariant_derivative_metric,
     cup_laplacian,
@@ -123,6 +124,9 @@ class SuiteConfig:
         if not self.alphas:
             raise ConfigError("suite config has an empty alpha list")
         for case in self.cases:
+            if case.model.dim < 2:
+                raise ConfigError(f"model case {case.model.name!r} is one-dimensional; "
+                                  "the suite needs models of dimension 2 or more")
             if not case.points:
                 raise ConfigError(f"model case {case.model.name!r} has no grid points")
             if not case.potentials:
@@ -323,10 +327,15 @@ def _invariance(res, operator, s, model, varied, resc, inputs, pts):
     return lhs, base
 
 
+def _hessian_k(config, case):
+    """The Ricci coupling of ``config``: its override, else 1/(n-1) on the case's model."""
+    return _ricci_coupling(case.model.dim) if config.hessian_k is None else config.hessian_k
+
+
 def _check_hessian_inv(config, tol, variants):
     res = _Residuals()
     for case, pts, alpha, resc, varied, density in _cells(config, variants):
-        k = config.hessian_k if config.hessian_k is not None else 1.0 / (case.model.dim - 1)
+        k = _hessian_k(config, case)
         op = lambda m, f, p: modified_hessian(m, alpha, HessianSpec(k), f, p)
         _invariance(res, op, 1.0, case.model, varied, resc, (density,), pts)
     return res.report("hessian_inv", tol)
@@ -363,7 +372,7 @@ def _check_integrability(config, tol, variants):
     flat = 0
     for case in config.cases:
         pts = _grid(case)
-        k = config.hessian_k if config.hessian_k is not None else 1.0 / (case.model.dim - 1)
+        k = _hessian_k(config, case)
         for alpha in config.alphas:
             riem = riemann(case.model, alpha, pts).components
             curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,26 @@ class TestErrorPaths:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: alpha must be finite")
+
+    @pytest.mark.parametrize("argv, named", [
+        (("laplacian", "--model", "gaussian", "--point", "0,1", "--density", "10",
+          "--lambda", "2", "--a", "1000"), "nonlinear operator is not finite at (0.0, 1.0); "
+                                          "alpha = 0, a = 1000"),
+        (("tensors", "--model", "gaussian", "--alpha", "1e200", "--point", "0,1", "--json"),
+         "curvature is not finite at (0.0, 1.0); alpha = 1e+200"),
+        (("laplacian", "--model", "gaussian", "--alpha", "1e200", "--point", "0,1",
+          "--density", "1+mu"), "curvature is not finite at (0.0, 1.0); alpha = 1e+200"),
+        (("verify", "--default", "--check", "hessian_inv", "--k", "1e308"),
+         "Ricci-coupled Hessian is not finite at (-1.0, 0.6) (row 0); alpha = -0.5, k = 1e+308"),
+    ], ids=["power", "tensors-alpha", "laplacian-alpha", "hessian-k"])
+    def test_overflow_is_one_error_line(self, argv, named, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc, out, err = run_cli(*argv, capsys=capsys)
+        assert caught == []
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {named}\n"
 
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_exponent(self, a, capsys):

@@ -26,6 +26,8 @@ from cupgeo.geometry import (
     riemann,
 )
 from cupgeo.manifolds import gaussian_model, multinomial_model
+from cupgeo.tensor_core import as_coords
+from cupgeo.verify import default_suite_config, run_suite
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -79,6 +81,37 @@ def test_psi_jet_order_capped():
     assert r.psi_jet((0.0, 1.0), 1).order == 1
     with pytest.raises(UnsupportedOrderError):
         r.psi_jet((0.0, 1.0), 2)
+
+
+@pytest.mark.parametrize("points", [(0.3, 1.2), ((0.3, 1.2), (-1.0, 0.6), (1.0, 1.8))],
+                         ids=["point", "batch"])
+def test_kept_jets_match_a_fresh_rescaling_bitwise(points):
+    x = as_coords(points)
+    kept = resc(0.5, "0.1*mu*sigma + exp(0.2*mu)")
+    kept.eta_jet(x, 2)  # every lower order below is read off this one by truncation
+    for order in (0, 1, 2):
+        fresh = resc(0.5, "0.1*mu*sigma + exp(0.2*mu)")
+        pairs = [(kept.eta_jet(x, order), fresh.eta_jet(x, order))]
+        if order < 2:
+            pairs.append((kept.psi_jet(x, order), fresh.psi_jet(x, order)))
+        for got, want in pairs:
+            assert got.order == want.order == order
+            for k in range(order + 1):
+                assert np.array_equal(got.deriv(k), want.deriv(k))
+
+
+def test_default_pass_evaluates_each_potential_once_per_grid():
+    config = default_suite_config()
+    orders = []
+    for case in config.cases:
+        for potential in case.potentials:
+            def counted(coords, order, jet=potential.jet):
+                orders.append(order)
+                return jet(coords, order)
+            potential.jet = counted
+    assert run_suite(config).passed
+    # 40 rescalings on one grid each; one first asked for a lower order is evaluated twice
+    assert len(orders) <= 60
 
 
 def test_potential_must_be_scalar_field():

@@ -14,18 +14,17 @@ from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
+    _laplacian,
     alpha_connection,
-    alpha_hessian,
-    alpha_laplacian,
     covariant_derivative_metric,
     cup_laplacian,
     cup_laplacian_decomposed,
     curvature,
-    integrability_residual,
-    levi_civita,
     modified_hessian,
     nonlinear_cup_operator,
+    point_geometry,
     ricci,
+    ricci_reconstruction,
     riemann,
     scalar_curvature,
 )
@@ -36,7 +35,7 @@ from cupgeo.manifolds import (
     multinomial_model,
     resolve_model,
 )
-from cupgeo.tensor_core import FuncField
+from cupgeo.tensor_core import FuncField, evaluate_jet
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -46,11 +45,11 @@ ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 class TestChristoffel:
     def test_euclidean_chart_is_flat(self):
-        gamma = levi_civita(FLAT, (3.0, -2.0))
+        gamma = alpha_connection(FLAT, 0.0, (3.0, -2.0))
         assert np.array_equal(gamma.components, np.zeros((2, 2, 2)))
 
     def test_location_scale_values_at_unit_scale(self):
-        gamma = levi_civita(GAUSS, (0.0, 1.0)).components
+        gamma = alpha_connection(GAUSS, 0.0, (0.0, 1.0)).components
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 1] = expected[0, 1, 0] = -1.0
         expected[1, 0, 0] = 0.5
@@ -58,16 +57,10 @@ class TestChristoffel:
         assert np.allclose(gamma, expected, rtol=1e-14, atol=1e-15)
 
     def test_values_scale_inversely_with_sigma(self):
-        gamma = levi_civita(GAUSS, (0.0, 2.0)).components
+        gamma = alpha_connection(GAUSS, 0.0, (0.0, 2.0)).components
         assert gamma[0, 0, 1] == pytest.approx(-0.5, rel=1e-14)
         assert gamma[1, 0, 0] == pytest.approx(0.25, rel=1e-14)
         assert gamma[1, 1, 1] == pytest.approx(-0.5, rel=1e-14)
-
-    def test_alpha_zero_reduces_to_levi_civita(self):
-        p = (0.7, 1.3)
-        assert np.array_equal(
-            alpha_connection(GAUSS, 0.0, p).components, levi_civita(GAUSS, p).components
-        )
 
     def test_alpha_one_values(self):
         gamma = alpha_connection(GAUSS, 1.0, (0.0, 1.0)).components
@@ -94,7 +87,7 @@ class TestChristoffel:
         from cupgeo.errors import SingularMetricError
 
         with pytest.raises(SingularMetricError):
-            levi_civita(bad, (0.0, 0.0))
+            alpha_connection(bad, 0.0, (0.0, 0.0))
 
 
 class TestMetricDerivative:
@@ -189,25 +182,18 @@ class TestCurvature:
 
 class TestHessians:
     def test_constant_density_has_zero_hessian(self):
-        h = alpha_hessian(GAUSS, 0.5, 1.0, (0.3, 1.2)).components
+        h = modified_hessian(GAUSS, 0.5, 0.0, 1.0, (0.3, 1.2)).components
         assert np.array_equal(h, np.zeros((2, 2)))
 
     def test_flat_chart_hessian(self):
         f = FLAT.scalar_field("x*y")
-        h = alpha_hessian(FLAT, 0.0, f, (5.0, -3.0)).components
+        h = modified_hessian(FLAT, 0.0, 0.0, f, (5.0, -3.0)).components
         assert np.allclose(h, [[0.0, 1.0], [1.0, 0.0]], rtol=1e-14)
 
     def test_scale_coordinate_hessian_reads_off_christoffels(self):
         f = GAUSS.scalar_field("sigma")
-        h = alpha_hessian(GAUSS, 0.0, f, (0.0, 1.0)).components
+        h = modified_hessian(GAUSS, 0.0, 0.0, f, (0.0, 1.0)).components
         assert np.allclose(h, np.diag([-0.5, 1.0]), rtol=1e-14)
-
-    def test_zero_coupling_reduces_to_plain_hessian(self):
-        f = GAUSS.scalar_field("1 + 0.1*mu*sigma")
-        p = (0.4, 1.1)
-        a = modified_hessian(GAUSS, 0.5, HessianSpec(k=0.0), f, p).components
-        b = alpha_hessian(GAUSS, 0.5, f, p).components
-        assert np.array_equal(a, b)
 
     def test_unit_density_picks_out_coupled_ricci(self):
         h = modified_hessian(GAUSS, 0.0, HessianSpec(k=1.0), 1.0, (0.0, 1.0)).components
@@ -266,7 +252,7 @@ class TestTraceOperator:
         f = TRI.scalar_field("p1^2 + p2")
         p = (0.3, 0.25)
         k = 1.0 / (TRI.dim - 1)
-        plain = alpha_laplacian(TRI, 0.0, f, p)
+        plain = _laplacian(point_geometry(TRI, 0.0, p), evaluate_jet(f, p, 2))
         full = cup_laplacian(TRI, 0.0, f, p)
         expected = plain + k * scalar_curvature(TRI, 0.0, p) * f(p)
         assert full == pytest.approx(expected, rel=1e-11)
@@ -277,8 +263,6 @@ class TestTraceOperator:
             cup_laplacian(bern, 0.0, 1.0, (0.5,))
         with pytest.raises(DimensionMismatchError):
             cup_laplacian_decomposed(bern, 0.0, 1.0, (0.5,))
-        with pytest.raises(DimensionMismatchError):
-            integrability_residual(bern, 0.0, 0.5, (0.5,))
 
 
 class TestNonlinearOperator:
@@ -331,32 +315,33 @@ class TestNonlinearOperator:
         assert got == pytest.approx(cup_laplacian(GAUSS, 0.0, f, (0.0, 1.0)), rel=1e-13)
 
 
+def integrability_gap(model, alpha, p, k=None):
+    """max |R^i_jkl - k (delta^i_k Ric_jl - delta^i_l Ric_jk)|, by default at k = 1/(n-1)."""
+    k = 1.0 / (model.dim - 1) if k is None else k
+    predicted = ricci_reconstruction(ricci(model, alpha, p).components, k)
+    return np.abs(riemann(model, alpha, p).components - predicted).max()
+
+
 class TestIntegrability:
     def test_flat_chart_residual_is_zero(self):
-        assert integrability_residual(FLAT, 0.0, None, (1.0, 2.0)) == 0.0
+        assert integrability_gap(FLAT, 0.0, (1.0, 2.0)) == 0.0
 
     def test_location_scale_family_satisfies_the_identity(self):
         for p in ((0.0, 1.0), (1.0, 0.6), (-0.7, 2.2)):
-            assert integrability_residual(GAUSS, 0.0, None, p) <= 1e-7
+            assert integrability_gap(GAUSS, 0.0, p) <= 1e-7
 
     def test_simplex_at_intermediate_alpha(self):
-        assert integrability_residual(TRI, 0.5, None, (1 / 3, 1 / 3)) <= 1e-7
+        assert integrability_gap(TRI, 0.5, (1 / 3, 1 / 3)) <= 1e-7
 
     def test_wrong_coupling_breaks_the_identity(self):
-        assert integrability_residual(GAUSS, 0.0, 0.25, (0.0, 1.0)) > 1e-3
-
-    def test_one_dimensional_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            integrability_residual(multinomial_model(2), 0.0, None, (0.5,))
+        assert integrability_gap(GAUSS, 0.0, (0.0, 1.0), k=0.25) > 1e-3
 
 
 def test_connection_components_expose_metadata():
     gamma = alpha_connection(GAUSS, 0.5, (0.0, 1.0))
     assert gamma.dim == 2
     assert gamma.alpha == 0.5
-    tensor = gamma.tensor()
-    assert tensor.variance[0] == "contra"
-    assert np.array_equal(tensor.components, gamma.components)
+    assert gamma.components.shape == (2, 2, 2)
 
 
 def test_curvature_pack_consistency():

@@ -28,11 +28,10 @@ from cupgeo.tensor_core import (
     NumericField,
     Point,
     Tensor,
+    as_coords,
     as_point,
-    contract,
     evaluate_jet,
     invert_metric,
-    raise_index,
 )
 
 
@@ -42,7 +41,7 @@ class TestPoint:
         assert len(p) == 2
         assert p[1] == -1.0
         assert tuple(p) == (0.5, -1.0)
-        assert np.array_equal(p.array(), [0.5, -1.0])
+        assert np.array_equal(as_coords(p), [0.5, -1.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -154,51 +153,6 @@ class TestSymmetrize:
         gg, uu = g[2], u[2]
         for i, j, k in itertools.combinations_with_replacement(range(4), 3):
             assert single.value[i, j, k] == gg[i, j] * uu[k] + gg[j, k] * uu[i] + gg[k, i] * uu[j]
-
-
-class TestContractAndRaise:
-    def test_trace_of_identity(self):
-        delta = Tensor(2, (CONTRA, COV), np.eye(2))
-        assert contract(delta, 0, 1) == 2.0
-
-    def test_contraction_needs_opposite_variances(self):
-        g = Tensor(2, (COV, COV), np.eye(2))
-        with pytest.raises(VarianceError):
-            contract(g, 0, 1)
-        with pytest.raises(VarianceError):
-            contract(g, 1, 1)
-
-    def test_raise_needs_covariant_slot(self):
-        v = Tensor(2, (CONTRA,), np.ones(2))
-        with pytest.raises(VarianceError):
-            raise_index(v, 0, np.eye(2))
-
-    def test_raise_with_diagonal_metric(self):
-        psi = Tensor(2, (COV,), np.array([0.3, 0.0]))
-        up = raise_index(psi, 0, np.diag([1.0, 0.5]))
-        assert up.variance == (CONTRA,)
-        assert np.allclose(up.components, [0.3, 0.0], rtol=1e-15)
-
-    def test_skewness_metric_contraction_hand_value(self):
-        model = gaussian_model()
-        t = model.skewness_at((0.0, 1.0))
-        ginv = invert_metric(model.metric_at((0.0, 1.0)))
-        mixed = raise_index(t, 2, ginv)
-        # t_{11m} g^{m2} = t_{112} g^{22} = 2 * 0.5
-        assert mixed.components[0, 0, 1] == pytest.approx(1.0, rel=1e-14)
-        brute = sum(t.components[0, 0, m] * ginv.components[m, 1] for m in range(2))
-        assert mixed.components[0, 0, 1] == pytest.approx(brute, rel=1e-15)
-
-    def test_contract_and_raise_commute_on_disjoint_slots(self):
-        rng = np.random.default_rng(11)
-        n = 3
-        T = Tensor(n, (CONTRA, COV, COV), rng.standard_normal((n, n, n)))
-        g = rng.standard_normal((n, n))
-        ginv = invert_metric(g @ g.T + n * np.eye(n))
-        a = contract(raise_index(T, 2, ginv), 0, 1)
-        b = raise_index(contract(T, 0, 1), 0, ginv)
-        assert a.variance == b.variance == (CONTRA,)
-        assert np.abs(a.components - b.components).max() <= 1e-12
 
 
 class TestInvertMetric:

@@ -99,6 +99,14 @@ class TestValidation:
         with pytest.raises(Exception, match="outside the domain"):
             run_check("codazzi", small_config(cases=(case,)))
 
+    @pytest.mark.parametrize("check_id", ["integrability", "hessian_inv"])
+    def test_one_dimensional_case_rejected(self, check_id):
+        bern = multinomial_model(2)
+        case = ModelCase(model=bern, points=((0.5,),), potentials=(bern.scalar_field("p1"),),
+                         densities=(WeightedDensity(bern.scalar_field("1"), 1.0),), couplings=())
+        with pytest.raises(ConfigError, match="'multinomial:2' is one-dimensional"):
+            run_check(check_id, small_config(cases=(case,)))
+
     @pytest.mark.parametrize("overrides, field", [
         ({"tolerance": float("nan")}, "tolerance"),
         ({"tolerance": 0.0}, "tolerance"),
