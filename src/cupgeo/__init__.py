@@ -63,14 +63,12 @@ from .manifolds import (
 from .tensor_core import (
     CONTRA,
     COV,
-    ConstantField,
     FuncField,
     NumericField,
     Point,
     ScalarField,
     Tensor,
     as_point,
-    evaluate_jet,
     invert_metric,
 )
 from .verify import (

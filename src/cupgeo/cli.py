@@ -36,6 +36,7 @@ from .verify import (
     default_suite_config,
     run_check,
     run_suite,
+    standard_couplings,
 )
 
 # -- deterministic JSON -----------------------------------------------------
@@ -134,45 +135,31 @@ def _print_matrix(title, names, mat):
         print(f"    {names[i]:>{width}}" + "".join(f"{_fmt(v):>{cell}}" for v in row))
 
 
-def _print_sym3(title, names, arr, dim):
-    shown = 0
+def _print_nonzero(title, rows):
+    """The nonzero ``(label, value)`` rows under ``title``, in order."""
     print(f"  {title}:")
-    for index in combinations_with_replacement(range(dim), 3):
-        v = arr[index]
-        if v != 0.0:
-            print(f"    [{_label(names, index)}] = {_fmt(v)}")
-            shown += 1
+    shown = [(label, v) for label, v in rows if v != 0.0]
+    for label, v in shown:
+        print(f"    {label} = {_fmt(v)}")
     if not shown:
         print("    (all components zero)")
 
 
-def _print_gamma(title, names, arr, dim):
-    shown = 0
-    print(f"  {title}:")
-    for k in range(dim):
-        for i in range(dim):
-            for j in range(i, dim):
-                v = arr[k, i, j]
-                if v != 0.0:
-                    print(f"    ^{names[k]}_[{_label(names, (i, j))}] = {_fmt(v)}")
-                    shown += 1
-    if not shown:
-        print("    (all components zero)")
+def _sym3_rows(names, arr):
+    return [(f"[{_label(names, index)}]", arr[index])
+            for index in combinations_with_replacement(range(len(names)), 3)]
 
 
-def _print_riemann(title, names, arr, dim):
-    shown = 0
-    print(f"  {title}:")
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                for l in range(k + 1, dim):
-                    v = arr[i, j, k, l]
-                    if v != 0.0:
-                        print(f"    ^{names[i]}_[{_label(names, (j, k, l))}] = {_fmt(v)}")
-                        shown += 1
-    if not shown:
-        print("    (all components zero)")
+def _gamma_rows(names, arr):
+    n = len(names)
+    return [(f"^{names[k]}_[{_label(names, (i, j))}]", arr[k, i, j])
+            for k in range(n) for i in range(n) for j in range(i, n)]
+
+
+def _riemann_rows(names, arr):
+    n = len(names)
+    return [(f"^{names[i]}_[{_label(names, (j, k, l))}]", arr[i, j, k, l])
+            for i in range(n) for j in range(n) for k in range(n) for l in range(k + 1, n)]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -207,10 +194,10 @@ def cmd_tensors(args):
         print(f"\npoint ({coords})")
         _print_matrix("metric g", names, entry["g"])
         _print_matrix("inverse metric", names, entry["g_inv"])
-        _print_sym3("skewness t", names, entry["t"], model.dim)
-        _print_gamma("Gamma (Levi-Civita)", names, entry["gamma0"], model.dim)
-        _print_gamma(f"Gamma (alpha={_fmt(alpha)})", names, entry["gamma_alpha"], model.dim)
-        _print_riemann("Riemann", names, entry["riemann"], model.dim)
+        _print_nonzero("skewness t", _sym3_rows(names, entry["t"]))
+        _print_nonzero("Gamma (Levi-Civita)", _gamma_rows(names, entry["gamma0"]))
+        _print_nonzero(f"Gamma (alpha={_fmt(alpha)})", _gamma_rows(names, entry["gamma_alpha"]))
+        _print_nonzero("Riemann", _riemann_rows(names, entry["riemann"]))
         _print_matrix("Ricci", names, entry["ricci"])
         print(f"  scalar curvature: {_fmt(entry['scalar_curvature'])}")
     return 0
@@ -305,12 +292,7 @@ def _case_for(model):
             # so the s=1 negative control cannot pass vacuously
             WeightedDensity(model.scalar_field(f"1 + 0.1*{c1}^2 + 0.1*{c1}*{c2}"), 1.0),
         ),
-        couplings=(
-            geometry.NonlinearCoupling(model.scalar_field("2"), 3.0),
-            geometry.NonlinearCoupling(model.scalar_field(f"1 + 0.1*{c1}"), -2.0),
-            geometry.NonlinearCoupling(model.scalar_field("2"), 0.5),
-            geometry.NonlinearCoupling(model.scalar_field(f"1 + 0.1*{c1}"), 1.0),
-        ),
+        couplings=standard_couplings(model),
     )
 
 

@@ -122,8 +122,6 @@ def parse_rescaling(config_text, model):
 
 
 class _ScaledMetricField:
-    mode = "jet"
-
     def __init__(self, base, resc):
         self.base = base
         self.resc = resc
@@ -144,8 +142,6 @@ class _ShiftedSkewnessField:
     wrong-normalization negative control; the defining transformation has
     weight 1.
     """
-
-    mode = "jet"
 
     def __init__(self, model, resc, weight):
         self.model = model
@@ -198,7 +194,6 @@ class _PoweredScaleField(ScalarField):
         self.resc = resc
         self.power = float(power)
         self.dim = base.dim
-        self.domain = base.domain
         self.mode = base.mode
 
     def jet(self, coords, order):

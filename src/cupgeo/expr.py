@@ -210,8 +210,8 @@ def evaluate(node, env):
 class Expression:
     """A parsed expression that keeps its source text verbatim.
 
-    Serialization writes back ``source`` unchanged, so a parse/serialize
-    round trip is the identity on the text.
+    Calling it with a map from variable names to numbers or jets evaluates
+    it; ``source`` names it in error messages.
     """
 
     def __init__(self, source):

@@ -24,7 +24,9 @@ triple: each model owns a memo of its :data:`GEOMETRY_MEMO_SIZE` most
 recently used geometries, keyed by ``float(alpha)`` and the shape and bytes
 of the validated coordinates.  Sharing is sound because models are
 immutable and their fields pure; the shared arrays are read-only, so a
-caller cannot alter what a later call returns.
+caller cannot alter what a later call returns.  Each operator checks its
+points once, through :func:`point_geometry`, and evaluates its density and
+coupling at the coordinates checked there.
 
 A connection, curvature or operator value that is not finite (an overflow
 at a huge alpha, coupling k or exponent a) raises :class:`EvaluationError`
@@ -39,15 +41,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
-from .jets import _bc
+from .jets import _bc, constant_at
 from .tensor_core import (
     CONTRA,
     COV,
-    ConstantField,
     ScalarField,
     Tensor,
-    as_coords,
-    evaluate_jet,
     first_false,
     invert_metric,
     point_text,
@@ -328,17 +327,19 @@ def curvature(model, alpha, p):
 # -- scalar operators -------------------------------------------------------
 
 
-def _as_field(f, model):
-    if isinstance(f, ScalarField):
-        return f
+def _field_jet(f, model, x, order):
+    """The jet of a density or coupling ``f`` at ``x``, coordinates checked against ``model``.
+
+    A finite number is the constant field of that value; anything else must
+    be a :class:`ScalarField` over the model's coordinates.
+    """
     if isinstance(f, (int, float)):
-        return ConstantField(f, model.dim)
-    raise ConfigError(f"density must be a scalar field or a number, got {type(f).__name__}")
-
-
-def _field_jet(f, model, p, order):
-    field = _as_field(f, model)
-    jet = evaluate_jet(field, p, order)
+        if not math.isfinite(f):
+            raise ConfigError(f"density must be a finite number, got {f}")
+        return constant_at(float(f), x, order)
+    if not isinstance(f, ScalarField):
+        raise ConfigError(f"density must be a scalar field or a number, got {type(f).__name__}")
+    jet = f.jet(x, order)
     if jet.dim != model.dim:
         raise DimensionMismatchError(
             f"density is a field of {jet.dim} coordinates, model has {model.dim}"
@@ -373,8 +374,8 @@ def modified_hessian(model, alpha, spec, f, p):
     the one whose rescaling behavior is exactly conformal of weight one.
     """
     k = spec.k if isinstance(spec, HessianSpec) else float(spec)
-    fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
+    fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
         comps = _hessian(ws, fj)
         if k != 0.0:
@@ -391,8 +392,8 @@ def _cup_trace(ws, k, fj):
 def cup_laplacian(model, alpha, f, p):
     """Metric trace of the curvature-corrected Hessian at k = 1/(n-1)."""
     k = _ricci_coupling(model.dim)
-    fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
+    fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
         out = _cup_trace(ws, k, fj)
     return _real(_finite(out, "trace operator", ws.p, alpha=alpha))
@@ -407,8 +408,8 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     routes share no intermediate beyond the metric jets.
     """
     k = _ricci_coupling(model.dim)
-    fj = _field_jet(f, model, p, 2)
     ws = point_geometry(model, alpha, p)
+    fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
         out = _laplacian(ws, fj)
         out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...",
@@ -420,9 +421,9 @@ def cup_laplacian_decomposed(model, alpha, f, p):
 def nonlinear_cup_operator(model, alpha, f, coupling, p):
     """cup_laplacian(f) plus the zeroth-order term lam(p) * f(p)^a."""
     k = _ricci_coupling(model.dim)
-    x = as_coords(p)
+    ws = point_geometry(model, alpha, p)
+    x = ws.p
     fj = _field_jet(f, model, x, 2)
-    ws = point_geometry(model, alpha, x)
     fval = fj.value
     lam = _field_jet(coupling.lam, model, x, 0).value
     a = coupling.a

@@ -128,14 +128,12 @@ class Jet:
             jet.d1[..., index] = 1.0
         return jet
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            if other.dim != self.dim:
-                raise ValueError(f"jet dims differ: {self.dim} vs {other.dim}")
-            if other.order != self.order:
-                raise ValueError(f"jet orders differ: {self.order} vs {other.order}")
-            return other
-        return Jet.constant(other, self.dim, self.order)
+    def _check(self, other):
+        """Raise unless the jet ``other`` has this jet's dimension and order."""
+        if other.dim != self.dim:
+            raise ValueError(f"jet dims differ: {self.dim} vs {other.dim}")
+        if other.order != self.order:
+            raise ValueError(f"jet orders differ: {self.order} vs {other.order}")
 
     # -- accessors --------------------------------------------------------
 
@@ -157,14 +155,23 @@ class Jet:
         return Jet(self.dim, self.order, *[fn(self.deriv(k)) for k in range(self.order + 1)])
 
     # -- ring operations --------------------------------------------------
+    #
+    # A number or an array operand is a constant: it shifts the value or
+    # scales every part, and no zero-derivative jet is built for it.
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            # a plain number shifts the value only; derivative arrays are shared
-            return Jet(self.dim, self.order, self.value + other, self.d1, self.d2)
-        g = self._lift(other)
-        parts = [self.deriv(k) + g.deriv(k) for k in range(1, self.order + 1)]
-        return Jet(self.dim, self.order, self.value + g.value, *parts)
+        if not isinstance(other, Jet):
+            value = self.value + other
+            parts = [self.deriv(k) for k in range(1, self.order + 1)]
+            if isinstance(other, np.ndarray) and np.shape(value) != np.shape(self.value):
+                # an array operand added batch axes: the shared parts gain them too
+                lead = np.shape(value)
+                parts = [np.broadcast_to(d, lead + d.shape[d.ndim - k:])
+                         for k, d in enumerate(parts, 1)]
+            return Jet(self.dim, self.order, value, *parts)
+        self._check(other)
+        parts = [self.deriv(k) + other.deriv(k) for k in range(1, self.order + 1)]
+        return Jet(self.dim, self.order, self.value + other.value, *parts)
 
     __radd__ = __add__
 
@@ -173,19 +180,17 @@ class Jet:
         return Jet(self.dim, self.order, -self.value, *parts)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return self + (-self._lift(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            parts = [other * self.deriv(k) for k in range(1, self.order + 1)]
+        if not isinstance(other, Jet):
+            parts = [_bc(other, k) * self.deriv(k) for k in range(1, self.order + 1)]
             return Jet(self.dim, self.order, self.value * other, *parts)
-        g = self._lift(other)
-        f = self
+        self._check(other)
+        f, g = self, other
         n, m = f.dim, f.order
         value = f.value * g.value
         parts = []
@@ -203,9 +208,9 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
+        if not isinstance(other, Jet):
             return self * (1.0 / other)
-        return self * self._lift(other)._reciprocal()
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other

@@ -69,7 +69,7 @@ class Domain:
 
     def contains(self, p):
         """Whether one point lies inside; for a ``(P, n)`` batch, one bool per row."""
-        x = as_coords(p)
+        x = np.asarray(p, dtype=float)
         if x.shape[-1] != len(self.bounds):
             inside = np.zeros(x.shape[:-1], dtype=bool)
         else:
@@ -107,8 +107,6 @@ class ExprTensorField:
     class, 0-based) to a parsed :class:`~cupgeo.expr.Expression` over the
     chart coordinates; unlisted components are zero.
     """
-
-    mode = "jet"
 
     def __init__(self, dim, rank, coord_names, entries):
         self.dim = dim
@@ -161,8 +159,6 @@ class NumericTensorField:
     FD derivatives exactly symmetric in their component axes.
     """
 
-    mode = "fd"
-
     def __init__(self, dim, rank, fn):
         self.dim = dim
         self.rank = rank
@@ -188,14 +184,13 @@ class NumericTensorField:
 class ExprScalarField(ScalarField):
     """A scalar field parsed from an expression over named coordinates."""
 
-    def __init__(self, source, coord_names, domain=None):
+    def __init__(self, source, coord_names):
         self.source = source
         self.expression = source if isinstance(source, expr.Expression) else expr.Expression(source)
         if isinstance(source, expr.Expression):
             self.source = source.source
         self.coord_names = tuple(coord_names)
         self.dim = len(self.coord_names)
-        self.domain = domain
         unknown = self.expression.variables - set(self.coord_names)
         if unknown:
             raise ConfigError(
@@ -294,7 +289,7 @@ class ManifoldModel:
 
     def scalar_field(self, source):
         """Parse an expression in this model's coordinates."""
-        return ExprScalarField(source, self.coord_names, domain=self.domain)
+        return ExprScalarField(source, self.coord_names)
 
     def sample_spec(self, count, seed=0):
         if self.sample_spec_factory is None:

@@ -8,6 +8,10 @@ always the leftmost written component index.
 Points are given either one at a time (a coordinate tuple, shape ``(n,)``)
 or as a batch (a ``(P, n)`` array); :func:`as_coords` normalizes both.
 Values over a batch carry its axis first, ahead of the component axes.
+
+Scalar fields have no domain of their own: they take coordinates already
+checked against the model they are evaluated on, and the model's domain is
+the only one there is.
 """
 
 import math
@@ -21,7 +25,6 @@ from .errors import (
     DomainError,
     EvaluationError,
     SingularMetricError,
-    UnsupportedOrderError,
     VarianceError,
 )
 
@@ -118,22 +121,6 @@ class Tensor:
     def rank(self):
         return len(self.variance)
 
-    @property
-    def batch_ndim(self):
-        return self.components.ndim - self.rank
-
-    def is_fully_symmetric(self, tol=0.0):
-        """Componentwise equality under every index permutation."""
-        from itertools import permutations
-
-        c = self.components
-        b = self.batch_ndim
-        for perm in permutations(range(self.rank)):
-            axes = tuple(range(b)) + tuple(b + q for q in perm)
-            if not np.allclose(c, np.transpose(c, axes), rtol=0.0, atol=tol):
-                return False
-        return True
-
 
 def invert_metric(g, at=None):
     """Inverse of a symmetric positive-definite cov-2 tensor, or of a stack of them.
@@ -219,12 +206,13 @@ class ScalarField:
     Subclasses fix how derivatives are obtained: exact jet arithmetic for
     analytic rules and parsed expressions, fourth-order central differences
     for black-box callables.  Evaluation at a fixed point is deterministic.
-    ``jet(coords, order)`` takes one point or a ``(P, n)`` batch and goes
-    through :func:`field_jet`.
+    ``jet(coords, order)`` takes one point or a ``(P, n)`` batch of
+    coordinates already checked against the model's domain (the operators
+    check them once, through :func:`cupgeo.geometry.point_geometry`) and
+    goes through :func:`field_jet`.
     """
 
     mode = "jet"
-    domain = None
 
     def jet(self, coords, order):
         raise NotImplementedError
@@ -236,10 +224,9 @@ class ScalarField:
 class FuncField(ScalarField):
     """Analytic rule written over coordinate jets (exact derivatives)."""
 
-    def __init__(self, fn, dim, domain=None):
+    def __init__(self, fn, dim):
         self.fn = fn
         self.dim = dim
-        self.domain = domain
 
     def jet(self, coords, order):
         name = getattr(self.fn, "__name__", type(self.fn).__name__)
@@ -251,40 +238,11 @@ class NumericField(ScalarField):
 
     mode = "fd"
 
-    def __init__(self, fn, dim, domain=None):
+    def __init__(self, fn, dim):
         self.fn = fn
         self.dim = dim
-        self.domain = domain
 
     def jet(self, coords, order):
         name = getattr(self.fn, "__name__", type(self.fn).__name__)
         return field_jet(f"callable {name!r}", coords, order,
                          jets.finite_difference_jet, self.fn, coords, order)
-
-
-class ConstantField(ScalarField):
-    def __init__(self, value, dim):
-        self.value = float(value)
-        self.dim = dim
-
-    def jet(self, coords, order):
-        return field_jet(f"constant {self.value!r}", coords, order,
-                         jets.constant_at, self.value, coords, order)
-
-
-def evaluate_jet(field, p, order):
-    """Value and all mixed partials of ``field`` at ``p`` up to ``order``.
-
-    ``p`` is one point or a ``(P, n)`` batch.  Orders above
-    :data:`jets.MAX_ORDER` (2) are rejected: curvature consumes second
-    metric derivatives and the operators second density derivatives.
-    """
-    if order > jets.MAX_ORDER or order < 0:
-        raise UnsupportedOrderError(f"order {order} not supported (max {jets.MAX_ORDER})")
-    x = as_coords(p)
-    if field.domain is not None:
-        inside = field.domain.contains(x)
-        if not np.all(inside):
-            raise DomainError(f"point {point_text(x, first_false(inside))} "
-                              "outside the field's domain")
-    return field.jet(x, order)

@@ -14,8 +14,7 @@ applied to inputs of weight r, each rescaled to eta^r f, on the rescaled
 model equals eta^s times the operator on the original.  ``hessian_inv``
 runs it with s = 1, ``laplacian_inv`` with s = 0 (and reuses both sides
 for its decomposition residual), and ``nonlinear_inv`` with s = 0 and the
-coupling lam as a second input of weight -a.  :func:`check_type_invariance`
-is the same engine for one operator, rescaling and density.
+coupling lam as a second input of weight -a.
 
 Three deliberately wrong configurations run as first-class suite members:
 dropping the Ricci coupling, normalizing the skewness shift by 1/3, and
@@ -395,18 +394,6 @@ _CHECK_FUNCTIONS = {
 }
 
 
-def check_type_invariance(operator, s, model, resc, density, points):
-    """The (r; s) law for one operator, rescaling and density of weight r = ``density.r``.
-
-    ``operator(model, f, p)`` is called once with the whole ``(P, n)`` batch
-    of ``points`` and may return per-row scalars or a tensor.
-    """
-    pts = as_coords(points).reshape(-1, model.dim)
-    res = _Residuals()
-    _invariance(res, operator, s, model, rescaled_model(model, resc), resc, (density,), pts)
-    return res.report("type_invariance", MODE_TOLERANCE[model.mode])
-
-
 def run_check(check_id, config):
     """One named check over the full matrix of ``config``."""
     return _run_check(check_id, config, {})
@@ -484,6 +471,14 @@ def run_suite(config):
 DEFAULT_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
+def standard_couplings(model):
+    """The four couplings every shipped case checks: lam = 2 or 1 + 0.1 times
+    the first coordinate, at exponents 3, -2, 0.5 and 1."""
+    linear = f"1 + 0.1*{model.coord_names[0]}"
+    return tuple(NonlinearCoupling(model.scalar_field(lam), a)
+                 for lam, a in (("2", 3.0), (linear, -2.0), ("2", 0.5), (linear, 1.0)))
+
+
 def default_suite_config(tolerance=None):
     """Gaussian and 3-category models on small interior grids, five alphas,
     two rescaling potentials, two densities, and four coupling exponents."""
@@ -496,12 +491,7 @@ def default_suite_config(tolerance=None):
             WeightedDensity(gauss.scalar_field("1"), 1.0),
             WeightedDensity(gauss.scalar_field("1 + 0.1*mu*sigma"), 1.0),
         ),
-        couplings=(
-            NonlinearCoupling(gauss.scalar_field("2"), 3.0),
-            NonlinearCoupling(gauss.scalar_field("1 + 0.1*mu"), -2.0),
-            NonlinearCoupling(gauss.scalar_field("2"), 0.5),
-            NonlinearCoupling(gauss.scalar_field("1 + 0.1*mu"), 1.0),
-        ),
+        couplings=standard_couplings(gauss),
     )
     multi = multinomial_model(3)
     multi_case = ModelCase(
@@ -512,12 +502,7 @@ def default_suite_config(tolerance=None):
             WeightedDensity(multi.scalar_field("1"), 1.0),
             WeightedDensity(multi.scalar_field("1 + 0.1*p1*p2"), 1.0),
         ),
-        couplings=(
-            NonlinearCoupling(multi.scalar_field("2"), 3.0),
-            NonlinearCoupling(multi.scalar_field("1 + 0.1*p1"), -2.0),
-            NonlinearCoupling(multi.scalar_field("2"), 0.5),
-            NonlinearCoupling(multi.scalar_field("1 + 0.1*p1"), 1.0),
-        ),
+        couplings=standard_couplings(multi),
     )
     return SuiteConfig(
         cases=(gauss_case, multi_case),

@@ -22,6 +22,34 @@ def run_cli(*argv, capsys=None):
     return rc, out, err
 
 
+def readme_example(subcommand):
+    """The README's example of ``cupgeo <subcommand>``: its argv and the shown output.
+
+    The shown output is split into the runs of lines between ``...`` elisions.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(rf"```\n\$ cupgeo ({subcommand} (?:.*\\\n)*.*)\n((?:.*\n)*?)```", readme)
+    argv = shlex.split(block.group(1).replace("\\\n", " "))
+    runs = [[]]
+    for line in block.group(2).splitlines():
+        if line.strip() == "...":
+            runs.append([])
+        else:
+            runs[-1].append(line)
+    return argv, [run for run in runs if run]
+
+
+def assert_shows_in_order(out, runs):
+    """Each run of lines appears whole in ``out``, each after the one before it."""
+    lines = out.splitlines()
+    start = 0
+    for run in runs:
+        at = next((i for i in range(start, len(lines) - len(run) + 1)
+                   if lines[i:i + len(run)] == run), None)
+        assert at is not None, run
+        start = at + len(run)
+
+
 def run_subprocess(*argv):
     return subprocess.run(
         [sys.executable, "-m", "cupgeo.cli", *argv],
@@ -103,7 +131,22 @@ class TestTensors:
         assert first == second
 
 
+    def test_readme_example_matches_the_code(self, capsys):
+        argv, runs = readme_example("tensors")
+        assert runs[-1] == ["  scalar curvature: -0.75"]
+        rc, out, _ = run_cli(*argv, capsys=capsys)
+        assert rc == 0
+        assert_shows_in_order(out, runs)
+
+
 class TestLaplacian:
+    def test_readme_example_matches_the_code(self, capsys):
+        argv, runs = readme_example("laplacian")
+        assert runs == [["(mu=0, sigma=1)  laplacian = -0.75  with coupling = 1.25"]]
+        rc, out, _ = run_cli(*argv, capsys=capsys)
+        assert rc == 0
+        assert_shows_in_order(out, runs)
+
     def test_flat_chart(self, capsys):
         rc, out, _ = run_cli("laplacian", "--model", "euclidean:2",
                              "--alpha", "0", "--point", "0.3,0.4",
@@ -252,14 +295,12 @@ class TestEstimate:
         assert a != c
 
     def test_readme_example_matches_the_code(self, capsys):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = re.search(r"\$ cupgeo (estimate .*)\n((?:.*\n)*?)    \.\.\.\n", readme)
-        shown = block.group(2).splitlines()
-        assert len(shown) == 3
-        assert shown[-1].endswith("[mu,mu] 1.007438237 / 1 / 0.004530905967")
-        rc, out, _ = run_cli(*shlex.split(block.group(1)), capsys=capsys)
+        argv, runs = readme_example("estimate")
+        assert len(runs) == 1 and len(runs[0]) == 3
+        assert runs[0][-1].endswith("[mu,mu] 1.007438237 / 1 / 0.004530905967")
+        rc, out, _ = run_cli(*argv, capsys=capsys)
         assert rc == 0
-        assert out.splitlines()[:3] == shown
+        assert out.splitlines()[:3] == runs[0]
 
     def test_model_without_sampler(self, capsys):
         rc, _, err = run_cli("estimate", "--model", "euclidean:2",

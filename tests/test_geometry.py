@@ -29,13 +29,14 @@ from cupgeo.geometry import (
     scalar_curvature,
 )
 from cupgeo.manifolds import (
+    Domain,
     euclidean_model,
     gaussian_model,
     model_from_callables,
     multinomial_model,
     resolve_model,
 )
-from cupgeo.tensor_core import FuncField, evaluate_jet
+from cupgeo.tensor_core import FuncField, as_coords
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -252,7 +253,7 @@ class TestTraceOperator:
         f = TRI.scalar_field("p1^2 + p2")
         p = (0.3, 0.25)
         k = 1.0 / (TRI.dim - 1)
-        plain = _laplacian(point_geometry(TRI, 0.0, p), evaluate_jet(f, p, 2))
+        plain = _laplacian(point_geometry(TRI, 0.0, p), f.jet(as_coords(p), 2))
         full = cup_laplacian(TRI, 0.0, f, p)
         expected = plain + k * scalar_curvature(TRI, 0.0, p) * f(p)
         assert full == pytest.approx(expected, rel=1e-11)
@@ -313,6 +314,69 @@ class TestNonlinearOperator:
         f = GAUSS.scalar_field("mu")
         got = nonlinear_cup_operator(GAUSS, 0.0, f, coupling, (0.0, 1.0))
         assert got == pytest.approx(cup_laplacian(GAUSS, 0.0, f, (0.0, 1.0)), rel=1e-13)
+
+
+class TestDensityEntry:
+    """A density or coupling enters every operator through one checked path."""
+
+    POINT_CASES = [(0.3, 1.2), ((0.3, 1.2), (-1.0, 0.7))]
+    OPERATORS = {
+        "modified_hessian": lambda m, f, p: modified_hessian(m, 0.5, HessianSpec(1.0), f, p),
+        "cup_laplacian": lambda m, f, p: cup_laplacian(m, 0.5, f, p),
+        "nonlinear_cup_operator": lambda m, f, p: nonlinear_cup_operator(
+            m, 0.5, f, NonlinearCoupling(m.scalar_field("2"), 3.0), p),
+    }
+
+    @pytest.mark.parametrize("points", POINT_CASES, ids=["point", "batch"])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_a_repeated_call_checks_its_points_once(self, name, points, monkeypatch):
+        model = gaussian_model()
+        f = model.scalar_field("1 + 0.1*mu*sigma")
+        op = self.OPERATORS[name]
+        op(model, f, points)  # warm-up: builds and remembers the geometry
+        calls = []
+        contains = Domain.contains
+
+        def counted(domain, p):
+            calls.append(1)
+            return contains(domain, p)
+
+        monkeypatch.setattr(Domain, "contains", counted)
+        op(model, f, points)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_a_number_is_the_constant_density(self, name):
+        op = self.OPERATORS[name]
+        for p in self.POINT_CASES:
+            number = np.asarray(_components(op(GAUSS, 2.0, p)))
+            field = np.asarray(_components(op(GAUSS, GAUSS.scalar_field("2"), p)))
+            assert np.array_equal(number, field)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_density_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite number"):
+            cup_laplacian(GAUSS, 0.0, value, (0.0, 1.0))
+        with pytest.raises(ConfigError, match="finite number"):
+            nonlinear_cup_operator(GAUSS, 0.0, 1.0, NonlinearCoupling(value, 3.0), (0.0, 1.0))
+
+    def test_bad_density_type_named(self):
+        with pytest.raises(ConfigError, match="str"):
+            modified_hessian(GAUSS, 0.0, 1.0, "mu", (0.0, 1.0))
+
+    def test_invalid_point_reported_before_bad_density_type(self):
+        with pytest.raises(DomainError, match="outside the domain"):
+            cup_laplacian(GAUSS, 0.0, "mu", (0.0, -1.0))
+
+    def test_fields_carry_no_domain(self):
+        # the model's domain is the only one: a field evaluates wherever it is asked
+        f = GAUSS.scalar_field("mu + sigma")
+        assert not hasattr(f, "domain")
+        assert f.jet(as_coords((0.0, -1.0)), 0).value == -1.0
+
+
+def _components(value):
+    return getattr(value, "components", value)
 
 
 def integrability_gap(model, alpha, p, k=None):

@@ -213,6 +213,24 @@ def test_scalar_jet_times_array_jet_leibniz():
     assert np.allclose(prod.d1, expected, rtol=1e-15)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("one_point", [False, True], ids=["batch", "point"])
+def test_array_operand_acts_as_a_constant_jet(order, one_point):
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(0.5, 2.0, (4, 2))
+    x, y = seed(pts[0] if one_point else pts, order)
+    f = x * x * y + exp(y)
+    a = rng.uniform(0.5, 2.0, 4)
+    c = Jet.constant(a, 2, order)
+    ops = {"+": lambda u, v: u + v, "-": lambda u, v: u - v,
+           "*": lambda u, v: u * v, "/": lambda u, v: u / v}
+    for name, op in ops.items():
+        for side, got, want in (("right", op(f, a), op(f, c)), ("left", op(a, f), op(c, f))):
+            assert isinstance(got, Jet)
+            for k in range(order + 1):
+                assert np.array_equal(got.deriv(k), want.deriv(k)), (name, side, k)
+
+
 def test_finite_difference_of_array_valued_callable():
     def fn(v):
         x, y = v

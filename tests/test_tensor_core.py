@@ -20,7 +20,7 @@ from cupgeo.errors import (
     UnsupportedOrderError,
     VarianceError,
 )
-from cupgeo.manifolds import Domain, gaussian_model
+from cupgeo.manifolds import gaussian_model
 from cupgeo.tensor_core import (
     CONTRA,
     COV,
@@ -30,9 +30,10 @@ from cupgeo.tensor_core import (
     Tensor,
     as_coords,
     as_point,
-    evaluate_jet,
     invert_metric,
 )
+
+from helpers import assert_fully_symmetric
 
 
 class TestPoint:
@@ -66,16 +67,15 @@ class TestTensor:
 
     def test_full_symmetry_detection(self):
         sym = Tensor(2, (COV,) * 3, symmetrize(np.array([1.0, 2.0]), np.eye(2)))
-        assert sym.is_fully_symmetric()
-        bad = np.zeros((2, 2, 2))
-        bad[0, 1, 0] = 1.0
-        assert not Tensor(2, (COV,) * 3, bad).is_fully_symmetric()
+        assert_fully_symmetric(sym.components)
 
 
 class TestEvaluateJet:
+    """Field jets at one point, as ``field.jet(as_coords(p), order)``."""
+
     def test_square_field(self):
         field = FuncField(lambda c: c[0] * c[0], dim=1)
-        j = evaluate_jet(field, (3.0,), 2)
+        j = field.jet(as_coords((3.0,)), 2)
         assert j.value == 9.0
         assert j.d1[0] == 6.0
         assert j.d2[0, 0] == 2.0
@@ -84,28 +84,23 @@ class TestEvaluateJet:
         from cupgeo import jets
 
         field = FuncField(lambda c: jets.exp(c[0]), dim=1)
-        j = evaluate_jet(field, (0.0,), 2)
+        j = field.jet(as_coords((0.0,)), 2)
         assert j.value == j.d1[0] == j.d2[0, 0] == 1.0
 
     def test_inverse_square_against_finite_differences(self):
         analytic = FuncField(lambda c: 1.0 / (c[1] * c[1]), dim=2)
         numeric = NumericField(lambda v: 1.0 / (v[1] * v[1]), dim=2)
-        ja = evaluate_jet(analytic, (0.0, 1.0), 1)
-        jn = evaluate_jet(numeric, (0.0, 1.0), 1)
+        ja = analytic.jet(as_coords((0.0, 1.0)), 1)
+        jn = numeric.jet(as_coords((0.0, 1.0)), 1)
         assert ja.value == 1.0
         assert ja.d1[1] == -2.0
         assert abs(jn.value - ja.value) <= 1e-8
         assert np.abs(jn.d1 - ja.d1).max() <= 1e-8
 
     def test_order_cap(self):
-        field = FuncField(lambda c: c[0], dim=1)
-        with pytest.raises(UnsupportedOrderError):
-            evaluate_jet(field, (1.0,), 3)
-
-    def test_domain_guard(self):
-        field = FuncField(lambda c: c[0], dim=1, domain=Domain(((0.0, None),)))
-        with pytest.raises(DomainError):
-            evaluate_jet(field, (-1.0,), 1)
+        for field in (FuncField(lambda c: c[0], dim=1), NumericField(lambda v: v[0], dim=1)):
+            with pytest.raises(UnsupportedOrderError):
+                field.jet(as_coords((1.0,)), 3)
 
 
 def symmetrize(u, g):
@@ -195,8 +190,8 @@ def test_jet_and_fd_modes_agree_on_first_partials(x, y):
 
     analytic = FuncField(lambda c: c[0] * c[0] / c[1], dim=2)
     numeric = NumericField(lambda v: v[0] * v[0] / v[1], dim=2)
-    ja = evaluate_jet(analytic, (x, y), 1)
-    jn = evaluate_jet(numeric, (x, y), 1)
+    ja = analytic.jet(as_coords((x, y)), 1)
+    jn = numeric.jet(as_coords((x, y)), 1)
     scale = max(1.0, float(np.abs(ja.d1).max()))
     assert np.abs(ja.d1 - jn.d1).max() / scale <= 1e-6
     assert math.isclose(ja.value, jn.value, rel_tol=1e-10)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from cupgeo.cli import render_json
-from cupgeo.cup_transform import WeightedDensity, make_rescaling
+from cupgeo.cup_transform import WeightedDensity
 from cupgeo.errors import ConfigError
-from cupgeo.geometry import NonlinearCoupling, cup_laplacian, modified_hessian, HessianSpec
+from cupgeo.geometry import NonlinearCoupling
 from cupgeo.manifolds import gaussian_model, multinomial_model
 from cupgeo.verify import (
     CHECK_IDS,
@@ -16,7 +16,6 @@ from cupgeo.verify import (
     ModelCase,
     SuiteConfig,
     _Residuals,
-    check_type_invariance,
     control_failed_as_expected,
     default_suite_config,
     run_check,
@@ -263,49 +262,30 @@ class TestDefaultConfig:
 
 
 class TestTypeInvarianceHelper:
+    """The (r; s) law on one cell: one model, alpha, potential and density."""
+
     POINTS = ((0.0, 1.0), (0.5, 1.4))
 
+    def one_cell(self, **overrides):
+        case = ModelCase(model=GAUSS, points=self.POINTS,
+                         potentials=(GAUSS.scalar_field("0.2*mu"),),
+                         densities=(WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0),),
+                         couplings=())
+        return SuiteConfig(cases=(case,), alphas=(0.5,), **overrides)
+
     def test_trace_operator_is_type_one_zero(self):
-        resc = make_rescaling(0.5, GAUSS.scalar_field("0.2*mu"))
-        density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
-        op = lambda model, f, p: cup_laplacian(model, 0.5, f, p)
-        report = check_type_invariance(
-            op, 0.0, GAUSS, resc, density, self.POINTS)
+        report = run_check("laplacian_inv", self.one_cell())
         assert report.passed
-        assert report.check_id == "type_invariance"
+        assert report.points_evaluated == len(self.POINTS)
 
     def test_hessian_operator_is_type_one_one(self):
-        resc = make_rescaling(0.5, GAUSS.scalar_field("0.2*mu"))
-        density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
-        spec = HessianSpec(1.0)
-        op = lambda model, f, p: modified_hessian(model, 0.5, spec, f, p)
-        report = check_type_invariance(
-            op, 1.0, GAUSS, resc, density, self.POINTS)
+        report = run_check("hessian_inv", self.one_cell())
         assert report.passed
+        assert report.points_evaluated == len(self.POINTS)
 
     def test_wrong_signature_fails(self):
-        resc = make_rescaling(0.5, GAUSS.scalar_field("0.2*mu"))
-        density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
-        op = lambda model, f, p: cup_laplacian(model, 0.5, f, p)
-        report = check_type_invariance(
-            op, 1.0, GAUSS, resc, density, self.POINTS)
+        report = run_check("laplacian_inv", self.one_cell(laplacian_s=1.0))
         assert not report.passed
-
-    def test_one_cell_matches_the_suite_check(self):
-        # the helper and hessian_inv are the same engine: on a one-cell
-        # config they see the same residuals
-        potential = GAUSS.scalar_field("0.2*mu")
-        density = WeightedDensity(GAUSS.scalar_field("1 + 0.1*mu*sigma"), 1.0)
-        case = ModelCase(model=GAUSS, points=self.POINTS, potentials=(potential,),
-                         densities=(density,), couplings=())
-        suite = run_check("hessian_inv", SuiteConfig(cases=(case,), alphas=(0.5,)))
-        spec = HessianSpec(1.0)
-        op = lambda model, f, p: modified_hessian(model, 0.5, spec, f, p)
-        report = check_type_invariance(
-            op, 1.0, GAUSS, make_rescaling(0.5, potential), density, self.POINTS)
-        assert report.points_evaluated == suite.points_evaluated == len(self.POINTS)
-        assert report.max_rel_residual == suite.max_rel_residual
-        assert report.worst_point == suite.worst_point
 
 
 def test_non_finite_residual_fails_the_check():
