@@ -27,7 +27,8 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
 from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
-from .geometry import NonlinearCoupling, _hessian, _real, point_geometry, ricci_reconstruction
+from .geometry import (NonlinearCoupling, _hessian, _real, _require_chart, point_geometry,
+                       ricci_reconstruction)
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,7 @@ class _PoweredScaleField(ScalarField):
         self.resc = resc
         self.power = float(power)
         self.dim = base.dim
+        self.coord_names = getattr(base, "coord_names", None)
         self.mode = base.mode
 
     def jet(self, coords, order):
@@ -205,23 +207,9 @@ class _PoweredScaleField(ScalarField):
         return factor * self.base.jet(coords, order)
 
 
-def _check_chart(model, resc):
-    if resc.dim != model.dim:
-        raise ConfigError(
-            f"chart mismatch: rescaling potential has {resc.dim} coordinates, "
-            f"model {model.name!r} has {model.dim}"
-        )
-    pot_names = getattr(resc.potential, "coord_names", None)
-    if pot_names is not None and tuple(pot_names) != model.coord_names:
-        raise ConfigError(
-            f"chart mismatch: potential is written in {list(pot_names)}, "
-            f"model uses {list(model.coord_names)}"
-        )
-
-
 def rescaled_model(model, resc, sym_weight=1.0):
     """The model carrying g-tilde = eta g and the shifted, rescaled skewness."""
-    _check_chart(model, resc)
+    _require_chart(resc.potential, model, "rescaling potential")
     mode = "fd" if (model.mode == "fd" or getattr(resc.potential, "mode", "jet") == "fd") else "jet"
     return ManifoldModel(
         dim=model.dim,
@@ -265,7 +253,7 @@ def connection_shift_prediction(resc, p):
 
 def _psi_shift_core(model, resc, p):
     """M_ij = (nabla^alpha psi)_ij + alpha psi_i psi_j on the base model."""
-    _check_chart(model, resc)
+    _require_chart(resc.potential, model, "rescaling potential")
     ws = point_geometry(model, resc.alpha, p)
     # psi = d(potential), so nabla psi is the Hessian of the potential
     phi = resc._jets(ws.p, 2)[0]

@@ -9,8 +9,11 @@ Grammar (``^`` is right-associative and binds tighter than unary minus)::
     atom   : NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Known functions: exp, log, sqrt, sin, cos.  Any other identifier is a free
-variable, resolved against the evaluation environment.
+variable, resolved against the evaluation environment.  Evaluation runs a
+compiled :class:`Program`, which several expressions can share.
 """
+
+import operator
 
 from . import jets
 from .errors import EvaluationError, ExpressionError
@@ -161,66 +164,69 @@ def parse(source):
     return _Parser(source).parse()
 
 
-def variables(node, acc=None):
-    """The set of free variable names in an AST."""
-    if acc is None:
-        acc = set()
-    kind = node[0]
-    if kind == "var":
-        acc.add(node[1])
-    elif kind == "call":
-        variables(node[2], acc)
-    elif kind in ("+", "-", "*", "/", "^"):
-        variables(node[1], acc)
-        variables(node[2], acc)
-    elif kind == "neg":
-        variables(node[1], acc)
-    return acc
+_OPS = {**_FUNCTIONS, "+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "^": jets.power, "neg": operator.neg}
 
 
-def evaluate(node, env):
-    """Evaluate an AST in ``env`` (name -> number or jet)."""
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise EvaluationError(f"unbound variable {node[1]!r}") from None
-    if kind == "call":
-        return _FUNCTIONS[node[1]](evaluate(node[2], env))
-    if kind == "neg":
-        return -evaluate(node[1], env)
-    a = evaluate(node[1], env)
-    b = evaluate(node[2], env)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
-    if kind == "^":
-        return jets.power(a, b)
-    raise EvaluationError(f"bad AST node {kind!r}")
+class Program:
+    """ASTs compiled into one straight-line program of jet operations.
+
+    The ASTs are hash-consed: each distinct subtree, in one AST or across
+    several, gets one slot holding a number, a variable from the environment,
+    or one operation on earlier slots, and is computed once per run.
+    """
+
+    def __init__(self, asts):
+        self._slots = {}
+        self._init = []  # a number's value per slot, None for the others
+        self.loads = []  # (slot, variable name)
+        self.code = []  # (slot, operation, argument slots)
+        self.outputs = [self._emit(ast) for ast in asts]
+
+    def _emit(self, node):
+        kind = node[0]
+        if kind == "call":
+            key = (node[1], self._emit(node[2]))
+        else:
+            key = node if kind in ("num", "var") else (kind,) + tuple(map(self._emit, node[1:]))
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self._init)
+            self._init.append(node[1] if kind == "num" else None)
+            if kind == "var":
+                self.loads.append((slot, node[1]))
+            elif kind != "num":
+                self.code.append((slot, key[0], key[1:]))
+        return slot
+
+    def run(self, env):
+        """The value of every AST in ``env`` (name -> number or jet), in order."""
+        regs = list(self._init)
+        for slot, name in self.loads:
+            try:
+                regs[slot] = env[name]
+            except KeyError:
+                raise EvaluationError(f"unbound variable {name!r}") from None
+        for slot, op, args in self.code:
+            regs[slot] = _OPS[op](*[regs[a] for a in args])
+        return [regs[slot] for slot in self.outputs]
 
 
 class Expression:
     """A parsed expression that keeps its source text verbatim.
 
-    Calling it with a map from variable names to numbers or jets evaluates
-    it; ``source`` names it in error messages.
+    Calling it with a map from variable names to numbers or jets runs its
+    one-output :class:`Program`; ``source`` names it in error messages.
     """
 
     def __init__(self, source):
         self.source = source
         self.ast = parse(source)
-        self.variables = frozenset(variables(self.ast))
+        self.program = Program([self.ast])
+        self.variables = frozenset(name for _, name in self.program.loads)
 
     def __call__(self, env):
-        return evaluate(self.ast, env)
+        return self.program.run(env)[0]
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -124,11 +124,12 @@ class NonlinearCoupling:
 class PointGeometry:
     """Lazily computed geometric data of one model at one point or a batch.
 
-    Construction validates every point against the model domain and keeps
-    a read-only copy of the coordinates as ``p`` (shape ``(n,)`` or
-    ``(P, n)``); every array is computed at most once per instance and is
-    read-only.  Each construction is a fresh instance: the operators share
-    instances through :func:`point_geometry` instead.
+    Construction validates every point against the model domain (unless
+    ``checked`` marks ``p`` as what :meth:`ManifoldModel.require_inside`
+    returned) and keeps a read-only copy of the coordinates as ``p`` (shape
+    ``(n,)`` or ``(P, n)``); every array is computed at most once per
+    instance and is read-only.  Each construction is a fresh instance: the
+    operators share instances through :func:`point_geometry` instead.
 
     The instance holds the model's metric and skewness fields, and the model
     itself only weakly, so that a model's memo of its geometries does not
@@ -136,12 +137,12 @@ class PointGeometry:
     the geometry still computes.
     """
 
-    def __init__(self, model, alpha, p):
+    def __init__(self, model, alpha, p, checked=False):
         self._model = weakref.ref(model)
         self._metric = model.metric
         self._skewness = model.skewness
         self.alpha = float(alpha)
-        self.p = _readonly(np.array(model.require_inside(p)))
+        self.p = _readonly(np.array(p if checked else model.require_inside(p)))
         self.dim = model.dim
 
     @property
@@ -268,7 +269,7 @@ def point_geometry(model, alpha, p):
     memo = model.geometry_memo
     ws = memo.pop(key, None)
     if ws is None:
-        ws = PointGeometry(model, alpha, x)
+        ws = PointGeometry(model, alpha, x, checked=True)
     memo[key] = ws
     if len(memo) > GEOMETRY_MEMO_SIZE:
         memo.popitem(last=False)
@@ -327,24 +328,29 @@ def curvature(model, alpha, p):
 # -- scalar operators -------------------------------------------------------
 
 
-def _field_jet(f, model, x, order):
+def _require_chart(field, model, what):
+    """Raise ConfigError unless ``field`` has ``model``'s dimension and coordinate names."""
+    names = getattr(field, "coord_names", None)
+    if field.dim != model.dim or (names is not None and tuple(names) != model.coord_names):
+        chart = f"{field.dim} coordinates" if names is None else list(names)
+        raise ConfigError(f"chart mismatch: {what} is written in {chart}, "
+                          f"model {model.name!r} uses {list(model.coord_names)}")
+
+
+def _field_jet(f, model, x, order, what="density"):
     """The jet of a density or coupling ``f`` at ``x``, coordinates checked against ``model``.
 
     A finite number is the constant field of that value; anything else must
-    be a :class:`ScalarField` over the model's coordinates.
+    be a :class:`ScalarField` written in the model's chart.
     """
     if isinstance(f, (int, float)):
         if not math.isfinite(f):
-            raise ConfigError(f"density must be a finite number, got {f}")
+            raise ConfigError(f"{what} must be a finite number, got {f}")
         return constant_at(float(f), x, order)
     if not isinstance(f, ScalarField):
-        raise ConfigError(f"density must be a scalar field or a number, got {type(f).__name__}")
-    jet = f.jet(x, order)
-    if jet.dim != model.dim:
-        raise DimensionMismatchError(
-            f"density is a field of {jet.dim} coordinates, model has {model.dim}"
-        )
-    return jet
+        raise ConfigError(f"{what} must be a scalar field or a number, got {type(f).__name__}")
+    _require_chart(f, model, what)
+    return f.jet(x, order)
 
 
 def _hessian(ws, fj):
@@ -425,7 +431,7 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     x = ws.p
     fj = _field_jet(f, model, x, 2)
     fval = fj.value
-    lam = _field_jet(coupling.lam, model, x, 0).value
+    lam = _field_jet(coupling.lam, model, x, 0, "coupling").value
     a = coupling.a
     if not float(a).is_integer() and np.any(np.less(fval, 0.0)):
         row = first_false(np.greater_equal(fval, 0.0))

@@ -197,7 +197,7 @@ class Jet:
         if m >= 1:
             parts.append(_bc(f.value, 1) * g.d1 + _bc(g.value, 1) * f.d1)
         if m >= 2:
-            cross = np.einsum("...i,...j->...ij", f.d1, g.d1)
+            cross = f.d1[..., :, None] * g.d1[..., None, :]
             parts.append(
                 _bc(f.value, 2) * g.d2
                 + _bc(g.value, 2) * f.d2
@@ -245,7 +245,7 @@ class Jet:
         if m >= 1:
             parts.append(_bc(c1, 1) * self.d1)
         if m >= 2:
-            outer11 = np.einsum("...i,...j->...ij", self.d1, self.d1)
+            outer11 = self.d1[..., :, None] * self.d1[..., None, :]
             parts.append(_bc(c2, 2) * outer11 + _bc(c1, 2) * self.d2)
         return Jet(self.dim, m, c0, *parts)
 
@@ -315,10 +315,16 @@ def seed(coords, order):
 
     ``coords`` of shape ``(n,)`` gives float values (batch shape ``()``);
     shape ``(P, n)`` gives values of shape ``(P,)``, one row per point.
+    One point's derivative parts are read-only views of one identity block
+    and one zero block.
     """
     x = np.asarray(coords, dtype=float)
-    columns = [float(c) for c in x] if x.ndim == 1 else list(x.T)
-    return [Jet.variable(c, i, x.shape[-1], order) for i, c in enumerate(columns)]
+    n = x.shape[-1]
+    if x.ndim == 2:
+        return [Jet.variable(c, i, n, order) for i, c in enumerate(x.T)]
+    eye, zeros = np.eye(n), np.zeros((n, n))
+    eye.flags.writeable = zeros.flags.writeable = False
+    return [Jet(n, order, float(c), *(eye[i], zeros)[:order]) for i, c in enumerate(x)]
 
 
 def constant_at(value, coords, order):

@@ -12,14 +12,16 @@ coordinate names, and a domain predicate.  Three sources are supported:
 Tensor-field evaluations return array-valued jets: ``.value`` has the
 batch axes of the points (none for one point) followed by the component
 axes, and each derivative axis trails them, ready for the geometry layer's
-contractions.  Component symmetry is enforced by evaluating one
-representative per index class and mirroring, so it holds bitwise.
+contractions.  Component symmetry holds bitwise: one compiled program per
+field evaluates one representative per index class, and one gather through
+a table of each component's representative scatters them.
 
 The Monte-Carlo oracle (:func:`estimate_fisher_tensors`) derives g and t
 from score moments of a sampled log-likelihood, independently of the closed
 forms, with componentwise standard errors.
 """
 
+import functools
 import json
 import math
 import re
@@ -86,26 +88,13 @@ def unbounded_domain(dim):
 # -- tensor fields ----------------------------------------------------------
 
 
-def _mirror_assign(out_jet, index, value_jet, order):
-    """Write a scalar jet into every permutation of one component index.
-
-    The component axes of ``out_jet`` follow its batch axes, so the index
-    is applied past them.
-    """
-    lead = (slice(None),) * (out_jet.value.ndim - len(index))
-    parts = [(out_jet.deriv(k), value_jet.deriv(k)) for k in range(order + 1)]
-    for perm in set(permutations(index)):
-        key = lead + perm
-        for out, val in parts:
-            out[key] = val
-
-
 class ExprTensorField:
     """Fully covariant, index-symmetric components given as expressions.
 
     ``entries`` maps a sorted index tuple (one representative per symmetry
     class, 0-based) to a parsed :class:`~cupgeo.expr.Expression` over the
-    chart coordinates; unlisted components are zero.
+    chart coordinates; unlisted components are zero.  The entries share one
+    :class:`~cupgeo.expr.Program`, so a common subtree is computed once.
     """
 
     def __init__(self, dim, rank, coord_names, entries):
@@ -113,6 +102,11 @@ class ExprTensorField:
         self.rank = rank
         self.coord_names = tuple(coord_names)
         self.entries = dict(entries)
+        # one output per entry and a last one, zero, for the unlisted components
+        self.program = expr.Program([e.ast for e in self.entries.values()] + [expr.parse("0")])
+        row = {index: r for r, index in enumerate(self.entries)}
+        self._rows = np.array([row.get(tuple(sorted(index)), len(row))
+                               for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
 
     def jet(self, coords, order):
         env = dict(zip(self.coord_names, jets.seed(coords, order)))
@@ -127,28 +121,47 @@ class ExprTensorField:
             raise
 
     def _assemble(self, env, coords, order):
-        out = jets.constant_at(np.zeros((self.dim,) * self.rank), coords, order)
-        for index, expression in self.entries.items():
-            val = expression(env)
-            if not isinstance(val, jets.Jet):
-                val = jets.constant_at(val, coords, order)
-            _mirror_assign(out, index, val, order)
-        return out
+        values = self.program.run(env)
+        batch = np.shape(coords)[:-1]
+        parts = []
+        for k in range(order + 1):
+            shape = batch + (self.dim,) * k
+            reps = np.array([v.deriv(k) if isinstance(v, jets.Jet)
+                             else np.full(shape, v if k == 0 else 0.0) for v in values])
+            parts.append(np.take(reps.swapaxes(0, len(batch)), self._rows, axis=len(batch)))
+        return jets.Jet(self.dim, order, *parts)
+
+
+@functools.lru_cache(maxsize=16)
+def _index_classes(n, rank):
+    """``perms[j, c]``, the flat index of the j-th sorted permutation of index
+    class ``c`` (past its size, ``n ** rank``: a zero appended to the entries),
+    the class sizes, and a table of every component's class."""
+    shape = (n,) * rank
+    classes = [sorted(set(permutations(index)))
+               for index in combinations_with_replacement(range(n), rank)]
+    perms = np.full((max(map(len, classes)), len(classes)), n ** rank)
+    table = np.empty(shape, dtype=int)
+    for c, members in enumerate(classes):
+        for j, p in enumerate(members):
+            perms[j, c] = np.ravel_multi_index(p, shape)
+            table[p] = c
+    return perms, np.array([float(len(c)) for c in classes]), table
 
 
 def _component_symmetrize(arr, rank):
+    """The mean over each index class, summed as ``0.0 + a0 + a1 + ...`` over
+    its sorted permutations, all classes at once: the padding zeros change no
+    sum, as a sum from 0.0 is never -0.0."""
     if rank < 2:
         return arr
     if rank == 2:
         return 0.5 * (arr + np.swapaxes(arr, 0, 1))
-    out = np.empty_like(arr)
-    n = arr.shape[0]
-    for index in combinations_with_replacement(range(n), rank):
-        perms = set(permutations(index))
-        mean = sum(arr[p] for p in sorted(perms)) / len(perms)
-        for p in perms:
-            out[p] = mean
-    return out
+    perms, sizes, table = _index_classes(arr.shape[0], rank)
+    total = 0.0
+    for row in np.append(arr, 0.0)[perms]:
+        total = total + row
+    return (total / sizes)[table]
 
 
 class NumericTensorField:
@@ -185,10 +198,8 @@ class ExprScalarField(ScalarField):
     """A scalar field parsed from an expression over named coordinates."""
 
     def __init__(self, source, coord_names):
-        self.source = source
         self.expression = source if isinstance(source, expr.Expression) else expr.Expression(source)
-        if isinstance(source, expr.Expression):
-            self.source = source.source
+        self.source = self.expression.source
         self.coord_names = tuple(coord_names)
         self.dim = len(self.coord_names)
         unknown = self.expression.variables - set(self.coord_names)
@@ -309,7 +320,6 @@ def _expr_entries(raw, rank, dim, coord_names, what):
     conflict.
     """
     entries = {}
-    sources = {}
     for key, source in raw.items():
         digits = key.split(",") if "," in key else list(key)
         if len(digits) != rank:
@@ -324,10 +334,10 @@ def _expr_entries(raw, rank, dim, coord_names, what):
         if not isinstance(source, str):
             raise ConfigError(f"{what} entry {key!r} must be an expression string")
         if rep in entries:
-            if sources[rep] != source:
+            if entries[rep].source != source:
                 raise ConfigError(
                     f"conflicting {what} entries for symmetry class {rep}: "
-                    f"{sources[rep]!r} vs {source!r}"
+                    f"{entries[rep].source!r} vs {source!r}"
                 )
             continue
         try:
@@ -340,7 +350,6 @@ def _expr_entries(raw, rank, dim, coord_names, what):
                 f"{what} entry {key!r} uses unknown identifier(s) {sorted(unknown)}"
             )
         entries[rep] = parsed
-        sources[rep] = source
     return entries
 
 

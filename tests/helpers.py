@@ -1,8 +1,10 @@
 """Assertions shared by several test modules."""
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
+
+from cupgeo.jets import Jet, constant_at, seed
 
 
 def assert_fully_symmetric(components, lead=0):
@@ -12,3 +14,35 @@ def assert_fully_symmetric(components, lead=0):
     for perm in permutations(range(rank)):
         axes = tuple(range(lead)) + tuple(lead + q for q in perm)
         assert np.array_equal(components, np.transpose(components, axes)), perm
+
+
+def symmetrize_by_classes(arr, rank):
+    """Reference for ``manifolds._component_symmetrize``: one index class at a
+    time, summed as ``0 + a0 + a1 + ...`` over its sorted permutations."""
+    if rank < 2:
+        return arr
+    if rank == 2:
+        return 0.5 * (arr + np.swapaxes(arr, 0, 1))
+    out = np.empty_like(arr)
+    for index in combinations_with_replacement(range(arr.shape[0]), rank):
+        perms = set(permutations(index))
+        mean = sum(arr[p] for p in sorted(perms)) / len(perms)
+        for p in perms:
+            out[p] = mean
+    return out
+
+
+def mirrored_tensor_jet(field, coords, order):
+    """Reference for ``ExprTensorField.jet``: each entry evaluated as its own
+    expression and written into every permutation of its index."""
+    env = dict(zip(field.coord_names, seed(coords, order)))
+    out = constant_at(np.zeros((field.dim,) * field.rank), coords, order)
+    lead = (slice(None),) * (np.ndim(coords) - 1)
+    for index, expression in field.entries.items():
+        value = expression(env)
+        if not isinstance(value, Jet):
+            value = constant_at(value, coords, order)
+        for perm in set(permutations(index)):
+            for k in range(order + 1):
+                out.deriv(k)[lead + perm] = value.deriv(k)
+    return out

@@ -22,6 +22,8 @@ from cupgeo.cup_transform import (
 from cupgeo.geometry import (
     NonlinearCoupling,
     alpha_connection,
+    cup_laplacian,
+    nonlinear_cup_operator,
     ricci,
     riemann,
 )
@@ -182,6 +184,17 @@ def test_composition_matches_summed_potentials():
 def test_chart_mismatch_rejected():
     with pytest.raises(ConfigError):
         rescaled_model(TRI, resc(1.0, "0.3*mu"))
+
+
+def test_transformed_fields_keep_their_chart():
+    r = resc(0.5, "0.2*p1*p2", TRI)
+    density = transform_density(WeightedDensity(GAUSS.scalar_field("mu*sigma"), 1.0), r)
+    coupling = transform_coupling(NonlinearCoupling(GAUSS.scalar_field("2"), 3.0), r)
+    model = rescaled_model(TRI, r)
+    with pytest.raises(ConfigError, match=r"density is written in \['mu', 'sigma'\]"):
+        cup_laplacian(model, 0.5, density.f, (0.2, 0.3))
+    with pytest.raises(ConfigError, match=r"coupling is written in \['mu', 'sigma'\]"):
+        nonlinear_cup_operator(model, 0.5, 1.0, coupling, (0.2, 0.3))
 
 
 def test_wrong_symmetrization_weight_changes_the_skewness():

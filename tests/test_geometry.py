@@ -14,6 +14,7 @@ from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
+    PointGeometry,
     _laplacian,
     alpha_connection,
     covariant_derivative_metric,
@@ -344,6 +345,43 @@ class TestDensityEntry:
         monkeypatch.setattr(Domain, "contains", counted)
         op(model, f, points)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("points", POINT_CASES, ids=["point", "batch"])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_a_first_call_checks_its_points_once(self, name, points, monkeypatch):
+        model = gaussian_model()
+        f = model.scalar_field("1 + 0.1*mu*sigma")
+        calls = []
+        contains = Domain.contains
+
+        def counted(domain, p):
+            calls.append(1)
+            return contains(domain, p)
+
+        monkeypatch.setattr(Domain, "contains", counted)
+        self.OPERATORS[name](model, f, points)  # builds the geometry
+        assert len(calls) == 1
+
+    def test_a_direct_build_still_checks_its_points(self):
+        with pytest.raises(DomainError, match="outside the domain"):
+            PointGeometry(GAUSS, 0.5, (0.0, -1.0))
+
+    @pytest.mark.parametrize("field", [gaussian_model().scalar_field("mu*sigma"),
+                                       euclidean_model(3).scalar_field("x")],
+                             ids=["gaussian", "euclidean:3"])
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_a_density_in_another_chart_is_rejected(self, name, field):
+        tri = multinomial_model(3)
+        with pytest.raises(ConfigError, match=r"chart mismatch: density is written in "
+                                              r"\[.*\], model 'multinomial:3' uses "
+                                              r"\['p1', 'p2'\]"):
+            self.OPERATORS[name](tri, field, (0.2, 0.3))
+
+    def test_a_coupling_in_another_chart_is_rejected(self):
+        tri = multinomial_model(3)
+        coupling = NonlinearCoupling(GAUSS.scalar_field("mu"), 2.0)
+        with pytest.raises(ConfigError, match=r"coupling is written in \['mu', 'sigma'\]"):
+            nonlinear_cup_operator(tri, 0.5, tri.scalar_field("1 + p1"), coupling, (0.2, 0.3))
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_a_number_is_the_constant_density(self, name):

@@ -158,6 +158,17 @@ def test_variable_index_validated():
         Jet.variable(1.0, 2, 2, 1)
 
 
+def test_one_point_seed_shares_read_only_blocks():
+    x, y = seed((0.3, 1.2), 2)
+    assert x.value == 0.3 and type(x.value) is float
+    assert x.d1.tolist() == [1.0, 0.0] and y.d1.tolist() == [0.0, 1.0]
+    assert not x.d2.any() and x.d2 is y.d2
+    for part in (x.d1, x.d2):
+        with pytest.raises(ValueError, match="read-only"):
+            part[0] = 2.0
+    assert seed((0.3, 1.2), 0)[0].d1 is None
+
+
 def test_dim_mismatch_rejected():
     (a,) = seed((1.0,), 2)
     b, _ = seed((1.0, 2.0), 2)

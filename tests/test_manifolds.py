@@ -15,6 +15,7 @@ from cupgeo.errors import ConfigError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
     SampleSpec,
+    _component_symmetrize,
     estimate_fisher_tensors,
     euclidean_model,
     gaussian_model,
@@ -25,7 +26,7 @@ from cupgeo.manifolds import (
 )
 from cupgeo.tensor_core import as_point
 
-from helpers import assert_fully_symmetric
+from helpers import assert_fully_symmetric, mirrored_tensor_jet, symmetrize_by_classes
 
 
 def readme_gaussian_config():
@@ -128,6 +129,42 @@ class TestEuclideanFamily:
         g = m.metric_at((4.0, -7.0, 0.1))
         assert np.array_equal(g.components, np.eye(3))
         assert np.array_equal(m.skewness_at((0.0, 0.0, 0.0)).components, np.zeros((3, 3, 3)))
+
+
+SHARED_SUBTREES = json.dumps({
+    "dim": 2, "coords": ["x", "y"],
+    "metric": {"11": "exp(x*y) + 1/(1 + y^2)", "12": "0.1*exp(x*y)", "22": "2 + sin(x*y)^2"},
+    "skewness": {"111": "x/(1 + y^2)", "112": "sqrt(1 + y^2) - exp(x*y)",
+                 "122": "-exp(x*y)", "222": "log(2 + x^2)/(1 + y^2)^3"},
+})
+COMPILED_MODELS = {
+    "gaussian": (gaussian_model(), [(0.3, 1.2), (-1.0, 0.7)]),
+    "multinomial:3": (multinomial_model(3), [(0.2, 0.3), (0.5, 0.1)]),
+    "multinomial:4": (multinomial_model(4), [(0.2, 0.3, 0.1), (0.1, 0.1, 0.1)]),
+    "euclidean:3": (euclidean_model(3), [(0.1, 0.2, 0.3), (-1.0, 0.0, 5.0)]),
+    "shared-subtrees": (parse_model(SHARED_SUBTREES), [(0.3, 0.4), (1.0, -0.5)]),
+}
+
+
+class TestCompiledTensorFields:
+    """One shared program per field gives what its entries give one at a time."""
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("name", list(COMPILED_MODELS))
+    def test_field_jet_matches_its_entries_mirrored_bitwise(self, name, order):
+        model, points = COMPILED_MODELS[name]
+        for coords in [np.array(p) for p in points] + [np.array(points)]:
+            for field in (model.metric, model.skewness):
+                jet = field.jet(coords, order)
+                ref = mirrored_tensor_jet(field, coords, order)
+                for k in range(order + 1):
+                    a, b = jet.deriv(k), ref.deriv(k)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (field.rank, k)
+
+    def test_entries_share_their_subtrees(self):
+        field = multinomial_model(4).skewness
+        alone = sum(len(e.program.code) for e in field.entries.values())
+        assert len(field.program.code) < alone / 2
 
 
 class TestDomain:
@@ -428,6 +465,17 @@ class TestCallableModels:
         m = model_from_callables(2, ("x", "y"), lopsided_metric, lambda v: np.zeros((2, 2, 2)))
         g = m.metric_at((0.0, 0.0)).components
         assert np.allclose(g, [[1.0, 0.25], [0.25, 1.0]], rtol=1e-12)
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_symmetrization_matches_the_class_loop_bitwise(self, n, rank):
+        rng = np.random.default_rng(10 * n + rank)
+        for _ in range(20):
+            arr = rng.standard_normal((n,) * rank) * 10.0 ** rng.integers(-8, 8, (n,) * rank)
+            arr[rng.random(arr.shape) < 0.2] = -0.0
+            out = _component_symmetrize(arr, rank)
+            ref = symmetrize_by_classes(arr, rank)
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
 
     def test_wrong_shape_callable_rejected(self):
         m = model_from_callables(2, ("x", "y"), lambda v: np.eye(3), lambda v: np.zeros((2, 2, 2)))

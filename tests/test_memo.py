@@ -42,9 +42,9 @@ def builds(monkeypatch):
     made = []
     init = PointGeometry.__init__
 
-    def counting(self, model, alpha, p):
+    def counting(self, model, alpha, p, **kwargs):
         made.append((model.name, float(alpha)))
-        init(self, model, alpha, p)
+        init(self, model, alpha, p, **kwargs)
 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counting)
     return made
