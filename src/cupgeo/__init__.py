@@ -63,10 +63,10 @@ from .manifolds import (
 from .tensor_core import (
     CONTRA,
     COV,
+    Field,
     FuncField,
     NumericField,
     Point,
-    ScalarField,
     Tensor,
     as_point,
     invert_metric,

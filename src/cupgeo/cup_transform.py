@@ -26,7 +26,7 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
-from .tensor_core import CONTRA, COV, ScalarField, Tensor, as_coords, field_jet
+from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, field_jet, require_scalar
 from .geometry import (NonlinearCoupling, _hessian, _real, _require_chart, point_geometry,
                        ricci_reconstruction)
 
@@ -35,22 +35,15 @@ from .geometry import (NonlinearCoupling, _hessian, _real, _require_chart, point
 class WeightedDensity:
     """A scalar field tagged with its rescaling weight r."""
 
-    f: ScalarField
+    f: Field
     r: float
-
-
-def _source(field):
-    return getattr(field, "source", type(field).__name__)
 
 
 class CupRescaling:
     """alpha, the generating potential, and the derived eta and psi."""
 
     def __init__(self, alpha, potential):
-        if not isinstance(potential, ScalarField):
-            raise ConfigError(
-                f"rescaling potential must be a scalar field, got {type(potential).__name__}"
-            )
+        require_scalar(potential, "rescaling potential")
         self.alpha = float(alpha)
         if not np.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {alpha}")
@@ -68,7 +61,7 @@ class CupRescaling:
         key = (np.shape(coords), np.asarray(coords, dtype=float).tobytes())
         if self._last is None or self._last[0] != key or self._last[1].order < order:
             phi = self.potential.jet(coords, order)
-            eta = field_jet(f"conformal factor of potential {_source(self.potential)!r}",
+            eta = field_jet(f"conformal factor of potential {self.potential.label}",
                             coords, order, lambda: jets.exp((-self.alpha) * phi))
             self._last = (key, phi, eta)
         return self._last[1:]
@@ -122,21 +115,20 @@ def parse_rescaling(config_text, model):
 # -- transformed fields -----------------------------------------------------
 
 
-class _ScaledMetricField:
+class _ScaledMetricField(Field):
+    rank = 2
+
     def __init__(self, base, resc):
         self.base = base
         self.resc = resc
         self.dim = base.dim
-
-    def jet(self, coords, order):
-        return field_jet(f"rescaled metric of potential {_source(self.resc.potential)!r}",
-                         coords, order, self._jet, coords, order)
+        self.label = f"rescaled metric of potential {resc.potential.label}"
 
     def _jet(self, coords, order):
         return self.resc.eta_jet(coords, order).expand(2) * self.base.jet(coords, order)
 
 
-class _ShiftedSkewnessField:
+class _ShiftedSkewnessField(Field):
     """eta * (t + weight * sym(g (x) psi)), assembled at the jet level.
 
     ``weight`` exists only to let the verification suite run its
@@ -144,15 +136,14 @@ class _ShiftedSkewnessField:
     weight 1.
     """
 
+    rank = 3
+
     def __init__(self, model, resc, weight):
         self.model = model
         self.resc = resc
         self.weight = weight
         self.dim = model.dim
-
-    def jet(self, coords, order):
-        return field_jet(f"rescaled skewness of potential {_source(self.resc.potential)!r}",
-                         coords, order, self._jet, coords, order)
+        self.label = f"rescaled skewness of potential {resc.potential.label}"
 
     def _jet(self, coords, order):
         gj = self.model.metric.jet(coords, order)
@@ -186,7 +177,7 @@ def symmetric_g_psi(gj, psi):
     return total.map(lambda a: _mirror_sorted(a, rank=3, lead=b))
 
 
-class _PoweredScaleField(ScalarField):
+class _PoweredScaleField(Field):
     """eta^power * base, the transformation rule shared by densities
     (power = r) and couplings (power = -a)."""
 
@@ -195,12 +186,9 @@ class _PoweredScaleField(ScalarField):
         self.resc = resc
         self.power = float(power)
         self.dim = base.dim
-        self.coord_names = getattr(base, "coord_names", None)
+        self.coord_names = base.coord_names
         self.mode = base.mode
-
-    def jet(self, coords, order):
-        return field_jet(f"eta^{self.power:g} times field {_source(self.base)!r}",
-                         coords, order, self._jet, coords, order)
+        self.label = f"eta^{self.power:g} times {base.label}"
 
     def _jet(self, coords, order):
         factor = self.resc.eta_jet(coords, order) ** self.power
@@ -210,7 +198,7 @@ class _PoweredScaleField(ScalarField):
 def rescaled_model(model, resc, sym_weight=1.0):
     """The model carrying g-tilde = eta g and the shifted, rescaled skewness."""
     _require_chart(resc.potential, model, "rescaling potential")
-    mode = "fd" if (model.mode == "fd" or getattr(resc.potential, "mode", "jet") == "fd") else "jet"
+    mode = "fd" if "fd" in (model.mode, resc.potential.mode) else "jet"
     return ManifoldModel(
         dim=model.dim,
         coord_names=model.coord_names,

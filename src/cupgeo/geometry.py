@@ -45,11 +45,12 @@ from .jets import _bc, constant_at
 from .tensor_core import (
     CONTRA,
     COV,
-    ScalarField,
+    Field,
     Tensor,
     first_false,
     invert_metric,
     point_text,
+    require_scalar,
 )
 
 
@@ -109,9 +110,12 @@ class HessianSpec:
 
 @dataclass(frozen=True)
 class NonlinearCoupling:
-    """Zeroth-order coupling lam * f^a; the exponent must be nonzero."""
+    """Zeroth-order coupling lam * f^a; the exponent must be nonzero.
 
-    lam: ScalarField
+    ``lam`` is a scalar :class:`~cupgeo.tensor_core.Field` or a finite number.
+    """
+
+    lam: Field
     a: float
 
     def __post_init__(self):
@@ -329,8 +333,10 @@ def curvature(model, alpha, p):
 
 
 def _require_chart(field, model, what):
-    """Raise ConfigError unless ``field`` has ``model``'s dimension and coordinate names."""
-    names = getattr(field, "coord_names", None)
+    """Raise ConfigError unless ``field`` is a scalar field with ``model``'s dimension
+    and coordinate names."""
+    require_scalar(field, what)
+    names = field.coord_names
     if field.dim != model.dim or (names is not None and tuple(names) != model.coord_names):
         chart = f"{field.dim} coordinates" if names is None else list(names)
         raise ConfigError(f"chart mismatch: {what} is written in {chart}, "
@@ -341,14 +347,12 @@ def _field_jet(f, model, x, order, what="density"):
     """The jet of a density or coupling ``f`` at ``x``, coordinates checked against ``model``.
 
     A finite number is the constant field of that value; anything else must
-    be a :class:`ScalarField` written in the model's chart.
+    be a scalar :class:`~cupgeo.tensor_core.Field` written in the model's chart.
     """
     if isinstance(f, (int, float)):
         if not math.isfinite(f):
             raise ConfigError(f"{what} must be a finite number, got {f}")
         return constant_at(float(f), x, order)
-    if not isinstance(f, ScalarField):
-        raise ConfigError(f"{what} must be a scalar field or a number, got {type(f).__name__}")
     _require_chart(f, model, what)
     return f.jet(x, order)
 

@@ -118,16 +118,6 @@ class Jet:
             d2 = np.zeros(shape + (dim, dim))
         return cls(dim, order, value, d1, d2)
 
-    @classmethod
-    def variable(cls, value, index, dim, order):
-        """Seed coordinate ``index``: unit first derivative, zero higher ones."""
-        if not 0 <= index < dim:
-            raise IndexError(f"coordinate index {index} out of range for dim {dim}")
-        jet = cls.constant(value if np.ndim(value) else float(value), dim, order)
-        if order >= 1:
-            jet.d1[..., index] = 1.0
-        return jet
-
     def _check(self, other):
         """Raise unless the jet ``other`` has this jet's dimension and order."""
         if other.dim != self.dim:
@@ -315,16 +305,20 @@ def seed(coords, order):
 
     ``coords`` of shape ``(n,)`` gives float values (batch shape ``()``);
     shape ``(P, n)`` gives values of shape ``(P,)``, one row per point.
-    One point's derivative parts are read-only views of one identity block
-    and one zero block.
+    The derivative parts are read-only: variable ``i`` has row ``i`` of one
+    identity block as its first derivative, and all share one zero block;
+    both blocks are repeated over the batch axes.
     """
     x = np.asarray(coords, dtype=float)
     n = x.shape[-1]
-    if x.ndim == 2:
-        return [Jet.variable(c, i, n, order) for i, c in enumerate(x.T)]
-    eye, zeros = np.eye(n), np.zeros((n, n))
+    batch = x.shape[:-1]
+    eye = np.zeros((n,) + batch + (n,))
+    for i in range(n):
+        eye[i, ..., i] = 1.0
+    zeros = np.zeros(batch + (n, n))
     eye.flags.writeable = zeros.flags.writeable = False
-    return [Jet(n, order, float(c), *(eye[i], zeros)[:order]) for i, c in enumerate(x)]
+    values = x.T if batch else map(float, x)
+    return [Jet(n, order, c, *(eye[i], zeros)[:order]) for i, c in enumerate(values)]
 
 
 def constant_at(value, coords, order):
@@ -343,11 +337,11 @@ def constant_at(value, coords, order):
 
 # -- finite-difference jets for black-box callables ------------------------
 
-# Fourth-order central stencils: (offsets, weights, power of h in the divisor).
-_STENCILS = {
-    1: ((-2, -1, 1, 2), (1.0, -8.0, 8.0, -1.0), 12.0),
-    2: ((-2, -1, 0, 1, 2), (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0),
-}
+# Fourth-order central stencils by symmetric pairs: the weights of the
+# offsets 1 and 2 (the mirrored offset carries the same weight, with the
+# opposite sign for a first derivative) and the divisor.  A second
+# derivative's centre weight, -30, is the negated sum of the others times 2.
+_STENCILS = {1: ((8.0, -1.0), 12.0), 2: ((16.0, -1.0), 12.0)}
 
 
 def _fd_step(order, coord):
@@ -359,28 +353,35 @@ def _fd_partial(fn, x, axes):
 
     ``axes`` maps coordinate index to derivative multiplicity; the stencil for
     each axis matches its multiplicity, and the step follows the total order.
+    Each symmetric pair of values is differenced before it is weighted,
+    f(x + kh) - f(x - kh) for a first derivative and
+    (f(x + kh) - f(x)) + (f(x - kh) - f(x)) for a second, so a constant
+    gives exactly zero however large it is.
     """
     total = sum(axes.values())
     plan = []
     scale = 1.0
     for axis, mult in axes.items():
-        offsets, weights, divisor = _STENCILS[mult]
+        weights, divisor = _STENCILS[mult]
         h = _fd_step(total, x[axis])
         scale /= divisor * h ** mult
-        plan.append((axis, h, offsets, weights))
+        plan.append((axis, h, mult, weights))
 
-    def recurse(point, level, weight):
+    def recurse(point, level):
         if level == len(plan):
-            return weight * fn(np.array(point))
-        axis, h, offsets, weights = plan[level]
+            return fn(np.array(point))
+        axis, h, mult, weights = plan[level]
+        centre = recurse(point, level + 1) if mult == 2 else None
         acc = 0.0
-        for off, w in zip(offsets, weights):
-            shifted = list(point)
-            shifted[axis] += off * h
-            acc += recurse(shifted, level + 1, weight * w)
+        for k, w in enumerate(weights, 1):
+            up, down = list(point), list(point)
+            up[axis] += k * h
+            down[axis] -= k * h
+            f_up, f_down = recurse(up, level + 1), recurse(down, level + 1)
+            acc += w * ((f_up - centre) + (f_down - centre) if mult == 2 else f_up - f_down)
         return acc
 
-    return scale * recurse(list(x), 0, 1.0)
+    return scale * recurse(list(x), 0)
 
 
 def finite_difference_jet(fn, coords, order):

@@ -9,25 +9,27 @@ coordinate names, and a domain predicate.  Three sources are supported:
 * user configs in JSON, one expression per independent tensor component;
 * black-box callables, differentiated by finite differences.
 
-Tensor-field evaluations return array-valued jets: ``.value`` has the
-batch axes of the points (none for one point) followed by the component
-axes, and each derivative axis trails them, ready for the geometry layer's
+Every field here is a :class:`~cupgeo.tensor_core.Field`, evaluated and
+checked through its one ``jet``.  An expression field compiles to one
+program; a tensor field's jet is array-valued: ``.value`` has the batch
+axes of the points (none for one point) followed by the component axes,
+and each derivative axis trails them, ready for the geometry layer's
 contractions.  Component symmetry holds bitwise: one compiled program per
 field evaluates one representative per index class, and one gather through
-a table of each component's representative scatters them.
+a table of each component's representative scatters them.  A failing
+tensor field names its first failing component.
 
 The Monte-Carlo oracle (:func:`estimate_fisher_tensors`) derives g and t
 from score moments of a sampled log-likelihood, independently of the closed
 forms, with componentwise standard errors.
 """
 
-import functools
 import json
 import math
 import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -35,7 +37,8 @@ from . import expr, jets
 from .errors import ConfigError, DomainError, EvaluationError
 from .tensor_core import (
     COV,
-    ScalarField,
+    Field,
+    NumericField,
     Tensor,
     as_coords,
     as_point,
@@ -85,10 +88,22 @@ def unbounded_domain(dim):
     return Domain(((None, None),) * dim)
 
 
-# -- tensor fields ----------------------------------------------------------
+# -- fields -----------------------------------------------------------------
 
 
-class ExprTensorField:
+def _chart_expression(source, coord_names):
+    """``source`` parsed; a ConfigError if it names an identifier outside the chart."""
+    parsed = expr.Expression(source)
+    unknown = parsed.variables - set(coord_names)
+    if unknown:
+        raise ConfigError(
+            f"unknown identifier(s) {sorted(unknown)} in {source!r}; "
+            f"chart coordinates are {list(coord_names)}"
+        )
+    return parsed
+
+
+class ExprTensorField(Field):
     """Fully covariant, index-symmetric components given as expressions.
 
     ``entries`` maps a sorted index tuple (one representative per symmetry
@@ -101,6 +116,7 @@ class ExprTensorField:
         self.dim = dim
         self.rank = rank
         self.coord_names = tuple(coord_names)
+        self.label = f"rank-{rank} tensor field"
         self.entries = dict(entries)
         # one output per entry and a last one, zero, for the unlisted components
         self.program = expr.Program([e.ast for e in self.entries.values()] + [expr.parse("0")])
@@ -109,19 +125,18 @@ class ExprTensorField:
                                for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
 
     def jet(self, coords, order):
-        env = dict(zip(self.coord_names, jets.seed(coords, order)))
         try:
-            return field_jet(f"rank-{self.rank} tensor field", coords, order,
-                             self._assemble, env, coords, order)
+            return super().jet(coords, order)
         except (EvaluationError, DomainError):
             # checked once as a whole; on failure, name the first failing component
+            env = dict(zip(self.coord_names, jets.seed(coords, order)))
             for index, expression in self.entries.items():
                 field_jet(f"component {index} ({expression.source!r})", coords, order,
                           expression, env)
             raise
 
-    def _assemble(self, env, coords, order):
-        values = self.program.run(env)
+    def _jet(self, coords, order):
+        values = self.program.run(dict(zip(self.coord_names, jets.seed(coords, order))))
         batch = np.shape(coords)[:-1]
         parts = []
         for k in range(order + 1):
@@ -132,86 +147,17 @@ class ExprTensorField:
         return jets.Jet(self.dim, order, *parts)
 
 
-@functools.lru_cache(maxsize=16)
-def _index_classes(n, rank):
-    """``perms[j, c]``, the flat index of the j-th sorted permutation of index
-    class ``c`` (past its size, ``n ** rank``: a zero appended to the entries),
-    the class sizes, and a table of every component's class."""
-    shape = (n,) * rank
-    classes = [sorted(set(permutations(index)))
-               for index in combinations_with_replacement(range(n), rank)]
-    perms = np.full((max(map(len, classes)), len(classes)), n ** rank)
-    table = np.empty(shape, dtype=int)
-    for c, members in enumerate(classes):
-        for j, p in enumerate(members):
-            perms[j, c] = np.ravel_multi_index(p, shape)
-            table[p] = c
-    return perms, np.array([float(len(c)) for c in classes]), table
-
-
-def _component_symmetrize(arr, rank):
-    """The mean over each index class, summed as ``0.0 + a0 + a1 + ...`` over
-    its sorted permutations, all classes at once: the padding zeros change no
-    sum, as a sum from 0.0 is never -0.0."""
-    if rank < 2:
-        return arr
-    if rank == 2:
-        return 0.5 * (arr + np.swapaxes(arr, 0, 1))
-    perms, sizes, table = _index_classes(arr.shape[0], rank)
-    total = 0.0
-    for row in np.append(arr, 0.0)[perms]:
-        total = total + row
-    return (total / sizes)[table]
-
-
-class NumericTensorField:
-    """Black-box component callable; derivatives by finite differences.
-
-    The raw output is symmetrized over component permutations before the
-    stencil sees it, which both enforces the symmetry contract and keeps the
-    FD derivatives exactly symmetric in their component axes.
-    """
-
-    def __init__(self, dim, rank, fn):
-        self.dim = dim
-        self.rank = rank
-        self.fn = fn
-
-    def _sym_fn(self, x):
-        arr = np.asarray(self.fn(x), dtype=float)
-        if arr.shape != (self.dim,) * self.rank:
-            raise EvaluationError(
-                f"tensor callable returned shape {arr.shape}, expected {(self.dim,) * self.rank}"
-            )
-        return _component_symmetrize(arr, self.rank)
-
-    def jet(self, coords, order):
-        name = getattr(self.fn, "__name__", type(self.fn).__name__)
-        return field_jet(f"tensor callable {name!r}", coords, order,
-                         jets.finite_difference_jet, self._sym_fn, coords, order)
-
-
-# -- scalar fields bound to a chart -----------------------------------------
-
-
-class ExprScalarField(ScalarField):
+class ExprScalarField(Field):
     """A scalar field parsed from an expression over named coordinates."""
 
     def __init__(self, source, coord_names):
-        self.expression = source if isinstance(source, expr.Expression) else expr.Expression(source)
-        self.source = self.expression.source
+        self.expression = _chart_expression(source, coord_names)
         self.coord_names = tuple(coord_names)
         self.dim = len(self.coord_names)
-        unknown = self.expression.variables - set(self.coord_names)
-        if unknown:
-            raise ConfigError(
-                f"unknown identifier(s) {sorted(unknown)} in {self.source!r}; "
-                f"chart coordinates are {list(self.coord_names)}"
-            )
+        self.label = f"field {source!r}"
 
-    def jet(self, coords, order):
-        env = dict(zip(self.coord_names, jets.seed(coords, order)))
-        return field_jet(f"field {self.source!r}", coords, order, self.expression, env)
+    def _jet(self, coords, order):
+        return self.expression(dict(zip(self.coord_names, jets.seed(coords, order))))
 
 
 # -- models -----------------------------------------------------------------
@@ -341,15 +287,9 @@ def _expr_entries(raw, rank, dim, coord_names, what):
                 )
             continue
         try:
-            parsed = expr.Expression(source)
+            entries[rep] = _chart_expression(source, coord_names)
         except Exception as e:
             raise ConfigError(f"{what} entry {key!r}: {e}") from e
-        unknown = parsed.variables - set(coord_names)
-        if unknown:
-            raise ConfigError(
-                f"{what} entry {key!r} uses unknown identifier(s) {sorted(unknown)}"
-            )
-        entries[rep] = parsed
     return entries
 
 
@@ -665,8 +605,8 @@ def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, 
     return ManifoldModel(
         dim=dim,
         coord_names=tuple(coord_names),
-        metric=NumericTensorField(dim, 2, metric_fn),
-        skewness=NumericTensorField(dim, 3, skewness_fn),
+        metric=NumericField(metric_fn, dim, rank=2),
+        skewness=NumericField(skewness_fn, dim, rank=3),
         domain=domain,
         name=name,
         mode="fd",

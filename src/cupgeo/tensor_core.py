@@ -1,4 +1,4 @@
-"""Dense chart-local tensor values and the scalar-field evaluation layer.
+"""Dense chart-local tensor values and the field evaluation layer.
 
 Everything here is tiny per point: statistical manifolds live in a
 handful of dimensions, so tensors are dense ndarrays with an explicit
@@ -9,18 +9,24 @@ Points are given either one at a time (a coordinate tuple, shape ``(n,)``)
 or as a batch (a ``(P, n)`` array); :func:`as_coords` normalizes both.
 Values over a batch carry its axis first, ahead of the component axes.
 
-Scalar fields have no domain of their own: they take coordinates already
-checked against the model they are evaluated on, and the model's domain is
-the only one there is.
+Every field (metric, skewness, density, coupling, rescaling potential) is
+a :class:`Field`: it is evaluated as a jet through one checked path,
+:func:`field_jet`, so any failure names the field and the point.  Fields
+have no domain of their own: they take coordinates already checked against
+the model they are evaluated on, and the model's domain is the only one
+there is.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
 from . import jets
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     DomainError,
     EvaluationError,
@@ -147,7 +153,7 @@ def invert_metric(g, at=None):
     return inv
 
 
-# -- scalar fields ----------------------------------------------------------
+# -- fields -----------------------------------------------------------------
 
 
 def _row_all(flags, batch):
@@ -200,49 +206,116 @@ def field_jet(source, coords, order, compute, *args):
     raise EvaluationError(f"{source} is not finite at {point_text(x, first_false(finite))}")
 
 
-class ScalarField:
-    """A scalar quantity on the chart, evaluable with derivatives.
+class Field:
+    """A quantity on the chart, evaluated as a jet: value and derivatives.
 
-    Subclasses fix how derivatives are obtained: exact jet arithmetic for
-    analytic rules and parsed expressions, fourth-order central differences
-    for black-box callables.  Evaluation at a fixed point is deterministic.
-    ``jet(coords, order)`` takes one point or a ``(P, n)`` batch of
-    coordinates already checked against the model's domain (the operators
-    check them once, through :func:`cupgeo.geometry.point_geometry`) and
-    goes through :func:`field_jet`.
+    A field has a dimension ``dim``, a tensor ``rank`` (0 for a scalar), a
+    ``mode`` ("jet" for exact jet arithmetic, "fd" for finite differences),
+    the ``coord_names`` of the chart it is written in (None when it names
+    none) and a ``label`` that names it in error messages.  A subclass gives
+    ``label`` and ``_jet(coords, order)``; :meth:`jet` is the one checked
+    evaluation.  Evaluation at a fixed point is deterministic.
     """
 
+    rank = 0
     mode = "jet"
+    coord_names = None
 
     def jet(self, coords, order):
+        """The jet at one point or a ``(P, n)`` batch, through :func:`field_jet`.
+
+        ``coords`` are already checked against the model's domain (the
+        operators check them once, through
+        :func:`cupgeo.geometry.point_geometry`).
+        """
+        return field_jet(self.label, coords, order, self._jet, coords, order)
+
+    def _jet(self, coords, order):
         raise NotImplementedError
 
     def __call__(self, p):
         return self.jet(as_coords(p), 0).value
 
 
-class FuncField(ScalarField):
+def require_scalar(f, what):
+    """Raise ConfigError unless ``f`` is a scalar (rank-0) :class:`Field`."""
+    if not isinstance(f, Field) or f.rank != 0:
+        kind = f"a rank-{f.rank} field" if isinstance(f, Field) else type(f).__name__
+        raise ConfigError(f"{what} must be a scalar field, got {kind}")
+
+
+def _callable_name(fn):
+    return getattr(fn, "__name__", type(fn).__name__)
+
+
+class FuncField(Field):
     """Analytic rule written over coordinate jets (exact derivatives)."""
 
     def __init__(self, fn, dim):
         self.fn = fn
         self.dim = dim
+        self.label = f"rule {_callable_name(fn)!r}"
 
-    def jet(self, coords, order):
-        name = getattr(self.fn, "__name__", type(self.fn).__name__)
-        return field_jet(f"rule {name!r}", coords, order, self.fn, jets.seed(coords, order))
+    def _jet(self, coords, order):
+        return self.fn(jets.seed(coords, order))
 
 
-class NumericField(ScalarField):
-    """Black-box float callable; derivatives by finite differences."""
+@functools.lru_cache(maxsize=16)
+def _index_classes(n, rank):
+    """``perms[j, c]``, the flat index of the j-th sorted permutation of index
+    class ``c`` (past its size, ``n ** rank``: a zero appended to the entries),
+    the class sizes, and a table of every component's class."""
+    shape = (n,) * rank
+    classes = [sorted(set(permutations(index)))
+               for index in combinations_with_replacement(range(n), rank)]
+    perms = np.full((max(map(len, classes)), len(classes)), n ** rank)
+    table = np.empty(shape, dtype=int)
+    for c, members in enumerate(classes):
+        for j, p in enumerate(members):
+            perms[j, c] = np.ravel_multi_index(p, shape)
+            table[p] = c
+    return perms, np.array([float(len(c)) for c in classes]), table
+
+
+def _component_symmetrize(arr, rank):
+    """The mean over each index class, summed as ``0.0 + a0 + a1 + ...`` over
+    its sorted permutations, all classes at once: the padding zeros change no
+    sum, as a sum from 0.0 is never -0.0."""
+    if rank < 2:
+        return arr
+    if rank == 2:
+        return 0.5 * (arr + np.swapaxes(arr, 0, 1))
+    perms, sizes, table = _index_classes(arr.shape[0], rank)
+    total = 0.0
+    for row in np.append(arr, 0.0)[perms]:
+        total = total + row
+    return (total / sizes)[table]
+
+
+class NumericField(Field):
+    """Black-box float callable; derivatives by finite differences.
+
+    ``fn(x)`` returns the ``(dim,) * rank`` components at one point.  The
+    output is symmetrized over component permutations before the stencil
+    sees it, which both enforces the symmetry contract of a tensor field and
+    keeps the FD derivatives exactly symmetric in their component axes.
+    """
 
     mode = "fd"
 
-    def __init__(self, fn, dim):
+    def __init__(self, fn, dim, rank=0):
         self.fn = fn
         self.dim = dim
+        self.rank = rank
+        self.label = f"{'tensor ' if rank else ''}callable {_callable_name(fn)!r}"
 
-    def jet(self, coords, order):
-        name = getattr(self.fn, "__name__", type(self.fn).__name__)
-        return field_jet(f"callable {name!r}", coords, order,
-                         jets.finite_difference_jet, self.fn, coords, order)
+    def _value(self, x):
+        arr = np.asarray(self.fn(x), dtype=float)
+        if arr.shape != (self.dim,) * self.rank:
+            raise EvaluationError(
+                f"{self.label} returned shape {arr.shape}, expected {(self.dim,) * self.rank}"
+            )
+        return _component_symmetrize(arr, self.rank)
+
+    def _jet(self, coords, order):
+        return jets.finite_difference_jet(self._value, coords, order)

@@ -61,32 +61,22 @@ TRACE_TOLERANCE = 1e-9
 DECOMPOSITION_TOLERANCE = 1e-8
 CONTROL_FACTOR = 1e3
 
-CHECK_IDS = (
-    "metric_compat",
-    "codazzi",
-    "conn_shift",
-    "curv_shift",
-    "ricci_shift",
-    "hessian_inv",
-    "laplacian_inv",
-    "nonlinear_inv",
-    "integrability",
-)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CheckReport:
+    """One check's outcome; the fields are in the key order of its JSON entry."""
+
     check_id: str
+    negative_control: bool = False
     points_evaluated: int
+    flat_points: int = 0
     max_abs_residual: float
     max_rel_residual: float
     tolerance: float
-    passed: bool
-    worst_point: tuple
-    negative_control: bool = False
-    flat_points: int = 0
     trace_residual: float = None
     decomp_residual: float = None
+    passed: bool
+    worst_point: tuple
 
 
 @dataclass(frozen=True)
@@ -393,6 +383,8 @@ _CHECK_FUNCTIONS = {
     "integrability": _check_integrability,
 }
 
+CHECK_IDS = tuple(_CHECK_FUNCTIONS)
+
 
 def run_check(check_id, config):
     """One named check over the full matrix of ``config``."""
@@ -412,21 +404,8 @@ class SuiteResult:
     passed: bool
 
     def summary(self, seed=None):
-        checks = []
-        for r in self.reports:
-            checks.append({
-                "check_id": r.check_id,
-                "negative_control": r.negative_control,
-                "points_evaluated": r.points_evaluated,
-                "flat_points": r.flat_points,
-                "max_abs_residual": r.max_abs_residual,
-                "max_rel_residual": r.max_rel_residual,
-                "tolerance": r.tolerance,
-                "trace_residual": r.trace_residual,
-                "decomp_residual": r.decomp_residual,
-                "passed": r.passed,
-                "worst_point": list(r.worst_point),
-            })
+        checks = [{**dataclasses.asdict(r), "worst_point": list(r.worst_point)}
+                  for r in self.reports]
         out = {"passed": self.passed}
         if seed is not None:
             out["seed"] = seed

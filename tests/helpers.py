@@ -17,7 +17,7 @@ def assert_fully_symmetric(components, lead=0):
 
 
 def symmetrize_by_classes(arr, rank):
-    """Reference for ``manifolds._component_symmetrize``: one index class at a
+    """Reference for ``tensor_core._component_symmetrize``: one index class at a
     time, summed as ``0 + a0 + a1 + ...`` over its sorted permutations."""
     if rank < 2:
         return arr

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cupgeo.errors import DomainError, UnsupportedOrderError
 from cupgeo.expr import Expression
 from cupgeo.jets import Jet, cos, exp, finite_difference_jet, log, seed, sin, sqrt
+from cupgeo.tensor_core import NumericField
 
 EPS = np.finfo(float).eps
 
@@ -153,20 +154,21 @@ def test_order_cap_enforced():
         finite_difference_jet(lambda v: v[0], (1.0,), 3)
 
 
-def test_variable_index_validated():
-    with pytest.raises(IndexError):
-        Jet.variable(1.0, 2, 2, 1)
-
-
-def test_one_point_seed_shares_read_only_blocks():
-    x, y = seed((0.3, 1.2), 2)
-    assert x.value == 0.3 and type(x.value) is float
-    assert x.d1.tolist() == [1.0, 0.0] and y.d1.tolist() == [0.0, 1.0]
-    assert not x.d2.any() and x.d2 is y.d2
+@pytest.mark.parametrize("coords", [(0.3, 1.2), [(0.3, 1.2), (0.5, 0.7), (2.0, 1.0)]],
+                         ids=["point", "batch"])
+def test_seed_shares_read_only_blocks(coords):
+    x, y = seed(coords, 2)
+    batch = np.shape(coords)[:-1]
+    assert np.array_equal(x.value, np.asarray(coords)[..., 0])
+    if not batch:
+        assert type(x.value) is float
+    assert np.array_equal(x.d1, np.broadcast_to([1.0, 0.0], batch + (2,)))
+    assert np.array_equal(y.d1, np.broadcast_to([0.0, 1.0], batch + (2,)))
+    assert x.d2.shape == batch + (2, 2) and not x.d2.any() and x.d2 is y.d2
     for part in (x.d1, x.d2):
         with pytest.raises(ValueError, match="read-only"):
-            part[0] = 2.0
-    assert seed((0.3, 1.2), 0)[0].d1 is None
+            part[..., 0] = 2.0
+    assert seed(coords, 0)[0].d1 is None
 
 
 def test_dim_mismatch_rejected():
@@ -214,7 +216,7 @@ def test_batched_values_share_one_jet():
 
 def test_scalar_jet_times_array_jet_leibniz():
     n = 2
-    s = Jet.variable(2.0, 0, n, 1)  # scalar x, d1 = (1, 0)
+    s, _ = seed((2.0, 5.0), 1)  # scalar x, d1 = (1, 0)
     aval = np.array([[1.0, 2.0], [3.0, 4.0]])
     ad1 = np.arange(8.0).reshape(2, 2, n)
     arr = Jet(n, 1, aval, d1=ad1.copy())
@@ -257,6 +259,21 @@ def test_finite_difference_of_array_valued_callable():
 
 
 # -- finite differences as an independent oracle ----------------------------
+
+
+@pytest.mark.parametrize("value", [5.2e5 / 3, math.pi * 1e9, -math.e * 1e-7])
+@pytest.mark.parametrize("rank", [0, 3])
+@pytest.mark.parametrize("coords", [(1.0, 1.0), [(1.0, 1.0), (0.3, 250.0), (-40.0, 1e-3)]],
+                         ids=["point", "batch"])
+def test_fd_jet_of_a_constant_has_zero_derivatives(coords, rank, value):
+    # symmetric pairs are differenced before they are weighted, so the
+    # rounding of a large value cancels exactly
+    field = NumericField(lambda v: np.full((2,) * rank, value), 2, rank=rank)
+    j = field.jet(np.array(coords), 2)
+    assert j.d1.shape == np.shape(coords)[:-1] + (2,) * rank + (2,)
+    assert not j.d1.any() and not j.d2.any()
+    raw = finite_difference_jet(lambda v: value, np.array(coords), 2)
+    assert not raw.d1.any() and not raw.d2.any()
 
 
 def test_stencils_reproduce_analytic_jet():

@@ -15,7 +15,6 @@ from cupgeo.errors import ConfigError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
     SampleSpec,
-    _component_symmetrize,
     estimate_fisher_tensors,
     euclidean_model,
     gaussian_model,
@@ -24,7 +23,7 @@ from cupgeo.manifolds import (
     parse_model,
     resolve_model,
 )
-from cupgeo.tensor_core import as_point
+from cupgeo.tensor_core import _component_symmetrize, as_point
 
 from helpers import assert_fully_symmetric, mirrored_tensor_jet, symmetrize_by_classes
 
