@@ -26,9 +26,9 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
-from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, field_jet, require_scalar
-from .geometry import (NonlinearCoupling, _hessian, _real, _require_chart, point_geometry,
-                       ricci_reconstruction)
+from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_scalar
+from .geometry import (NonlinearCoupling, _constant, _hessian, _real, _require_chart,
+                       point_geometry, ricci_reconstruction)
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,19 @@ class WeightedDensity:
 
     f: Field
     r: float
+
+
+class _ConformalFactorField(Field):
+    """eta = exp(-alpha * potential)."""
+
+    def __init__(self, alpha, potential):
+        self.alpha = alpha
+        self.potential = potential
+        self.dim = potential.dim
+        self.label = f"conformal factor of potential {potential.label}"
+
+    def _jet(self, coords, order):
+        return jets.exp((-self.alpha) * self.potential.jet(coords, order))
 
 
 class CupRescaling:
@@ -49,29 +62,10 @@ class CupRescaling:
             raise ConfigError(f"alpha must be finite, got {alpha}")
         self.potential = potential
         self.dim = potential.dim
-        self._last = None
-
-    def _jets(self, coords, order):
-        """The potential's jet and eta's jet at ``coords``, to ``order`` or higher.
-
-        Both are kept for the most recently asked coordinates, at the highest
-        order computed there so far: the fields of a rescaled model evaluate
-        the potential once per grid.
-        """
-        key = (np.shape(coords), np.asarray(coords, dtype=float).tobytes())
-        if self._last is None or self._last[0] != key or self._last[1].order < order:
-            phi = self.potential.jet(coords, order)
-            eta = field_jet(f"conformal factor of potential {self.potential.label}",
-                            coords, order, lambda: jets.exp((-self.alpha) * phi))
-            self._last = (key, phi, eta)
-        return self._last[1:]
+        self._eta = _ConformalFactorField(self.alpha, potential)
 
     def eta_jet(self, coords, order):
-        eta = self._jets(coords, order)[1]
-        if eta.order == order:
-            return eta
-        # truncation is exact: a jet's lower parts never read its higher ones
-        return jets.Jet(eta.dim, order, *(eta.deriv(k) for k in range(order + 1)))
+        return self._eta.jet(coords, order)
 
     def eta(self, p):
         """eta at one point (a float) or at each row of a batch (an array)."""
@@ -83,7 +77,7 @@ class CupRescaling:
             raise UnsupportedOrderError(
                 f"psi jets available to order {jets.MAX_ORDER - 1}, requested {order}"
             )
-        phi = self._jets(coords, order + 1)[0]  # any higher order goes unread
+        phi = self.potential.jet(coords, order + 1)
         parts = [phi.deriv(k) for k in range(2, order + 2)]
         return jets.Jet(phi.dim, order, phi.d1, *parts)
 
@@ -104,6 +98,8 @@ def parse_rescaling(config_text, model):
     if not isinstance(data, dict) or "alpha" not in data or "potential" not in data:
         raise ConfigError('rescaling config needs "alpha" and "potential" fields')
     try:
+        if isinstance(data["alpha"], bool):  # a JSON true is not the number 1
+            raise TypeError
         alpha = float(data["alpha"])
     except (TypeError, ValueError):
         raise ConfigError(f"alpha must be a number, got {data['alpha']!r}") from None
@@ -178,21 +174,23 @@ def symmetric_g_psi(gj, psi):
 
 
 class _PoweredScaleField(Field):
-    """eta^power * base, the transformation rule shared by densities
-    (power = r) and couplings (power = -a)."""
+    """eta^power * base, the rule shared by densities (power = r) and couplings
+    (power = -a); a finite number ``base`` is the constant field of its value."""
 
-    def __init__(self, base, resc, power):
-        self.base = base
+    def __init__(self, base, resc, power, what):
+        value = _constant(base, what)
+        self.base = base if value is None else value
         self.resc = resc
         self.power = float(power)
-        self.dim = base.dim
-        self.coord_names = base.coord_names
-        self.mode = base.mode
-        self.label = f"eta^{self.power:g} times {base.label}"
+        chart = resc.potential if value is not None else base
+        self.dim, self.coord_names, self.mode = chart.dim, chart.coord_names, chart.mode
+        self.label = f"eta^{self.power:g} times {getattr(base, 'label', value)}"
 
     def _jet(self, coords, order):
         factor = self.resc.eta_jet(coords, order) ** self.power
-        return factor * self.base.jet(coords, order)
+        if isinstance(self.base, Field):
+            return factor * self.base.jet(coords, order)
+        return factor * jets.constant_at(self.base, coords, order)
 
 
 def rescaled_model(model, resc, sym_weight=1.0):
@@ -211,13 +209,13 @@ def rescaled_model(model, resc, sym_weight=1.0):
 
 
 def transform_density(d, resc):
-    """f-tilde = eta^r f, keeping the weight tag."""
-    return WeightedDensity(_PoweredScaleField(d.f, resc, d.r), d.r)
+    """f-tilde = eta^r f, keeping the weight tag; f may be a finite number."""
+    return WeightedDensity(_PoweredScaleField(d.f, resc, d.r, "density"), d.r)
 
 
 def transform_coupling(c, resc):
-    """lam-tilde = lam / eta^a, keeping the exponent."""
-    return NonlinearCoupling(_PoweredScaleField(c.lam, resc, -c.a), c.a)
+    """lam-tilde = lam / eta^a, keeping the exponent; lam may be a finite number."""
+    return NonlinearCoupling(_PoweredScaleField(c.lam, resc, -c.a, "coupling"), c.a)
 
 
 # -- closed-form shift predictions ------------------------------------------
@@ -244,7 +242,7 @@ def _psi_shift_core(model, resc, p):
     _require_chart(resc.potential, model, "rescaling potential")
     ws = point_geometry(model, resc.alpha, p)
     # psi = d(potential), so nabla psi is the Hessian of the potential
-    phi = resc._jets(ws.p, 2)[0]
+    phi = resc.potential.jet(ws.p, 2)
     return _hessian(ws, phi) + resc.alpha * np.einsum("...i,...j->...ij", phi.d1, phi.d1)
 
 

@@ -47,6 +47,7 @@ from .tensor_core import (
     COV,
     Field,
     Tensor,
+    _readonly,
     first_false,
     invert_metric,
     point_text,
@@ -75,14 +76,6 @@ def _finite(value, quantity, x, **params):
     row = first_false(finite.reshape(np.shape(x)[:-1] + (-1,)).all(axis=-1))
     at = ", ".join(f"{name} = {v:g}" for name, v in params.items())
     raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
-
-
-def _readonly(x):
-    """A read-only view of an array (a number passes through)."""
-    if isinstance(x, np.ndarray):
-        x = x.view()
-        x.flags.writeable = False
-    return x
 
 
 @dataclass(frozen=True)
@@ -155,33 +148,31 @@ class PointGeometry:
 
     @cached_property
     def _gjet(self):
-        jet = self._metric.jet(self.p, 2)
-        return tuple(_readonly(jet.deriv(k)) for k in range(3))
+        return self._metric.jet(self.p, 2)  # its parts are read-only
 
     @cached_property
     def _tjet(self):
-        jet = self._skewness.jet(self.p, 1)
-        return tuple(_readonly(jet.deriv(k)) for k in range(2))
+        return self._skewness.jet(self.p, 1)
 
     @property
     def g(self):
-        return self._gjet[0]
+        return self._gjet.value
 
     @property
     def dg(self):
-        return self._gjet[1]
+        return self._gjet.d1
 
     @property
     def d2g(self):
-        return self._gjet[2]
+        return self._gjet.d2
 
     @property
     def t(self):
-        return self._tjet[0]
+        return self._tjet.value
 
     @property
     def dt(self):
-        return self._tjet[1]
+        return self._tjet.d1
 
     @cached_property
     def ginv(self):
@@ -343,16 +334,24 @@ def _require_chart(field, model, what):
                           f"model {model.name!r} uses {list(model.coord_names)}")
 
 
+def _constant(f, what):
+    """A number ``f`` as a float, a ConfigError unless finite; None for anything else."""
+    if not isinstance(f, (int, float)):
+        return None
+    if not math.isfinite(f):
+        raise ConfigError(f"{what} must be a finite number, got {f}")
+    return float(f)
+
+
 def _field_jet(f, model, x, order, what="density"):
     """The jet of a density or coupling ``f`` at ``x``, coordinates checked against ``model``.
 
     A finite number is the constant field of that value; anything else must
     be a scalar :class:`~cupgeo.tensor_core.Field` written in the model's chart.
     """
-    if isinstance(f, (int, float)):
-        if not math.isfinite(f):
-            raise ConfigError(f"{what} must be a finite number, got {f}")
-        return constant_at(float(f), x, order)
+    value = _constant(f, what)
+    if value is not None:
+        return constant_at(value, x, order)
     _require_chart(f, model, what)
     return f.jet(x, order)
 

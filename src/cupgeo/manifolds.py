@@ -129,10 +129,9 @@ class ExprTensorField(Field):
             return super().jet(coords, order)
         except (EvaluationError, DomainError):
             # checked once as a whole; on failure, name the first failing component
-            env = dict(zip(self.coord_names, jets.seed(coords, order)))
             for index, expression in self.entries.items():
                 field_jet(f"component {index} ({expression.source!r})", coords, order,
-                          expression, env)
+                          lambda c, o: expression(dict(zip(self.coord_names, jets.seed(c, o)))))
             raise
 
     def _jet(self, coords, order):
@@ -193,10 +192,11 @@ class ManifoldModel:
 
     Purity is a contract, not only a property of the built-in models: the
     model owns ``geometry_memo``, in which :func:`cupgeo.geometry.point_geometry`
-    keeps the geometry of its most recent (alpha, points) requests, so a
-    second request returns what the first computed.  Replacing a field of a
-    model, or passing :func:`model_from_callables` a callable whose output
-    changes between calls, would make those answers stale.
+    keeps the geometry of its most recent (alpha, points) requests, and each
+    field keeps its last jet, so a second request returns what the first
+    computed.  Replacing a field of a model, or giving a ``NumericField`` or
+    ``FuncField`` (as :func:`model_from_callables` does) a callable whose
+    output changes between calls, would make those answers stale.
     """
 
     def __init__(self, dim, coord_names, metric, skewness, domain, name="model",

@@ -166,23 +166,42 @@ def _row_all(flags, batch):
     return np.full(batch, flags.all())
 
 
-def field_jet(source, coords, order, compute, *args):
-    """``compute(*args)`` as one field evaluation at ``coords``, checked.
+def _readonly(x):
+    """A read-only view of an array (a number passes through)."""
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    return x
+
+
+def _raising_point(x, order, compute):
+    """The first point of ``x`` whose evaluation alone raises, as text."""
+    for row in range(len(x)) if x.ndim == 2 else ():
+        try:
+            compute(x[row], order)
+        except (ZeroDivisionError, OverflowError):
+            return point_text(x, row)
+    return point_text(x) if x.ndim == 1 else f"a batch of {len(x)} points"
+
+
+def field_jet(source, coords, order, compute):
+    """``compute(coords, order)`` as one field evaluation at ``coords``, checked.
 
     The arithmetic runs under ``np.errstate``, so batched division by zero
     or overflow yields inf/nan instead of a warning; those values, and the
     ZeroDivisionError/OverflowError of scalar arithmetic, raise an
     :class:`EvaluationError` naming ``source`` and the first offending
-    point.  A :class:`DomainError` of the jet arithmetic (``log`` of a
-    non-positive value, say) is raised again naming them too.  A
-    plain-number result becomes a constant jet over ``coords``.
+    point (of a batch, the first that raises alone).  A :class:`DomainError`
+    of the jet arithmetic (``log`` of a non-positive value, say) is raised
+    again naming them too.  A plain-number result becomes a constant jet.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
         try:
-            jet = compute(*args)
+            jet = compute(x, order)
         except (ZeroDivisionError, OverflowError) as e:
-            raise EvaluationError(f"{source} failed at {point_text(x)}: {e}") from e
+            at = _raising_point(x, order, compute)
+            raise EvaluationError(f"{source} failed at {at}: {e}") from e
         except DomainError as e:
             if e.mask is None:
                 raise
@@ -214,12 +233,15 @@ class Field:
     the ``coord_names`` of the chart it is written in (None when it names
     none) and a ``label`` that names it in error messages.  A subclass gives
     ``label`` and ``_jet(coords, order)``; :meth:`jet` is the one checked
-    evaluation.  Evaluation at a fixed point is deterministic.
+    evaluation.  It keeps its last jet (read-only parts, keyed by the shape and
+    bytes of the coordinates) for the same coordinates at the same or a lower
+    order, read off by truncation, which is exact; so evaluation must be pure.
     """
 
     rank = 0
     mode = "jet"
     coord_names = None
+    _kept = (None, None)
 
     def jet(self, coords, order):
         """The jet at one point or a ``(P, n)`` batch, through :func:`field_jet`.
@@ -228,7 +250,12 @@ class Field:
         operators check them once, through
         :func:`cupgeo.geometry.point_geometry`).
         """
-        return field_jet(self.label, coords, order, self._jet, coords, order)
+        x = np.asarray(coords, dtype=float)
+        key, jet = (x.shape, x.tobytes()), self._kept[1]
+        if self._kept[0] != key or jet.order < order:
+            jet = field_jet(self.label, x, order, self._jet).map(_readonly)
+            self._kept = (key, jet)
+        return jets.Jet(jet.dim, order, *(jet.deriv(k) for k in range(order + 1)))
 
     def _jet(self, coords, order):
         raise NotImplementedError

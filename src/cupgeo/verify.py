@@ -36,6 +36,7 @@ from .cup_transform import (
     make_rescaling,
     rescaled_model,
     ricci_shift_prediction,
+    transform_coupling,
     transform_density,
 )
 from .errors import ConfigError
@@ -190,19 +191,23 @@ def _tolerance_for(config, check_id):
 
 
 def _rescalings(config, case, alpha, variants):
-    """The (rescaling, rescaled model) pairs of ``case`` at ``alpha``, one per potential.
+    """The (rescaling, rescaled model, inputs) triples of ``case`` at ``alpha``, one
+    per potential; ``inputs`` maps each case density and coupling to its transform.
 
     ``variants`` holds them for one run over ``config``'s cases, keyed by
     case, alpha and skewness-shift weight, so every check of the run reuses
-    the same models and with them their memoized geometry.
+    the same models and fields, and with them their memoized geometry and jets.
     """
     key = (id(case), float(alpha), float(config.sym_weight))
     if key not in variants:
-        pairs = []
+        triples = []
         for potential in case.potentials:
             resc = make_rescaling(alpha, potential)
-            pairs.append((resc, rescaled_model(case.model, resc, sym_weight=config.sym_weight)))
-        variants[key] = tuple(pairs)
+            inputs = {d: transform_density(d, resc).f for d in case.densities}
+            inputs.update((c, transform_coupling(c, resc).lam) for c in case.couplings)
+            varied = rescaled_model(case.model, resc, sym_weight=config.sym_weight)
+            triples.append((resc, varied, inputs))
+        variants[key] = tuple(triples)
     return variants[key]
 
 
@@ -211,7 +216,7 @@ def _rescalings(config, case, alpha, variants):
 
 def _model_variants(config, case, alpha, variants):
     yield case.model
-    for _, varied in _rescalings(config, case, alpha, variants):
+    for _, varied, _ in _rescalings(config, case, alpha, variants):
         yield varied
 
 
@@ -241,17 +246,17 @@ def _check_codazzi(config, tol, variants):
 
 
 def _rescaled_cells(config, variants):
-    """Every (case, grid, alpha, rescaling, rescaled model) cell, in suite order."""
+    """Every (case, grid, alpha, rescaling, rescaled model, inputs) cell, in suite order."""
     for case in config.cases:
         pts = _grid(case)
         for alpha in config.alphas:
-            for resc, varied in _rescalings(config, case, alpha, variants):
-                yield case, pts, alpha, resc, varied
+            for resc, varied, inputs in _rescalings(config, case, alpha, variants):
+                yield case, pts, alpha, resc, varied, inputs
 
 
 def _check_conn_shift(config, tol, variants):
     res = _Residuals()
-    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
         pred = connection_shift_prediction(resc, pts).components
         direct = (alpha_connection(varied, alpha, pts).components
                   - alpha_connection(case.model, alpha, pts).components)
@@ -262,7 +267,7 @@ def _check_conn_shift(config, tol, variants):
 def _check_curv_shift(config, tol, variants):
     res = _Residuals()
     trace = _Residuals()
-    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
         pred = curvature_shift_prediction(case.model, resc, pts).components
         direct = (riemann(varied, alpha, pts).components
                   - riemann(case.model, alpha, pts).components)
@@ -275,7 +280,7 @@ def _check_curv_shift(config, tol, variants):
 
 def _check_ricci_shift(config, tol, variants):
     res = _Residuals()
-    for case, pts, alpha, resc, varied in _rescaled_cells(config, variants):
+    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
         pred = ricci_shift_prediction(case.model, resc, pts).components
         direct = (ricci(varied, alpha, pts).components
                   - ricci(case.model, alpha, pts).components)
@@ -287,10 +292,10 @@ def _check_ricci_shift(config, tol, variants):
 
 
 def _cells(config, variants):
-    """Every rescaled cell once per density of its case, in suite order."""
+    """Every rescaled cell once per case density, with its (f, eta^r f) pair, in suite order."""
     for cell in _rescaled_cells(config, variants):
         for density in cell[0].densities:
-            yield cell + (density,)
+            yield cell + ((density.f, cell[-1][density]),)
 
 
 def _components(value):
@@ -301,14 +306,14 @@ def _invariance(res, operator, s, model, varied, resc, inputs, pts):
     """Record the (r; s) law on one grid and return both of its sides.
 
     The law: ``operator`` on the rescaled model, applied to the weighted
-    ``inputs`` each rescaled to eta^r f, equals eta^s times ``operator`` on
-    the original model applied to the inputs themselves.
-    ``operator(model, *fields, pts)`` takes the whole grid as one batch and
-    returns per-row scalars or a tensor.  Returns the two operator values,
-    the rescaled side first, before any eta^s factor.
+    inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
+    original model applied to the inputs themselves; ``inputs`` holds the
+    (f, eta^r f) pairs.  ``operator(model, *fields, pts)`` takes the whole
+    grid as one batch and returns per-row scalars or a tensor.  Returns the
+    two operator values, the rescaled side first, before any eta^s factor.
     """
-    lhs = _components(operator(varied, *(transform_density(d, resc).f for d in inputs), pts))
-    base = _components(operator(model, *(d.f for d in inputs), pts))
+    lhs = _components(operator(varied, *(scaled for _, scaled in inputs), pts))
+    base = _components(operator(model, *(f for f, _ in inputs), pts))
     rhs = base
     if s != 0.0:
         rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
@@ -323,7 +328,7 @@ def _hessian_k(config, case):
 
 def _check_hessian_inv(config, tol, variants):
     res = _Residuals()
-    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+    for case, pts, alpha, resc, varied, _, density in _cells(config, variants):
         k = _hessian_k(config, case)
         op = lambda m, f, p: modified_hessian(m, alpha, HessianSpec(k), f, p)
         _invariance(res, op, 1.0, case.model, varied, resc, (density,), pts)
@@ -333,13 +338,12 @@ def _check_hessian_inv(config, tol, variants):
 def _check_laplacian_inv(config, tol, variants):
     res = _Residuals()
     decomp = _Residuals()
-    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+    for case, pts, alpha, resc, varied, _, (plain, scaled) in _cells(config, variants):
         op = lambda m, f, p: cup_laplacian(m, alpha, f, p)
         lhs, base = _invariance(res, op, config.laplacian_s, case.model, varied, resc,
-                                (density,), pts)
-        scaled = transform_density(density, resc).f
+                                ((plain, scaled),), pts)
         decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled, pts))
-        decomp.add(pts, base, cup_laplacian_decomposed(case.model, alpha, density.f, pts))
+        decomp.add(pts, base, cup_laplacian_decomposed(case.model, alpha, plain, pts))
     passed = res.max_rel <= tol and decomp.max_rel <= DECOMPOSITION_TOLERANCE
     return res.report("laplacian_inv", tol, passed=passed, decomp_residual=decomp.max_rel)
 
@@ -347,12 +351,11 @@ def _check_laplacian_inv(config, tol, variants):
 def _check_nonlinear_inv(config, tol, variants):
     """The coupling lam enters as a second input, of weight -a."""
     res = _Residuals()
-    for case, pts, alpha, resc, varied, density in _cells(config, variants):
+    for case, pts, alpha, resc, varied, inputs, density in _cells(config, variants):
         for c in case.couplings:
             op = lambda m, f, lam, p: nonlinear_cup_operator(
                 m, alpha, f, NonlinearCoupling(lam, c.a), p)
-            _invariance(res, op, 0.0, case.model, varied, resc,
-                        (density, WeightedDensity(c.lam, -c.a)), pts)
+            _invariance(res, op, 0.0, case.model, varied, resc, (density, (c.lam, inputs[c])), pts)
     return res.report("nonlinear_inv", tol)
 
 

@@ -248,6 +248,20 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_one_dimensional_model_is_one_error_line(self):
+        proc = run_subprocess("verify", "--model", "multinomial:2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: model case 'multinomial:2' is one-dimensional; "
+                               "the suite needs models of dimension 2 or more\n")
+
+    def test_default_json_is_pinned_byte_for_byte(self, capsys):
+        # a change that moves these bytes on purpose regenerates the pinned file
+        pinned = Path(__file__).resolve().parent / "data" / "verify-default-seed42.json"
+        rc, out, _ = run_cli("verify", "--default", "--seed", "42", "--json", capsys=capsys)
+        assert rc == 0
+        assert out.encode("utf-8") == pinned.read_bytes()
+
 
 class TestEstimate:
     def test_gaussian_matches_closed_form(self, capsys):
@@ -334,6 +348,15 @@ class TestErrorPaths:
                              "--rescaling", str(cfg), capsys=capsys)
         assert rc == 2
         assert "rescaling" in err
+
+    def test_boolean_rescaling_alpha_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "resc.json"
+        cfg.write_text('{"alpha": true, "potential": "mu"}')
+        rc, out, err = run_cli("tensors", "--model", "gaussian", "--point", "0,1",
+                               "--rescaling", str(cfg), capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: alpha must be a number, got True\n"
 
     def test_missing_rescaling_file(self, capsys):
         rc, _, err = run_cli("tensors", "--model", "gaussian", "--point", "0,1",

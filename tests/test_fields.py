@@ -2,15 +2,21 @@
 
 A scalar input (density, coupling, rescaling potential) must be a rank-0
 field, and a failing evaluation of any kind of field names the field and
-the first offending point.
+the first offending point.  Each field keeps its last jet: a repeat request
+is answered from it, bitwise equal to a fresh evaluation.
 """
+
+import collections
+import contextlib
+import io
 
 import numpy as np
 import pytest
 
-from cupgeo import jets
+from cupgeo import cli, jets
 from cupgeo.cup_transform import (
     WeightedDensity,
+    _ConformalFactorField,
     _PoweredScaleField,
     _ScaledMetricField,
     _ShiftedSkewnessField,
@@ -32,6 +38,7 @@ from cupgeo.manifolds import (
     ExprTensorField,
     gaussian_model,
     model_from_callables,
+    multinomial_model,
     parse_model,
 )
 from cupgeo.tensor_core import Field, FuncField, NumericField
@@ -43,11 +50,13 @@ FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
 POINT = (0.3, 1.2)
 
 
+FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField,
+               _ScaledMetricField, _ShiftedSkewnessField, _PoweredScaleField, _ConformalFactorField]
+
+
 def test_only_the_expression_tensor_field_overrides_jet():
-    kinds = [FuncField, NumericField, ExprScalarField, ExprTensorField,
-             _ScaledMetricField, _ShiftedSkewnessField, _PoweredScaleField]
-    assert all(issubclass(kind, Field) for kind in kinds)
-    assert [kind.__name__ for kind in kinds if "jet" in vars(kind)] == ["ExprTensorField"]
+    assert all(issubclass(kind, Field) for kind in FIELD_KINDS)
+    assert [kind.__name__ for kind in FIELD_KINDS if "jet" in vars(kind)] == ["ExprTensorField"]
 
 
 # -- a scalar input must be a rank-0 field ----------------------------------
@@ -149,3 +158,145 @@ def test_a_failing_evaluation_names_the_field_and_the_point(kind):
     field.jet(points[:1], order)  # the first row alone is finite
     with pytest.raises(error, match=message):
         field.jet(points, order)
+
+
+def fd_row_inverse(v):
+    return 1.0 / float(v[0])
+
+
+def rule_row_inverse(c):
+    """1/x in plain floats, row by row, so a zero raises ZeroDivisionError."""
+    inverse = [1.0 / float(v) for v in np.ravel(c[0].value)]
+    return c[0] * 0.0 + np.reshape(inverse, np.shape(c[0].value))
+
+
+@pytest.mark.parametrize("field", [NumericField(fd_row_inverse, 2), FuncField(rule_row_inverse, 2)],
+                         ids=["fd", "rule"])
+def test_a_raising_row_of_a_batch_is_named(field):
+    assert field.jet([(1.0, 1.0), (2.0, 1.0)], 1).order == 1
+    with pytest.raises(EvaluationError, match=r"failed at \(0\.0, 1\.0\) \(row 1\): "):
+        field.jet([(1.0, 1.0), (0.0, 1.0)], 1)
+    with pytest.raises(EvaluationError, match=r"failed at \(0\.0, 1\.0\) \(row 0\): "):
+        field.jet([(0.0, 1.0), (0.0, 2.0)], 1)
+
+
+# -- each field keeps its last jet ------------------------------------------
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A counter of ``_jet`` calls by field type, for every field type of cupgeo."""
+    counts = collections.Counter()
+    for kind in FIELD_KINDS:
+        def counted(self, coords, order, evaluate=vars(kind)["_jet"], name=kind.__name__):
+            counts[name] += 1
+            return evaluate(self, coords, order)
+        monkeypatch.setattr(kind, "_jet", counted)
+    return counts
+
+
+def assert_same_jet(got, want):
+    """Same order, and every part bitwise equal (the sign of a zero included)."""
+    assert got.order == want.order
+    for k in range(got.order + 1):
+        a, b = np.asarray(got.deriv(k)), np.asarray(want.deriv(k))
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), k
+
+
+FIELD_MODELS = {
+    "gaussian": gaussian_model,
+    "multinomial:3": lambda: multinomial_model(3),
+    "multinomial:4": lambda: multinomial_model(4),
+    "gaussian-fd": lambda: model_from_callables(
+        2, GAUSS.coord_names, lambda v: np.diag([1.0 / v[1] ** 2, 2.0 / v[1] ** 2]),
+        lambda v: np.full((2, 2, 2), 1.0 / v[1] ** 3), domain=GAUSS.domain),
+}
+
+
+def interior(model, rows):
+    """``rows`` interior points of ``model`` (one point when ``rows`` is None)."""
+    n = model.dim
+    if model.domain.simplex:
+        x = np.array([[(0.5 + 0.1 * r + 0.05 * i) / (n + 1) for i in range(n)]
+                      for r in range(rows or 1)])
+    else:
+        x = np.array([[0.3 - 0.2 * r, 1.2 + 0.1 * r] for r in range(rows or 1)])
+    return x[0] if rows is None else x
+
+
+@pytest.mark.parametrize("rows", [None, 3], ids=["point", "batch"])
+@pytest.mark.parametrize("name", sorted(FIELD_MODELS))
+def test_a_kept_jet_is_bitwise_a_fresh_evaluation(name, rows, evaluations):
+    model = FIELD_MODELS[name]()
+    x = interior(model, rows)
+    for kind, top in (("metric", 2), ("skewness", 2)):
+        field = getattr(model, kind)
+        field.jet(x, top)
+        before = sum(evaluations.values())
+        for order in range(top, -1, -1):
+            fresh = getattr(FIELD_MODELS[name](), kind)
+            kept = field.jet(x, order)
+            assert sum(evaluations.values()) == before  # a hit calls no _jet
+            assert_same_jet(kept, fresh.jet(x, order))
+            before = sum(evaluations.values())
+
+
+def test_a_repeat_call_returns_the_kept_parts(evaluations):
+    field = GAUSS.scalar_field("exp(0.2*mu) * sigma")
+    x = np.array([(0.3, 1.2), (-1.0, 0.6)])
+    first = field.jet(x, 2)
+    again = field.jet(x.copy(), 2)
+    assert evaluations["ExprScalarField"] == 1
+    assert all(again.deriv(k) is first.deriv(k) for k in range(3))
+
+
+def test_a_lower_order_is_a_truncation_and_a_higher_one_recomputes(evaluations):
+    field = GAUSS.scalar_field("exp(0.2*mu) * sigma")
+    x = np.array([(0.3, 1.2), (-1.0, 0.6)])
+    low = field.jet(x, 1)
+    assert field.jet(x, 0).value is low.value
+    assert evaluations["ExprScalarField"] == 1
+    high = field.jet(x, 2)
+    assert evaluations["ExprScalarField"] == 2
+    assert high.d1 is not low.d1 and np.array_equal(high.d1, low.d1)
+    assert field.jet(x, 1).d1 is high.d1
+    assert evaluations["ExprScalarField"] == 2
+    for other in (x[:1], x[::-1], x[0]):
+        field.jet(other, 0)
+    assert evaluations["ExprScalarField"] == 5
+
+
+@pytest.mark.parametrize("field", [GAUSS.metric, FD_GAUSS.metric, GAUSS.scalar_field("mu*sigma")],
+                         ids=["expression", "fd", "scalar"])
+def test_a_returned_part_is_read_only(field):
+    jet = field.jet(np.array([(0.3, 1.2), (-1.0, 0.6)]), 2)
+    for k in range(3):
+        with pytest.raises(ValueError, match="read-only"):
+            jet.deriv(k)[...] = 0.0
+
+
+def test_a_failing_point_raises_on_every_call(evaluations):
+    field = GAUSS.scalar_field("log(mu)")
+    good = (1.0, 1.0)
+    kept = field.jet(good, 2)
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"field 'log\(mu\)' failed at \(-1\.0, 1\.0\)"):
+            field.jet((-1.0, 1.0), 2)
+    assert field.jet(good, 2).d1 is kept.d1  # the failures kept nothing
+    assert evaluations["ExprScalarField"] == 3
+
+
+def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--default", "--json"]) == 0
+    # per case: a metric and a skewness, 2 potentials, 2 densities and 4
+    # couplings; per case, alpha and potential, a rescaled metric and
+    # skewness (twice, with the 1/3-weight control), eta, and 6 transformed inputs
+    assert dict(evaluations) == {
+        "ExprTensorField": 4,
+        "ExprScalarField": 16,
+        "_ScaledMetricField": 40,
+        "_ShiftedSkewnessField": 40,
+        "_ConformalFactorField": 40,
+        "_PoweredScaleField": 120,
+    }
