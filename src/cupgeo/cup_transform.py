@@ -93,7 +93,7 @@ def parse_rescaling(config_text, model):
     """Rescaling from JSON: {"alpha": number, "potential": expression}."""
     try:
         data = json.loads(config_text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"rescaling config is not valid JSON: {e}") from None
     if not isinstance(data, dict) or "alpha" not in data or "potential" not in data:
         raise ConfigError('rescaling config needs "alpha" and "potential" fields')

@@ -22,11 +22,12 @@ caches the intermediate arrays for one (model, alpha, points) triple, and
 :func:`point_geometry` shares one instance between every call with the same
 triple: each model owns a memo of its :data:`GEOMETRY_MEMO_SIZE` most
 recently used geometries, keyed by ``float(alpha)`` and the shape and bytes
-of the validated coordinates.  Sharing is sound because models are
-immutable and their fields pure; the shared arrays are read-only, so a
-caller cannot alter what a later call returns.  Each operator checks its
-points once, through :func:`point_geometry`, and evaluates its density and
-coupling at the coordinates checked there.
+of the coordinates.  Sharing is sound because models are immutable and
+their fields pure; the shared arrays are read-only, so a caller cannot
+alter what a later call returns.  A grid is checked once, when its
+geometry is built: the memo holds only geometries that passed, so a hit
+needs no check.  Each operator evaluates its density and coupling at the
+coordinates of its geometry.
 
 A connection, curvature or operator value that is not finite (an overflow
 at a huge alpha, coupling k or exponent a) raises :class:`EvaluationError`
@@ -34,7 +35,6 @@ naming the quantity, its parameters and the first offending point.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,6 +48,7 @@ from .tensor_core import (
     Field,
     Tensor,
     _readonly,
+    as_coords,
     first_false,
     invert_metric,
     point_text,
@@ -121,30 +122,25 @@ class NonlinearCoupling:
 class PointGeometry:
     """Lazily computed geometric data of one model at one point or a batch.
 
-    Construction validates every point against the model domain (unless
-    ``checked`` marks ``p`` as what :meth:`ManifoldModel.require_inside`
-    returned) and keeps a read-only copy of the coordinates as ``p`` (shape
-    ``(n,)`` or ``(P, n)``); every array is computed at most once per
-    instance and is read-only.  Each construction is a fresh instance: the
-    operators share instances through :func:`point_geometry` instead.
+    Construction is the one place where points are checked: every point
+    against the model domain, then ``alpha`` for finiteness.  It keeps a
+    read-only copy of the coordinates as ``p`` (shape ``(n,)`` or
+    ``(P, n)``); every array is computed at most once per instance and is
+    read-only.  Each construction is a fresh instance: the operators share
+    instances through :func:`point_geometry` instead.
 
-    The instance holds the model's metric and skewness fields, and the model
-    itself only weakly, so that a model's memo of its geometries does not
-    keep the model alive; ``model`` is None once the model is gone, while
-    the geometry still computes.
+    The instance holds the model's metric and skewness fields, not the
+    model, so a model's memo of its geometries forms no reference cycle.
     """
 
-    def __init__(self, model, alpha, p, checked=False):
-        self._model = weakref.ref(model)
+    def __init__(self, model, alpha, p):
         self._metric = model.metric
         self._skewness = model.skewness
+        self.p = _readonly(np.array(model.require_inside(p)))
+        if not math.isfinite(alpha):
+            raise ConfigError(f"alpha must be finite, got {alpha}")
         self.alpha = float(alpha)
-        self.p = _readonly(np.array(p if checked else model.require_inside(p)))
         self.dim = model.dim
-
-    @property
-    def model(self):
-        return self._model()
 
     @cached_property
     def _gjet(self):
@@ -250,21 +246,17 @@ class PointGeometry:
 def point_geometry(model, alpha, p):
     """The shared :class:`PointGeometry` of ``model`` at ``alpha`` and ``p``.
 
-    The points and ``alpha`` are validated first, so an invalid point or a
-    non-finite alpha raises before any lookup.  The instance comes from the
-    model's memo when the same ``float(alpha)`` and the same coordinates
-    (shape and bytes) were asked for among its last
-    :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is built and
-    remembered otherwise.
+    The instance comes from the model's memo when the same ``float(alpha)``
+    and the same coordinates (shape and bytes) were asked for among its last
+    :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is built, which checks
+    the points and ``alpha``, and remembered otherwise.
     """
-    x = model.require_inside(p)
-    if not math.isfinite(alpha):
-        raise ConfigError(f"alpha must be finite, got {alpha}")
+    x = as_coords(p)
     key = (float(alpha), x.shape, x.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)
     if ws is None:
-        ws = PointGeometry(model, alpha, x, checked=True)
+        ws = PointGeometry(model, alpha, x)
     memo[key] = ws
     if len(memo) > GEOMETRY_MEMO_SIZE:
         memo.popitem(last=False)

@@ -27,6 +27,7 @@ forms, with componentwise standard errors.
 import json
 import math
 import re
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -48,6 +49,7 @@ from .tensor_core import (
 )
 
 DOMAIN_MARGIN = 1e-6
+MAX_DIM = 32  # the cost of building and evaluating a model grows steeply with its dimension
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -82,6 +84,12 @@ class Domain:
             if self.simplex:
                 inside &= x.sum(axis=-1) <= 1.0 - self.margin
         return inside if inside.ndim else bool(inside)
+
+
+def _require_dim(n, what):
+    """Raise ConfigError unless the dimension ``n`` is from 1 to :data:`MAX_DIM`."""
+    if not 1 <= n <= MAX_DIM:
+        raise ConfigError(f"{what} must be from 1 to {MAX_DIM}, got {n}")
 
 
 def unbounded_domain(dim):
@@ -201,8 +209,7 @@ class ManifoldModel:
 
     def __init__(self, dim, coord_names, metric, skewness, domain, name="model",
                  mode="jet", sample_spec_factory=None):
-        if dim < 1:
-            raise ConfigError(f"dimension must be >= 1, got {dim}")
+        _require_dim(dim, "model dimension")
         if len(coord_names) != dim:
             raise ConfigError(f"{dim} coordinates expected, got {len(coord_names)}")
         self.dim = dim
@@ -354,9 +361,8 @@ def multinomial_model(k):
     g_ij = kron_ij/p_i + 1/p_last and t_ijk = kron_ijk/p_i^2 - 1/p_last^2
     with p_last = 1 - sum of the others.
     """
-    if k < 2:
-        raise ConfigError(f"multinomial family needs at least 2 categories, got {k}")
     n = k - 1
+    _require_dim(n, f"the dimension of multinomial:{k}")
     coords = tuple(f"p{i + 1}" for i in range(n))
     rest = "(1 - " + " - ".join(coords) + ")"
     metric = {}
@@ -404,8 +410,7 @@ _EUCLIDEAN_NAMES = ("x", "y", "z", "w")
 
 def euclidean_model(dim=2):
     """Flat test chart: identity metric, zero skewness, no boundary."""
-    if dim < 1:
-        raise ConfigError(f"dimension must be >= 1, got {dim}")
+    _require_dim(dim, "euclidean dimension")
     if dim <= len(_EUCLIDEAN_NAMES):
         coords = _EUCLIDEAN_NAMES[:dim]
     else:
@@ -534,26 +539,28 @@ def estimate_fisher_tensors(spec, p, batch_size=250_000):
 def parse_model(config_text):
     """Build a model from a JSON config.
 
-    Schema: ``dim`` (int), ``coords`` (list of identifiers), ``metric``
-    (map "ij" -> expression), ``skewness`` (map "ijk" -> expression,
-    optional), ``domain`` (map coordinate -> [low, high] with null for
-    unbounded, plus an optional "simplex" flag).  Unlisted tensor components
-    are zero; listed ones propagate to all index permutations.
+    Schema: ``dim`` (an integer from 1 to :data:`MAX_DIM`), ``coords`` (list
+    of identifiers), ``metric`` (map "ij" -> expression), ``skewness`` (map
+    "ijk" -> expression, optional), ``domain`` (map coordinate -> [low, high]
+    of finite numbers, low < high, with null for unbounded, plus an optional
+    boolean "simplex" flag).  Unlisted tensor components are zero; listed
+    ones propagate to all index permutations.
     """
     try:
         data = json.loads(config_text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"model config is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("model config must be a JSON object")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         coords = data["coords"]
         metric_raw = data["metric"]
     except KeyError as e:
         raise ConfigError(f"model config missing field {e.args[0]!r}") from None
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
+    if type(dim) is not int:  # a JSON true is not the number 1, nor 2.5 the number 2
+        raise ConfigError(f"dim must be an integer, got {dim!r}")
+    _require_dim(dim, "dim")
     if (not isinstance(coords, list) or len(coords) != dim
             or not all(isinstance(c, str) and _IDENT.match(c) for c in coords)):
         raise ConfigError(f"coords must be {dim} identifier strings")
@@ -574,17 +581,19 @@ def parse_model(config_text):
         raise ConfigError("domain must be a map of coordinate names to bounds")
     for key, val in domain_raw.items():
         if key == "simplex":
-            simplex = bool(val)
+            if not isinstance(val, bool):
+                raise ConfigError(f'domain "simplex" must be true or false, got {val!r}')
+            simplex = val
             continue
         if key not in coords:
             raise ConfigError(f"domain mentions unknown coordinate {key!r}")
-        if not isinstance(val, list) or len(val) != 2:
-            raise ConfigError(f"domain bounds for {key!r} must be a [low, high] pair")
-        lo, hi = val
-        bounds[coords.index(key)] = (
-            None if lo is None else float(lo),
-            None if hi is None else float(hi),
-        )
+        if (not isinstance(val, list) or len(val) != 2
+                or not all(b is None or type(b) in (int, float) and abs(b) <= sys.float_info.max
+                           for b in val)
+                or None not in val and not val[0] < val[1]):
+            raise ConfigError(f"domain bounds for {key!r} must be a [low, high] pair of "
+                              f"null or finite numbers with low < high, got {val!r}")
+        bounds[coords.index(key)] = tuple(None if b is None else float(b) for b in val)
 
     return _expr_model(
         str(data.get("name", "custom")),

@@ -247,8 +247,8 @@ class Field:
         """The jet at one point or a ``(P, n)`` batch, through :func:`field_jet`.
 
         ``coords`` are already checked against the model's domain (the
-        operators check them once, through
-        :func:`cupgeo.geometry.point_geometry`).
+        operators check each grid once, when
+        :func:`cupgeo.geometry.point_geometry` builds its geometry).
         """
         x = np.asarray(coords, dtype=float)
         key, jet = (x.shape, x.tobytes()), self._kept[1]

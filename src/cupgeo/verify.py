@@ -3,11 +3,11 @@
 Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
-residual.  The operators take a case's whole grid as one batch, and the
-residuals are then recorded row by row in grid order.  Relative residuals
-are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
-inflate them; a non-finite side or difference counts as an infinite
-residual, so it fails the check.
+residual.  The operators take a case's whole grid as one batch, and each
+batch's residuals are recorded as if row by row in grid order.  Relative
+residuals are normalized by max(1, |lhs|, |rhs|) so near-zero references
+cannot inflate them; a non-finite side or difference counts as an
+infinite residual, so it fails the check.
 
 The three operator checks share one (r; s) invariance engine: an operator
 applied to inputs of weight r, each rescaled to eta^r f, on the rescaled
@@ -50,6 +50,7 @@ from .geometry import (
     cup_laplacian_decomposed,
     modified_hessian,
     nonlinear_cup_operator,
+    point_geometry,
     ricci,
     ricci_reconstruction,
     riemann,
@@ -160,12 +161,12 @@ class _Residuals:
             scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
                                                np.abs(rhs).max(axis=1, initial=0.0)))
             rel = np.where(finite, diff / scale, np.inf)
-        for point, d, r in zip(points, diff.tolist(), rel.tolist()):
-            self.count += 1
-            self.max_abs = max(self.max_abs, d)
-            if r >= self.max_rel:
-                self.max_rel = r
-                self.worst = tuple(float(c) for c in point)
+        self.count += rows
+        self.max_abs = max(self.max_abs, float(diff.max()))
+        last = rows - 1 - int(np.argmax(rel[::-1]))  # the last row reaching the batch maximum
+        if rel[last] >= self.max_rel:
+            self.max_rel = float(rel[last])
+            self.worst = tuple(float(c) for c in points[last])
 
     def report(self, check_id, tolerance, passed=None, **extra):
         if passed is None:
@@ -194,21 +195,27 @@ def _rescalings(config, case, alpha, variants):
     """The (rescaling, rescaled model, inputs) triples of ``case`` at ``alpha``, one
     per potential; ``inputs`` maps each case density and coupling to its transform.
 
-    ``variants`` holds them for one run over ``config``'s cases, keyed by
-    case, alpha and skewness-shift weight, so every check of the run reuses
-    the same models and fields, and with them their memoized geometry and jets.
+    ``variants`` holds them for one run over ``config``'s cases, so every
+    check of the run reuses the same models and fields, and with them their
+    memoized geometry and jets.  The rescalings and inputs are keyed by case
+    and alpha; only a rescaled model also depends on the skewness-shift
+    weight.
     """
-    key = (id(case), float(alpha), float(config.sym_weight))
+    key = (id(case), float(alpha))
     if key not in variants:
-        triples = []
+        pairs = []
         for potential in case.potentials:
             resc = make_rescaling(alpha, potential)
             inputs = {d: transform_density(d, resc).f for d in case.densities}
             inputs.update((c, transform_coupling(c, resc).lam) for c in case.couplings)
-            varied = rescaled_model(case.model, resc, sym_weight=config.sym_weight)
-            triples.append((resc, varied, inputs))
-        variants[key] = tuple(triples)
-    return variants[key]
+            pairs.append((resc, inputs))
+        variants[key] = tuple(pairs)
+    weighted = key + (float(config.sym_weight),)
+    if weighted not in variants:
+        variants[weighted] = tuple(
+            (resc, rescaled_model(case.model, resc, sym_weight=config.sym_weight), inputs)
+            for resc, inputs in variants[key])
+    return variants[weighted]
 
 
 # -- structural checks on models --------------------------------------------
@@ -227,7 +234,7 @@ def _check_metric_compat(config, tol, variants):
         for alpha in config.alphas:
             for model in _model_variants(config, case, alpha, variants):
                 nabla_g = covariant_derivative_metric(model, alpha, pts).components
-                res.add(pts, nabla_g, alpha * model.skewness_at(pts).components)
+                res.add(pts, nabla_g, alpha * point_geometry(model, alpha, pts).t)
     return res.report("metric_compat", tol)
 
 
@@ -391,13 +398,13 @@ CHECK_IDS = tuple(_CHECK_FUNCTIONS)
 
 def run_check(check_id, config):
     """One named check over the full matrix of ``config``."""
+    if check_id not in _CHECK_FUNCTIONS:
+        raise ConfigError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
+    config.validate()
     return _run_check(check_id, config, {})
 
 
 def _run_check(check_id, config, variants):
-    if check_id not in _CHECK_FUNCTIONS:
-        raise ConfigError(f"unknown check id {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    config.validate()
     return _CHECK_FUNCTIONS[check_id](config, _tolerance_for(config, check_id), variants)
 
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -435,6 +436,52 @@ class TestErrorPaths:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+    @pytest.mark.parametrize("fields, named", [
+        ('"dim": "x"', "dim"), ('"dim": null', "dim"), ('"dim": 2.5', "dim"),
+        ('"dim": true', "dim"), ('"dim": 33', "dim"),
+        ('"dim": 2, "domain": {"x": ["a", 1]}', "'x'"),
+        ('"dim": 2, "domain": {"x": [{}, 1]}', "'x'"),
+        ('"dim": 2, "domain": {"x": [NaN, 1]}', "'x'"),
+        ('"dim": 2, "domain": {"x": [1, 0]}', "'x'"),
+        ('"dim": 2, "domain": {"simplex": "false"}', '"simplex"'),
+    ], ids=lambda v: v.replace('"', ""))
+    @pytest.mark.parametrize("command", ["tensors", "verify"])
+    def test_bad_model_config_field_is_one_error_line(self, fields, named, command, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "model.json"
+        cfg.write_text('{%s, "coords": ["x", "y"], "metric": {"11": "1", "22": "1"}}' % fields)
+        extra = ("--point", "0.5,0.5") if command == "tensors" else ()
+        rc, out, err = run_cli(command, "--model", str(cfg), *extra, capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and named in lines[0]
+
+    @pytest.mark.parametrize("kind", ["model", "rescaling"])
+    def test_an_integer_too_long_to_read_is_one_error_line(self, kind, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"dim": 1%s, "alpha": 1%s}' % ("0" * 5000, "0" * 5000))
+        files = ("--model", str(cfg)) if kind == "model" else (
+            "--model", "gaussian", "--rescaling", str(cfg))
+        rc, out, err = run_cli("tensors", *files, "--point", "0,1", capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {kind} config is not valid JSON")
+
+    @pytest.mark.parametrize("model", ["multinomial:100000", "euclidean:33", "config"])
+    def test_a_model_above_the_dimension_cap_is_refused_at_once(self, model, tmp_path, capsys):
+        if model == "config":
+            coords = [f"x{i}" for i in range(33)]
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps({"dim": 33, "coords": coords, "metric": {"11": "1"}}))
+        start = time.perf_counter()
+        rc, out, err = run_cli("tensors", "--model", str(model), "--point", "0.01", capsys=capsys)
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        assert out == ""
+        assert re.fullmatch(r"error: .*dim.* must be from 1 to 32, got (33|99999)\n", err)
 
     def test_expression_error_positions_surface(self, capsys):
         rc, _, err = run_cli("laplacian", "--model", "gaussian",

@@ -290,13 +290,14 @@ def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--default", "--json"]) == 0
     # per case: a metric and a skewness, 2 potentials, 2 densities and 4
-    # couplings; per case, alpha and potential, a rescaled metric and
-    # skewness (twice, with the 1/3-weight control), eta, and 6 transformed inputs
+    # couplings; per case, alpha and potential, eta, 6 transformed inputs and
+    # a rescaled metric and skewness, twice with the 1/3-weight control, whose
+    # connection reads no skewness at alpha = 0
     assert dict(evaluations) == {
         "ExprTensorField": 4,
         "ExprScalarField": 16,
         "_ScaledMetricField": 40,
-        "_ShiftedSkewnessField": 40,
-        "_ConformalFactorField": 40,
+        "_ShiftedSkewnessField": 36,
+        "_ConformalFactorField": 20,
         "_PoweredScaleField": 120,
     }

@@ -348,6 +348,11 @@ class TestConfigRoundTrip:
             m.require_inside((-1.0,))
 
 
+# what a JSON config may hold where a number, null or a flag is expected
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+                          st.floats(), st.just(float("nan")))
+
+
 class TestConfigErrors:
     def base(self):
         return {"dim": 2, "coords": ["x", "y"], "metric": {"11": "1", "22": "1"}}
@@ -409,6 +414,22 @@ class TestConfigErrors:
         cfg = self.base()
         cfg["domain"] = {"q": [0, 1]}
         self.check(cfg, "unknown coordinate")
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.just(2) | _JSON_SCALARS, low=_JSON_SCALARS, high=_JSON_SCALARS,
+           simplex=st.booleans() | _JSON_SCALARS)
+    def test_a_scalar_field_is_taken_only_when_valid(self, dim, low, high, simplex):
+        cfg = self.base()
+        cfg.update(dim=dim, domain={"x": [low, high], "simplex": simplex})
+        try:
+            m = parse_model(json.dumps(cfg))
+        except ConfigError:
+            return
+        assert type(dim) is int and m.dim == dim
+        assert type(simplex) is bool and m.domain.simplex is simplex
+        assert all(b is None or type(b) in (int, float) and math.isfinite(b) for b in (low, high))
+        assert None in (low, high) or low < high
+        assert m.domain.bounds[0] == tuple(b if b is None else float(b) for b in (low, high))
 
     def test_syntax_error_carries_through(self):
         cfg = self.base()

@@ -14,8 +14,11 @@ import numpy as np
 import pytest
 
 from cupgeo import (
+    ConfigError,
+    CupRescaling,
     DomainError,
     HessianSpec,
+    ManifoldModel,
     NonlinearCoupling,
     PointGeometry,
     alpha_connection,
@@ -42,9 +45,9 @@ def builds(monkeypatch):
     made = []
     init = PointGeometry.__init__
 
-    def counting(self, model, alpha, p, **kwargs):
+    def counting(self, model, alpha, p):
         made.append((model.name, float(alpha)))
-        init(self, model, alpha, p, **kwargs)
+        init(self, model, alpha, p)
 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counting)
     return made
@@ -86,6 +89,26 @@ def test_suite_pass_builds_fifty_geometries(builds):
         assert len(builds) == 50
 
 
+def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds, monkeypatch):
+    checks, rescalings = [], []
+    require_inside, init = ManifoldModel.require_inside, CupRescaling.__init__
+
+    def counting_check(model, p):
+        checks.append(model.name)
+        return require_inside(model, p)
+
+    def counting_init(self, alpha, potential):
+        rescalings.append(float(alpha))
+        init(self, alpha, potential)
+
+    monkeypatch.setattr(ManifoldModel, "require_inside", counting_check)
+    monkeypatch.setattr(CupRescaling, "__init__", counting_init)
+    assert run_suite(default_suite_config()).passed
+    # one check per case in the config's validation, then one per built geometry;
+    # one rescaling per case, alpha and potential, shared by the 1/3-weight control
+    assert (len(checks), len(builds), len(rescalings)) == (52, 50, 20)
+
+
 def test_memo_is_a_bounded_lru(builds):
     model = gaussian_model()
     points = [(0.1 * i, 1.0) for i in range(GEOMETRY_MEMO_SIZE + 1)]
@@ -101,12 +124,23 @@ def test_memo_is_a_bounded_lru(builds):
     assert len(builds) == GEOMETRY_MEMO_SIZE + 2
 
 
-def test_invalid_point_raises_before_any_lookup():
+def test_an_invalid_point_is_never_remembered():
     model = gaussian_model()
     riemann(model, 0.5, (0.0, 1.0))
     with pytest.raises(DomainError):
         riemann(model, 0.5, (0.0, -1.0))
     assert len(model.geometry_memo) == 1
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_an_invalid_point_is_reported_before_a_non_finite_alpha(alpha):
+    model = gaussian_model()
+    for p in ((0.0, -1.0), (0.0, float("nan")), (0.0, 1.0, 2.0)):
+        with pytest.raises(DomainError):
+            riemann(model, alpha, p)
+    with pytest.raises(ConfigError, match="alpha must be finite"):
+        riemann(model, alpha, (0.0, 1.0))
+    assert not model.geometry_memo
 
 
 def test_memo_hit_matches_a_fresh_geometry_bitwise():
@@ -166,6 +200,3 @@ def test_used_models_die_without_the_cycle_collector():
 def test_geometry_of_a_temporary_model_still_computes():
     geo = PointGeometry(gaussian_model(), 0.5, (0.0, 1.0))
     assert geo.scalar == pytest.approx(-0.75, abs=1e-12)
-    assert geo.model is None
-    model = gaussian_model()
-    assert PointGeometry(model, 0.5, (0.0, 1.0)).model is model

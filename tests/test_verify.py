@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cupgeo.cli import render_json
 from cupgeo.cup_transform import WeightedDensity
@@ -21,6 +22,8 @@ from cupgeo.verify import (
     run_check,
     run_suite,
 )
+
+from helpers import RowByRowResiduals
 
 GAUSS = gaussian_model()
 
@@ -299,6 +302,28 @@ def test_non_finite_residual_fails_the_check():
     assert not report.passed
     # ties keep the later row, as for finite residuals
     assert report.worst_point == (2.0, 1.0)
+
+
+# few distinct values, so that equal maxima within and across batches are common
+_SIDE = st.sampled_from([0.0, 0.5, -0.5, 2.0, 3.0, -3.0, np.inf, np.nan])
+_BATCHES = st.lists(st.lists(st.tuples(_SIDE, _SIDE, _SIDE, _SIDE), max_size=6), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_BATCHES)
+def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
+    batched, rowwise = _Residuals(), RowByRowResiduals()
+    start = 0
+    for rows in batches:
+        # each row gets its own point, so the worst point names the row
+        points = np.array([(float(start + i), 1.0) for i in range(len(rows))]).reshape(-1, 2)
+        start += len(rows)
+        sides = np.array(rows).reshape(-1, 2, 2)
+        for res in (batched, rowwise):
+            res.add(points, sides[:, 0], sides[:, 1])
+        assert (batched.count, batched.max_abs, batched.max_rel, batched.worst) == (
+            rowwise.count, rowwise.max_abs, rowwise.max_rel, rowwise.worst)
+        assert type(batched.max_abs) is type(rowwise.max_abs) is float
 
 
 def test_full_default_suite_passes():
