@@ -290,6 +290,8 @@ def _case_for(model):
 
 
 def cmd_verify(args):
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if args.model and not args.default:
         case = _case_for(resolve_model(args.model))
         config = SuiteConfig(

@@ -11,12 +11,29 @@ Grammar (``^`` is right-associative and binds tighter than unary minus)::
 Known functions: exp, log, sqrt, sin, cos.  Any other identifier is a free
 variable, resolved against the evaluation environment.  Evaluation runs a
 compiled :class:`Program`, which several expressions can share.
+
+A field's jets come from :meth:`Program.jet`: the program is unrolled, once
+per derivative order, into one generated Python function of straight-line
+code, one statement per value and per partial that is not zero by
+structure, with the formulas and the association order of the
+:class:`~cupgeo.jets.Jet` arithmetic.  It runs on plain floats at one point
+and on row arrays for a batch, and gives the numbers the jets give, up to
+the sign of a zero.  The generated source holds only its own register names,
+indices into a tuple of constants and the names of a fixed table of
+value-level operations, never text of an expression.  Unrolled code is kept
+in one process-wide memo keyed by the program's instructions, so rebuilt
+models reuse it; a program past :data:`STATEMENT_BUDGET` is evaluated by
+:meth:`Program.run` on jets instead.
 """
 
+import functools
 import operator
+from collections import OrderedDict
+
+import numpy as np
 
 from . import jets
-from .errors import EvaluationError, ExpressionError
+from .errors import DomainError, EvaluationError, ExpressionError
 
 _FUNCTIONS = {
     "exp": jets.exp,
@@ -167,13 +184,20 @@ def parse(source):
 _OPS = {**_FUNCTIONS, "+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "^": jets.power, "neg": operator.neg}
 
+# A program that unrolls into more statements than this evaluates on jets
+# instead.  Unrolling and compiling cost some 20 us a statement, paid once per
+# program and order, so the budget bounds that first-evaluation cost near 0.1 s.
+STATEMENT_BUDGET = 5_000
+COMPILED_MEMO_SIZE = 64  # unrolled programs kept process-wide
+
 
 class Program:
     """ASTs compiled into one straight-line program of jet operations.
 
     The ASTs are hash-consed: each distinct subtree, in one AST or across
     several, gets one slot holding a number, a variable from the environment,
-    or one operation on earlier slots, and is computed once per run.
+    or one operation on earlier slots, and is computed once per run.  An AST
+    given more than once (the same object) is one output slot each time.
     """
 
     def __init__(self, asts):
@@ -181,7 +205,18 @@ class Program:
         self._init = []  # a number's value per slot, None for the others
         self.loads = []  # (slot, variable name)
         self.code = []  # (slot, operation, argument slots)
-        self.outputs = [self._emit(ast) for ast in asts]
+        emitted = {}
+        for ast in asts:
+            if id(ast) not in emitted:
+                emitted[id(ast)] = self._emit(ast)
+        self.outputs = [emitted[id(ast)] for ast in asts]
+
+    @functools.cached_property
+    def key(self):
+        """The instructions as one string, the unrolled-code memo's key: a
+        string hashes once and compares by content, and repr keeps every
+        number exactly."""
+        return repr((self._init, self.loads, self.code, self.outputs))
 
     def _emit(self, node):
         kind = node[0]
@@ -211,6 +246,302 @@ class Program:
             regs[slot] = _OPS[op](*[regs[a] for a in args])
         return [regs[slot] for slot in self.outputs]
 
+    def jet(self, coord_names, coords, order, shape=()):
+        """Every output's jet to ``order`` at ``coords``, the variables being ``coord_names``.
+
+        ``coords`` is one point (shape ``(n,)``) or a ``(P, n)`` batch.  The
+        outputs, laid out in C order, fill ``shape`` (one output for ``()``),
+        which follows the batch axes in the jet's value axes.  The unrolled
+        code of :func:`_unrolled` computes it, or, for a program it does not
+        cover, :meth:`run` on seeded jets; the two agree bitwise up to the
+        sign of a zero.
+        """
+        x = np.asarray(coords, dtype=float)
+        batch = x.shape[:-1]
+        code = None
+        if x.shape[-1] == len(coord_names):
+            code = _unrolled(self, tuple(coord_names), order)
+        parts = code(x) if code is not None else self._stacked_jets(coord_names, x, order)
+        parts = [p.reshape(batch + shape + p.shape[len(batch) + 1:]) for p in parts]
+        if not batch and not shape:
+            parts[0] = float(parts[0])
+        return jets.Jet(x.shape[-1], order, *parts)
+
+    def _stacked_jets(self, coord_names, x, order):
+        """Per order k, the outputs' k-th parts by :meth:`run`, stacked after the batch axes."""
+        values = self.run(dict(zip(coord_names, jets.seed(x, order))))
+        batch = x.shape[:-1]
+        parts = []
+        for k in range(order + 1):
+            shape = batch + (x.shape[-1],) * k
+            parts.append(np.stack([v.deriv(k) if isinstance(v, jets.Jet)
+                                   else np.full(shape, v if k == 0 else 0.0) for v in values],
+                                  axis=len(batch)))
+        return parts
+
+
+# -- unrolled jet code ----------------------------------------------------------
+#
+# A program's jets, unrolled for one order into straight-line code on plain
+# floats (one point) or row arrays (a batch): the value and each mixed partial
+# of every slot get their own statement, with the formulas, and the
+# association order, of the Jet arithmetic, so each entry is the number the
+# jets compute.  A partial that is zero by structure (of a slot that does not
+# depend on the variable) is dropped, and a product with a seeded 1.0 is not
+# formed.  The jets compute a dropped partial as 0.0 or -0.0 and add it to
+# others, so an entry may differ from theirs in the sign of a zero, and in
+# nothing else.  Numbers are folded while unrolling with the same operations
+# the jets use; a number that raises (1/0, log(-1)) leaves the program to the
+# jets, which raise it in order.  The code keeps the statements of the jets
+# that may raise on plain floats at any order (the 1/v of sqrt, the divisions
+# of a negative integer power), so at one point it raises the same
+# ZeroDivisionError where they do.
+
+
+def _ones(v):
+    """The value of ``v ** 0`` for a jet value, as :meth:`jets.Jet.__pow__` gives it."""
+    return np.ones(np.shape(v)) if np.ndim(v) else 1.0
+
+
+# The only names the generated code calls: value-level jet operations, which
+# take a float or an array alike.
+_CODE_OPS = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt, "sin": jets.sin,
+             "cos": jets.cos, "power": jets._power, "powbase": jets._require_power_base,
+             "ones": _ones}
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class _JetSlot:
+    """A jet slot while unrolling: its value and partials as code names.
+
+    ``d1`` maps a variable index, ``d2`` a sorted index pair, to a name or a
+    number; a partial missing from them is zero by structure.
+    """
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1, d2):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+
+class _Unroller:
+    """Statements for one program's jets to ``order``, one per distinct expression."""
+
+    def __init__(self, order):
+        self.order = order
+        self.lines = []
+        self.names = {}  # statement right-hand side -> the name holding it
+        self.negated = {}  # name of -a -> a
+        self.consts = []
+        self.const_index = {}
+
+    def const(self, c):
+        key = c.hex()
+        if key not in self.const_index:
+            self.const_index[key] = len(self.consts)
+            self.consts.append(c)
+        return f"k{self.const_index[key]}"
+
+    def atom(self, a):
+        return self.const(a) if isinstance(a, float) else a
+
+    def emit(self, rhs):
+        name = self.names.get(rhs)
+        if name is None:
+            if len(self.lines) >= STATEMENT_BUDGET:
+                raise _OverBudget
+            name = self.names[rhs] = f"t{len(self.lines)}"
+            self.lines.append(f"{name} = {rhs}")
+        return name
+
+    def call(self, op, *args):
+        return self.emit(f"{op}({', '.join(map(self.atom, args))})")
+
+    # -- entries: a code name, a number, or None for a structural zero ----------
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        if isinstance(a, float) and isinstance(b, float):
+            return a * b
+        for one, other in ((a, b), (b, a)):
+            if isinstance(one, float) and one in (1.0, -1.0):  # exact: only a sign changes
+                return other if one == 1.0 else self.neg(other)
+        return self.emit(" * ".join(sorted((self.atom(a), self.atom(b)))))
+
+    def add(self, a, b):
+        if a is None or b is None:
+            return b if a is None else a
+        if isinstance(a, float) and isinstance(b, float):
+            return a + b
+        return self.emit(" + ".join(sorted((self.atom(a), self.atom(b)))))
+
+    def sub(self, a, b):
+        if a is None or b is None:
+            return self.neg(b) if a is None else a
+        if isinstance(a, float) and isinstance(b, float):
+            return a - b  # x + (-y), as the jets subtract, rounds alike
+        return self.emit(f"{self.atom(a)} - {self.atom(b)}")
+
+    def neg(self, a):
+        if a is None or isinstance(a, float):
+            return a if a is None else -a
+        if a in self.negated:
+            return self.negated[a]
+        name = self.emit(f"-{a}")
+        self.negated[name] = a
+        return name
+
+    def power(self, v, p):
+        """``jets._power(v, p)`` of a code name: integer powers square and multiply."""
+        if not float(p).is_integer():
+            return self.call("power", v, p)
+        k = abs(int(p))
+        if k == 0:
+            return 1.0
+        out = None
+        while True:
+            if k & 1:
+                out = v if out is None else self.mul(out, v)
+            k >>= 1
+            if not k:
+                return self.emit(f"{self.const(1.0)} / {out}") if p < 0 else out
+            v = self.mul(v, v)
+
+    # -- jet slots -----------------------------------------------------------------
+
+    def _pairs(self, d1a, d1b):
+        return {(min(i, j), max(i, j)) for i in d1a for j in d1b}
+
+    def jet_add(self, f, g, combine):
+        d1 = {i: combine(f.d1.get(i), g.d1.get(i)) for i in sorted(f.d1.keys() | g.d1.keys())}
+        d2 = {ij: combine(f.d2.get(ij), g.d2.get(ij)) for ij in sorted(f.d2.keys() | g.d2.keys())}
+        return _JetSlot(combine(f.v, g.v), d1, d2)
+
+    def scale(self, f, c, value):
+        """``f`` times the number ``c``, with the value ``value``."""
+        return _JetSlot(value, {i: self.mul(c, d) for i, d in f.d1.items()},
+                        {ij: self.mul(c, d) for ij, d in f.d2.items()})
+
+    def jet_mul(self, f, g):
+        d1, d2 = {}, {}
+        if self.order >= 1:
+            for i in sorted(f.d1.keys() | g.d1.keys()):
+                d1[i] = self.add(self.mul(f.v, g.d1.get(i)), self.mul(g.v, f.d1.get(i)))
+        if self.order >= 2:
+            keys = f.d2.keys() | g.d2.keys() | self._pairs(f.d1, g.d1)
+            for i, j in sorted(keys):
+                near = self.add(self.mul(f.v, g.d2.get((i, j))), self.mul(g.v, f.d2.get((i, j))))
+                cross = self.mul(f.d1.get(i), g.d1.get(j))
+                cross_t = cross if i == j else self.mul(f.d1.get(j), g.d1.get(i))
+                d2[i, j] = self.add(near, self.add(cross, cross_t))
+        return _JetSlot(self.mul(f.v, g.v), d1, d2)
+
+    def compose(self, f, c0, c1, c2):
+        """The chain rule through phi, given phi(v), phi'(v), phi''(v) as in ``Jet._compose``."""
+        d1, d2 = {}, {}
+        if self.order >= 1:
+            d1 = {i: self.mul(c1, d) for i, d in f.d1.items()}
+        if self.order >= 2:
+            for i, j in sorted(f.d2.keys() | self._pairs(f.d1, f.d1)):
+                outer = self.mul(f.d1.get(i), f.d1.get(j))
+                d2[i, j] = self.add(self.mul(c2, outer), self.mul(c1, f.d2.get((i, j))))
+        return _JetSlot(c0, d1, d2)
+
+    def reciprocal(self, f):
+        inv = self.emit(f"{self.const(1.0)} / {f.v}")
+        c1 = c2 = None
+        if self.order >= 1:
+            sq = self.mul(inv, inv)
+            c1 = self.neg(sq)
+            if self.order >= 2:
+                c2 = self.mul(2.0, self.mul(inv, sq))
+        return self.compose(f, inv, c1, c2)
+
+    def jet_pow(self, f, e):
+        if e == 0.0:
+            return _JetSlot(self.call("ones", f.v), {}, {})
+        if e == 1.0:
+            return f
+        if not e.is_integer():
+            self.call("powbase", f.v, e)
+        # a negative integer power divides in all three, which may raise at any order
+        every = e.is_integer() and e < 0.0
+        c1 = c2 = None
+        c0 = self.power(f.v, e)
+        if self.order >= 1 or every:
+            c1 = self.mul(e, self.power(f.v, e - 1))
+        if self.order >= 2 or every:
+            c2 = self.mul(e * (e - 1), self.power(f.v, e - 2))
+        return self.compose(f, c0, c1, c2)
+
+    def function(self, name, f):
+        if name == "exp":
+            v = self.call("exp", f.v)
+            return self.compose(f, v, v, v)
+        if name == "log":
+            value = self.call("log", f.v)  # checks the domain first, as jets.log does
+            inv = self.emit(f"{self.const(1.0)} / {f.v}") if self.order >= 1 else None
+            c2 = self.neg(self.mul(inv, inv)) if self.order >= 2 else None
+            return self.compose(f, value, inv, c2)
+        if name == "sqrt":
+            r = self.call("sqrt", f.v)
+            inv = self.emit(f"{self.const(1.0)} / {f.v}")  # raises at 0 on a float, at any order
+            c1 = self.mul(self.mul(0.5, r), inv) if self.order >= 1 else None
+            c2 = self.mul(self.mul(self.mul(-0.25, r), inv), inv) if self.order >= 2 else None
+            return self.compose(f, r, c1, c2)
+        s = self.call("sin", f.v) if name == "sin" or self.order >= 1 else None
+        c = self.call("cos", f.v) if name == "cos" or self.order >= 1 else None
+        if name == "sin":
+            return self.compose(f, s, c, self.neg(s) if self.order >= 2 else None)
+        return self.compose(f, c, self.neg(s), self.neg(c) if self.order >= 2 else None)
+
+    def op(self, op, args):
+        """The slot ``op(*args)``: a number when every argument is one, else a jet."""
+        if not any(isinstance(a, _JetSlot) for a in args):
+            return float(_OPS[op](*args))
+        if op in _FUNCTIONS:
+            return self.function(op, args[0])
+        if op == "neg":
+            return self.scale(args[0], -1.0, self.neg(args[0].v))
+        f, g = args
+        if op == "+":
+            if not isinstance(f, _JetSlot):
+                f, g = g, f
+            if not isinstance(g, _JetSlot):
+                return _JetSlot(self.add(f.v, g), f.d1, f.d2)
+            return self.jet_add(f, g, self.add)
+        if op == "-":
+            if not isinstance(g, _JetSlot):
+                return _JetSlot(self.sub(f.v, g), f.d1, f.d2)
+            if not isinstance(f, _JetSlot):  # (-g) + f
+                return self.scale(g, -1.0, self.sub(f, g.v))
+            return self.jet_add(f, g, self.sub)
+        if op == "*":
+            if not isinstance(f, _JetSlot):
+                f, g = g, f
+            if not isinstance(g, _JetSlot):
+                return self.scale(f, g, self.mul(f.v, g))
+            return self.jet_mul(f, g)
+        if op == "/":
+            if not isinstance(g, _JetSlot):
+                c = 1.0 / g
+                return self.scale(f, c, self.mul(f.v, c))
+            inv = self.reciprocal(g)
+            if not isinstance(f, _JetSlot):
+                return self.scale(inv, f, self.mul(inv.v, f))
+            return self.jet_mul(f, inv)
+        # "^": a jet exponent goes through exp(e log b), as Jet.__pow__ and __rpow__ do
+        if not isinstance(g, _JetSlot):
+            return self.jet_pow(f, g)
+        if not isinstance(f, _JetSlot):
+            log_base = float(np.log(f))
+            return self.function("exp", self.scale(g, log_base, self.mul(g.v, log_base)))
+        return self.function("exp", self.jet_mul(g, self.function("log", f)))
+
 
 class Expression:
     """A parsed expression that keeps its source text verbatim.
@@ -230,3 +561,105 @@ class Expression:
 
     def __repr__(self):
         return f"Expression({self.source!r})"
+
+
+class _Unrolled:
+    """A program's jets unrolled for one order: the generated function, its
+    constants, and per order a table gathering every output's entries.
+
+    The function returns the entries computed at run time; the constant
+    entries, and last a 0.0 for the structural zeros, follow them in the
+    vector the tables index.
+    """
+
+    __slots__ = ("fn", "consts", "width", "tail", "tables")
+
+    def __init__(self, fn, consts, width, tail, tables):
+        self.fn, self.consts, self.width, self.tail, self.tables = fn, consts, width, tail, tables
+
+    def __call__(self, x):
+        """Per order k, every output's k-th parts at ``x``, stacked after the batch axes."""
+        if x.ndim == 1:
+            entries = np.array(self.fn(x.tolist(), self.consts) + self.tail)
+            return [entries[t] for t in self.tables]
+        entries = np.empty((len(x), self.width + len(self.tail)))
+        if self.width:
+            entries[:, :self.width] = np.array(self.fn(x.T, self.consts)).T
+        entries[:, self.width:] = self.tail
+        # take, unlike entries[:, t], returns the parts in C order, batch axis first
+        return [np.take(entries, t, axis=1) for t in self.tables]
+
+
+def _unroll(program, coord_names, order):
+    """``program``'s jets to ``order`` as an :class:`_Unrolled`, or None if it
+    is left to the jets: over :data:`STATEMENT_BUDGET`, a number that raises,
+    or a variable outside ``coord_names``."""
+    n = len(coord_names)
+    index = {name: i for i, name in enumerate(coord_names)}
+    regs = list(program._init)
+    for slot, name in program.loads:
+        if name not in index:
+            return None
+        regs[slot] = _JetSlot(f"x{index[name]}", {index[name]: 1.0} if order >= 1 else {}, {})
+    unroller = _Unroller(order)
+    try:
+        with np.errstate(all="ignore"):
+            for slot, op, args in program.code:
+                regs[slot] = unroller.op(op, [regs[a] for a in args])
+    except (_OverBudget, ArithmeticError, DomainError):
+        return None
+
+    def entry(reg, idx):
+        if not isinstance(reg, _JetSlot):
+            return None if idx else reg
+        if len(idx) < 2:
+            return reg.d1.get(idx[0]) if idx else reg.v
+        return reg.d2.get(tuple(sorted(idx)))
+
+    slots = list(dict.fromkeys(program.outputs))
+    # per order, every distinct output's entries in C order
+    cells = [[entry(regs[s], idx) for s in slots for idx in np.ndindex((n,) * k)]
+             for k in range(order + 1)]
+    flat = [e for order_cells in cells for e in order_cells]
+    computed = list(dict.fromkeys(e for e in flat if isinstance(e, str)))
+    tail = list({e.hex(): e for e in flat if isinstance(e, float)}.values()) + [0.0]
+    position = {name: i for i, name in enumerate(computed)}
+    position.update({c.hex(): len(computed) + i for i, c in enumerate(tail)})
+    zero = len(computed) + len(tail) - 1
+    row = {slot: r for r, slot in enumerate(slots)}
+    rows = np.array([row[s] for s in program.outputs], dtype=np.intp)
+    tables = []
+    for k, order_cells in enumerate(cells):
+        table = np.array([zero if e is None else position[e if isinstance(e, str) else e.hex()]
+                          for e in order_cells], dtype=np.intp)
+        tables.append(table.reshape((len(slots),) + (n,) * k)[rows])
+
+    unpack = [f"{', '.join(f'x{i}' for i in range(n))}, = X"]
+    if unroller.consts:
+        unpack.append(f"{', '.join(f'k{i}' for i in range(len(unroller.consts)))}, = K")
+    body = unpack + unroller.lines + [f"return ({', '.join(computed)}{',' if computed else ''})"]
+    namespace = dict(_CODE_OPS)
+    exec(compile("def unrolled(X, K):\n    " + "\n    ".join(body), "<unrolled jets>", "exec"),
+         namespace)
+    return _Unrolled(namespace["unrolled"], tuple(unroller.consts), len(computed), tuple(tail),
+                     tables)
+
+
+_memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled or None
+
+
+def _unrolled(program, coord_names, order):
+    """The unrolled code of ``program``'s jets to ``order`` (None: use the jets),
+    from a process-wide memo of :data:`COMPILED_MEMO_SIZE` entries.
+
+    The key is the program's instructions, so the models that a suite pass
+    rebuilds find the code unrolled for the last pass.
+    """
+    key = (program.key, coord_names, order)
+    try:
+        _memo.move_to_end(key)
+    except KeyError:
+        _memo[key] = _unroll(program, coord_names, order)
+        if len(_memo) > COMPILED_MEMO_SIZE:
+            _memo.popitem(last=False)
+    return _memo[key]

@@ -11,13 +11,15 @@ coordinate names, and a domain predicate.  Three sources are supported:
 
 Every field here is a :class:`~cupgeo.tensor_core.Field`, evaluated and
 checked through its one ``jet``.  An expression field compiles to one
-program; a tensor field's jet is array-valued: ``.value`` has the batch
-axes of the points (none for one point) followed by the component axes,
-and each derivative axis trails them, ready for the geometry layer's
-contractions.  Component symmetry holds bitwise: one compiled program per
-field evaluates one representative per index class, and one gather through
-a table of each component's representative scatters them.  A failing
-tensor field names its first failing component.
+program, whose jets come from its unrolled straight-line code
+(:meth:`cupgeo.expr.Program.jet`); a tensor field's jet is array-valued:
+``.value`` has the batch axes of the points (none for one point) followed
+by the component axes, and each derivative axis trails them, ready for the
+geometry layer's contractions.  Component symmetry holds bitwise: the
+program has one output per component, and every component of an index
+class is the one slot of its representative, gathered through one index
+table per derivative order.  A failing tensor field names its first failing
+component.
 
 The Monte-Carlo oracle (:func:`estimate_fisher_tensors`) derives g and t
 from score moments of a sampled log-likelihood, independently of the closed
@@ -126,11 +128,11 @@ class ExprTensorField(Field):
         self.coord_names = tuple(coord_names)
         self.label = f"rank-{rank} tensor field"
         self.entries = dict(entries)
-        # one output per entry and a last one, zero, for the unlisted components
-        self.program = expr.Program([e.ast for e in self.entries.values()] + [expr.parse("0")])
-        row = {index: r for r, index in enumerate(self.entries)}
-        self._rows = np.array([row.get(tuple(sorted(index)), len(row))
-                               for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
+        # one output per component, in C order: its class's entry, or zero if unlisted
+        zero = expr.parse("0")
+        asts = {index: e.ast for index, e in self.entries.items()}
+        self.program = expr.Program([asts.get(tuple(sorted(index)), zero)
+                                     for index in np.ndindex((dim,) * rank)])
 
     def jet(self, coords, order):
         try:
@@ -143,15 +145,7 @@ class ExprTensorField(Field):
             raise
 
     def _jet(self, coords, order):
-        values = self.program.run(dict(zip(self.coord_names, jets.seed(coords, order))))
-        batch = np.shape(coords)[:-1]
-        parts = []
-        for k in range(order + 1):
-            shape = batch + (self.dim,) * k
-            reps = np.array([v.deriv(k) if isinstance(v, jets.Jet)
-                             else np.full(shape, v if k == 0 else 0.0) for v in values])
-            parts.append(np.take(reps.swapaxes(0, len(batch)), self._rows, axis=len(batch)))
-        return jets.Jet(self.dim, order, *parts)
+        return self.program.jet(self.coord_names, coords, order, (self.dim,) * self.rank)
 
 
 class ExprScalarField(Field):
@@ -164,7 +158,7 @@ class ExprScalarField(Field):
         self.label = f"field {source!r}"
 
     def _jet(self, coords, order):
-        return self.expression(dict(zip(self.coord_names, jets.seed(coords, order))))
+        return self.expression.program.jet(self.coord_names, coords, order)
 
 
 # -- models -----------------------------------------------------------------

@@ -124,6 +124,23 @@ class TestTensors:
         assert rc == 0
         assert render_json(json.loads(out)) + "\n" == out
 
+    @pytest.mark.parametrize("pinned, args", [
+        ("tensors-gaussian.json", ("--model", "gaussian", "--alpha", "0.5")),
+        ("tensors-multinomial4.json", ("--model", "multinomial:4", "--alpha", "-0.5")),
+        ("tensors-gaussian-rescaled.json", ("--model", "gaussian", "--alpha", "0.5",
+                                            "--rescaling", "rescaling-gaussian.json")),
+    ])
+    def test_json_is_pinned_byte_for_byte(self, pinned, args, capsys):
+        # the signs of printed zeros (Christoffel, curvature) are pinned too
+        data = Path(__file__).resolve().parent / "data"
+        points = {"gaussian": ("0.3,1.2", "-1,0.7"),
+                  "multinomial:4": ("0.2,0.3,0.1", "0.1,0.25,0.4")}
+        argv = [str(data / a) if a.endswith(".json") else a for a in args]
+        argv += [f"--point={p}" for p in points[args[1]]]
+        rc, out, _ = run_cli("tensors", *argv, "--json", capsys=capsys)
+        assert rc == 0
+        assert out.encode("utf-8") == (data / pinned).read_bytes()
+
     def test_repeat_run_is_byte_identical(self, capsys):
         args = ("tensors", "--model", "multinomial:3", "--alpha", "0.5",
                 "--point", "0.2,0.3", "--json")
@@ -436,6 +453,12 @@ class TestErrorPaths:
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "seed" in lines[0]
+
+    def test_negative_verify_seed(self, capsys):
+        rc, out, err = run_cli("verify", "--default", "--seed", "-3", capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: seed must be >= 0, got -3\n"
 
     @pytest.mark.parametrize("fields, named", [
         ('"dim": "x"', "dim"), ('"dim": null', "dim"), ('"dim": 2.5', "dim"),

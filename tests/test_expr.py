@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgeo.errors import DomainError, EvaluationError, ExpressionError
-from cupgeo.expr import _FUNCTIONS, Expression, Program, parse
-from cupgeo.jets import Jet, finite_difference_jet, seed
+from cupgeo.errors import CupGeoError, DomainError, EvaluationError, ExpressionError
+from cupgeo.expr import _CODE_OPS, _FUNCTIONS, Expression, Program, _unrolled, parse
+from cupgeo.jets import Jet, constant_at, finite_difference_jet, seed
+from cupgeo.manifolds import gaussian_model
+from cupgeo.tensor_core import field_jet
 
 
 def ev(source, **env):
@@ -261,3 +263,78 @@ def test_program_values_match_floats_and_slopes_match_differences(source, point)
     # differencing loses digits in proportion to the value as well as the slope
     scale = max(1.0, abs(value), float(np.max(np.abs(fd))))
     assert np.max(np.abs(d1 - fd)) <= 1e-6 * scale
+
+
+# -- unrolled code against the jets ---------------------------------------------
+
+
+def _jet_route(program, coords, order):
+    """Every output of ``program`` by :meth:`Program.run` on seeded jets, as
+    per-order part lists."""
+    values = program.run(dict(zip("xy", seed(coords, order))))
+    return [_parts(v if isinstance(v, Jet) else constant_at(v, coords, order)) for v in values]
+
+
+@given(e1=_SOURCES, e2=_SOURCES, point=st.tuples(_COORD, _COORD),
+       batch=st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_unrolled_code_matches_the_jets_bitwise(e1, e2, point, batch):
+    program = Program([parse(e1), parse(e2), parse(f"({e1})*({e2}) - ({e1})")])
+    for coords in (np.array(point), np.array(batch)):
+        lead = (slice(None),) * (coords.ndim - 1)
+        for order in (0, 1, 2):
+            assert _unrolled(program, ("x", "y"), order) is not None
+            jet = program.jet(("x", "y"), coords, order, (3,))
+            for i, ref in enumerate(_jet_route(program, coords, order)):
+                for k, part in enumerate(ref):
+                    got = np.asarray(jet.deriv(k))[lead + (i,)]
+                    # the unrolled code may give 0.0 where the jets give -0.0
+                    assert got.shape == part.shape
+                    assert (got + 0.0).tobytes() == (part + 0.0).tobytes(), (i, k)
+
+
+def test_unrolled_code_holds_only_generated_names():
+    # identifiers and numbers of the source never reach the generated code
+    program = Program([parse("exp(a_b*K) + 3.5^sqrt(X) - log(K)/sin(0.25)")])
+    code = _unrolled(program, ("X", "a_b", "K"), 2).fn.__code__
+    assert set(code.co_names) <= set(_CODE_OPS)
+    assert all(re.fullmatch(r"X|K|[xkt]\d+", name) for name in code.co_varnames)
+    assert set(code.co_consts) <= {None}
+
+
+def _outcome(field, coords, order, compute):
+    try:
+        jet = field_jet(field.label, coords, order, compute)
+    except CupGeoError as e:
+        return type(e), str(e)
+    return [np.asarray(jet.deriv(k)) + 0.0 for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("source, bad", [
+    ("1/mu", 0.0), ("log(mu)", -1.0), ("sqrt(mu)", -1.0), ("sqrt(mu)", 0.0),
+    ("(-1)^0.5", 1.0), ("mu^sigma", 0.0), ("mu^sigma", -1.0), ("0^sigma", 1.0),
+    ("1e400*mu", 1.0), ("exp(1000*sigma)", 1.0), ("0*sqrt(mu)", 0.0), ("mu^-1", 0.0),
+    ("mu^-1", 1e-160),  # mu^-3, of the second derivative, underflows to 0
+    ("mu + 1/0", 1.0), ("mu/0", 1.0),
+])
+def test_unrolled_code_fails_as_the_jets_do(source, bad):
+    field = gaussian_model().scalar_field(source)
+
+    def by_jets(c, o):
+        return field.expression(dict(zip(field.coord_names, seed(c, o))))
+
+    for coords in (np.array([bad, 1.0]), np.array([[0.5, 1.0], [bad, 1.0]])):
+        for order in (0, 1, 2):
+            expected = _outcome(field, coords, order, by_jets)
+            got = _outcome(field, coords, order, field._jet)
+            if isinstance(expected, tuple):
+                assert got == expected
+            else:
+                assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+            fresh = gaussian_model().scalar_field(source)
+            try:
+                fresh.jet(coords, order)
+            except CupGeoError as e:
+                assert (type(e), str(e)) == expected
+            else:
+                assert not isinstance(expected, tuple)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgeo import jets
+from cupgeo import expr, jets
 from cupgeo.errors import ConfigError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
@@ -157,8 +157,33 @@ class TestCompiledTensorFields:
                 jet = field.jet(coords, order)
                 ref = mirrored_tensor_jet(field, coords, order)
                 for k in range(order + 1):
-                    a, b = jet.deriv(k), ref.deriv(k)
+                    # the field's unrolled code drops structural zeros that the
+                    # jets compute as -0.0: + 0.0 makes every zero positive
+                    a, b = jet.deriv(k) + 0.0, ref.deriv(k) + 0.0
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (field.rank, k)
+
+    def test_statement_budget_leaves_dense_programs_to_the_jets(self):
+        small = multinomial_model(3).metric
+        assert expr._unrolled(small.program, small.coord_names, 2) is not None
+        # every entry has 528 distinct second partials, through one shared
+        # product of all 32 coordinates
+        names = [f"x{i + 1}" for i in range(32)]
+        chain = "*".join(names)
+        dense = parse_model(json.dumps({
+            "dim": 32, "coords": names,
+            "metric": {f"{i},{i}": f"{i} + sin({chain} + {i})" for i in range(1, 33)}}))
+        field = dense.metric
+        assert expr._unrolled(field.program, field.coord_names, 2) is None
+        coords = np.linspace(0.9, 1.1, 32)
+        jet, ref = field.jet(coords, 2), mirrored_tensor_jet(field, coords, 2)
+        for k in range(3):
+            assert jet.deriv(k).tobytes() == ref.deriv(k).tobytes()
+
+    def test_rebuilt_models_share_their_unrolled_code(self):
+        first, second = multinomial_model(4).skewness, multinomial_model(4).skewness
+        assert first.program is not second.program
+        assert (expr._unrolled(first.program, first.coord_names, 1)
+                is expr._unrolled(second.program, second.coord_names, 1))
 
     def test_entries_share_their_subtrees(self):
         field = multinomial_model(4).skewness
