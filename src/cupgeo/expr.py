@@ -12,18 +12,21 @@ Known functions: exp, log, sqrt, sin, cos.  Any other identifier is a free
 variable, resolved against the evaluation environment.  Evaluation runs a
 compiled :class:`Program`, which several expressions can share.
 
-A field's jets come from :meth:`Program.jet`: the program is unrolled, once
-per derivative order, into one generated Python function of straight-line
-code, one statement per value and per partial that is not zero by
-structure, with the formulas and the association order of the
+A field's jets come from :meth:`Program.jet_parts`: the program is
+unrolled, once per derivative order, into one generated Python function of
+straight-line code, one statement per value and per partial that is not
+zero by structure, with the formulas and the association order of the
 :class:`~cupgeo.jets.Jet` arithmetic.  It runs on plain floats at one point
 and on row arrays for a batch, and gives the numbers the jets give, up to
-the sign of a zero.  The generated source holds only its own register names,
-indices into a tuple of constants and the names of a fixed table of
-value-level operations, never text of an expression.  Unrolled code is kept
-in one process-wide memo keyed by the program's instructions, so rebuilt
-models reuse it; a program past :data:`STATEMENT_BUDGET` is evaluated by
-:meth:`Program.run` on jets instead.
+the sign of a zero; both routes add 0.0 to every entry, so no entry is a
+negative zero and a field's jet does not depend on the route that served
+it.  The generated source holds only its own register names, indices into a
+tuple of constants and the names of a fixed table of value-level
+operations, never text of an expression.  Unrolled code is kept in one
+process-wide memo keyed by the program's instructions, so rebuilt models
+reuse it.  A program's first request at an order, and every request of a
+program past :data:`STATEMENT_BUDGET`, is evaluated by :meth:`Program.run`
+on jets instead.
 """
 
 import functools
@@ -188,7 +191,11 @@ _OPS = {**_FUNCTIONS, "+": operator.add, "-": operator.sub, "*": operator.mul,
 # instead.  Unrolling and compiling cost some 20 us a statement, paid once per
 # program and order, so the budget bounds that first-evaluation cost near 0.1 s.
 STATEMENT_BUDGET = 5_000
-COMPILED_MEMO_SIZE = 64  # unrolled programs kept process-wide
+# Keys (program, coordinate names, order) kept process-wide.  The benchmark
+# workloads request 16 (suite-default), 46 (pointwise: 3 models, each with
+# metric, skewness, densities, couplings and potentials) and 4 (estimate-mc)
+# distinct keys, so at 64 none of them evicts a key: each is unrolled once.
+COMPILED_MEMO_SIZE = 64
 
 
 class Program:
@@ -196,8 +203,7 @@ class Program:
 
     The ASTs are hash-consed: each distinct subtree, in one AST or across
     several, gets one slot holding a number, a variable from the environment,
-    or one operation on earlier slots, and is computed once per run.  An AST
-    given more than once (the same object) is one output slot each time.
+    or one operation on earlier slots, and is computed once per run.
     """
 
     def __init__(self, asts):
@@ -205,11 +211,7 @@ class Program:
         self._init = []  # a number's value per slot, None for the others
         self.loads = []  # (slot, variable name)
         self.code = []  # (slot, operation, argument slots)
-        emitted = {}
-        for ast in asts:
-            if id(ast) not in emitted:
-                emitted[id(ast)] = self._emit(ast)
-        self.outputs = [emitted[id(ast)] for ast in asts]
+        self.outputs = [self._emit(ast) for ast in asts]
 
     @functools.cached_property
     def key(self):
@@ -246,26 +248,22 @@ class Program:
             regs[slot] = _OPS[op](*[regs[a] for a in args])
         return [regs[slot] for slot in self.outputs]
 
-    def jet(self, coord_names, coords, order, shape=()):
-        """Every output's jet to ``order`` at ``coords``, the variables being ``coord_names``.
+    def jet_parts(self, coord_names, coords, order):
+        """Per order k, the k-th parts of every output's jet at ``coords``, the
+        variables being ``coord_names``.
 
-        ``coords`` is one point (shape ``(n,)``) or a ``(P, n)`` batch.  The
-        outputs, laid out in C order, fill ``shape`` (one output for ``()``),
-        which follows the batch axes in the jet's value axes.  The unrolled
-        code of :func:`_unrolled` computes it, or, for a program it does not
-        cover, :meth:`run` on seeded jets; the two agree bitwise up to the
-        sign of a zero.
+        ``coords`` is one point (shape ``(n,)``) or a ``(P, n)`` batch; part
+        k has the batch axes, one axis over the outputs, then k axes of
+        length n.  The unrolled code of :func:`_unrolled` computes them, or,
+        for a request it does not serve, :meth:`run` on seeded jets.  The two
+        agree bitwise up to the sign of a zero, and both add 0.0 to every
+        entry, so the parts are the same whichever route gives them.
         """
         x = np.asarray(coords, dtype=float)
-        batch = x.shape[:-1]
         code = None
         if x.shape[-1] == len(coord_names):
             code = _unrolled(self, tuple(coord_names), order)
-        parts = code(x) if code is not None else self._stacked_jets(coord_names, x, order)
-        parts = [p.reshape(batch + shape + p.shape[len(batch) + 1:]) for p in parts]
-        if not batch and not shape:
-            parts[0] = float(parts[0])
-        return jets.Jet(x.shape[-1], order, *parts)
+        return code(x) if code is not None else self._stacked_jets(coord_names, x, order)
 
     def _stacked_jets(self, coord_names, x, order):
         """Per order k, the outputs' k-th parts by :meth:`run`, stacked after the batch axes."""
@@ -276,7 +274,7 @@ class Program:
             shape = batch + (x.shape[-1],) * k
             parts.append(np.stack([v.deriv(k) if isinstance(v, jets.Jet)
                                    else np.full(shape, v if k == 0 else 0.0) for v in values],
-                                  axis=len(batch)))
+                                  axis=len(batch)) + 0.0)
         return parts
 
 
@@ -290,9 +288,10 @@ class Program:
 # depend on the variable) is dropped, and a product with a seeded 1.0 is not
 # formed.  The jets compute a dropped partial as 0.0 or -0.0 and add it to
 # others, so an entry may differ from theirs in the sign of a zero, and in
-# nothing else.  Numbers are folded while unrolling with the same operations
-# the jets use; a number that raises (1/0, log(-1)) leaves the program to the
-# jets, which raise it in order.  The code keeps the statements of the jets
+# nothing else; adding 0.0 to every entry of both routes makes them equal.
+# Numbers are folded while unrolling with the same operations the jets use; a
+# number that raises (1/0, log(-1)) leaves the program to the jets, which
+# raise it in order.  The code keeps the statements of the jets
 # that may raise on plain floats at any order (the 1/v of sqrt, the divisions
 # of a negative integer power), so at one point it raises the same
 # ZeroDivisionError where they do.
@@ -565,29 +564,35 @@ class Expression:
 
 class _Unrolled:
     """A program's jets unrolled for one order: the generated function, its
-    constants, and per order a table gathering every output's entries.
+    constants, per order a table gathering each distinct output slot's
+    entries, and each output's row among those slots.
 
     The function returns the entries computed at run time; the constant
     entries, and last a 0.0 for the structural zeros, follow them in the
-    vector the tables index.
+    vector the tables index.  The tables are kept per distinct slot, not per
+    output: entries often repeat one expression (every off-diagonal entry of
+    a multinomial metric is the same), so an output table of a dimension-32
+    metric would hold 529 rows of 32 x 32 indices for 33 distinct ones.
     """
 
-    __slots__ = ("fn", "consts", "width", "tail", "tables")
+    __slots__ = ("fn", "consts", "width", "tail", "tables", "rows")
 
-    def __init__(self, fn, consts, width, tail, tables):
-        self.fn, self.consts, self.width, self.tail, self.tables = fn, consts, width, tail, tables
+    def __init__(self, fn, consts, width, tail, tables, rows):
+        self.fn, self.consts, self.width, self.tail = fn, consts, width, tail
+        self.tables, self.rows = tables, rows
 
     def __call__(self, x):
         """Per order k, every output's k-th parts at ``x``, stacked after the batch axes."""
         if x.ndim == 1:
-            entries = np.array(self.fn(x.tolist(), self.consts) + self.tail)
-            return [entries[t] for t in self.tables]
+            entries = np.array(self.fn(x.tolist(), self.consts) + self.tail) + 0.0
+            return [entries[t][self.rows] for t in self.tables]
         entries = np.empty((len(x), self.width + len(self.tail)))
         if self.width:
             entries[:, :self.width] = np.array(self.fn(x.T, self.consts)).T
         entries[:, self.width:] = self.tail
+        entries += 0.0
         # take, unlike entries[:, t], returns the parts in C order, batch axis first
-        return [np.take(entries, t, axis=1) for t in self.tables]
+        return [np.take(np.take(entries, t, axis=1), self.rows, axis=1) for t in self.tables]
 
 
 def _unroll(program, coord_names, order):
@@ -609,30 +614,29 @@ def _unroll(program, coord_names, order):
     except (_OverBudget, ArithmeticError, DomainError):
         return None
 
-    def entry(reg, idx):
+    slots, rows = np.unique(program.outputs, return_inverse=True)
+    # (order, table index, entry) for every entry of a distinct output slot
+    # that is not zero by structure; a second partial fills both of its
+    # mirrored places
+    cells = []
+    for r, slot in enumerate(slots):
+        reg = regs[slot]
         if not isinstance(reg, _JetSlot):
-            return None if idx else reg
-        if len(idx) < 2:
-            return reg.d1.get(idx[0]) if idx else reg.v
-        return reg.d2.get(tuple(sorted(idx)))
-
-    slots = list(dict.fromkeys(program.outputs))
-    # per order, every distinct output's entries in C order
-    cells = [[entry(regs[s], idx) for s in slots for idx in np.ndindex((n,) * k)]
-             for k in range(order + 1)]
-    flat = [e for order_cells in cells for e in order_cells]
-    computed = list(dict.fromkeys(e for e in flat if isinstance(e, str)))
-    tail = list({e.hex(): e for e in flat if isinstance(e, float)}.values()) + [0.0]
+            cells.append((0, (r,), reg))
+            continue
+        cells.append((0, (r,), reg.v))
+        cells.extend((1, (r, i), e) for i, e in reg.d1.items())
+        for (i, j), e in reg.d2.items():
+            cells.extend(((2, (r, i, j), e), (2, (r, j, i), e)))
+    computed = list(dict.fromkeys(e for _, _, e in cells if isinstance(e, str)))
+    tail = list({e.hex(): e for _, _, e in cells if isinstance(e, float)}.values()) + [0.0]
     position = {name: i for i, name in enumerate(computed)}
     position.update({c.hex(): len(computed) + i for i, c in enumerate(tail)})
     zero = len(computed) + len(tail) - 1
-    row = {slot: r for r, slot in enumerate(slots)}
-    rows = np.array([row[s] for s in program.outputs], dtype=np.intp)
-    tables = []
-    for k, order_cells in enumerate(cells):
-        table = np.array([zero if e is None else position[e if isinstance(e, str) else e.hex()]
-                          for e in order_cells], dtype=np.intp)
-        tables.append(table.reshape((len(slots),) + (n,) * k)[rows])
+    tables = [np.full((len(slots),) + (n,) * k, zero, dtype=np.intp)
+              for k in range(order + 1)]
+    for k, at, e in cells:
+        tables[k][at] = position[e if isinstance(e, str) else e.hex()]
 
     unpack = [f"{', '.join(f'x{i}' for i in range(n))}, = X"]
     if unroller.consts:
@@ -642,24 +646,31 @@ def _unroll(program, coord_names, order):
     exec(compile("def unrolled(X, K):\n    " + "\n    ".join(body), "<unrolled jets>", "exec"),
          namespace)
     return _Unrolled(namespace["unrolled"], tuple(unroller.consts), len(computed), tuple(tail),
-                     tables)
+                     tables, rows)
 
 
-_memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled or None
+_memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled, None or _SEEN
+_SEEN = "requested once"
 
 
 def _unrolled(program, coord_names, order):
-    """The unrolled code of ``program``'s jets to ``order`` (None: use the jets),
-    from a process-wide memo of :data:`COMPILED_MEMO_SIZE` entries.
+    """The unrolled code of ``program``'s jets to ``order``, or None to use
+    the jets, from a process-wide LRU memo of :data:`COMPILED_MEMO_SIZE` keys.
 
     The key is the program's instructions, so the models that a suite pass
-    rebuilds find the code unrolled for the last pass.
+    rebuilds find the code unrolled for the last pass.  A key's first
+    request is left to the jets and only a second one unrolls, so a program
+    evaluated once (a one-off query) never pays for unrolling.  The memo
+    takes no lock: it is not safe to use from more than one thread.
     """
     key = (program.key, coord_names, order)
     try:
         _memo.move_to_end(key)
     except KeyError:
-        _memo[key] = _unroll(program, coord_names, order)
+        _memo[key] = _SEEN
         if len(_memo) > COMPILED_MEMO_SIZE:
             _memo.popitem(last=False)
+        return None
+    if _memo[key] is _SEEN:
+        _memo[key] = _unroll(program, coord_names, order)
     return _memo[key]

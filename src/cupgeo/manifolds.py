@@ -12,14 +12,13 @@ coordinate names, and a domain predicate.  Three sources are supported:
 Every field here is a :class:`~cupgeo.tensor_core.Field`, evaluated and
 checked through its one ``jet``.  An expression field compiles to one
 program, whose jets come from its unrolled straight-line code
-(:meth:`cupgeo.expr.Program.jet`); a tensor field's jet is array-valued:
-``.value`` has the batch axes of the points (none for one point) followed
-by the component axes, and each derivative axis trails them, ready for the
-geometry layer's contractions.  Component symmetry holds bitwise: the
-program has one output per component, and every component of an index
-class is the one slot of its representative, gathered through one index
-table per derivative order.  A failing tensor field names its first failing
-component.
+(:meth:`cupgeo.expr.Program.jet_parts`); a tensor field's jet is
+array-valued: ``.value`` has the batch axes of the points (none for one
+point) followed by the component axes, and each derivative axis trails
+them, ready for the geometry layer's contractions.  Component symmetry
+holds bitwise: the program has one output per listed entry and one for
+zero, and every component is gathered from its class's output through one
+index table.  A failing tensor field names its first failing component.
 
 The Monte-Carlo oracle (:func:`estimate_fisher_tensors`) derives g and t
 from score moments of a sampled log-likelihood, independently of the closed
@@ -128,11 +127,11 @@ class ExprTensorField(Field):
         self.coord_names = tuple(coord_names)
         self.label = f"rank-{rank} tensor field"
         self.entries = dict(entries)
-        # one output per component, in C order: its class's entry, or zero if unlisted
-        zero = expr.parse("0")
-        asts = {index: e.ast for index, e in self.entries.items()}
-        self.program = expr.Program([asts.get(tuple(sorted(index)), zero)
-                                     for index in np.ndindex((dim,) * rank)])
+        # one output per entry and a last one, zero, for the unlisted components
+        self.program = expr.Program([e.ast for e in self.entries.values()] + [expr.parse("0")])
+        row = {index: r for r, index in enumerate(self.entries)}
+        self._rows = np.array([row.get(tuple(sorted(index)), len(row))
+                               for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
 
     def jet(self, coords, order):
         try:
@@ -145,7 +144,9 @@ class ExprTensorField(Field):
             raise
 
     def _jet(self, coords, order):
-        return self.program.jet(self.coord_names, coords, order, (self.dim,) * self.rank)
+        parts = self.program.jet_parts(self.coord_names, coords, order)
+        axis = np.ndim(coords) - 1
+        return jets.Jet(self.dim, order, *(np.take(p, self._rows, axis=axis) for p in parts))
 
 
 class ExprScalarField(Field):
@@ -158,7 +159,10 @@ class ExprScalarField(Field):
         self.label = f"field {source!r}"
 
     def _jet(self, coords, order):
-        return self.expression.program.jet(self.coord_names, coords, order)
+        parts = self.expression.program.jet_parts(self.coord_names, coords, order)
+        axis = np.ndim(coords) - 1
+        parts = [np.take(p, 0, axis=axis) for p in parts]
+        return jets.Jet(self.dim, order, float(parts[0]) if not axis else parts[0], *parts[1:])
 
 
 # -- models -----------------------------------------------------------------

@@ -8,8 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cupgeo import expr
 from cupgeo.errors import CupGeoError, DomainError, EvaluationError, ExpressionError
-from cupgeo.expr import _CODE_OPS, _FUNCTIONS, Expression, Program, _unrolled, parse
+from cupgeo.expr import (
+    _CODE_OPS,
+    _FUNCTIONS,
+    Expression,
+    Program,
+    _unroll,
+    _unrolled,
+    parse,
+)
 from cupgeo.jets import Jet, constant_at, finite_difference_jet, seed
 from cupgeo.manifolds import gaussian_model
 from cupgeo.tensor_core import field_jet
@@ -283,20 +292,46 @@ def test_unrolled_code_matches_the_jets_bitwise(e1, e2, point, batch):
     for coords in (np.array(point), np.array(batch)):
         lead = (slice(None),) * (coords.ndim - 1)
         for order in (0, 1, 2):
-            assert _unrolled(program, ("x", "y"), order) is not None
-            jet = program.jet(("x", "y"), coords, order, (3,))
+            code = _unroll(program, ("x", "y"), order)
+            assert code is not None
+            parts = code(coords)
             for i, ref in enumerate(_jet_route(program, coords, order)):
                 for k, part in enumerate(ref):
-                    got = np.asarray(jet.deriv(k))[lead + (i,)]
+                    got = parts[k][lead + (i,)]
                     # the unrolled code may give 0.0 where the jets give -0.0
                     assert got.shape == part.shape
                     assert (got + 0.0).tobytes() == (part + 0.0).tobytes(), (i, k)
 
 
+def test_a_program_is_unrolled_at_its_second_request_and_kept_in_a_bounded_lru():
+    def program(c):  # a number no other test uses keeps the key fresh
+        return Program([parse(f"exp(x*y) + {c}")])
+
+    assert _unrolled(program(0.1234375), ("x", "y"), 2) is None
+    code = _unrolled(program(0.1234375), ("x", "y"), 2)
+    assert code is not None
+    assert _unrolled(program(0.1234375), ("x", "y"), 2) is code
+    for i in range(expr.COMPILED_MEMO_SIZE):
+        _unrolled(program(i + 0.5), ("x", "y"), 2)
+    assert len(expr._memo) == expr.COMPILED_MEMO_SIZE
+    assert _unrolled(program(0.1234375), ("x", "y"), 2) is None  # evicted: requested afresh
+
+
+def test_neither_route_gives_a_negative_zero():
+    # -(x*0) is -0.0 for x > 0 in float and jet arithmetic alike
+    program = Program([parse("-(x*0) + y"), parse("0*y*x - x*0")])
+    for coords in (np.array([1.0, -1.0]), np.array([[1.0, -1.0], [2.0, 3.0]])):
+        for order in (0, 1, 2):
+            for parts in (program._stacked_jets(("x", "y"), coords, order),
+                          _unroll(program, ("x", "y"), order)(coords)):
+                for part in parts:
+                    assert not np.signbit(part[part == 0]).any()
+
+
 def test_unrolled_code_holds_only_generated_names():
     # identifiers and numbers of the source never reach the generated code
     program = Program([parse("exp(a_b*K) + 3.5^sqrt(X) - log(K)/sin(0.25)")])
-    code = _unrolled(program, ("X", "a_b", "K"), 2).fn.__code__
+    code = _unroll(program, ("X", "a_b", "K"), 2).fn.__code__
     assert set(code.co_names) <= set(_CODE_OPS)
     assert all(re.fullmatch(r"X|K|[xkt]\d+", name) for name in code.co_varnames)
     assert set(code.co_consts) <= {None}
@@ -325,6 +360,9 @@ def test_unrolled_code_fails_as_the_jets_do(source, bad):
 
     for coords in (np.array([bad, 1.0]), np.array([[0.5, 1.0], [bad, 1.0]])):
         for order in (0, 1, 2):
+            # a program's first request at an order is left to the jets: after
+            # this one, field._jet runs its unrolled code where it has one
+            _unrolled(field.expression.program, field.coord_names, order)
             expected = _outcome(field, coords, order, by_jets)
             got = _outcome(field, coords, order, field._jet)
             if isinstance(expected, tuple):

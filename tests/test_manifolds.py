@@ -141,6 +141,7 @@ COMPILED_MODELS = {
     "multinomial:3": (multinomial_model(3), [(0.2, 0.3), (0.5, 0.1)]),
     "multinomial:4": (multinomial_model(4), [(0.2, 0.3, 0.1), (0.1, 0.1, 0.1)]),
     "euclidean:3": (euclidean_model(3), [(0.1, 0.2, 0.3), (-1.0, 0.0, 5.0)]),
+    "multinomial:9": (multinomial_model(9), [(0.05,) * 8, (0.1, 0.05) * 4]),
     "shared-subtrees": (parse_model(SHARED_SUBTREES), [(0.3, 0.4), (1.0, -0.5)]),
 }
 
@@ -164,7 +165,7 @@ class TestCompiledTensorFields:
 
     def test_statement_budget_leaves_dense_programs_to_the_jets(self):
         small = multinomial_model(3).metric
-        assert expr._unrolled(small.program, small.coord_names, 2) is not None
+        assert expr._unroll(small.program, small.coord_names, 2) is not None
         # every entry has 528 distinct second partials, through one shared
         # product of all 32 coordinates
         names = [f"x{i + 1}" for i in range(32)]
@@ -173,7 +174,7 @@ class TestCompiledTensorFields:
             "dim": 32, "coords": names,
             "metric": {f"{i},{i}": f"{i} + sin({chain} + {i})" for i in range(1, 33)}}))
         field = dense.metric
-        assert expr._unrolled(field.program, field.coord_names, 2) is None
+        assert expr._unroll(field.program, field.coord_names, 2) is None
         coords = np.linspace(0.9, 1.1, 32)
         jet, ref = field.jet(coords, 2), mirrored_tensor_jet(field, coords, 2)
         for k in range(3):
@@ -182,8 +183,10 @@ class TestCompiledTensorFields:
     def test_rebuilt_models_share_their_unrolled_code(self):
         first, second = multinomial_model(4).skewness, multinomial_model(4).skewness
         assert first.program is not second.program
-        assert (expr._unrolled(first.program, first.coord_names, 1)
-                is expr._unrolled(second.program, second.coord_names, 1))
+        expr._unrolled(first.program, first.coord_names, 1)  # a first request may use the jets
+        code = expr._unrolled(first.program, first.coord_names, 1)
+        assert code is not None
+        assert expr._unrolled(second.program, second.coord_names, 1) is code
 
     def test_entries_share_their_subtrees(self):
         field = multinomial_model(4).skewness
