@@ -249,14 +249,18 @@ def point_geometry(model, alpha, p):
     The instance comes from the model's memo when the same ``float(alpha)``
     and the same coordinates (shape and bytes) were asked for among its last
     :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is built, which checks
-    the points and ``alpha``, and remembered otherwise.
+    the points and ``alpha``, and remembered otherwise.  A float64 array is
+    looked up as it is: the memo holds only checked grids, so equal shape and
+    bytes are the same valid coordinates, and an invalid array misses and
+    fails its build.  Any other input is converted by :func:`as_coords` first.
     """
-    x = as_coords(p)
-    key = (float(alpha), x.shape, x.tobytes())
+    if type(p) is not np.ndarray or p.dtype != np.float64:
+        p = as_coords(p)
+    key = (float(alpha), p.shape, p.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)
     if ws is None:
-        ws = PointGeometry(model, alpha, x)
+        ws = PointGeometry(model, alpha, p)
     memo[key] = ws
     if len(memo) > GEOMETRY_MEMO_SIZE:
         memo.popitem(last=False)

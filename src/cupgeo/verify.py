@@ -3,11 +3,12 @@
 Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
-residual.  The operators take a case's whole grid as one batch, and each
-batch's residuals are recorded as if row by row in grid order.  Relative
-residuals are normalized by max(1, |lhs|, |rhs|) so near-zero references
-cannot inflate them; a non-finite side or difference counts as an
-infinite residual, so it fails the check.
+residual.  The operators take a case's whole grid as one batch; a check
+records its batches as they come and reduces their residuals once, over
+every row in suite order, when it makes its report.  Relative residuals
+are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
+inflate them; a non-finite side or difference counts as an infinite
+residual, so it fails the check.
 
 The three operator checks share one (r; s) invariance engine: an operator
 applied to inputs of weight r, each rescaled to eta^r f, on the rescaled
@@ -24,6 +25,7 @@ reporting vacuously and is itself considered broken.
 """
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -141,44 +143,78 @@ def _grid(case):
 
 
 class _Residuals:
+    """The residuals of one check, one per row of each recorded batch, in suite order.
+
+    ``add`` only records a batch.  The first read of a result reduces every
+    batch recorded so far in one pass, each run of consecutive batches of
+    equal width concatenated, and keeps the results until the next ``add``.
+    """
+
     def __init__(self):
-        self.count = 0
-        self.max_abs = 0.0
-        self.max_rel = 0.0
-        self.worst = None
+        self._batches = []
+        self._results = None
 
     def add(self, points, lhs, rhs):
-        """Record one residual per row of a batch, in row order."""
+        """Record a batch: one row of ``lhs`` and ``rhs`` per point, in row order."""
         rows = len(points)
-        if rows == 0:
-            return
-        with np.errstate(all="ignore"):
-            lhs = np.asarray(lhs, dtype=float).reshape(rows, -1)
-            rhs = np.asarray(rhs, dtype=float).reshape(rows, -1)
-            gap = np.abs(lhs - rhs)
-            finite = np.isfinite(gap).all(axis=1)
-            diff = np.where(finite, gap.max(axis=1, initial=0.0), np.inf)
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
-                                               np.abs(rhs).max(axis=1, initial=0.0)))
-            rel = np.where(finite, diff / scale, np.inf)
-        self.count += rows
-        self.max_abs = max(self.max_abs, float(diff.max()))
-        last = rows - 1 - int(np.argmax(rel[::-1]))  # the last row reaching the batch maximum
-        if rel[last] >= self.max_rel:
-            self.max_rel = float(rel[last])
-            self.worst = tuple(float(c) for c in points[last])
+        if rows:
+            self._batches.append((points, np.reshape(lhs, (rows, -1)), np.reshape(rhs, (rows, -1))))
+            self._results = None
+
+    def _reduce(self):
+        """(count, max_abs, max_rel, worst) over every recorded row.
+
+        A row's residual is the largest gap between its two sides, and its
+        relative residual that gap over max(1, |lhs|, |rhs|); a non-finite
+        gap makes both infinite.  ``worst`` is the point of the last row
+        reaching the largest relative residual.
+        """
+        if self._results is not None:
+            return self._results
+        diffs, rels = [np.zeros(0)], [np.zeros(0)]
+        width = lambda batch: (batch[1].shape[1], batch[2].shape[1])
+        for _, run in itertools.groupby(self._batches, key=width):
+            _, lhs, rhs = zip(*run)
+            lhs = np.concatenate(lhs, dtype=float)
+            rhs = np.concatenate(rhs, dtype=float)
+            with np.errstate(all="ignore"):
+                gap = np.abs(lhs - rhs)
+                finite = np.isfinite(gap).all(axis=1)
+                diff = np.where(finite, gap.max(axis=1, initial=0.0), np.inf)
+                scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
+                                                   np.abs(rhs).max(axis=1, initial=0.0)))
+                rels.append(np.where(finite, diff / scale, np.inf))
+            diffs.append(diff)
+        diff, rel = np.concatenate(diffs), np.concatenate(rels)
+        worst, count = None, len(rel)
+        if count:
+            row = count - 1 - int(np.argmax(rel[::-1]))  # the last row reaching the maximum
+            start = count
+            for points, _, _ in reversed(self._batches):
+                start -= len(points)
+                if start <= row:
+                    worst = tuple(float(c) for c in points[row - start])
+                    break
+        self._results = (count, float(diff.max(initial=0.0)), float(rel.max(initial=0.0)), worst)
+        return self._results
+
+    count = property(lambda self: self._reduce()[0])
+    max_abs = property(lambda self: self._reduce()[1])
+    max_rel = property(lambda self: self._reduce()[2])
+    worst = property(lambda self: self._reduce()[3])
 
     def report(self, check_id, tolerance, passed=None, **extra):
+        count, max_abs, max_rel, worst = self._reduce()
         if passed is None:
-            passed = self.max_rel <= tolerance
+            passed = max_rel <= tolerance
         return CheckReport(
             check_id=check_id,
-            points_evaluated=self.count,
-            max_abs_residual=self.max_abs,
-            max_rel_residual=self.max_rel,
+            points_evaluated=count,
+            max_abs_residual=max_abs,
+            max_rel_residual=max_rel,
             tolerance=tolerance,
             passed=passed,
-            worst_point=self.worst if self.worst is not None else (),
+            worst_point=worst if worst is not None else (),
             **extra,
         )
 

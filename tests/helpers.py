@@ -76,33 +76,3 @@ def mirrored_tensor_jet(field, coords, order):
             for k in range(order + 1):
                 out.deriv(k)[lead + perm] = value.deriv(k)
     return out
-
-
-class RowByRowResiduals:
-    """Reference for ``verify._Residuals``: each row of a batch recorded in turn."""
-
-    def __init__(self):
-        self.count = 0
-        self.max_abs = 0.0
-        self.max_rel = 0.0
-        self.worst = None
-
-    def add(self, points, lhs, rhs):
-        rows = len(points)
-        if rows == 0:
-            return
-        with np.errstate(all="ignore"):
-            lhs = np.asarray(lhs, dtype=float).reshape(rows, -1)
-            rhs = np.asarray(rhs, dtype=float).reshape(rows, -1)
-            gap = np.abs(lhs - rhs)
-            finite = np.isfinite(gap).all(axis=1)
-            diff = np.where(finite, gap.max(axis=1, initial=0.0), np.inf)
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
-                                               np.abs(rhs).max(axis=1, initial=0.0)))
-            rel = np.where(finite, diff / scale, np.inf)
-        for point, d, r in zip(points, diff.tolist(), rel.tolist()):
-            self.count += 1
-            self.max_abs = max(self.max_abs, d)
-            if r >= self.max_rel:
-                self.max_rel = r
-                self.worst = tuple(float(c) for c in point)

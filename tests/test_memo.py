@@ -16,6 +16,7 @@ import pytest
 from cupgeo import (
     ConfigError,
     CupRescaling,
+    DimensionMismatchError,
     DomainError,
     HessianSpec,
     ManifoldModel,
@@ -35,7 +36,7 @@ from cupgeo import (
     riemann,
     run_suite,
 )
-from cupgeo import geometry
+from cupgeo import geometry, manifolds
 from cupgeo.geometry import GEOMETRY_MEMO_SIZE, point_geometry
 
 
@@ -107,6 +108,42 @@ def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds,
     # one check per case in the config's validation, then one per built geometry;
     # one rescaling per case, alpha and potential, shared by the 1/3-weight control
     assert (len(checks), len(builds), len(rescalings)) == (52, 50, 20)
+
+
+def test_a_float_grid_hit_checks_nothing(builds, monkeypatch):
+    model = gaussian_model()
+    grid = np.array([[0.0, 1.0], [1.0, 2.0]])
+    first = point_geometry(model, 0.5, grid)
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "as_coords", counting(geometry.as_coords))
+    monkeypatch.setattr(manifolds, "as_coords", counting(manifolds.as_coords))
+    monkeypatch.setattr(ManifoldModel, "require_inside", counting(ManifoldModel.require_inside))
+    assert point_geometry(model, 0.5, grid.copy()) is first
+    assert point_geometry(model, 0.5, np.asfortranarray(grid)) is first
+    assert (calls, len(builds)) == ([], 1)
+    # an int array of the same grid is converted, then finds the same geometry
+    assert point_geometry(model, 0.5, np.array([[0, 1], [1, 2]])) is first
+    assert (calls, len(builds)) == (["as_coords"], 1)
+
+
+def test_an_invalid_float_grid_still_fails_its_build():
+    model = gaussian_model()
+    grid = np.array([[0.0, 1.0], [1.0, 2.0]])
+    point_geometry(model, 0.5, grid)
+    with pytest.raises(DomainError, match=r"non-finite coordinates: \(1\.0, nan\) \(row 1\)"):
+        point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, np.nan]]))
+    with pytest.raises(DomainError, match=r"\(1\.0, -2\.0\) \(row 1\) outside the domain"):
+        point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, -2.0]]))
+    with pytest.raises(DimensionMismatchError, match=r"got \(1, 2, 2\)"):
+        point_geometry(model, 0.5, grid[None])
+    assert len(model.geometry_memo) == 1
 
 
 def test_memo_is_a_bounded_lru(builds):

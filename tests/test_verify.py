@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cupgeo.cli import render_json
 from cupgeo.cup_transform import WeightedDensity
@@ -306,24 +306,45 @@ def test_non_finite_residual_fails_the_check():
 
 # few distinct values, so that equal maxima within and across batches are common
 _SIDE = st.sampled_from([0.0, 0.5, -0.5, 2.0, 3.0, -3.0, np.inf, np.nan])
-_BATCHES = st.lists(st.lists(st.tuples(_SIDE, _SIDE, _SIDE, _SIDE), max_size=6), max_size=6)
+# a batch: the component shape of its rows (scalar or 2x2), the dimension of
+# its points, and its rows, each with both sides' components (the first one,
+# or the first four, of each half is used); batches may be empty, as the
+# curved-point filter of _check_integrability makes them
+_BATCHES = st.lists(
+    st.tuples(st.sampled_from([(), (2, 2)]), st.sampled_from([2, 3]),
+              st.lists(st.tuples(*[_SIDE] * 8), max_size=6)),
+    max_size=8)
+
+
+def _tie_across_widths():
+    """Scalar rows, 2x2 rows, then scalar rows again, with an empty batch
+    between them, every row at the same relative residual."""
+    scalar, square = (3.0,) + (0.0,) * 7, (3.0,) * 4 + (0.0,) * 4
+    return [((), 2, [scalar] * 2), ((2, 2), 3, [square]), ((2, 2), 2, []), ((), 2, [scalar])]
 
 
 @settings(max_examples=300, deadline=None)
 @given(_BATCHES)
+@example(_tie_across_widths())
 def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
-    batched, rowwise = _Residuals(), RowByRowResiduals()
+    each, last, rowwise = _Residuals(), _Residuals(), RowByRowResiduals()
+
+    def results(res):
+        return res.count, res.max_abs, res.max_rel, res.worst
+
     start = 0
-    for rows in batches:
+    for shape, dim, rows in batches:
         # each row gets its own point, so the worst point names the row
-        points = np.array([(float(start + i), 1.0) for i in range(len(rows))]).reshape(-1, 2)
+        points = np.array([(float(start + i),) + (1.0,) * (dim - 1)
+                           for i in range(len(rows))]).reshape(-1, dim)
         start += len(rows)
-        sides = np.array(rows).reshape(-1, 2, 2)
-        for res in (batched, rowwise):
+        width = int(np.prod(shape))
+        sides = np.array(rows).reshape(-1, 2, 4)[:, :, :width].reshape((-1, 2) + shape)
+        for res in (each, last, rowwise):
             res.add(points, sides[:, 0], sides[:, 1])
-        assert (batched.count, batched.max_abs, batched.max_rel, batched.worst) == (
-            rowwise.count, rowwise.max_abs, rowwise.max_rel, rowwise.worst)
-        assert type(batched.max_abs) is type(rowwise.max_abs) is float
+        assert results(each) == results(rowwise)
+    assert results(last) == results(each) == results(rowwise)
+    assert type(last.max_abs) is type(last.max_rel) is type(rowwise.max_abs) is float
 
 
 def test_full_default_suite_passes():
