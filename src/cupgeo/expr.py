@@ -181,7 +181,11 @@ def parse(source):
     """Parse ``source`` into an AST; raises ExpressionError with a position."""
     if not source.strip():
         raise ExpressionError("empty expression", position=0)
-    return _Parser(source).parse()
+    parser = _Parser(source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nests too deeply", position=parser.peek().pos) from None
 
 
 _OPS = {**_FUNCTIONS, "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -220,21 +224,28 @@ class Program:
         number exactly."""
         return repr((self._init, self.loads, self.code, self.outputs))
 
-    def _emit(self, node):
-        kind = node[0]
-        if kind == "call":
-            key = (node[1], self._emit(node[2]))
-        else:
-            key = node if kind in ("num", "var") else (kind,) + tuple(map(self._emit, node[1:]))
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = len(self._init)
-            self._init.append(node[1] if kind == "num" else None)
-            if kind == "var":
-                self.loads.append((slot, node[1]))
-            elif kind != "num":
-                self.code.append((slot, key[0], key[1:]))
-        return slot
+    def _emit(self, root):
+        """The slot of ``root``, each subtree emitted after its own subtrees,
+        left to right.  The walk keeps its own stack, so a sum of any length
+        (a left-deep tree, as deep as the sum is long) compiles."""
+        nodes, todo, slots = [], [root], {}
+        while todo:  # preorder, right subtree first: reversed, a left-first postorder
+            nodes.append(todo.pop())
+            todo.extend(arg for arg in nodes[-1][1:] if isinstance(arg, tuple))
+        for node in reversed(nodes):
+            kind = node[0]
+            args = tuple(slots[id(arg)] for arg in node[1:] if isinstance(arg, tuple))
+            key = (node[1] if kind == "call" else kind,) + args if args else node
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = len(self._init)
+                self._init.append(node[1] if kind == "num" else None)
+                if kind == "var":
+                    self.loads.append((slot, node[1]))
+                elif kind != "num":
+                    self.code.append((slot, key[0], key[1:]))
+            slots[id(node)] = slot
+        return slots[id(root)]
 
     def run(self, env):
         """The value of every AST in ``env`` (name -> number or jet), in order."""
@@ -260,9 +271,7 @@ class Program:
         entry, so the parts are the same whichever route gives them.
         """
         x = np.asarray(coords, dtype=float)
-        code = None
-        if x.shape[-1] == len(coord_names):
-            code = _unrolled(self, tuple(coord_names), order)
+        code = _unrolled(self, tuple(coord_names), order)
         return code(x) if code is not None else self._stacked_jets(coord_names, x, order)
 
     def _stacked_jets(self, coord_names, x, order):

@@ -435,9 +435,6 @@ class FisherEstimate:
     count: int
     se_reliable: bool
 
-    def __iter__(self):
-        return iter((self.metric, self.skewness))
-
 
 def _batch_moment_sums(spec, point, coord_jets, size, rng):
     """Score-product sums over one freshly drawn batch of ``size`` samples.

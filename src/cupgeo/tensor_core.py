@@ -251,6 +251,9 @@ class Field:
         :func:`cupgeo.geometry.point_geometry` builds its geometry).
         """
         x = np.asarray(coords, dtype=float)
+        if x.shape[-1] != self.dim:
+            raise DimensionMismatchError(
+                f"{self.label} takes {self.dim} coordinates, got {x.shape[-1]}")
         key, jet = (x.shape, x.tobytes()), self._kept[1]
         if self._kept[0] != key or jet.order < order:
             jet = field_jet(self.label, x, order, self._jet).map(_readonly)

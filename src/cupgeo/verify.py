@@ -4,18 +4,22 @@ Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
 residual.  The operators take a case's whole grid as one batch; a check
-records its batches as they come and reduces their residuals once, over
-every row in suite order, when it makes its report.  Relative residuals
-are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
-inflate them; a non-finite side or difference counts as an infinite
-residual, so it fails the check.
+records its batches and reduces them once, in its report, which alone
+judges it: the worst relative residual, and that of any side law, must be
+within tolerance.  Relative residuals are normalized by max(1, |lhs|,
+|rhs|) so near-zero references cannot inflate them; a non-finite side or
+difference is an infinite residual and fails the check.
 
-The three operator checks share one (r; s) invariance engine: an operator
-applied to inputs of weight r, each rescaled to eta^r f, on the rescaled
-model equals eta^s times the operator on the original.  ``hessian_inv``
-runs it with s = 1, ``laplacian_inv`` with s = 0 (and reuses both sides
-for its decomposition residual), and ``nonlinear_inv`` with s = 0 and the
-coupling lam as a second input of weight -a.
+Two engines run the rescaling checks.  The shift engine compares the
+closed-form prediction of what the rescaling adds to the connection, the
+curvature (with the trace of its prediction as a side law) or the Ricci
+tensor with the difference between the rescaled and the original model.
+The (r; s) invariance engine runs the operator checks: an operator applied
+to inputs of weight r, each rescaled to eta^r f, on the rescaled model
+equals eta^s times the operator on the original.  ``hessian_inv`` has
+s = 1, ``laplacian_inv`` s = 0 (and reuses both sides for its
+decomposition side law), and ``nonlinear_inv`` s = 0 with the coupling lam
+as a second input of weight -a.
 
 Three deliberately wrong configurations run as first-class suite members:
 dropping the Ricci coupling, normalizing the skewness shift by 1/3, and
@@ -145,32 +149,28 @@ def _grid(case):
 class _Residuals:
     """The residuals of one check, one per row of each recorded batch, in suite order.
 
-    ``add`` only records a batch.  The first read of a result reduces every
-    batch recorded so far in one pass, each run of consecutive batches of
-    equal width concatenated, and keeps the results until the next ``add``.
+    ``add`` only records a batch; :meth:`report` reduces every batch at once,
+    each run of consecutive batches of equal width concatenated.
     """
 
     def __init__(self):
         self._batches = []
-        self._results = None
 
     def add(self, points, lhs, rhs):
         """Record a batch: one row of ``lhs`` and ``rhs`` per point, in row order."""
         rows = len(points)
         if rows:
             self._batches.append((points, np.reshape(lhs, (rows, -1)), np.reshape(rhs, (rows, -1))))
-            self._results = None
 
-    def _reduce(self):
-        """(count, max_abs, max_rel, worst) over every recorded row.
+    def report(self, check_id, tolerance, sides=(), **extra):
+        """The check's report, judged here and only here.
 
         A row's residual is the largest gap between its two sides, and its
-        relative residual that gap over max(1, |lhs|, |rhs|); a non-finite
-        gap makes both infinite.  ``worst`` is the point of the last row
-        reaching the largest relative residual.
+        relative residual that gap over max(1, |lhs|, |rhs|), both infinite
+        for a non-finite gap; the worst point is the last row's reaching the
+        largest.  ``sides`` holds (field, residuals, tolerance) side laws, each
+        reported under its field; the check passes when it and every side do.
         """
-        if self._results is not None:
-            return self._results
         diffs, rels = [np.zeros(0)], [np.zeros(0)]
         width = lambda batch: (batch[1].shape[1], batch[2].shape[1])
         for _, run in itertools.groupby(self._batches, key=width):
@@ -186,7 +186,7 @@ class _Residuals:
                 rels.append(np.where(finite, diff / scale, np.inf))
             diffs.append(diff)
         diff, rel = np.concatenate(diffs), np.concatenate(rels)
-        worst, count = None, len(rel)
+        worst, count = (), len(rel)
         if count:
             row = count - 1 - int(np.argmax(rel[::-1]))  # the last row reaching the maximum
             start = count
@@ -195,26 +195,20 @@ class _Residuals:
                 if start <= row:
                     worst = tuple(float(c) for c in points[row - start])
                     break
-        self._results = (count, float(diff.max(initial=0.0)), float(rel.max(initial=0.0)), worst)
-        return self._results
-
-    count = property(lambda self: self._reduce()[0])
-    max_abs = property(lambda self: self._reduce()[1])
-    max_rel = property(lambda self: self._reduce()[2])
-    worst = property(lambda self: self._reduce()[3])
-
-    def report(self, check_id, tolerance, passed=None, **extra):
-        count, max_abs, max_rel, worst = self._reduce()
-        if passed is None:
-            passed = max_rel <= tolerance
+        max_rel = float(rel.max(initial=0.0))
+        passed = max_rel <= tolerance
+        for field_name, side, side_tolerance in sides:
+            side_report = side.report(field_name, side_tolerance)
+            extra[field_name] = side_report.max_rel_residual
+            passed = passed and side_report.passed
         return CheckReport(
             check_id=check_id,
             points_evaluated=count,
-            max_abs_residual=max_abs,
+            max_abs_residual=float(diff.max(initial=0.0)),
             max_rel_residual=max_rel,
             tolerance=tolerance,
             passed=passed,
-            worst_point=worst if worst is not None else (),
+            worst_point=worst,
             **extra,
         )
 
@@ -297,38 +291,35 @@ def _rescaled_cells(config, variants):
                 yield case, pts, alpha, resc, varied, inputs
 
 
-def _check_conn_shift(config, tol, variants):
-    res = _Residuals()
+def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None):
+    """Report ``check_id``: on every rescaled cell, ``prediction(model, resc, pts)``
+    against ``quantity`` on the rescaled model minus ``quantity`` on the model.
+    ``side``, if given, is a (field, tolerance, law) side law: ``law(model, resc,
+    pts, pred)`` gives the two sides of a second residual."""
+    res, side_res = _Residuals(), _Residuals()
     for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
-        pred = connection_shift_prediction(resc, pts).components
-        direct = (alpha_connection(varied, alpha, pts).components
-                  - alpha_connection(case.model, alpha, pts).components)
-        res.add(pts, pred, direct)
-    return res.report("conn_shift", tol)
+        pred = prediction(case.model, resc, pts).components
+        res.add(pts, pred, (quantity(varied, alpha, pts).components
+                            - quantity(case.model, alpha, pts).components))
+        if side:
+            side_res.add(pts, *side[2](case.model, resc, pts, pred))
+    return res.report(check_id, tol, [(side[0], side_res, side[1])] if side else ())
+
+
+def _check_conn_shift(config, tol, variants):
+    return _shift_law(config, tol, variants, "conn_shift", alpha_connection,
+                      lambda model, resc, pts: connection_shift_prediction(resc, pts))
 
 
 def _check_curv_shift(config, tol, variants):
-    res = _Residuals()
-    trace = _Residuals()
-    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
-        pred = curvature_shift_prediction(case.model, resc, pts).components
-        direct = (riemann(varied, alpha, pts).components
-                  - riemann(case.model, alpha, pts).components)
-        res.add(pts, pred, direct)
-        trace.add(pts, np.einsum("...kjkl->...jl", pred),
-                  ricci_shift_prediction(case.model, resc, pts).components)
-    passed = res.max_rel <= tol and trace.max_rel <= TRACE_TOLERANCE
-    return res.report("curv_shift", tol, passed=passed, trace_residual=trace.max_rel)
+    trace = lambda model, resc, pts, pred: (np.einsum("...kjkl->...jl", pred),
+                                            ricci_shift_prediction(model, resc, pts).components)
+    return _shift_law(config, tol, variants, "curv_shift", riemann, curvature_shift_prediction,
+                      ("trace_residual", TRACE_TOLERANCE, trace))
 
 
 def _check_ricci_shift(config, tol, variants):
-    res = _Residuals()
-    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
-        pred = ricci_shift_prediction(case.model, resc, pts).components
-        direct = (ricci(varied, alpha, pts).components
-                  - ricci(case.model, alpha, pts).components)
-        res.add(pts, pred, direct)
-    return res.report("ricci_shift", tol)
+    return _shift_law(config, tol, variants, "ricci_shift", ricci, ricci_shift_prediction)
 
 
 # -- operator invariances ---------------------------------------------------
@@ -379,16 +370,14 @@ def _check_hessian_inv(config, tol, variants):
 
 
 def _check_laplacian_inv(config, tol, variants):
-    res = _Residuals()
-    decomp = _Residuals()
+    res, decomp = _Residuals(), _Residuals()
     for case, pts, alpha, resc, varied, _, (plain, scaled) in _cells(config, variants):
         op = lambda m, f, p: cup_laplacian(m, alpha, f, p)
         lhs, base = _invariance(res, op, config.laplacian_s, case.model, varied, resc,
                                 ((plain, scaled),), pts)
         decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled, pts))
         decomp.add(pts, base, cup_laplacian_decomposed(case.model, alpha, plain, pts))
-    passed = res.max_rel <= tol and decomp.max_rel <= DECOMPOSITION_TOLERANCE
-    return res.report("laplacian_inv", tol, passed=passed, decomp_residual=decomp.max_rel)
+    return res.report("laplacian_inv", tol, [("decomp_residual", decomp, DECOMPOSITION_TOLERANCE)])
 
 
 def _check_nonlinear_inv(config, tol, variants):

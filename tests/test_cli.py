@@ -506,6 +506,36 @@ class TestErrorPaths:
         assert out == ""
         assert re.fullmatch(r"error: .*dim.* must be from 1 to 32, got (33|99999)\n", err)
 
+    def test_a_long_sum_is_evaluated(self, tmp_path, capsys):
+        terms = 1201
+        rc, out, err = run_cli("laplacian", "--model", "gaussian", "--point", "0.5,1",
+                               "--density", "+".join(["mu"] * terms), "--json", capsys=capsys)
+        assert rc == 0 and err == ""
+        _, times, _ = run_cli("laplacian", "--model", "gaussian", "--point", "0.5,1",
+                              "--density", f"{terms}*mu", "--json", capsys=capsys)
+        assert json.loads(out)["results"] == json.loads(times)["results"]
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                   "metric": {"11": "+".join(["x"] * 1500), "22": "1"}}))
+        rc, out, err = run_cli("tensors", "--model", str(cfg), "--point", "0.5,1", "--json",
+                               capsys=capsys)
+        assert rc == 0 and err == ""
+        assert json.loads(out)["points"][0]["g"] == [[750, 0], [0, 1]]
+
+    @pytest.mark.parametrize("where", ["density", "rescaling"])
+    def test_a_deeply_nested_expression_is_one_error_line(self, where, tmp_path, capsys):
+        nested = "(" * 300 + "mu" + ")" * 300
+        if where == "density":
+            argv = ("laplacian", "--model", "gaussian", "--point", "0,1", "--density", nested)
+        else:
+            cfg = tmp_path / "resc.json"
+            cfg.write_text(json.dumps({"alpha": 0.5, "potential": nested}))
+            argv = ("tensors", "--model", "gaussian", "--point", "0,1", "--rescaling", str(cfg))
+        rc, out, err = run_cli(*argv, capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: expression nests too deeply\n"
+
     def test_expression_error_positions_surface(self, capsys):
         rc, _, err = run_cli("laplacian", "--model", "gaussian",
                              "--point", "0,1", "--density", "1 +", capsys=capsys)

@@ -118,6 +118,30 @@ def test_error_positions():
     assert err.value.position == 2
 
 
+def test_nesting_deeper_than_the_stack_is_an_expression_error_with_a_position():
+    with pytest.raises(ExpressionError, match="nests too deeply") as err:
+        parse("(" * 300 + "mu" + ")" * 300)
+    assert 0 < err.value.position < 300
+    assert parse("(" * 50 + "mu" + ")" * 50) == ("var", "mu")
+
+
+def test_a_sum_of_any_length_compiles():
+    """``mu+mu+...`` parses into a left-deep tree, as deep as the sum is long."""
+    source = "+".join(["mu"] * 5000)
+    assert Expression(source)({"mu": 0.75}) == 3750.0
+    field = gaussian_model().scalar_field(source)
+    points = np.array([[0.75, 2.0], [0.5, 1.0]])
+    for order in (0, 2):
+        # the first request at an order takes the jets, later ones the unrolled
+        # code where it is within the statement budget
+        for x in (points, points[0], points, points[1]):
+            jet = field.jet(x, order)
+            assert np.array_equal(jet.value, 5000.0 * x[..., 0])
+            if order:
+                assert np.array_equal(jet.deriv(1), np.broadcast_to([5000.0, 0.0], x.shape))
+                assert not jet.deriv(2).any()
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ExpressionError) as err:
         parse("foo(2)")

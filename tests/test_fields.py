@@ -9,6 +9,7 @@ is answered from it, bitwise equal to a fresh evaluation.
 import collections
 import contextlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from cupgeo.cup_transform import (
     rescaled_model,
     transform_density,
 )
-from cupgeo.errors import ConfigError, DomainError, EvaluationError
+from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
@@ -158,6 +159,29 @@ def test_a_failing_evaluation_names_the_field_and_the_point(kind):
     field.jet(points[:1], order)  # the first row alone is finite
     with pytest.raises(error, match=message):
         field.jet(points, order)
+
+
+WRONG_COUNT_FIELDS = {
+    "expression scalar": GAUSS.scalar_field("mu*sigma"),
+    "expression tensor": GAUSS.metric,
+    "rule": FuncField(lambda c: c[0] * c[-1], 2),
+    "fd": NumericField(lambda v: v[0] * v[-1], 2),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 2], ids=["point", "batch"])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("name", sorted(WRONG_COUNT_FIELDS))
+def test_a_wrong_number_of_coordinates_is_rejected(name, count, rows):
+    field = WRONG_COUNT_FIELDS[name]
+    coords = np.linspace(0.5, 1.5, count)
+    if rows:
+        coords = np.stack([coords + 0.1 * r for r in range(rows)])
+    message = rf"^{re.escape(field.label)} takes 2 coordinates, got {count}$"
+    with pytest.raises(DimensionMismatchError, match=message):
+        field.jet(coords, 1)
+    with pytest.raises(DimensionMismatchError, match=message):
+        field(coords)
 
 
 def fd_row_inverse(v):

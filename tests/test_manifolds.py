@@ -313,12 +313,6 @@ class TestMonteCarloOracle:
         assert np.isnan(est.metric_se).all()
         assert np.isnan(est.skewness_se).all()
 
-    def test_estimate_unpacks_as_pair(self):
-        m = gaussian_model()
-        g_est, t_est = estimate_fisher_tensors(m.sample_spec(count=100, seed=0), (0.0, 1.0))
-        assert g_est.rank == 2
-        assert t_est.rank == 3
-
     def test_count_validated(self):
         with pytest.raises(ConfigError):
             gaussian_model().sample_spec(count=0, seed=0)

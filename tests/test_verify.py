@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cupgeo import verify
 from cupgeo.cli import render_json
 from cupgeo.cup_transform import WeightedDensity
 from cupgeo.errors import ConfigError
 from cupgeo.geometry import NonlinearCoupling
 from cupgeo.manifolds import gaussian_model, multinomial_model
+from cupgeo.tensor_core import COV, Tensor
 from cupgeo.verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
@@ -304,6 +306,30 @@ def test_non_finite_residual_fails_the_check():
     assert report.worst_point == (2.0, 1.0)
 
 
+def test_a_side_residual_is_judged_against_its_own_tolerance():
+    points = np.array([(0.0, 1.0)])
+    res, side = _Residuals(), _Residuals()
+    res.add(points, [[1.0]], [[1.0]])
+    side.add(points, [[0.0]], [[1e-6]])
+    within = res.report("demo", 1e-7, [("trace_residual", side, 1e-5)])
+    over = res.report("demo", 1e-7, [("trace_residual", side, 1e-7)])
+    assert within.passed and not over.passed
+    assert within.trace_residual == over.trace_residual == 1e-6
+    assert over.max_rel_residual == 0.0
+
+
+def test_curv_shift_fails_on_its_trace_side_law_alone(monkeypatch):
+    """The curvature law still holds; only the Ricci prediction its trace
+    is compared with is wrong."""
+    exact = verify.ricci_shift_prediction
+    monkeypatch.setattr(verify, "ricci_shift_prediction", lambda model, resc, p: Tensor(
+        model.dim, (COV, COV), 1.5 * exact(model, resc, p).components))
+    report = run_check("curv_shift", small_config())
+    assert report.max_rel_residual <= report.tolerance
+    assert report.trace_residual > verify.TRACE_TOLERANCE
+    assert not report.passed
+
+
 # few distinct values, so that equal maxima within and across batches are common
 _SIDE = st.sampled_from([0.0, 0.5, -0.5, 2.0, 3.0, -3.0, np.inf, np.nan])
 # a batch: the component shape of its rows (scalar or 2x2), the dimension of
@@ -330,7 +356,11 @@ def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
     each, last, rowwise = _Residuals(), _Residuals(), RowByRowResiduals()
 
     def results(res):
-        return res.count, res.max_abs, res.max_rel, res.worst
+        if isinstance(res, RowByRowResiduals):
+            return res.count, res.max_abs, res.max_rel, res.worst or ()
+        report = res.report("demo", 1.0)
+        return (report.points_evaluated, report.max_abs_residual, report.max_rel_residual,
+                report.worst_point)
 
     start = 0
     for shape, dim, rows in batches:
@@ -344,7 +374,8 @@ def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
             res.add(points, sides[:, 0], sides[:, 1])
         assert results(each) == results(rowwise)
     assert results(last) == results(each) == results(rowwise)
-    assert type(last.max_abs) is type(last.max_rel) is type(rowwise.max_abs) is float
+    _, max_abs, max_rel, _ = results(last)
+    assert type(max_abs) is type(max_rel) is type(rowwise.max_abs) is float
 
 
 def test_full_default_suite_passes():
