@@ -30,9 +30,11 @@ from .errors import ConfigError, CupGeoError
 from .manifolds import estimate_fisher_tensors, resolve_model
 from .verify import (
     CHECK_IDS,
+    CONTROL_FACTOR,
     ModelCase,
     SuiteConfig,
     SuiteResult,
+    control_failed_as_expected,
     default_suite_config,
     run_check,
     run_suite,
@@ -128,7 +130,7 @@ def _label(names, index):
 
 def _print_matrix(title, names, mat):
     width = max(len(n) for n in names) + 1
-    cell = max(12, width)
+    cell = max(12, width, max(len(_fmt(v)) for row in mat for v in row) + 1)
     print(f"  {title}:")
     print("    " + " " * width + "".join(f"{n:>{cell}}" for n in names))
     for i, row in enumerate(mat):
@@ -315,8 +317,11 @@ def cmd_verify(args):
     else:
         for r in result.reports:
             outcome = "pass" if r.passed else "FAIL"
-            if r.negative_control:
+            if r.negative_control and control_failed_as_expected(r):
                 outcome += " (negative control, expected to fail)"
+            elif r.negative_control:
+                outcome += (f" (negative control: {r.max_rel_residual / r.tolerance:.0f}x tol, "
+                            f"{CONTROL_FACTOR:.0f}x required)")
             extras = ""
             if r.flat_points:
                 extras += f"  flat={r.flat_points}"

@@ -15,18 +15,20 @@ compiled :class:`Program`, which several expressions can share.
 A field's jets come from :meth:`Program.jet_parts`: the program is
 unrolled, once per derivative order, into one generated Python function of
 straight-line code, one statement per value and per partial that is not
-zero by structure, with the formulas and the association order of the
-:class:`~cupgeo.jets.Jet` arithmetic.  It runs on plain floats at one point
-and on row arrays for a batch, and gives the numbers the jets give, up to
-the sign of a zero; both routes add 0.0 to every entry, so no entry is a
-negative zero and a field's jet does not depend on the route that served
-it.  The generated source holds only its own register names, indices into a
-tuple of constants and the names of a fixed table of value-level
-operations, never text of an expression.  Unrolled code is kept in one
-process-wide memo keyed by the program's instructions, so rebuilt models
-reuse it.  A program's first request at an order, and every request of a
-program past :data:`STATEMENT_BUDGET`, is evaluated by :meth:`Program.run`
-on jets instead.
+zero by structure.  The code is generated by running :meth:`Program.run`
+on :class:`~cupgeo.jets.Jet` values whose values and partials are code
+names, so its formulas and association order are those of the jet
+arithmetic, which has no second copy here.  It runs on plain floats at one
+point and on row arrays for a batch, and gives the numbers the jets give,
+up to the sign of a zero; both routes add 0.0 to every entry, so no entry
+is a negative zero and a field's jet does not depend on the route that
+served it.  The generated source holds only its own variable names; the
+numbers and the functions it calls come in a tuple, never as text of an
+expression.  Unrolled code is kept in one process-wide memo keyed by the
+program's instructions, so rebuilt models reuse it.  A program's first
+request at an order, and every request of a program past
+:data:`STATEMENT_BUDGET`, is evaluated by :meth:`Program.run` on jets
+instead.
 """
 
 import functools
@@ -289,280 +291,175 @@ class Program:
 
 # -- unrolled jet code ----------------------------------------------------------
 #
-# A program's jets, unrolled for one order into straight-line code on plain
-# floats (one point) or row arrays (a batch): the value and each mixed partial
-# of every slot get their own statement, with the formulas, and the
-# association order, of the Jet arithmetic, so each entry is the number the
-# jets compute.  A partial that is zero by structure (of a slot that does not
-# depend on the variable) is dropped, and a product with a seeded 1.0 is not
-# formed.  The jets compute a dropped partial as 0.0 or -0.0 and add it to
-# others, so an entry may differ from theirs in the sign of a zero, and in
-# nothing else; adding 0.0 to every entry of both routes makes them equal.
-# Numbers are folded while unrolling with the same operations the jets use; a
-# number that raises (1/0, log(-1)) leaves the program to the jets, which
-# raise it in order.  The code keeps the statements of the jets
-# that may raise on plain floats at any order (the 1/v of sqrt, the divisions
-# of a negative integer power), so at one point it raises the same
-# ZeroDivisionError where they do.
-
-
-def _ones(v):
-    """The value of ``v ** 0`` for a jet value, as :meth:`jets.Jet.__pow__` gives it."""
-    return np.ones(np.shape(v)) if np.ndim(v) else 1.0
-
-
-# The only names the generated code calls: value-level jet operations, which
-# take a float or an array alike.
-_CODE_OPS = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt, "sin": jets.sin,
-             "cos": jets.cos, "power": jets._power, "powbase": jets._require_power_base,
-             "ones": _ones}
+# A program's jets for one order are unrolled into straight-line code on plain
+# floats (one point) or row arrays (a batch) by running Program.run on
+# jets.Jet values traced by name: each value is a _Name, and each partial an
+# entry of an object array, a _Name, a number or _ZERO.  Every operation on a
+# name emits one statement, once per distinct right-hand side, so the code
+# repeats the Jet arithmetic, in its association order, and numbers fold as
+# the jets fold them.  The operands of + and * are sorted in a statement, so
+# a second partial and its mirror share one, and a + (-b) is written a - b,
+# which rounds alike.  A partial that is zero by structure (of a slot that
+# does not depend on the variable) is _ZERO, which a sum drops and a product
+# returns, and a product with a seeded 1.0 is not formed.  The jets compute
+# such a partial as 0.0 or -0.0 and add it to others, so an entry may differ
+# from theirs in the sign of a zero, and in nothing else; adding 0.0 to every
+# entry of both routes makes them equal.  A number that raises (1/0, log(-1))
+# leaves the program to the jets, which raise it in order.  A statement that
+# no entry needs is dropped unless it may raise on plain floats: a division,
+# or a call of a value-level function other than a numpy ufunc (the domain
+# checks of log, sqrt and a fractional power), so at one point the code
+# raises where the jets raise.
 
 
 class _OverBudget(Exception):
     pass
 
 
-class _JetSlot:
-    """A jet slot while unrolling: its value and partials as code names.
+class _Zero:
+    """A partial that is zero by structure: a sum drops it, a product is it."""
 
-    ``d1`` maps a variable index, ``d2`` a sorted index pair, to a name or a
-    number; a partial missing from them is zero by structure.
+    __slots__ = ()
+
+    def __add__(self, other):
+        return other
+
+    def __mul__(self, other):
+        return self
+
+    def __neg__(self):
+        return self
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+_ZERO = _Zero()
+
+
+class _Name:
+    """A traced value: the name of the code variable that holds it.
+
+    ``row`` is the statement that computes it (None for a coordinate), and
+    ``negates`` the name it is the negation of, if it is one.
     """
 
-    __slots__ = ("v", "d1", "d2")
+    __slots__ = ("code", "tape", "row", "negates")
 
-    def __init__(self, v, d1, d2):
-        self.v, self.d1, self.d2 = v, d1, d2
+    def __init__(self, code, tape, row=None):
+        self.code, self.tape, self.row, self.negates = code, tape, row, None
+
+    def __add__(self, other):
+        if other is _ZERO:
+            return self
+        for a, b in ((self, other), (other, self)):
+            if isinstance(b, _Name) and b.negates is not None:
+                return self.tape.emit("{} - {}", a, b.negates)
+        return self.tape.emit("{} + {}", *sorted((self, other), key=_key))
+
+    def __mul__(self, other):
+        if isinstance(other, np.ndarray):  # a name times partials: numpy multiplies each
+            return NotImplemented
+        if other is _ZERO:
+            return other
+        if isinstance(other, float) and abs(other) == 1.0:  # exact: only a sign changes
+            return self if other == 1.0 else -self
+        return self.tape.emit("{} * {}", *sorted((self, other), key=_key))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rtruediv__(self, other):
+        return self.tape.emit("{} / {}", other, self, keep=True)
+
+    def __neg__(self):
+        if self.negates is None:
+            name = self.tape.emit("-{}", self)
+            name.negates = self
+            return name
+        return self.negates
+
+    def trace_call(self, fn, *args):
+        """``jets._elem(self, fn, *args)`` as a statement, kept though no entry
+        needs it unless ``fn`` is a numpy ufunc, which gives inf or nan where it
+        fails: the other functions check their argument and may raise."""
+        return self.tape.emit("{}({}, {}" + ", {}" * len(args) + ")", jets._elem, self, fn, *args,
+                              keep=not isinstance(fn, np.ufunc))
 
 
-class _Unroller:
-    """Statements for one program's jets to ``order``, one per distinct expression."""
+def _key(a):
+    """An operand as a statement key holds it: a name, a number's hex, a function."""
+    if isinstance(a, _Name):
+        return a.code
+    return a.hex() if isinstance(a, float) else a
 
-    def __init__(self, order):
-        self.order = order
-        self.lines = []
-        self.names = {}  # statement right-hand side -> the name holding it
-        self.negated = {}  # name of -a -> a
-        self.consts = []
-        self.const_index = {}
 
-    def const(self, c):
-        key = c.hex()
-        if key not in self.const_index:
-            self.const_index[key] = len(self.consts)
-            self.consts.append(c)
-        return f"k{self.const_index[key]}"
+class _Tape:
+    """The statements of traced jet arithmetic, one per distinct right-hand side."""
 
-    def atom(self, a):
-        return self.const(a) if isinstance(a, float) else a
+    def __init__(self):
+        self.statements = []  # (format, operands, kept though no entry needs it)
+        self.names = {}  # statement key -> the _Name holding its value
 
-    def emit(self, rhs):
-        name = self.names.get(rhs)
+    def emit(self, form, *args, keep=False):
+        key = (form,) + tuple(map(_key, args))
+        name = self.names.get(key)
         if name is None:
-            if len(self.lines) >= STATEMENT_BUDGET:
+            if len(self.statements) >= STATEMENT_BUDGET:
                 raise _OverBudget
-            name = self.names[rhs] = f"t{len(self.lines)}"
-            self.lines.append(f"{name} = {rhs}")
+            name = self.names[key] = _Name(f"t{len(self.statements)}", self,
+                                           len(self.statements))
+            self.statements.append((form, args, keep))
         return name
 
-    def call(self, op, *args):
-        return self.emit(f"{op}({', '.join(map(self.atom, args))})")
+    def code(self, outputs):
+        """The statements that ``outputs`` need or that may raise, the names
+        of the numbers and functions they use, and those, in one order."""
+        live = [keep for _, _, keep in self.statements]
+        for name in outputs:
+            if name.row is not None:
+                live[name.row] = True
+        for row in reversed(range(len(live))):
+            if live[row]:
+                for a in self.statements[row][1]:
+                    if isinstance(a, _Name) and a.row is not None:
+                        live[a.row] = True
+        consts, values = {}, []
 
-    # -- entries: a code name, a number, or None for a structural zero ----------
+        def atom(a):
+            if isinstance(a, _Name):
+                return a.code
+            key = _key(a)
+            if key not in consts:
+                consts[key] = f"{'k' if isinstance(a, float) else 'f'}{len(values)}"
+                values.append(a)
+            return consts[key]
 
-    def mul(self, a, b):
-        if a is None or b is None:
-            return None
-        if isinstance(a, float) and isinstance(b, float):
-            return a * b
-        for one, other in ((a, b), (b, a)):
-            if isinstance(one, float) and one in (1.0, -1.0):  # exact: only a sign changes
-                return other if one == 1.0 else self.neg(other)
-        return self.emit(" * ".join(sorted((self.atom(a), self.atom(b)))))
-
-    def add(self, a, b):
-        if a is None or b is None:
-            return b if a is None else a
-        if isinstance(a, float) and isinstance(b, float):
-            return a + b
-        return self.emit(" + ".join(sorted((self.atom(a), self.atom(b)))))
-
-    def sub(self, a, b):
-        if a is None or b is None:
-            return self.neg(b) if a is None else a
-        if isinstance(a, float) and isinstance(b, float):
-            return a - b  # x + (-y), as the jets subtract, rounds alike
-        return self.emit(f"{self.atom(a)} - {self.atom(b)}")
-
-    def neg(self, a):
-        if a is None or isinstance(a, float):
-            return a if a is None else -a
-        if a in self.negated:
-            return self.negated[a]
-        name = self.emit(f"-{a}")
-        self.negated[name] = a
-        return name
-
-    def power(self, v, p):
-        """``jets._power(v, p)`` of a code name: integer powers square and multiply."""
-        if not float(p).is_integer():
-            return self.call("power", v, p)
-        k = abs(int(p))
-        if k == 0:
-            return 1.0
-        out = None
-        while True:
-            if k & 1:
-                out = v if out is None else self.mul(out, v)
-            k >>= 1
-            if not k:
-                return self.emit(f"{self.const(1.0)} / {out}") if p < 0 else out
-            v = self.mul(v, v)
-
-    # -- jet slots -----------------------------------------------------------------
-
-    def _pairs(self, d1a, d1b):
-        return {(min(i, j), max(i, j)) for i in d1a for j in d1b}
-
-    def jet_add(self, f, g, combine):
-        d1 = {i: combine(f.d1.get(i), g.d1.get(i)) for i in sorted(f.d1.keys() | g.d1.keys())}
-        d2 = {ij: combine(f.d2.get(ij), g.d2.get(ij)) for ij in sorted(f.d2.keys() | g.d2.keys())}
-        return _JetSlot(combine(f.v, g.v), d1, d2)
-
-    def scale(self, f, c, value):
-        """``f`` times the number ``c``, with the value ``value``."""
-        return _JetSlot(value, {i: self.mul(c, d) for i, d in f.d1.items()},
-                        {ij: self.mul(c, d) for ij, d in f.d2.items()})
-
-    def jet_mul(self, f, g):
-        d1, d2 = {}, {}
-        if self.order >= 1:
-            for i in sorted(f.d1.keys() | g.d1.keys()):
-                d1[i] = self.add(self.mul(f.v, g.d1.get(i)), self.mul(g.v, f.d1.get(i)))
-        if self.order >= 2:
-            keys = f.d2.keys() | g.d2.keys() | self._pairs(f.d1, g.d1)
-            for i, j in sorted(keys):
-                near = self.add(self.mul(f.v, g.d2.get((i, j))), self.mul(g.v, f.d2.get((i, j))))
-                cross = self.mul(f.d1.get(i), g.d1.get(j))
-                cross_t = cross if i == j else self.mul(f.d1.get(j), g.d1.get(i))
-                d2[i, j] = self.add(near, self.add(cross, cross_t))
-        return _JetSlot(self.mul(f.v, g.v), d1, d2)
-
-    def compose(self, f, c0, c1, c2):
-        """The chain rule through phi, given phi(v), phi'(v), phi''(v) as in ``Jet._compose``."""
-        d1, d2 = {}, {}
-        if self.order >= 1:
-            d1 = {i: self.mul(c1, d) for i, d in f.d1.items()}
-        if self.order >= 2:
-            for i, j in sorted(f.d2.keys() | self._pairs(f.d1, f.d1)):
-                outer = self.mul(f.d1.get(i), f.d1.get(j))
-                d2[i, j] = self.add(self.mul(c2, outer), self.mul(c1, f.d2.get((i, j))))
-        return _JetSlot(c0, d1, d2)
-
-    def reciprocal(self, f):
-        inv = self.emit(f"{self.const(1.0)} / {f.v}")
-        c1 = c2 = None
-        if self.order >= 1:
-            sq = self.mul(inv, inv)
-            c1 = self.neg(sq)
-            if self.order >= 2:
-                c2 = self.mul(2.0, self.mul(inv, sq))
-        return self.compose(f, inv, c1, c2)
-
-    def jet_pow(self, f, e):
-        if e == 0.0:
-            return _JetSlot(self.call("ones", f.v), {}, {})
-        if e == 1.0:
-            return f
-        if not e.is_integer():
-            self.call("powbase", f.v, e)
-        # a negative integer power divides in all three, which may raise at any order
-        every = e.is_integer() and e < 0.0
-        c1 = c2 = None
-        c0 = self.power(f.v, e)
-        if self.order >= 1 or every:
-            c1 = self.mul(e, self.power(f.v, e - 1))
-        if self.order >= 2 or every:
-            c2 = self.mul(e * (e - 1), self.power(f.v, e - 2))
-        return self.compose(f, c0, c1, c2)
-
-    def function(self, name, f):
-        if name == "exp":
-            v = self.call("exp", f.v)
-            return self.compose(f, v, v, v)
-        if name == "log":
-            value = self.call("log", f.v)  # checks the domain first, as jets.log does
-            inv = self.emit(f"{self.const(1.0)} / {f.v}") if self.order >= 1 else None
-            c2 = self.neg(self.mul(inv, inv)) if self.order >= 2 else None
-            return self.compose(f, value, inv, c2)
-        if name == "sqrt":
-            r = self.call("sqrt", f.v)
-            inv = self.emit(f"{self.const(1.0)} / {f.v}")  # raises at 0 on a float, at any order
-            c1 = self.mul(self.mul(0.5, r), inv) if self.order >= 1 else None
-            c2 = self.mul(self.mul(self.mul(-0.25, r), inv), inv) if self.order >= 2 else None
-            return self.compose(f, r, c1, c2)
-        s = self.call("sin", f.v) if name == "sin" or self.order >= 1 else None
-        c = self.call("cos", f.v) if name == "cos" or self.order >= 1 else None
-        if name == "sin":
-            return self.compose(f, s, c, self.neg(s) if self.order >= 2 else None)
-        return self.compose(f, c, self.neg(s), self.neg(c) if self.order >= 2 else None)
-
-    def op(self, op, args):
-        """The slot ``op(*args)``: a number when every argument is one, else a jet."""
-        if not any(isinstance(a, _JetSlot) for a in args):
-            return float(_OPS[op](*args))
-        if op in _FUNCTIONS:
-            return self.function(op, args[0])
-        if op == "neg":
-            return self.scale(args[0], -1.0, self.neg(args[0].v))
-        f, g = args
-        if op == "+":
-            if not isinstance(f, _JetSlot):
-                f, g = g, f
-            if not isinstance(g, _JetSlot):
-                return _JetSlot(self.add(f.v, g), f.d1, f.d2)
-            return self.jet_add(f, g, self.add)
-        if op == "-":
-            if not isinstance(g, _JetSlot):
-                return _JetSlot(self.sub(f.v, g), f.d1, f.d2)
-            if not isinstance(f, _JetSlot):  # (-g) + f
-                return self.scale(g, -1.0, self.sub(f, g.v))
-            return self.jet_add(f, g, self.sub)
-        if op == "*":
-            if not isinstance(f, _JetSlot):
-                f, g = g, f
-            if not isinstance(g, _JetSlot):
-                return self.scale(f, g, self.mul(f.v, g))
-            return self.jet_mul(f, g)
-        if op == "/":
-            if not isinstance(g, _JetSlot):
-                c = 1.0 / g
-                return self.scale(f, c, self.mul(f.v, c))
-            inv = self.reciprocal(g)
-            if not isinstance(f, _JetSlot):
-                return self.scale(inv, f, self.mul(inv.v, f))
-            return self.jet_mul(f, inv)
-        # "^": a jet exponent goes through exp(e log b), as Jet.__pow__ and __rpow__ do
-        if not isinstance(g, _JetSlot):
-            return self.jet_pow(f, g)
-        if not isinstance(f, _JetSlot):
-            log_base = float(np.log(f))
-            return self.function("exp", self.scale(g, log_base, self.mul(g.v, log_base)))
-        return self.function("exp", self.jet_mul(g, self.function("log", f)))
+        lines = [f"t{row} = " + form.format(*map(atom, args))
+                 for row, (form, args, _) in enumerate(self.statements) if live[row]]
+        return lines, list(consts.values()), tuple(values)
 
 
 class Expression:
     """A parsed expression that keeps its source text verbatim.
 
     Calling it with a map from variable names to numbers or jets runs its
-    one-output :class:`Program`; ``source`` names it in error messages.
+    one-output :class:`Program`, compiled at the first call; ``source``
+    names it in error messages.
     """
 
     def __init__(self, source):
         self.source = source
         self.ast = parse(source)
-        self.program = Program([self.ast])
-        self.variables = frozenset(name for _, name in self.program.loads)
+        names, todo = set(), [self.ast]
+        while todo:  # its own stack, so a sum of any length is walked
+            node = todo.pop()
+            if node[0] == "var":
+                names.add(node[1])
+            todo.extend(arg for arg in node[1:] if isinstance(arg, tuple))
+        self.variables = frozenset(names)
+
+    @functools.cached_property
+    def program(self):
+        return Program([self.ast])
 
     def __call__(self, env):
         return self.program.run(env)[0]
@@ -572,9 +469,9 @@ class Expression:
 
 
 class _Unrolled:
-    """A program's jets unrolled for one order: the generated function, its
-    constants, per order a table gathering each distinct output slot's
-    entries, and each output's row among those slots.
+    """A program's jets unrolled for one order: the generated function, the
+    numbers and functions it is given, per order a table gathering each
+    distinct output slot's entries, and each output's row among those slots.
 
     The function returns the entries computed at run time; the constant
     entries, and last a 0.0 for the structural zeros, follow them in the
@@ -595,9 +492,10 @@ class _Unrolled:
         if x.ndim == 1:
             entries = np.array(self.fn(x.tolist(), self.consts) + self.tail) + 0.0
             return [entries[t][self.rows] for t in self.tables]
+        computed = self.fn(x.T, self.consts)  # called for its checks even if it computes none
         entries = np.empty((len(x), self.width + len(self.tail)))
         if self.width:
-            entries[:, :self.width] = np.array(self.fn(x.T, self.consts)).T
+            entries[:, :self.width] = np.array(computed).T
         entries[:, self.width:] = self.tail
         entries += 0.0
         # take, unlike entries[:, t], returns the parts in C order, batch axis first
@@ -609,53 +507,50 @@ def _unroll(program, coord_names, order):
     is left to the jets: over :data:`STATEMENT_BUDGET`, a number that raises,
     or a variable outside ``coord_names``."""
     n = len(coord_names)
-    index = {name: i for i, name in enumerate(coord_names)}
-    regs = list(program._init)
-    for slot, name in program.loads:
-        if name not in index:
-            return None
-        regs[slot] = _JetSlot(f"x{index[name]}", {index[name]: 1.0} if order >= 1 else {}, {})
-    unroller = _Unroller(order)
+    tape = _Tape()
+    seeds = []
+    for i in range(n):
+        d1, d2 = np.full(n, _ZERO), np.full((n, n), _ZERO)
+        d1[i] = 1.0
+        seeds.append(jets.Jet(n, order, _Name(f"x{i}", tape), *(d1, d2)[:order]))
     try:
         with np.errstate(all="ignore"):
-            for slot, op, args in program.code:
-                regs[slot] = unroller.op(op, [regs[a] for a in args])
-    except (_OverBudget, ArithmeticError, DomainError):
+            values = program.run(dict(zip(coord_names, seeds)))
+    except (_OverBudget, ArithmeticError, DomainError, EvaluationError):
         return None
 
-    slots, rows = np.unique(program.outputs, return_inverse=True)
+    slots, first, rows = np.unique(program.outputs, return_index=True, return_inverse=True)
     # (order, table index, entry) for every entry of a distinct output slot
-    # that is not zero by structure; a second partial fills both of its
-    # mirrored places
+    # that is not zero by structure
     cells = []
-    for r, slot in enumerate(slots):
-        reg = regs[slot]
-        if not isinstance(reg, _JetSlot):
-            cells.append((0, (r,), reg))
-            continue
-        cells.append((0, (r,), reg.v))
-        cells.extend((1, (r, i), e) for i, e in reg.d1.items())
-        for (i, j), e in reg.d2.items():
-            cells.extend(((2, (r, i, j), e), (2, (r, j, i), e)))
-    computed = list(dict.fromkeys(e for _, _, e in cells if isinstance(e, str)))
-    tail = list({e.hex(): e for _, _, e in cells if isinstance(e, float)}.values()) + [0.0]
+    for r, i in enumerate(first):
+        value = values[i]
+        parts = ([value.deriv(k) for k in range(order + 1)] if isinstance(value, jets.Jet)
+                 else [value])
+        cells.append((0, (r,), parts[0]))
+        for k, part in enumerate(parts[1:], 1):
+            cells.extend((k, (r,) + at, e) for at, e in np.ndenumerate(part) if e is not _ZERO)
+    computed = list(dict.fromkeys(e for _, _, e in cells if isinstance(e, _Name)))
+    tail = list({e.hex(): float(e) for _, _, e in cells if not isinstance(e, _Name)}.values())
+    tail.append(0.0)
     position = {name: i for i, name in enumerate(computed)}
     position.update({c.hex(): len(computed) + i for i, c in enumerate(tail)})
     zero = len(computed) + len(tail) - 1
     tables = [np.full((len(slots),) + (n,) * k, zero, dtype=np.intp)
               for k in range(order + 1)]
     for k, at, e in cells:
-        tables[k][at] = position[e if isinstance(e, str) else e.hex()]
+        tables[k][at] = position[e if isinstance(e, _Name) else e.hex()]
 
+    lines, const_names, consts = tape.code(computed)
     unpack = [f"{', '.join(f'x{i}' for i in range(n))}, = X"]
-    if unroller.consts:
-        unpack.append(f"{', '.join(f'k{i}' for i in range(len(unroller.consts)))}, = K")
-    body = unpack + unroller.lines + [f"return ({', '.join(computed)}{',' if computed else ''})"]
-    namespace = dict(_CODE_OPS)
+    if consts:
+        unpack.append(f"{', '.join(const_names)}, = K")
+    names = [name.code for name in computed]
+    body = unpack + lines + [f"return ({', '.join(names)}{',' if names else ''})"]
+    namespace = {}
     exec(compile("def unrolled(X, K):\n    " + "\n    ".join(body), "<unrolled jets>", "exec"),
          namespace)
-    return _Unrolled(namespace["unrolled"], tuple(unroller.consts), len(computed), tuple(tail),
-                     tables, rows)
+    return _Unrolled(namespace["unrolled"], consts, len(computed), tuple(tail), tables, rows)
 
 
 _memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled, None or _SEEN

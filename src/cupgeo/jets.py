@@ -22,6 +22,12 @@ jet of a rank-2 field over P points has ``value`` of shape ``(P, n, n)``
 and ``d1`` of shape ``(P, n, n, n)``.  Monte-Carlo samples ride the same
 leading axis.
 
+The arithmetic is also the generator of :mod:`cupgeo.expr`'s unrolled code,
+which runs it on jets whose value is a traced code name and whose partials
+are object arrays of names and numbers: every value-level function goes
+through :func:`_elem`, which hands a traced value its call to record.  So
+each formula is written here and only here.
+
 For black-box callables that only map coordinates to floats,
 :func:`finite_difference_jet` fills the same structure with fourth-order
 central differences.
@@ -43,15 +49,21 @@ def _bc(value, k):
     return value.reshape(value.shape + (1,) * k)
 
 
-def _elem(value, ufunc):
-    """A numpy ufunc on an array, or on a plain number as a float.
+def _elem(value, fn, *args):
+    """``fn(value, *args)`` of a value-level function, on an array or a number.
 
-    numpy rounds a number exactly as it rounds the same array element, where
-    the ``math`` functions may differ from it in the last bit; so one point
-    and a batch containing it evaluate alike.
+    A number gives a float.  numpy rounds a number exactly as it rounds the
+    same array element, where the ``math`` functions may differ from it in
+    the last bit; so one point and a batch containing it evaluate alike.
+    A traced value, the code name of :mod:`cupgeo.expr`'s code generator,
+    records the call through its ``trace_call`` instead.
     """
-    out = ufunc(value)
-    return out if isinstance(value, np.ndarray) else float(out)
+    if isinstance(value, np.ndarray):
+        return fn(value, *args)
+    trace_call = getattr(value, "trace_call", None)
+    if trace_call is not None:
+        return trace_call(fn, *args)
+    return float(fn(value, *args))
 
 
 def _power(v, p):
@@ -60,7 +72,7 @@ def _power(v, p):
     Integer exponents square and multiply; others go through ``np.power``.
     """
     if not float(p).is_integer():
-        return _elem(v, lambda x: np.power(x, p))
+        return _elem(v, np.power, p)
     k = abs(int(p))
     if k == 0:
         return np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
@@ -81,11 +93,23 @@ def _require(bad, message):
 
 
 def _require_power_base(v, e):
-    """A fractional power ``v ** e`` needs a positive base; an integer one any base."""
+    """``v``, if it may be raised to ``e``: a fractional power needs a positive
+    base, an integer one takes any."""
     if not float(e).is_integer():
-        v = np.asarray(v)
-        _require(v < 0.0, f"negative base raised to fractional exponent {e}")
-        _require(v == 0.0, f"zero base raised to fractional exponent {e}")
+        bad = np.asarray(v)
+        _require(bad < 0.0, f"negative base raised to fractional exponent {e}")
+        _require(bad == 0.0, f"zero base raised to fractional exponent {e}")
+    return v
+
+
+def _log(v):
+    _require(np.asarray(v) <= 0.0, "log of a non-positive value")
+    return np.log(v)
+
+
+def _sqrt(v):
+    _require(np.asarray(v) < 0.0, "sqrt of a negative value")
+    return np.sqrt(v)
 
 
 class Jet:
@@ -219,8 +243,9 @@ class Jet:
                                 self.dim, self.order)
         if e == 1.0:
             return self
-        _require_power_base(self.value, e)
         v = self.value
+        if not e.is_integer():  # an integer power checks nothing: no call to trace
+            _elem(v, _require_power_base, e)
         return self._compose(_power(v, e), e * _power(v, e - 1), e * (e - 1) * _power(v, e - 2))
 
     def __rpow__(self, base):
@@ -254,20 +279,17 @@ def exp(x):
 
 
 def log(x):
-    v = x.value if isinstance(x, Jet) else x
-    _require(np.asarray(v) <= 0.0, "log of a non-positive value")
     if not isinstance(x, Jet):
-        return _elem(x, np.log)
-    inv = 1.0 / v
-    return x._compose(_elem(v, np.log), inv, -(inv * inv))
+        return _elem(x, _log)
+    v = _elem(x.value, _log)
+    inv = 1.0 / x.value
+    return x._compose(v, inv, -(inv * inv))
 
 
 def sqrt(x):
-    v = x.value if isinstance(x, Jet) else x
-    _require(np.asarray(v) < 0.0, "sqrt of a negative value")
     if not isinstance(x, Jet):
-        return _elem(x, np.sqrt)
-    r = _elem(x.value, np.sqrt)
+        return _elem(x, _sqrt)
+    r = _elem(x.value, _sqrt)
     inv = 1.0 / x.value
     return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv)
 

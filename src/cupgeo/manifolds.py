@@ -36,7 +36,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import expr, jets
-from .errors import ConfigError, DomainError, EvaluationError
+from .errors import ConfigError, CupGeoError, DomainError, EvaluationError
 from .tensor_core import (
     COV,
     Field,
@@ -293,7 +293,7 @@ def _expr_entries(raw, rank, dim, coord_names, what):
             continue
         try:
             entries[rep] = _chart_expression(source, coord_names)
-        except Exception as e:
+        except CupGeoError as e:
             raise ConfigError(f"{what} entry {key!r}: {e}") from e
     return entries
 

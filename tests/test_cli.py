@@ -88,6 +88,19 @@ class TestTensors:
                              "--point", "0,1", capsys=capsys)
         assert "scalar curvature: -1" in out
 
+    def test_matrix_columns_are_as_wide_as_their_widest_entry(self, capsys):
+        rc, out, _ = run_cli("tensors", "--model", "gaussian", "--point", "0,0.0123456",
+                             capsys=capsys)
+        assert rc == 0
+        lines = out.splitlines()
+        for title in ("metric g", "inverse metric", "Ricci"):
+            at = lines.index(f"  {title}:")
+            assert lines[at + 1].split() == ["mu", "sigma"]
+            for name, line in zip(("mu", "sigma"), lines[at + 2:at + 4]):
+                label, *entries = line.split()
+                assert label == name and len(entries) == 2, line
+                assert all(np.isfinite(float(e)) for e in entries)
+
     def test_multinomial_barycenter(self, capsys):
         rc, out, _ = run_cli("tensors", "--model", "multinomial:3",
                              "--point", "0.333333333333333,0.333333333333333",
@@ -252,6 +265,22 @@ class TestVerify:
         assert "hessian_inv[k=0]" in out
         assert "negative control" in out
         assert "flat=" in out
+
+    def test_a_control_short_of_its_margin_says_so(self, tmp_path, capsys):
+        # the s=1 control misses by 382x tol on this model, not by 1000x
+        config = tmp_path / "steep.json"
+        config.write_text(json.dumps({"name": "steep", "dim": 2, "coords": ["x", "y"],
+                                      "metric": {"11": "1500*x", "22": "1"},
+                                      "domain": {"x": [0.1, None]}}))
+        rc, out, _ = run_cli("verify", "--model", str(config), capsys=capsys)
+        assert rc == 1
+        lines = out.splitlines()
+        controls = {line.split()[0]: line for line in lines if "negative control" in line}
+        assert controls["laplacian_inv[s=1]"].endswith(
+            "  FAIL (negative control: 382x tol, 1000x required)")
+        for label in ("hessian_inv[k=0]", "conn_shift[sym=1/3]"):
+            assert controls[label].endswith("  FAIL (negative control, expected to fail)")
+        assert lines[-1] == "suite: FAIL"
 
     def test_named_model_suite(self, capsys):
         rc, out, _ = run_cli("verify", "--model", "euclidean:2", "--json",

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from cupgeo import expr
 from cupgeo.errors import CupGeoError, DomainError, EvaluationError, ExpressionError
 from cupgeo.expr import (
-    _CODE_OPS,
     _FUNCTIONS,
     Expression,
     Program,
@@ -20,7 +19,7 @@ from cupgeo.expr import (
     parse,
 )
 from cupgeo.jets import Jet, constant_at, finite_difference_jet, seed
-from cupgeo.manifolds import gaussian_model
+from cupgeo.manifolds import gaussian_model, multinomial_model
 from cupgeo.tensor_core import field_jet
 
 
@@ -356,9 +355,39 @@ def test_unrolled_code_holds_only_generated_names():
     # identifiers and numbers of the source never reach the generated code
     program = Program([parse("exp(a_b*K) + 3.5^sqrt(X) - log(K)/sin(0.25)")])
     code = _unroll(program, ("X", "a_b", "K"), 2).fn.__code__
-    assert set(code.co_names) <= set(_CODE_OPS)
-    assert all(re.fullmatch(r"X|K|[xkt]\d+", name) for name in code.co_varnames)
+    assert not code.co_names  # the functions it calls come in K, with the numbers
+    assert all(re.fullmatch(r"X|K|[xktf]\d+", name) for name in code.co_varnames)
     assert set(code.co_consts) <= {None}
+
+
+def _statements(code):
+    return sum(1 for name in code.fn.__code__.co_varnames if re.fullmatch(r"t\d+", name))
+
+
+# Statements of the unrolled metric and skewness at orders 0, 1 and 2.  Code
+# that is generated from the jet arithmetic must not grow past these counts.
+_STATEMENTS = {
+    "gaussian": ((3, 8, 15), (5, 11, 20)),
+    "multinomial:3": ((7, 12, 20), (11, 27, 48)),
+    "multinomial:4": ((10, 17, 28), (15, 36, 64)),
+}
+
+
+@pytest.mark.parametrize("name", list(_STATEMENTS))
+def test_built_in_fields_unroll_into_pinned_statement_counts(name):
+    model = gaussian_model() if name == "gaussian" else multinomial_model(int(name[-1]))
+    for field, counts in zip((model.metric, model.skewness), _STATEMENTS[name]):
+        got = tuple(_statements(_unroll(field.program, field.coord_names, order))
+                    for order in (0, 1, 2))
+        assert got == counts, field.rank
+
+
+def test_unrolled_code_computes_only_what_its_order_needs():
+    # the jets compute the cosine of sin at every order; its value needs none
+    code = _unroll(Program([parse("sin(x)")]), ("x", "y"), 0)
+    assert _statements(code) == 1
+    assert np.cos not in code.consts
+    assert np.cos in _unroll(Program([parse("sin(x)")]), ("x", "y"), 1).consts
 
 
 def _outcome(field, coords, order, compute):
@@ -375,6 +404,9 @@ def _outcome(field, coords, order, compute):
     ("1e400*mu", 1.0), ("exp(1000*sigma)", 1.0), ("0*sqrt(mu)", 0.0), ("mu^-1", 0.0),
     ("mu^-1", 1e-160),  # mu^-3, of the second derivative, underflows to 0
     ("mu + 1/0", 1.0), ("mu/0", 1.0),
+    # the check or the division that fails is needed by no entry at these orders
+    ("log(mu)^0", -1.0), ("sqrt(mu)^0", 0.0), ("sqrt(mu)^0", -1.0), ("(mu-2)^1.5", 1.0),
+    ("(mu-2)^1.5", 2.0),
 ])
 def test_unrolled_code_fails_as_the_jets_do(source, bad):
     field = gaussian_model().scalar_field(source)

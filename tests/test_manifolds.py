@@ -421,6 +421,19 @@ class TestConfigErrors:
         cfg["metric"]["12"] = "z + 1"
         self.check(cfg, "z")
 
+    def test_a_bad_expression_names_its_entry(self):
+        cfg = self.base()
+        cfg["metric"]["11"] = "1 +"
+        self.check(cfg, "metric entry '11': ")
+
+    def test_an_internal_error_is_not_read_as_a_bad_config(self, monkeypatch):
+        def broken_parse(source):
+            raise RuntimeError("parser bug")
+
+        monkeypatch.setattr(expr, "parse", broken_parse)
+        with pytest.raises(RuntimeError, match="parser bug"):
+            parse_model(json.dumps(self.base()))
+
     def test_conflicting_duplicate_entries(self):
         cfg = self.base()
         cfg["skewness"] = {"112": "1", "121": "2"}
