@@ -11,8 +11,10 @@ inputs produce byte-identical output and values round-trip losslessly.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import math
+import os
 import sys
 from itertools import combinations_with_replacement
 
@@ -312,22 +314,23 @@ def cmd_verify(args):
     else:
         result = run_suite(config)
 
-    if args.json:
-        print(render_json(result.summary(args.seed)))
-    else:
-        for r in result.reports:
-            outcome = "pass" if r.passed else "FAIL"
-            if r.negative_control and control_failed_as_expected(r):
-                outcome += " (negative control, expected to fail)"
-            elif r.negative_control:
-                outcome += (f" (negative control: {r.max_rel_residual / r.tolerance:.0f}x tol, "
-                            f"{CONTROL_FACTOR:.0f}x required)")
-            extras = ""
-            if r.flat_points:
-                extras += f"  flat={r.flat_points}"
-            print(f"{r.check_id:22s} residual {r.max_rel_residual:.3e} "
-                  f"(tol {r.tolerance:.0e}, {r.points_evaluated} evals){extras}  {outcome}")
-        print("suite: " + ("PASS" if result.passed else "FAIL"))
+    with _output_to_a_reader():  # a closed pipe keeps the verdict's status
+        if args.json:
+            print(render_json(result.summary(args.seed)))
+        else:
+            for r in result.reports:
+                outcome = "pass" if r.passed else "FAIL"
+                if r.negative_control and control_failed_as_expected(r):
+                    outcome += " (negative control, expected to fail)"
+                elif r.negative_control:
+                    outcome += (f" (negative control: {r.max_rel_residual / r.tolerance:.0f}x "
+                                f"tol, {CONTROL_FACTOR:.0f}x required)")
+                extras = ""
+                if r.flat_points:
+                    extras += f"  flat={r.flat_points}"
+                print(f"{r.check_id:22s} residual {r.max_rel_residual:.3e} "
+                      f"(tol {r.tolerance:.0e}, {r.points_evaluated} evals){extras}  {outcome}")
+            print("suite: " + ("PASS" if result.passed else "FAIL"))
     return 0 if result.passed else 1
 
 
@@ -431,13 +434,35 @@ def build_parser():
     return parser
 
 
+@contextlib.contextmanager
+def _output_to_a_reader():
+    """Flush stdout at the end, and stop printing quietly once its reader has
+    closed the pipe (``cupgeo tensors ... | head -1``): stdout then points at
+    devnull, so the interpreter's flush at exit cannot fail.  No signal
+    handler changes, as ``main`` may run inside another program."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stdout with no file descriptor of its own
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    status = 0
     try:
-        return args.func(args)
+        with _output_to_a_reader():
+            status = args.func(args)
     except CupGeoError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return status
 
 
 if __name__ == "__main__":

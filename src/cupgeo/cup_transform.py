@@ -19,6 +19,7 @@ recomputation on the rescaled model.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,23 +34,26 @@ from .geometry import (NonlinearCoupling, _constant, _hessian, _real, _require_c
 
 @dataclass(frozen=True)
 class WeightedDensity:
-    """A scalar field tagged with its rescaling weight r."""
+    """A scalar field tagged with its rescaling weight r, a finite number."""
 
     f: Field
     r: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.r):
+            raise ConfigError(f"density weight r must be finite, got {self.r}")
 
-class _ConformalFactorField(Field):
-    """eta = exp(-alpha * potential)."""
 
-    def __init__(self, alpha, potential):
-        self.alpha = alpha
-        self.potential = potential
-        self.dim = potential.dim
-        self.label = f"conformal factor of potential {potential.label}"
+class _RuleField(Field):
+    """A field of rank ``rank`` whose jet is ``rule(coords, order)``, written
+    on the chart of the field ``chart``: its dimension, coordinate names and mode."""
+
+    def __init__(self, label, rank, chart, rule):
+        self.label, self.rank, self.rule = label, rank, rule
+        self.dim, self.coord_names, self.mode = chart.dim, chart.coord_names, chart.mode
 
     def _jet(self, coords, order):
-        return jets.exp((-self.alpha) * self.potential.jet(coords, order))
+        return self.rule(coords, order)
 
 
 class CupRescaling:
@@ -62,7 +66,9 @@ class CupRescaling:
             raise ConfigError(f"alpha must be finite, got {alpha}")
         self.potential = potential
         self.dim = potential.dim
-        self._eta = _ConformalFactorField(self.alpha, potential)
+        rate = -self.alpha
+        self._eta = _RuleField(f"conformal factor of potential {potential.label}", 0, potential,
+                               lambda coords, order: jets.exp(rate * potential.jet(coords, order)))
 
     def eta_jet(self, coords, order):
         return self._eta.jet(coords, order)
@@ -111,45 +117,6 @@ def parse_rescaling(config_text, model):
 # -- transformed fields -----------------------------------------------------
 
 
-class _ScaledMetricField(Field):
-    rank = 2
-
-    def __init__(self, base, resc):
-        self.base = base
-        self.resc = resc
-        self.dim = base.dim
-        self.label = f"rescaled metric of potential {resc.potential.label}"
-
-    def _jet(self, coords, order):
-        return self.resc.eta_jet(coords, order).expand(2) * self.base.jet(coords, order)
-
-
-class _ShiftedSkewnessField(Field):
-    """eta * (t + weight * sym(g (x) psi)), assembled at the jet level.
-
-    ``weight`` exists only to let the verification suite run its
-    wrong-normalization negative control; the defining transformation has
-    weight 1.
-    """
-
-    rank = 3
-
-    def __init__(self, model, resc, weight):
-        self.model = model
-        self.resc = resc
-        self.weight = weight
-        self.dim = model.dim
-        self.label = f"rescaled skewness of potential {resc.potential.label}"
-
-    def _jet(self, coords, order):
-        gj = self.model.metric.jet(coords, order)
-        tj = self.model.skewness.jet(coords, order)
-        sym = symmetric_g_psi(gj, self.resc.psi_jet(coords, order))
-        if self.weight != 1.0:
-            sym = self.weight * sym
-        return self.resc.eta_jet(coords, order).expand(3) * (tj + sym)
-
-
 def symmetric_g_psi(gj, psi):
     """Jet of the symmetric 3-tensor g_ij psi_k + g_jk psi_i + g_ki psi_j.
 
@@ -173,49 +140,56 @@ def symmetric_g_psi(gj, psi):
     return total.map(lambda a: _mirror_sorted(a, rank=3, lead=b))
 
 
-class _PoweredScaleField(Field):
-    """eta^power * base, the rule shared by densities (power = r) and couplings
-    (power = -a); a finite number ``base`` is the constant field of its value."""
-
-    def __init__(self, base, resc, power, what):
-        value = _constant(base, what)
-        self.base = base if value is None else value
-        self.resc = resc
-        self.power = float(power)
-        chart = resc.potential if value is not None else base
-        self.dim, self.coord_names, self.mode = chart.dim, chart.coord_names, chart.mode
-        self.label = f"eta^{self.power:g} times {getattr(base, 'label', value)}"
-
-    def _jet(self, coords, order):
-        factor = self.resc.eta_jet(coords, order) ** self.power
-        if isinstance(self.base, Field):
-            return factor * self.base.jet(coords, order)
-        return factor * jets.constant_at(self.base, coords, order)
-
-
 def rescaled_model(model, resc, sym_weight=1.0):
-    """The model carrying g-tilde = eta g and the shifted, rescaled skewness."""
+    """The model carrying g-tilde = eta g and the shifted, rescaled skewness
+    eta * (t + sym_weight * sym(g (x) psi)).  A ``sym_weight`` other than 1
+    exists only for the verification suite's wrong-normalization control."""
     _require_chart(resc.potential, model, "rescaling potential")
     mode = "fd" if "fd" in (model.mode, resc.potential.mode) else "jet"
+
+    def skewness(coords, order):
+        gj = model.metric.jet(coords, order)
+        tj = model.skewness.jet(coords, order)
+        sym = symmetric_g_psi(gj, resc.psi_jet(coords, order))
+        if sym_weight != 1.0:
+            sym = sym_weight * sym
+        return resc.eta_jet(coords, order).expand(3) * (tj + sym)
+
+    of = f"of potential {resc.potential.label}"
     return ManifoldModel(
         dim=model.dim,
         coord_names=model.coord_names,
-        metric=_ScaledMetricField(model.metric, resc),
-        skewness=_ShiftedSkewnessField(model, resc, sym_weight),
+        metric=_RuleField(f"rescaled metric {of}", 2, model.metric,
+                          lambda c, o: resc.eta_jet(c, o).expand(2) * model.metric.jet(c, o)),
+        skewness=_RuleField(f"rescaled skewness {of}", 3, model.skewness, skewness),
         domain=model.domain,
         name=f"{model.name}~rescaled",
         mode=mode,
     )
 
 
+def _powered(base, resc, power, what):
+    """eta^power * base, the rule shared by densities (power = r) and couplings
+    (power = -a); a finite number ``base`` is the constant field of its value."""
+    power = float(power)
+    value = _constant(base, what)
+    if value is None:
+        require_scalar(base, what)
+        chart, label, base_jet = base, base.label, base.jet
+    else:
+        chart, label, base_jet = resc.potential, value, lambda c, o: jets.constant_at(value, c, o)
+    return _RuleField(f"eta^{power:g} times {label}", 0, chart,
+                      lambda c, o: resc.eta_jet(c, o) ** power * base_jet(c, o))
+
+
 def transform_density(d, resc):
     """f-tilde = eta^r f, keeping the weight tag; f may be a finite number."""
-    return WeightedDensity(_PoweredScaleField(d.f, resc, d.r, "density"), d.r)
+    return WeightedDensity(_powered(d.f, resc, d.r, "density"), d.r)
 
 
 def transform_coupling(c, resc):
     """lam-tilde = lam / eta^a, keeping the exponent; lam may be a finite number."""
-    return NonlinearCoupling(_PoweredScaleField(c.lam, resc, -c.a, "coupling"), c.a)
+    return NonlinearCoupling(_powered(c.lam, resc, -c.a, "coupling"), c.a)
 
 
 # -- closed-form shift predictions ------------------------------------------

@@ -25,10 +25,11 @@ is a negative zero and a field's jet does not depend on the route that
 served it.  The generated source holds only its own variable names; the
 numbers and the functions it calls come in a tuple, never as text of an
 expression.  Unrolled code is kept in one process-wide memo keyed by the
-program's instructions, so rebuilt models reuse it.  A program's first
-request at an order, and every request of a program past
-:data:`STATEMENT_BUDGET`, is evaluated by :meth:`Program.run` on jets
-instead.
+program's instructions, so rebuilt models reuse it.  A program is unrolled
+at its first request at an order.  Only a program past
+:data:`STATEMENT_BUDGET`, or one whose numbers raise (``1/0``,
+``log(-1)``), is evaluated by :meth:`Program.run` on jets instead, which
+raise its errors in the order the program meets them.
 """
 
 import functools
@@ -470,28 +471,24 @@ class Expression:
 
 class _Unrolled:
     """A program's jets unrolled for one order: the generated function, the
-    numbers and functions it is given, per order a table gathering each
-    distinct output slot's entries, and each output's row among those slots.
+    numbers and functions it is given, and per order a table gathering each
+    output's entries.
 
     The function returns the entries computed at run time; the constant
     entries, and last a 0.0 for the structural zeros, follow them in the
-    vector the tables index.  The tables are kept per distinct slot, not per
-    output: entries often repeat one expression (every off-diagonal entry of
-    a multinomial metric is the same), so an output table of a dimension-32
-    metric would hold 529 rows of 32 x 32 indices for 33 distinct ones.
+    vector the tables index.
     """
 
-    __slots__ = ("fn", "consts", "width", "tail", "tables", "rows")
+    __slots__ = ("fn", "consts", "width", "tail", "tables")
 
-    def __init__(self, fn, consts, width, tail, tables, rows):
-        self.fn, self.consts, self.width, self.tail = fn, consts, width, tail
-        self.tables, self.rows = tables, rows
+    def __init__(self, fn, consts, width, tail, tables):
+        self.fn, self.consts, self.width, self.tail, self.tables = fn, consts, width, tail, tables
 
     def __call__(self, x):
         """Per order k, every output's k-th parts at ``x``, stacked after the batch axes."""
         if x.ndim == 1:
             entries = np.array(self.fn(x.tolist(), self.consts) + self.tail) + 0.0
-            return [entries[t][self.rows] for t in self.tables]
+            return [entries[t] for t in self.tables]
         computed = self.fn(x.T, self.consts)  # called for its checks even if it computes none
         entries = np.empty((len(x), self.width + len(self.tail)))
         if self.width:
@@ -499,7 +496,7 @@ class _Unrolled:
         entries[:, self.width:] = self.tail
         entries += 0.0
         # take, unlike entries[:, t], returns the parts in C order, batch axis first
-        return [np.take(np.take(entries, t, axis=1), self.rows, axis=1) for t in self.tables]
+        return [np.take(entries, t, axis=1) for t in self.tables]
 
 
 def _unroll(program, coord_names, order):
@@ -519,12 +516,10 @@ def _unroll(program, coord_names, order):
     except (_OverBudget, ArithmeticError, DomainError, EvaluationError):
         return None
 
-    slots, first, rows = np.unique(program.outputs, return_index=True, return_inverse=True)
-    # (order, table index, entry) for every entry of a distinct output slot
-    # that is not zero by structure
+    # (order, table index, entry) for every entry of an output that is not
+    # zero by structure
     cells = []
-    for r, i in enumerate(first):
-        value = values[i]
+    for r, value in enumerate(values):
         parts = ([value.deriv(k) for k in range(order + 1)] if isinstance(value, jets.Jet)
                  else [value])
         cells.append((0, (r,), parts[0]))
@@ -536,7 +531,7 @@ def _unroll(program, coord_names, order):
     position = {name: i for i, name in enumerate(computed)}
     position.update({c.hex(): len(computed) + i for i, c in enumerate(tail)})
     zero = len(computed) + len(tail) - 1
-    tables = [np.full((len(slots),) + (n,) * k, zero, dtype=np.intp)
+    tables = [np.full((len(values),) + (n,) * k, zero, dtype=np.intp)
               for k in range(order + 1)]
     for k, at, e in cells:
         tables[k][at] = position[e if isinstance(e, _Name) else e.hex()]
@@ -550,11 +545,10 @@ def _unroll(program, coord_names, order):
     namespace = {}
     exec(compile("def unrolled(X, K):\n    " + "\n    ".join(body), "<unrolled jets>", "exec"),
          namespace)
-    return _Unrolled(namespace["unrolled"], consts, len(computed), tuple(tail), tables, rows)
+    return _Unrolled(namespace["unrolled"], consts, len(computed), tuple(tail), tables)
 
 
-_memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled, None or _SEEN
-_SEEN = "requested once"
+_memo = OrderedDict()  # (program key, coordinate names, order) -> _Unrolled or None
 
 
 def _unrolled(program, coord_names, order):
@@ -562,19 +556,16 @@ def _unrolled(program, coord_names, order):
     the jets, from a process-wide LRU memo of :data:`COMPILED_MEMO_SIZE` keys.
 
     The key is the program's instructions, so the models that a suite pass
-    rebuilds find the code unrolled for the last pass.  A key's first
-    request is left to the jets and only a second one unrolls, so a program
-    evaluated once (a one-off query) never pays for unrolling.  The memo
-    takes no lock: it is not safe to use from more than one thread.
+    rebuilds find the code unrolled for the last pass.  A key is unrolled
+    at its first request, so a program evaluated only once pays for its
+    unrolling then.  The memo takes no lock: it is not safe to use from
+    more than one thread.
     """
     key = (program.key, coord_names, order)
     try:
         _memo.move_to_end(key)
     except KeyError:
-        _memo[key] = _SEEN
+        _memo[key] = _unroll(program, coord_names, order)
         if len(_memo) > COMPILED_MEMO_SIZE:
             _memo.popitem(last=False)
-        return None
-    if _memo[key] is _SEEN:
-        _memo[key] = _unroll(program, coord_names, order)
     return _memo[key]

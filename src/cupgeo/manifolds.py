@@ -16,7 +16,7 @@ program, whose jets come from its unrolled straight-line code
 array-valued: ``.value`` has the batch axes of the points (none for one
 point) followed by the component axes, and each derivative axis trails
 them, ready for the geometry layer's contractions.  Component symmetry
-holds bitwise: the program has one output per listed entry and one for
+holds bitwise: the program has one output per distinct entry and one for
 zero, and every component is gathered from its class's output through one
 index table.  A failing tensor field names its first failing component.
 
@@ -118,7 +118,8 @@ class ExprTensorField(Field):
     ``entries`` maps a sorted index tuple (one representative per symmetry
     class, 0-based) to a parsed :class:`~cupgeo.expr.Expression` over the
     chart coordinates; unlisted components are zero.  The entries share one
-    :class:`~cupgeo.expr.Program`, so a common subtree is computed once.
+    :class:`~cupgeo.expr.Program`, with one output per distinct ``Expression``,
+    so a common subtree is computed once.
     """
 
     def __init__(self, dim, rank, coord_names, entries):
@@ -127,10 +128,10 @@ class ExprTensorField(Field):
         self.coord_names = tuple(coord_names)
         self.label = f"rank-{rank} tensor field"
         self.entries = dict(entries)
-        # one output per entry and a last one, zero, for the unlisted components
-        self.program = expr.Program([e.ast for e in self.entries.values()] + [expr.parse("0")])
-        row = {index: r for r, index in enumerate(self.entries)}
-        self._rows = np.array([row.get(tuple(sorted(index)), len(row))
+        # one output per distinct expression and a last one, zero, for the unlisted components
+        output = {e: r for r, e in enumerate(dict.fromkeys(self.entries.values()))}
+        self.program = expr.Program([e.ast for e in output] + [expr.parse("0")])
+        self._rows = np.array([output.get(self.entries.get(tuple(sorted(index))), len(output))
                                for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
 
     def jet(self, coords, order):
@@ -268,9 +269,10 @@ def _expr_entries(raw, rank, dim, coord_names, what):
     Keys are 1-based index strings, one digit per slot (comma-separated for
     dimensions above 9).  A listed component propagates to all permutations;
     two keys landing in the same symmetry class with different expressions
-    conflict.
+    conflict.  Each distinct source text is parsed once, and its entries
+    share the one ``Expression``.
     """
-    entries = {}
+    entries, parsed = {}, {}
     for key, source in raw.items():
         digits = key.split(",") if "," in key else list(key)
         if len(digits) != rank:
@@ -291,10 +293,12 @@ def _expr_entries(raw, rank, dim, coord_names, what):
                     f"{entries[rep].source!r} vs {source!r}"
                 )
             continue
-        try:
-            entries[rep] = _chart_expression(source, coord_names)
-        except CupGeoError as e:
-            raise ConfigError(f"{what} entry {key!r}: {e}") from e
+        if source not in parsed:
+            try:
+                parsed[source] = _chart_expression(source, coord_names)
+            except CupGeoError as e:
+                raise ConfigError(f"{what} entry {key!r}: {e}") from e
+        entries[rep] = parsed[source]
     return entries
 
 

@@ -1,5 +1,7 @@
 """Command-line surface: output shapes, exit codes, byte determinism."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -467,6 +469,21 @@ class TestErrorPaths:
         assert out == ""
         assert err == f"error: {named}\n"
 
+    @pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_density_weight_is_one_error_line(self, weight, rescaled, tmp_path,
+                                                         capsys):
+        argv = ["laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1+mu",
+                "--weight", weight]
+        if rescaled:
+            config = tmp_path / "resc.json"
+            config.write_text('{"alpha": 0.5, "potential": "0.1*mu*sigma"}')
+            argv += ["--rescaling", str(config)]
+        rc, out, err = run_cli(*argv, capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: density weight r must be finite, got {weight}\n"
+
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_exponent(self, a, capsys):
         rc, out, err = run_cli("laplacian", "--model", "gaussian", "--point", "0,1",
@@ -570,6 +587,33 @@ class TestErrorPaths:
                              "--point", "0,1", "--density", "1 +", capsys=capsys)
         assert rc == 2
         assert "error:" in err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has closed the pipe: every write raises."""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv, status", [
+        (("tensors", "--model", "multinomial:9", "--point", ",".join(["0.1"] * 8)), 0),
+        (("tensors", "--model", "multinomial:9", "--point", ",".join(["0.1"] * 8), "--json"), 0),
+        (("laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1"), 0),
+        (("estimate", "--model", "gaussian", "--point", "0,1", "--count", "10", "--json"), 0),
+        (("verify", "--default", "--check", "metric_compat"), 0),
+        (("verify", "--default", "--check", "hessian_inv", "--k", "0", "--json"), 1),
+    ], ids=["tensors", "tensors-json", "laplacian", "estimate", "verify-pass", "verify-fail"])
+    def test_a_closed_pipe_ends_the_output_quietly(self, argv, status):
+        # the status is the command's, and no traceback or message follows
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_ClosedPipe()), contextlib.redirect_stderr(err):
+            assert main(list(argv)) == status
+        assert err.getvalue() == ""
 
 
 class TestFlagScope:

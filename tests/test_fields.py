@@ -17,12 +17,10 @@ import pytest
 from cupgeo import cli, jets
 from cupgeo.cup_transform import (
     WeightedDensity,
-    _ConformalFactorField,
-    _PoweredScaleField,
-    _ScaledMetricField,
-    _ShiftedSkewnessField,
+    _RuleField,
     make_rescaling,
     rescaled_model,
+    transform_coupling,
     transform_density,
 )
 from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
@@ -51,8 +49,7 @@ FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
 POINT = (0.3, 1.2)
 
 
-FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField,
-               _ScaledMetricField, _ShiftedSkewnessField, _PoweredScaleField, _ConformalFactorField]
+FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField, _RuleField]
 
 
 def test_only_the_expression_tensor_field_overrides_jet():
@@ -62,12 +59,16 @@ def test_only_the_expression_tensor_field_overrides_jet():
 
 # -- a scalar input must be a rank-0 field ----------------------------------
 
-TENSOR_FIELDS = {
-    "metric": GAUSS.metric,
-    "skewness": GAUSS.skewness,
-    "fd metric": FD_GAUSS.metric,
-    "rescaled metric": rescaled_model(
-        GAUSS, make_rescaling(0.5, GAUSS.scalar_field("0.3*mu"))).metric,
+RESCALING = make_rescaling(0.5, GAUSS.scalar_field("0.3*mu"))
+
+# inputs that are not scalar fields, each with the kind its ConfigError names
+NOT_SCALARS = {
+    "metric": (GAUSS.metric, "a rank-2 field"),
+    "skewness": (GAUSS.skewness, "a rank-3 field"),
+    "fd metric": (FD_GAUSS.metric, "a rank-2 field"),
+    "rescaled metric": (rescaled_model(GAUSS, RESCALING).metric, "a rank-2 field"),
+    "str": ("mu", "str"),
+    "None": (None, "NoneType"),
 }
 
 DENSITY_OPERATORS = {
@@ -76,28 +77,37 @@ DENSITY_OPERATORS = {
     "cup_laplacian_decomposed": lambda f: cup_laplacian_decomposed(GAUSS, 0.5, f, POINT),
     "nonlinear_cup_operator": lambda f: nonlinear_cup_operator(
         GAUSS, 0.5, f, NonlinearCoupling(2.0, 3.0), POINT),
+    "transform_density": lambda f: transform_density(WeightedDensity(f, 1.0), RESCALING),
+}
+
+COUPLING_OPERATORS = {
+    "nonlinear_cup_operator": lambda c: nonlinear_cup_operator(GAUSS, 0.5, 1.0, c, POINT),
+    "transform_coupling": lambda c: transform_coupling(c, RESCALING),
 }
 
 
 @pytest.mark.parametrize("operator", sorted(DENSITY_OPERATORS))
-@pytest.mark.parametrize("field", sorted(TENSOR_FIELDS))
+@pytest.mark.parametrize("field", sorted(NOT_SCALARS))
 def test_a_tensor_field_is_not_a_density(field, operator):
-    rank = TENSOR_FIELDS[field].rank
-    with pytest.raises(ConfigError, match=f"density must be a scalar field, got a rank-{rank}"):
-        DENSITY_OPERATORS[operator](TENSOR_FIELDS[field])
+    value, kind = NOT_SCALARS[field]
+    with pytest.raises(ConfigError, match=f"^density must be a scalar field, got {kind}$"):
+        DENSITY_OPERATORS[operator](value)
 
 
-@pytest.mark.parametrize("field", sorted(TENSOR_FIELDS))
-def test_a_tensor_field_is_not_a_coupling(field):
-    coupling = NonlinearCoupling(TENSOR_FIELDS[field], 2.0)
-    with pytest.raises(ConfigError, match="coupling must be a scalar field, got a rank-"):
-        nonlinear_cup_operator(GAUSS, 0.5, 1.0, coupling, POINT)
+@pytest.mark.parametrize("operator", sorted(COUPLING_OPERATORS))
+@pytest.mark.parametrize("field", sorted(NOT_SCALARS))
+def test_a_tensor_field_is_not_a_coupling(field, operator):
+    value, kind = NOT_SCALARS[field]
+    with pytest.raises(ConfigError, match=f"^coupling must be a scalar field, got {kind}$"):
+        COUPLING_OPERATORS[operator](NonlinearCoupling(value, 2.0))
 
 
-@pytest.mark.parametrize("field", sorted(TENSOR_FIELDS))
+@pytest.mark.parametrize("field", sorted(NOT_SCALARS))
 def test_a_tensor_field_is_not_a_rescaling_potential(field):
-    with pytest.raises(ConfigError, match="rescaling potential must be a scalar field, got a rank-"):
-        make_rescaling(0.5, TENSOR_FIELDS[field])
+    value, kind = NOT_SCALARS[field]
+    message = f"^rescaling potential must be a scalar field, got {kind}$"
+    with pytest.raises(ConfigError, match=message):
+        make_rescaling(0.5, value)
 
 
 # -- a failing evaluation names the field and the point ---------------------
@@ -207,13 +217,18 @@ def test_a_raising_row_of_a_batch_is_named(field):
 # -- each field keeps its last jet ------------------------------------------
 
 
+# the rules of the rule fields, as their labels begin
+RULES = re.compile(r"rescaled metric|rescaled skewness|conformal factor|eta\^")
+
+
 @pytest.fixture
 def evaluations(monkeypatch):
-    """A counter of ``_jet`` calls by field type, for every field type of cupgeo."""
+    """A counter of ``_jet`` calls by field type, for every field type of
+    cupgeo, and of a rule field by the rule its label names."""
     counts = collections.Counter()
     for kind in FIELD_KINDS:
         def counted(self, coords, order, evaluate=vars(kind)["_jet"], name=kind.__name__):
-            counts[name] += 1
+            counts[RULES.match(self.label).group() if name == "_RuleField" else name] += 1
             return evaluate(self, coords, order)
         monkeypatch.setattr(kind, "_jet", counted)
     return counts
@@ -320,8 +335,8 @@ def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
     assert dict(evaluations) == {
         "ExprTensorField": 4,
         "ExprScalarField": 16,
-        "_ScaledMetricField": 40,
-        "_ShiftedSkewnessField": 36,
-        "_ConformalFactorField": 20,
-        "_PoweredScaleField": 120,
+        "rescaled metric": 40,
+        "rescaled skewness": 36,
+        "conformal factor": 20,
+        "eta^": 120,
     }

@@ -183,7 +183,6 @@ class TestCompiledTensorFields:
     def test_rebuilt_models_share_their_unrolled_code(self):
         first, second = multinomial_model(4).skewness, multinomial_model(4).skewness
         assert first.program is not second.program
-        expr._unrolled(first.program, first.coord_names, 1)  # a first request may use the jets
         code = expr._unrolled(first.program, first.coord_names, 1)
         assert code is not None
         assert expr._unrolled(second.program, second.coord_names, 1) is code
@@ -192,6 +191,23 @@ class TestCompiledTensorFields:
         field = multinomial_model(4).skewness
         alone = sum(len(e.program.code) for e in field.entries.values())
         assert len(field.program.code) < alone / 2
+
+    def test_entries_of_one_source_share_one_expression_and_one_output(self):
+        model = multinomial_model(33)
+        for field, entries in ((model.metric, 528), (model.skewness, 5984)):
+            assert len(field.entries) == entries
+            assert len(set(map(id, field.entries.values()))) == 33
+            assert len(field.program.outputs) == 34  # and one for the unlisted zeros
+
+    def test_a_source_repeated_in_a_config_is_parsed_once(self, monkeypatch):
+        sources = []
+        parse = expr.parse
+        monkeypatch.setattr(expr, "parse", lambda source: sources.append(source) or parse(source))
+        field = parse_model(json.dumps({
+            "dim": 2, "coords": ["x", "y"],
+            "metric": {"11": "1/x", "12": "x*y", "21": "x*y", "22": "1/x"}})).metric
+        assert sources.count("1/x") == 1 and sources.count("x*y") == 1
+        assert field.entries[(0, 0)] is field.entries[(1, 1)]
 
 
 class TestDomain:
