@@ -30,7 +30,6 @@ from .errors import (
     VarianceError,
 )
 from .geometry import (
-    Christoffel,
     CurvaturePack,
     HessianSpec,
     NonlinearCoupling,

@@ -33,6 +33,7 @@ from .manifolds import estimate_fisher_tensors, resolve_model
 from .verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
+    DEFAULT_ALPHAS,
     ModelCase,
     SuiteConfig,
     SuiteResult,
@@ -296,11 +297,13 @@ def _case_for(model):
 def cmd_verify(args):
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if args.model and not args.default:
+    if args.model and args.default:
+        raise ConfigError("--default and --model cannot be combined")
+    if args.model:
         case = _case_for(resolve_model(args.model))
         config = SuiteConfig(
             cases=(case,),
-            alphas=(-1.0, -0.5, 0.0, 0.5, 1.0),
+            alphas=DEFAULT_ALPHAS,
             tolerance=args.tol,
         )
     else:
@@ -309,8 +312,7 @@ def cmd_verify(args):
         config = dataclasses.replace(config, hessian_k=args.k)
 
     if args.check:
-        report = run_check(args.check, config)
-        result = SuiteResult(reports=(report,), passed=report.passed)
+        result = SuiteResult(reports=(run_check(args.check, config),))
     else:
         result = run_suite(config)
 

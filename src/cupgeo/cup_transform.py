@@ -28,8 +28,8 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
 from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_scalar
-from .geometry import (NonlinearCoupling, _constant, _hessian, _real, _require_chart,
-                       point_geometry, ricci_reconstruction)
+from .geometry import (NonlinearCoupling, _constant, _float_alpha, _hessian, _real,
+                       _require_chart, point_geometry, ricci_reconstruction)
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,14 @@ class WeightedDensity:
 
 
 class _RuleField(Field):
-    """A field of rank ``rank`` whose jet is ``rule(coords, order)``, written
-    on the chart of the field ``chart``: its dimension, coordinate names and mode."""
+    """A field of rank ``rank`` whose jet is ``rule(coords, order)``, computed from the
+    fields ``reads``: written on the chart (dimension, coordinate names) of the
+    first, and "fd" when any of them is."""
 
-    def __init__(self, label, rank, chart, rule):
+    def __init__(self, label, rank, rule, *reads):
         self.label, self.rank, self.rule = label, rank, rule
-        self.dim, self.coord_names, self.mode = chart.dim, chart.coord_names, chart.mode
+        self.dim, self.coord_names = reads[0].dim, reads[0].coord_names
+        self.mode = "fd" if any(f.mode == "fd" for f in reads) else "jet"
 
     def _jet(self, coords, order):
         return self.rule(coords, order)
@@ -61,14 +63,15 @@ class CupRescaling:
 
     def __init__(self, alpha, potential):
         require_scalar(potential, "rescaling potential")
-        self.alpha = float(alpha)
+        self.alpha = _float_alpha(alpha)
         if not np.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {alpha}")
         self.potential = potential
         self.dim = potential.dim
         rate = -self.alpha
-        self._eta = _RuleField(f"conformal factor of potential {potential.label}", 0, potential,
-                               lambda coords, order: jets.exp(rate * potential.jet(coords, order)))
+        self._eta = _RuleField(f"conformal factor of potential {potential.label}", 0,
+                               lambda coords, order: jets.exp(rate * potential.jet(coords, order)),
+                               potential)
 
     def eta_jet(self, coords, order):
         return self._eta.jet(coords, order)
@@ -145,7 +148,6 @@ def rescaled_model(model, resc, sym_weight=1.0):
     eta * (t + sym_weight * sym(g (x) psi)).  A ``sym_weight`` other than 1
     exists only for the verification suite's wrong-normalization control."""
     _require_chart(resc.potential, model, "rescaling potential")
-    mode = "fd" if "fd" in (model.mode, resc.potential.mode) else "jet"
 
     def skewness(coords, order):
         gj = model.metric.jet(coords, order)
@@ -157,14 +159,14 @@ def rescaled_model(model, resc, sym_weight=1.0):
 
     of = f"of potential {resc.potential.label}"
     return ManifoldModel(
-        dim=model.dim,
         coord_names=model.coord_names,
-        metric=_RuleField(f"rescaled metric {of}", 2, model.metric,
-                          lambda c, o: resc.eta_jet(c, o).expand(2) * model.metric.jet(c, o)),
-        skewness=_RuleField(f"rescaled skewness {of}", 3, model.skewness, skewness),
+        metric=_RuleField(f"rescaled metric {of}", 2,
+                          lambda c, o: resc.eta_jet(c, o).expand(2) * model.metric.jet(c, o),
+                          model.metric, resc.potential),
+        skewness=_RuleField(f"rescaled skewness {of}", 3, skewness,
+                            model.skewness, model.metric, resc.potential),
         domain=model.domain,
         name=f"{model.name}~rescaled",
-        mode=mode,
     )
 
 
@@ -175,11 +177,12 @@ def _powered(base, resc, power, what):
     value = _constant(base, what)
     if value is None:
         require_scalar(base, what)
-        chart, label, base_jet = base, base.label, base.jet
+        reads, label, base_jet = (base, resc.potential), base.label, base.jet
     else:
-        chart, label, base_jet = resc.potential, value, lambda c, o: jets.constant_at(value, c, o)
-    return _RuleField(f"eta^{power:g} times {label}", 0, chart,
-                      lambda c, o: resc.eta_jet(c, o) ** power * base_jet(c, o))
+        reads, label = (resc.potential,), value
+        base_jet = lambda c, o: jets.constant_at(value, c, o)
+    return _RuleField(f"eta^{power:g} times {label}", 0,
+                      lambda c, o: resc.eta_jet(c, o) ** power * base_jet(c, o), *reads)
 
 
 def transform_density(d, resc):

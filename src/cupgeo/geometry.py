@@ -35,6 +35,7 @@ naming the quantity, its parameters and the first offending point.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +65,13 @@ def _real(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _float_alpha(alpha):
+    """``float(alpha)``; a ConfigError unless ``alpha`` is a real number (a bool is not one)."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ConfigError(f"alpha must be a real number, got {alpha!r}")
+    return float(alpha)
+
+
 def _finite(value, quantity, x, **params):
     """``value`` if it is finite, else an EvaluationError naming ``quantity``,
     ``params`` and the first offending point of ``x``.
@@ -77,15 +85,6 @@ def _finite(value, quantity, x, **params):
     row = first_false(finite.reshape(np.shape(x)[:-1] + (-1,)).all(axis=-1))
     at = ", ".join(f"{name} = {v:g}" for name, v in params.items())
     raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
-
-
-@dataclass(frozen=True)
-class Christoffel:
-    """Connection coefficients Gamma^k_ij, stored as components[k, i, j]."""
-
-    dim: int
-    alpha: float
-    components: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,9 +136,9 @@ class PointGeometry:
         self._metric = model.metric
         self._skewness = model.skewness
         self.p = _readonly(np.array(model.require_inside(p)))
-        if not math.isfinite(alpha):
+        self.alpha = _float_alpha(alpha)
+        if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {alpha}")
-        self.alpha = float(alpha)
         self.dim = model.dim
 
     @cached_property
@@ -252,11 +251,14 @@ def point_geometry(model, alpha, p):
     the points and ``alpha``, and remembered otherwise.  A float64 array is
     looked up as it is: the memo holds only checked grids, so equal shape and
     bytes are the same valid coordinates, and an invalid array misses and
-    fails its build.  Any other input is converted by :func:`as_coords` first.
+    fails its build.  Any other input is converted by :func:`as_coords` first,
+    and an ``alpha`` of another type than float by :func:`_float_alpha`.
     """
+    if type(alpha) is not float:
+        alpha = _float_alpha(alpha)
     if type(p) is not np.ndarray or p.dtype != np.float64:
         p = as_coords(p)
-    key = (float(alpha), p.shape, p.tobytes())
+    key = (alpha, p.shape, p.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)
     if ws is None:
@@ -273,7 +275,7 @@ def point_geometry(model, alpha, p):
 def alpha_connection(model, alpha, p):
     """The skewness-shifted connection: Gamma^0 - (alpha/2) t . g^{-1}."""
     ws = point_geometry(model, alpha, p)
-    return Christoffel(model.dim, float(alpha), ws.gamma)
+    return Tensor(model.dim, (CONTRA, COV, COV), ws.gamma)
 
 
 def covariant_derivative_metric(model, alpha, p):

@@ -51,6 +51,7 @@ from .tensor_core import (
 
 DOMAIN_MARGIN = 1e-6
 MAX_DIM = 32  # the cost of building and evaluating a model grows steeply with its dimension
+MC_BATCH_SIZE = 250_000  # samples drawn and reduced at a time by the Monte-Carlo oracle
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -59,21 +60,20 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 class Domain:
     """Open box bounds per coordinate, optionally cut by the unit simplex.
 
-    Points closer than ``margin`` to any face are rejected: curvature
-    quantities blow up at the boundary, so extrapolation there is refused
-    rather than attempted.
+    Points closer than :data:`DOMAIN_MARGIN` to any face are rejected:
+    curvature quantities blow up at the boundary, so extrapolation there is
+    refused rather than attempted.
     """
 
     bounds: tuple
     simplex: bool = False
-    margin: float = DOMAIN_MARGIN
 
     def __post_init__(self):
         # the faces pulled in by the margin, as arrays every row is compared against
         object.__setattr__(self, "_lo", np.array(
-            [-np.inf if lo is None else lo + self.margin for lo, _ in self.bounds]))
+            [-np.inf if lo is None else lo + DOMAIN_MARGIN for lo, _ in self.bounds]))
         object.__setattr__(self, "_hi", np.array(
-            [np.inf if hi is None else hi - self.margin for _, hi in self.bounds]))
+            [np.inf if hi is None else hi - DOMAIN_MARGIN for _, hi in self.bounds]))
 
     def contains(self, p):
         """Whether one point lies inside; for a ``(P, n)`` batch, one bool per row."""
@@ -83,12 +83,19 @@ class Domain:
         else:
             inside = ((x >= self._lo) & (x <= self._hi)).all(axis=-1)
             if self.simplex:
-                inside &= x.sum(axis=-1) <= 1.0 - self.margin
+                inside &= x.sum(axis=-1) <= 1.0 - DOMAIN_MARGIN
         return inside if inside.ndim else bool(inside)
 
 
+def _is_integer(n):
+    """Whether ``n`` is an integer, a bool not counting as one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _require_dim(n, what):
-    """Raise ConfigError unless the dimension ``n`` is from 1 to :data:`MAX_DIM`."""
+    """Raise ConfigError unless the dimension ``n`` is an integer from 1 to :data:`MAX_DIM`."""
+    if not _is_integer(n):  # a JSON true is not the number 1, nor 2.5 the number 2
+        raise ConfigError(f"{what} must be an integer, got {n!r}")
     if not 1 <= n <= MAX_DIM:
         raise ConfigError(f"{what} must be from 1 to {MAX_DIM}, got {n}")
 
@@ -101,7 +108,9 @@ def unbounded_domain(dim):
 
 
 def _chart_expression(source, coord_names):
-    """``source`` parsed; a ConfigError if it names an identifier outside the chart."""
+    """``source`` parsed; a ConfigError unless it is a string naming only chart coordinates."""
+    if not isinstance(source, str):
+        raise ConfigError(f"expression source must be a string, got {source!r}")
     parsed = expr.Expression(source)
     unknown = parsed.variables - set(coord_names)
     if unknown:
@@ -122,17 +131,18 @@ class ExprTensorField(Field):
     so a common subtree is computed once.
     """
 
-    def __init__(self, dim, rank, coord_names, entries):
-        self.dim = dim
+    def __init__(self, rank, coord_names, entries):
         self.rank = rank
         self.coord_names = tuple(coord_names)
+        self.dim = len(self.coord_names)
         self.label = f"rank-{rank} tensor field"
         self.entries = dict(entries)
         # one output per distinct expression and a last one, zero, for the unlisted components
         output = {e: r for r, e in enumerate(dict.fromkeys(self.entries.values()))}
         self.program = expr.Program([e.ast for e in output] + [expr.parse("0")])
+        shape = (self.dim,) * rank
         self._rows = np.array([output.get(self.entries.get(tuple(sorted(index))), len(output))
-                               for index in np.ndindex((dim,) * rank)]).reshape((dim,) * rank)
+                               for index in np.ndindex(shape)]).reshape(shape)
 
     def jet(self, coords, order):
         try:
@@ -184,18 +194,20 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.count}")
-        if self.seed < 0:
-            raise ConfigError(f"sample seed must be >= 0, got {self.seed}")
+        for what, value, low in (("count", self.count, 1), ("seed", self.seed, 0)):
+            if not _is_integer(value):
+                raise ConfigError(f"sample {what} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"sample {what} must be >= {low}, got {value}")
 
 
 class ManifoldModel:
-    """Dimension, coordinates, metric field, skewness field, domain.
+    """Coordinates, metric field, skewness field, domain; ``dim`` counts the coordinates.
 
     Immutable after construction; evaluations are pure.  ``mode`` records
-    how derivatives are obtained ("jet" exact, "fd" finite differences),
-    which downstream tolerance defaults key off.
+    how derivatives are obtained ("jet" exact, "fd" finite differences, when
+    either field is "fd"), which downstream tolerance defaults key off.
+    ``sampling`` is None or the ``(log_likelihood, sampler)`` of its sample specs.
 
     Purity is a contract, not only a property of the built-in models: the
     model owns ``geometry_memo``, in which :func:`cupgeo.geometry.point_geometry`
@@ -206,19 +218,16 @@ class ManifoldModel:
     output changes between calls, would make those answers stale.
     """
 
-    def __init__(self, dim, coord_names, metric, skewness, domain, name="model",
-                 mode="jet", sample_spec_factory=None):
-        _require_dim(dim, "model dimension")
-        if len(coord_names) != dim:
-            raise ConfigError(f"{dim} coordinates expected, got {len(coord_names)}")
-        self.dim = dim
+    def __init__(self, coord_names, metric, skewness, domain, name="model", sampling=None):
         self.coord_names = tuple(coord_names)
+        self.dim = len(self.coord_names)
+        _require_dim(self.dim, "model dimension")
         self.metric = metric
         self.skewness = skewness
         self.domain = domain
         self.name = name
-        self.mode = mode
-        self.sample_spec_factory = sample_spec_factory
+        self.mode = "fd" if "fd" in (metric.mode, skewness.mode) else "jet"
+        self.sampling = sampling
         self.geometry_memo = OrderedDict()
 
     def require_inside(self, p):
@@ -255,15 +264,22 @@ class ManifoldModel:
         return ExprScalarField(source, self.coord_names)
 
     def sample_spec(self, count, seed=0):
-        if self.sample_spec_factory is None:
+        """A :class:`SampleSpec` whose sampler first checks the point against this model."""
+        if self.sampling is None:
             raise ConfigError(f"model {self.name!r} has no sampling rule attached")
-        return self.sample_spec_factory(count, seed)
+        log_likelihood, sampler = self.sampling
+
+        def sample_inside(point, size, rng):
+            self.require_inside(point)
+            return sampler(point, size, rng)
+
+        return SampleSpec(log_likelihood, sample_inside, count, seed)
 
 
 # -- built-in families ------------------------------------------------------
 
 
-def _expr_entries(raw, rank, dim, coord_names, what):
+def _expr_entries(raw, rank, coord_names, what):
     """Parse {"ij": source} into {sorted 0-based tuple: Expression}.
 
     Keys are 1-based index strings, one digit per slot (comma-separated for
@@ -272,6 +288,7 @@ def _expr_entries(raw, rank, dim, coord_names, what):
     conflict.  Each distinct source text is parsed once, and its entries
     share the one ``Expression``.
     """
+    dim = len(coord_names)
     entries, parsed = {}, {}
     for key, source in raw.items():
         digits = key.split(",") if "," in key else list(key)
@@ -308,23 +325,30 @@ def _canonical_key(index):
     return "".join(str(i + 1) for i in index)
 
 
-def _expr_model(name, coord_names, metric_raw, skewness_raw, domain, sample_spec_factory=None):
-    dim = len(coord_names)
-    metric = _expr_entries(metric_raw, 2, dim, coord_names, "metric")
-    skewness = _expr_entries(skewness_raw, 3, dim, coord_names, "skewness")
+def _expr_model(name, coord_names, metric_raw, skewness_raw, domain, sampling=None):
+    metric = _expr_entries(metric_raw, 2, coord_names, "metric")
+    skewness = _expr_entries(skewness_raw, 3, coord_names, "skewness")
     return ManifoldModel(
-        dim=dim,
         coord_names=coord_names,
-        metric=ExprTensorField(dim, 2, coord_names, metric),
-        skewness=ExprTensorField(dim, 3, coord_names, skewness),
+        metric=ExprTensorField(2, coord_names, metric),
+        skewness=ExprTensorField(3, coord_names, skewness),
         domain=domain,
         name=name,
-        mode="jet",
-        sample_spec_factory=sample_spec_factory,
+        sampling=sampling,
     )
 
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _gaussian_sampler(point, size, rng):
+    return rng.normal(point[0], point[1], size)
+
+
+def _gaussian_log_likelihood(x, coord_jets):
+    mu, sigma = coord_jets
+    z = (x - mu) / sigma
+    return -jets.log(sigma) - 0.5 * (z * z) - 0.5 * _LOG_2PI
 
 
 def gaussian_model():
@@ -334,25 +358,13 @@ def gaussian_model():
     and the only nonzero skewness classes t_(mean,mean,scale) = 2/s^3,
     t_(scale,scale,scale) = 8/s^3.
     """
-
-    def spec_factory(count, seed):
-        def sampler(point, size, rng):
-            return rng.normal(point[0], point[1], size)
-
-        def log_likelihood(x, coord_jets):
-            mu, sigma = coord_jets
-            z = (x - mu) / sigma
-            return -jets.log(sigma) - 0.5 * (z * z) - 0.5 * _LOG_2PI
-
-        return SampleSpec(log_likelihood, sampler, count, seed)
-
     return _expr_model(
         "gaussian",
         ("mu", "sigma"),
         {"11": "1/sigma^2", "22": "2/sigma^2"},
         {"112": "2/sigma^3", "222": "8/sigma^3"},
         Domain(((None, None), (0.0, None))),
-        sample_spec_factory=spec_factory,
+        sampling=(_gaussian_log_likelihood, _gaussian_sampler),
     )
 
 
@@ -363,6 +375,8 @@ def multinomial_model(k):
     g_ij = kron_ij/p_i + 1/p_last and t_ijk = kron_ijk/p_i^2 - 1/p_last^2
     with p_last = 1 - sum of the others.
     """
+    if not _is_integer(k):
+        raise ConfigError(f"multinomial category count k must be an integer, got {k!r}")
     n = k - 1
     _require_dim(n, f"the dimension of multinomial:{k}")
     coords = tuple(f"p{i + 1}" for i in range(n))
@@ -380,22 +394,19 @@ def multinomial_model(k):
         else:
             skewness[key] = f"-1/{rest}^2"
 
-    def spec_factory(count, seed):
-        def sampler(point, size, rng):
-            probs = list(point.coords) + [1.0 - sum(point.coords)]
-            cat = rng.choice(k, size=size, p=probs)
-            onehot = np.zeros((size, k))
-            onehot[np.arange(size), cat] = 1.0
-            return onehot
+    def sampler(point, size, rng):
+        probs = list(point.coords) + [1.0 - sum(point.coords)]
+        cat = rng.choice(k, size=size, p=probs)
+        onehot = np.zeros((size, k))
+        onehot[np.arange(size), cat] = 1.0
+        return onehot
 
-        def log_likelihood(x, coord_jets):
-            p_last = 1.0 - sum(coord_jets[1:], coord_jets[0])
-            ll = x[:, n] * jets.log(p_last)
-            for c in range(n):
-                ll = ll + x[:, c] * jets.log(coord_jets[c])
-            return ll
-
-        return SampleSpec(log_likelihood, sampler, count, seed)
+    def log_likelihood(x, coord_jets):
+        p_last = 1.0 - sum(coord_jets[1:], coord_jets[0])
+        ll = x[:, n] * jets.log(p_last)
+        for c in range(n):
+            ll = ll + x[:, c] * jets.log(coord_jets[c])
+        return ll
 
     return _expr_model(
         f"multinomial:{k}",
@@ -403,7 +414,7 @@ def multinomial_model(k):
         metric,
         skewness,
         Domain(((0.0, 1.0),) * n, simplex=True),
-        sample_spec_factory=spec_factory,
+        sampling=(log_likelihood, sampler),
     )
 
 
@@ -426,18 +437,18 @@ def euclidean_model(dim=2):
 
 @dataclass(frozen=True)
 class FisherEstimate:
-    """Score-moment estimates with componentwise standard errors.
-
-    ``se_reliable`` is False for a single-sample run, where the variance is
-    undefined and the error arrays are NaN.
-    """
+    """Score-moment estimates with componentwise standard errors."""
 
     metric: Tensor
     skewness: Tensor
     metric_se: np.ndarray
     skewness_se: np.ndarray
     count: int
-    se_reliable: bool
+
+    @property
+    def se_reliable(self):
+        """False for one sample, whose variance is undefined (the error arrays are NaN)."""
+        return self.count >= 2
 
 
 def _batch_moment_sums(spec, point, coord_jets, size, rng):
@@ -484,15 +495,15 @@ def _mirror_sorted(arr, rank=None, lead=0):
     return arr[(slice(None),) * lead + tuple(index)]
 
 
-def estimate_fisher_tensors(spec, p, batch_size=250_000):
+def estimate_fisher_tensors(spec, p):
     """Sample-mean estimates of the score-moment tensors at ``p``.
 
     g is estimated by the mean of score outer products, t by the mean of
     score triple products; both converge at the usual count^(-1/2) rate.
-    The samples are drawn and reduced ``batch_size`` at a time: each batch
-    adds its sums of score products and of their squares, formed by matrix
-    products, and is freed before the next one is drawn, so peak memory
-    scales with ``batch_size`` times the dimension, not with the count.
+    The samples are drawn and reduced :data:`MC_BATCH_SIZE` at a time: each
+    batch adds its sums of score products and of their squares, formed by
+    matrix products, and is freed before the next one is drawn, so peak
+    memory scales with the batch size times the dimension, not with the count.
     The totals keep one representative per index class (sorted indices,
     i <= j <= k), mirrored into every permutation, so the estimates and
     both standard-error arrays are bitwise symmetric.  Fixed seed implies
@@ -506,7 +517,7 @@ def estimate_fisher_tensors(spec, p, batch_size=250_000):
     sums = [np.zeros((n,) * rank) for rank in (2, 2, 3, 3)]
     remaining = spec.count
     while remaining > 0:
-        size = min(batch_size, remaining)
+        size = min(MC_BATCH_SIZE, remaining)
         for total, part in zip(sums, _batch_moment_sums(spec, point, coord_jets, size, rng)):
             total += part
         remaining -= size
@@ -528,7 +539,6 @@ def estimate_fisher_tensors(spec, p, batch_size=250_000):
         metric_se=g_se,
         skewness_se=t_se,
         count=count,
-        se_reliable=count >= 2,
     )
 
 
@@ -557,8 +567,6 @@ def parse_model(config_text):
         metric_raw = data["metric"]
     except KeyError as e:
         raise ConfigError(f"model config missing field {e.args[0]!r}") from None
-    if type(dim) is not int:  # a JSON true is not the number 1, nor 2.5 the number 2
-        raise ConfigError(f"dim must be an integer, got {dim!r}")
     _require_dim(dim, "dim")
     if (not isinstance(coords, list) or len(coords) != dim
             or not all(isinstance(c, str) and _IDENT.match(c) for c in coords)):
@@ -609,15 +617,16 @@ def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, 
     The callables must be pure: the same point always gives the same
     components, since the model's geometry is computed once per point.
     """
+    _require_dim(dim, "model dimension")
+    if len(coord_names) != dim:
+        raise ConfigError(f"{dim} coordinates expected, got {len(coord_names)}")
     domain = domain if domain is not None else unbounded_domain(dim)
     return ManifoldModel(
-        dim=dim,
-        coord_names=tuple(coord_names),
+        coord_names=coord_names,
         metric=NumericField(metric_fn, dim, rank=2),
         skewness=NumericField(skewness_fn, dim, rank=3),
         domain=domain,
         name=name,
-        mode="fd",
     )
 
 

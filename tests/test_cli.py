@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cupgeo import cli, verify
 from cupgeo.cli import main, render_json
 from cupgeo.cup_transform import make_rescaling, rescaled_model
 from cupgeo.manifolds import gaussian_model
@@ -291,6 +292,24 @@ class TestVerify:
         data = json.loads(out)
         assert data["passed"] is True
         assert len(data["checks"]) == 12
+
+    def test_named_model_suite_runs_the_default_alphas(self, monkeypatch, capsys):
+        seen = []
+
+        def fake_run_suite(config):
+            seen.append(config)
+            return verify.SuiteResult(reports=())
+
+        monkeypatch.setattr(cli, "run_suite", fake_run_suite)
+        rc, _, _ = run_cli("verify", "--model", "euclidean:2", capsys=capsys)
+        assert rc == 0
+        assert seen[0].alphas is verify.DEFAULT_ALPHAS
+
+    def test_default_and_model_together_is_one_error_line(self, capsys):
+        rc, out, err = run_cli("verify", "--default", "--model", "gaussian", capsys=capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: --default and --model cannot be combined\n"
 
     def test_unknown_model(self, capsys):
         rc, _, err = run_cli("verify", "--model", "nosuch", capsys=capsys)

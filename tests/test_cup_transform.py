@@ -29,8 +29,14 @@ from cupgeo.geometry import (
     ricci,
     riemann,
 )
-from cupgeo.manifolds import gaussian_model, multinomial_model
-from cupgeo.tensor_core import as_coords
+from cupgeo.manifolds import (
+    euclidean_model,
+    gaussian_model,
+    model_from_callables,
+    multinomial_model,
+    parse_model,
+)
+from cupgeo.tensor_core import NumericField, as_coords
 from cupgeo.verify import default_suite_config, run_suite
 
 from helpers import assert_fully_symmetric
@@ -128,6 +134,12 @@ def test_potential_must_be_scalar_field():
         CupRescaling(float("nan"), GAUSS.scalar_field("mu"))
 
 
+@pytest.mark.parametrize("alpha", ["x", "0.5", True, None])
+def test_an_alpha_that_is_not_a_real_number_is_a_config_error(alpha):
+    with pytest.raises(ConfigError, match=r"^alpha must be a real number"):
+        make_rescaling(alpha, GAUSS.scalar_field("mu"))
+
+
 # -- model transformation ---------------------------------------------------
 
 
@@ -198,6 +210,56 @@ def test_transformed_fields_keep_their_chart():
         cup_laplacian(model, 0.5, density.f, (0.2, 0.3))
     with pytest.raises(ConfigError, match=r"coupling is written in \['mu', 'sigma'\]"):
         nonlinear_cup_operator(model, 0.5, 1.0, coupling, (0.2, 0.3))
+
+
+def _derived_modes(model, potential):
+    """The modes of the rescaled model, its two fields, a transformed density
+    and a transformed coupling, for the rescaling by ``potential``."""
+    r = make_rescaling(0.5, potential)
+    moved = rescaled_model(model, r)
+    c1 = model.coord_names[0]
+    density = transform_density(WeightedDensity(model.scalar_field(f"1 + 0.1*{c1}"), 1.0), r)
+    coupling = transform_coupling(NonlinearCoupling(model.scalar_field("2"), 3.0), r)
+    return [moved.mode, moved.metric.mode, moved.skewness.mode, density.f.mode,
+            coupling.lam.mode]
+
+
+def _gaussian_by_callables():
+    return model_from_callables(
+        2, GAUSS.coord_names, lambda v: np.diag([1.0 / v[1] ** 2, 2.0 / v[1] ** 2]),
+        lambda v: np.zeros((2, 2, 2)), domain=GAUSS.domain, name="gaussian-fd")
+
+
+def test_a_finite_difference_potential_makes_every_derived_field_fd():
+    potential = NumericField(lambda v: 0.1 * v[0] * v[1], 2)
+    assert _derived_modes(GAUSS, potential) == ["fd"] * 5
+
+
+def test_an_expression_potential_keeps_every_derived_field_exact():
+    assert _derived_modes(GAUSS, GAUSS.scalar_field("0.1*mu*sigma")) == ["jet"] * 5
+
+
+def test_a_finite_difference_model_rescaled_by_an_expression_is_fd():
+    model = _gaussian_by_callables()
+    modes = _derived_modes(model, model.scalar_field("0.1*mu*sigma"))
+    # the density and coupling read only expressions
+    assert modes == ["fd", "fd", "fd", "jet", "jet"]
+
+
+@pytest.mark.parametrize("make", [
+    gaussian_model,
+    lambda: multinomial_model(4),
+    lambda: euclidean_model(3),
+    lambda: parse_model(json.dumps({"dim": 2, "coords": ["u", "v"],
+                                    "metric": {"11": "1 + u^2", "22": "exp(v)"}})),
+    _gaussian_by_callables,
+], ids=["gaussian", "multinomial:4", "euclidean:3", "config", "callables"])
+def test_a_model_and_its_rescaling_take_their_dimension_from_the_chart(make):
+    model = make()
+    moved = rescaled_model(model, make_rescaling(0.5, model.scalar_field(
+        f"0.1*{model.coord_names[0]}")))
+    for m in (model, moved):
+        assert m.dim == len(m.coord_names) == m.metric.dim == m.skewness.dim
 
 
 def test_wrong_symmetrization_weight_changes_the_skewness():

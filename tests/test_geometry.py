@@ -439,10 +439,31 @@ class TestIntegrability:
         assert integrability_gap(GAUSS, 0.0, (0.0, 1.0), k=0.25) > 1e-3
 
 
+@pytest.mark.parametrize("alpha", ["0.5", True, None])
+def test_an_alpha_that_is_not_a_real_number_fails_alike_on_a_fresh_and_a_warm_model(alpha):
+    fresh, warm = gaussian_model(), gaussian_model()
+    for value in (0.5, 1.0):
+        scalar_curvature(warm, value, (0.0, 1.0))
+    messages = []
+    for model in (fresh, warm):
+        with pytest.raises(ConfigError, match=r"^alpha must be a real number") as info:
+            scalar_curvature(model, alpha, (0.0, 1.0))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(ConfigError, match=r"^alpha must be a real number"):
+        PointGeometry(fresh, alpha, (0.0, 1.0))
+
+
+def test_an_alpha_of_any_real_type_is_its_float():
+    expected = scalar_curvature(GAUSS, 1.0, (0.0, 1.0))
+    for alpha in (1, np.int64(1), np.float32(1.0)):
+        assert scalar_curvature(gaussian_model(), alpha, (0.0, 1.0)) == expected
+
+
 def test_connection_components_expose_metadata():
     gamma = alpha_connection(GAUSS, 0.5, (0.0, 1.0))
     assert gamma.dim == 2
-    assert gamma.alpha == 0.5
+    assert gamma.variance == ("contra", "cov", "cov")
     assert gamma.components.shape == (2, 2, 2)
 
 

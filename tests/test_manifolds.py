@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cupgeo import expr, jets
+from cupgeo import expr, jets, manifolds
 from cupgeo.errors import ConfigError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
@@ -266,11 +266,27 @@ class TestMonteCarloOracle:
         c = estimate_fisher_tensors(m.sample_spec(count=10_000, seed=100), (0.0, 1.0))
         assert not np.array_equal(a.metric.components, c.metric.components)
 
-    def test_batching_does_not_change_the_estimate(self):
+    @pytest.mark.parametrize("name, point, message", [
+        ("multinomial:3", (0.7, 0.6), "point (0.7, 0.6) outside the domain of model "
+                                      "'multinomial:3'"),
+        ("gaussian", (0.0, -1.0), "point (0.0, -1.0) outside the domain of model 'gaussian'"),
+        ("gaussian", (0.0, 1.0, 3.0), "point (0.0, 1.0, 3.0) has 3 coordinates, "
+                                      "model 'gaussian' has 2"),
+    ])
+    def test_a_point_off_the_model_is_a_domain_error(self, name, point, message):
+        # the same words as `cupgeo estimate` prints for that point
+        spec = resolve_model(name).sample_spec(10)
+        with pytest.raises(DomainError) as info:
+            estimate_fisher_tensors(spec, point)
+        assert str(info.value) == message
+
+    def test_batching_does_not_change_the_estimate(self, monkeypatch):
         for name, point in (("gaussian", (0.5, 1.5)), ("multinomial:4", (0.2, 0.3, 0.25))):
             spec = resolve_model(name).sample_spec(count=30_000, seed=7)
-            whole = estimate_fisher_tensors(spec, point, batch_size=100_000)
-            split = estimate_fisher_tensors(spec, point, batch_size=7_000)
+            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 100_000)
+            whole = estimate_fisher_tensors(spec, point)
+            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 7_000)
+            split = estimate_fisher_tensors(spec, point)
             for a, b in zip(_estimate_arrays(whole), _estimate_arrays(split)):
                 assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
@@ -508,6 +524,28 @@ class TestResolveModel:
             resolve_model("nosuch")
         with pytest.raises(ConfigError):
             resolve_model("multinomial:abc")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gaussian_model().sample_spec(2.5), "sample count must be an integer, got 2.5"),
+    (lambda: gaussian_model().sample_spec(True), "sample count must be an integer, got True"),
+    (lambda: gaussian_model().sample_spec(10, seed=1.5),
+     "sample seed must be an integer, got 1.5"),
+    (lambda: euclidean_model(2.5), "euclidean dimension must be an integer, got 2.5"),
+    (lambda: multinomial_model(3.5),
+     "multinomial category count k must be an integer, got 3.5"),
+    (lambda: multinomial_model(True),
+     "multinomial category count k must be an integer, got True"),
+    (lambda: gaussian_model().scalar_field(3), "expression source must be a string, got 3"),
+    (lambda: model_from_callables(2, ("x",), None, None), "2 coordinates expected, got 1"),
+    (lambda: model_from_callables(2.0, ("x", "y"), None, None),
+     "model dimension must be an integer, got 2.0"),
+], ids=["count-float", "count-bool", "seed-float", "euclidean-float", "multinomial-float",
+        "multinomial-bool", "source-int", "callables-coords", "callables-dim-float"])
+def test_a_parameter_of_the_wrong_kind_is_a_config_error_naming_it(call, message):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestCallableModels:
