@@ -30,6 +30,7 @@ from .cup_transform import (
 )
 from .errors import ConfigError, CupGeoError
 from .manifolds import estimate_fisher_tensors, resolve_model
+from .tensor_core import require_integer
 from .verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
@@ -295,8 +296,7 @@ def _case_for(model):
 
 
 def cmd_verify(args):
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    require_integer(args.seed, "seed", 0)
     if args.model and args.default:
         raise ConfigError("--default and --model cannot be combined")
     if args.model:

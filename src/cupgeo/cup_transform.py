@@ -19,7 +19,6 @@ recomputation on the rescaled model.
 """
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,9 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
-from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_scalar
-from .geometry import (NonlinearCoupling, _constant, _float_alpha, _hessian, _real,
-                       _require_chart, point_geometry, ricci_reconstruction)
+from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_real, require_scalar
+from .geometry import (NonlinearCoupling, _constant, _hessian, _real, _require_chart,
+                       point_geometry, ricci_reconstruction)
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class WeightedDensity:
     r: float
 
     def __post_init__(self):
-        if not math.isfinite(self.r):
-            raise ConfigError(f"density weight r must be finite, got {self.r}")
+        object.__setattr__(self, "r", require_real(self.r, "density weight r"))
 
 
 class _RuleField(Field):
@@ -63,9 +61,7 @@ class CupRescaling:
 
     def __init__(self, alpha, potential):
         require_scalar(potential, "rescaling potential")
-        self.alpha = _float_alpha(alpha)
-        if not np.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {alpha}")
+        self.alpha = require_real(alpha, "alpha")
         self.potential = potential
         self.dim = potential.dim
         rate = -self.alpha
@@ -106,12 +102,7 @@ def parse_rescaling(config_text, model):
         raise ConfigError(f"rescaling config is not valid JSON: {e}") from None
     if not isinstance(data, dict) or "alpha" not in data or "potential" not in data:
         raise ConfigError('rescaling config needs "alpha" and "potential" fields')
-    try:
-        if isinstance(data["alpha"], bool):  # a JSON true is not the number 1
-            raise TypeError
-        alpha = float(data["alpha"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"alpha must be a number, got {data['alpha']!r}") from None
+    alpha = require_real(data["alpha"], "alpha")
     if not isinstance(data["potential"], str):
         raise ConfigError("potential must be an expression string")
     return CupRescaling(alpha, model.scalar_field(data["potential"]))
@@ -148,13 +139,12 @@ def rescaled_model(model, resc, sym_weight=1.0):
     eta * (t + sym_weight * sym(g (x) psi)).  A ``sym_weight`` other than 1
     exists only for the verification suite's wrong-normalization control."""
     _require_chart(resc.potential, model, "rescaling potential")
+    sym_weight = require_real(sym_weight, "sym_weight")
 
     def skewness(coords, order):
         gj = model.metric.jet(coords, order)
         tj = model.skewness.jet(coords, order)
-        sym = symmetric_g_psi(gj, resc.psi_jet(coords, order))
-        if sym_weight != 1.0:
-            sym = sym_weight * sym
+        sym = sym_weight * symmetric_g_psi(gj, resc.psi_jet(coords, order))
         return resc.eta_jet(coords, order).expand(3) * (tj + sym)
 
     of = f"of potential {resc.potential.label}"
@@ -173,7 +163,6 @@ def rescaled_model(model, resc, sym_weight=1.0):
 def _powered(base, resc, power, what):
     """eta^power * base, the rule shared by densities (power = r) and couplings
     (power = -a); a finite number ``base`` is the constant field of its value."""
-    power = float(power)
     value = _constant(base, what)
     if value is None:
         require_scalar(base, what)

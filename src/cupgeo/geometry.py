@@ -34,7 +34,6 @@ at a huge alpha, coupling k or exponent a) raises :class:`EvaluationError`
 naming the quantity, its parameters and the first offending point.
 """
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,6 +52,7 @@ from .tensor_core import (
     first_false,
     invert_metric,
     point_text,
+    require_real,
     require_scalar,
 )
 
@@ -63,13 +63,6 @@ GEOMETRY_MEMO_SIZE = 16
 def _real(x):
     """A float for one point, the per-row array for a batch."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-def _float_alpha(alpha):
-    """``float(alpha)``; a ConfigError unless ``alpha`` is a real number (a bool is not one)."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise ConfigError(f"alpha must be a real number, got {alpha!r}")
-    return float(alpha)
 
 
 def _finite(value, quantity, x, **params):
@@ -100,6 +93,9 @@ class HessianSpec:
 
     k: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "k", require_real(self.k, "Ricci coupling k"))
+
 
 @dataclass(frozen=True)
 class NonlinearCoupling:
@@ -112,8 +108,7 @@ class NonlinearCoupling:
     a: float
 
     def __post_init__(self):
-        if not math.isfinite(self.a):
-            raise ConfigError(f"nonlinearity exponent a must be finite, got {self.a}")
+        object.__setattr__(self, "a", require_real(self.a, "nonlinearity exponent a"))
         if self.a == 0:
             raise ConfigError("nonlinearity exponent a must be nonzero")
 
@@ -136,9 +131,7 @@ class PointGeometry:
         self._metric = model.metric
         self._skewness = model.skewness
         self.p = _readonly(np.array(model.require_inside(p)))
-        self.alpha = _float_alpha(alpha)
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {alpha}")
+        self.alpha = require_real(alpha, "alpha")
         self.dim = model.dim
 
     @cached_property
@@ -251,13 +244,14 @@ def point_geometry(model, alpha, p):
     the points and ``alpha``, and remembered otherwise.  A float64 array is
     looked up as it is: the memo holds only checked grids, so equal shape and
     bytes are the same valid coordinates, and an invalid array misses and
-    fails its build.  Any other input is converted by :func:`as_coords` first,
-    and an ``alpha`` of another type than float by :func:`_float_alpha`.
+    fails its build.  Other points go through :func:`as_coords`; an ``alpha``
+    that is not a float is checked by :func:`require_real` after the points.
     """
-    if type(alpha) is not float:
-        alpha = _float_alpha(alpha)
     if type(p) is not np.ndarray or p.dtype != np.float64:
         p = as_coords(p)
+    if type(alpha) is not float:
+        model.require_inside(p)
+        alpha = require_real(alpha, "alpha")
     key = (alpha, p.shape, p.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)
@@ -333,12 +327,10 @@ def _require_chart(field, model, what):
 
 
 def _constant(f, what):
-    """A number ``f`` as a float, a ConfigError unless finite; None for anything else."""
-    if not isinstance(f, (int, float)):
+    """A number ``f`` (not a bool) as a float, a ConfigError unless finite; else None."""
+    if isinstance(f, bool) or not isinstance(f, numbers.Real):
         return None
-    if not math.isfinite(f):
-        raise ConfigError(f"{what} must be a finite number, got {f}")
-    return float(f)
+    return require_real(f, what)
 
 
 def _field_jet(f, model, x, order, what="density"):
@@ -380,7 +372,7 @@ def modified_hessian(model, alpha, spec, f, p):
     The Ricci term multiplies the evaluated density: this operator action is
     the one whose rescaling behavior is exactly conformal of weight one.
     """
-    k = spec.k if isinstance(spec, HessianSpec) else float(spec)
+    k = spec.k if isinstance(spec, HessianSpec) else require_real(spec, "Ricci coupling k")
     ws = point_geometry(model, alpha, p)
     fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
@@ -434,7 +426,7 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     fval = fj.value
     lam = _field_jet(coupling.lam, model, x, 0, "coupling").value
     a = coupling.a
-    if not float(a).is_integer() and np.any(np.less(fval, 0.0)):
+    if not a.is_integer() and np.any(np.less(fval, 0.0)):
         row = first_false(np.greater_equal(fval, 0.0))
         raise DomainError(
             f"density value {np.reshape(fval, -1)[row]} is negative at {point_text(x, row)}; "

@@ -47,6 +47,7 @@ from .tensor_core import (
     field_jet,
     first_false,
     point_text,
+    require_integer,
 )
 
 DOMAIN_MARGIN = 1e-6
@@ -85,19 +86,6 @@ class Domain:
             if self.simplex:
                 inside &= x.sum(axis=-1) <= 1.0 - DOMAIN_MARGIN
         return inside if inside.ndim else bool(inside)
-
-
-def _is_integer(n):
-    """Whether ``n`` is an integer, a bool not counting as one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
-def _require_dim(n, what):
-    """Raise ConfigError unless the dimension ``n`` is an integer from 1 to :data:`MAX_DIM`."""
-    if not _is_integer(n):  # a JSON true is not the number 1, nor 2.5 the number 2
-        raise ConfigError(f"{what} must be an integer, got {n!r}")
-    if not 1 <= n <= MAX_DIM:
-        raise ConfigError(f"{what} must be from 1 to {MAX_DIM}, got {n}")
 
 
 def unbounded_domain(dim):
@@ -194,11 +182,8 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for what, value, low in (("count", self.count, 1), ("seed", self.seed, 0)):
-            if not _is_integer(value):
-                raise ConfigError(f"sample {what} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"sample {what} must be >= {low}, got {value}")
+        object.__setattr__(self, "count", require_integer(self.count, "sample count", 1))
+        object.__setattr__(self, "seed", require_integer(self.seed, "sample seed", 0))
 
 
 class ManifoldModel:
@@ -220,8 +205,7 @@ class ManifoldModel:
 
     def __init__(self, coord_names, metric, skewness, domain, name="model", sampling=None):
         self.coord_names = tuple(coord_names)
-        self.dim = len(self.coord_names)
-        _require_dim(self.dim, "model dimension")
+        self.dim = require_integer(len(self.coord_names), "model dimension", 1, MAX_DIM)
         self.metric = metric
         self.skewness = skewness
         self.domain = domain
@@ -375,10 +359,8 @@ def multinomial_model(k):
     g_ij = kron_ij/p_i + 1/p_last and t_ijk = kron_ijk/p_i^2 - 1/p_last^2
     with p_last = 1 - sum of the others.
     """
-    if not _is_integer(k):
-        raise ConfigError(f"multinomial category count k must be an integer, got {k!r}")
-    n = k - 1
-    _require_dim(n, f"the dimension of multinomial:{k}")
+    k = require_integer(k, "multinomial category count k", -math.inf)  # bounded by its dimension
+    n = require_integer(k - 1, f"the dimension of multinomial:{k}", 1, MAX_DIM)
     coords = tuple(f"p{i + 1}" for i in range(n))
     rest = "(1 - " + " - ".join(coords) + ")"
     metric = {}
@@ -423,7 +405,7 @@ _EUCLIDEAN_NAMES = ("x", "y", "z", "w")
 
 def euclidean_model(dim=2):
     """Flat test chart: identity metric, zero skewness, no boundary."""
-    _require_dim(dim, "euclidean dimension")
+    dim = require_integer(dim, "euclidean dimension", 1, MAX_DIM)
     if dim <= len(_EUCLIDEAN_NAMES):
         coords = _EUCLIDEAN_NAMES[:dim]
     else:
@@ -464,7 +446,8 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
     """
     n = len(point)
     samples = spec.sampler(point, size, rng)
-    ll = spec.log_likelihood(samples, coord_jets)
+    with np.errstate(all="ignore"):  # a non-finite score is reported below
+        ll = spec.log_likelihood(samples, coord_jets)
     if not isinstance(ll, jets.Jet):
         raise EvaluationError("log-likelihood did not propagate coordinate jets")
     score = np.asarray(ll.d1, dtype=float)
@@ -567,7 +550,7 @@ def parse_model(config_text):
         metric_raw = data["metric"]
     except KeyError as e:
         raise ConfigError(f"model config missing field {e.args[0]!r}") from None
-    _require_dim(dim, "dim")
+    dim = require_integer(dim, "dim", 1, MAX_DIM)
     if (not isinstance(coords, list) or len(coords) != dim
             or not all(isinstance(c, str) and _IDENT.match(c) for c in coords)):
         raise ConfigError(f"coords must be {dim} identifier strings")
@@ -617,7 +600,7 @@ def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, 
     The callables must be pure: the same point always gives the same
     components, since the model's geometry is computed once per point.
     """
-    _require_dim(dim, "model dimension")
+    dim = require_integer(dim, "model dimension", 1, MAX_DIM)
     if len(coord_names) != dim:
         raise ConfigError(f"{dim} coordinates expected, got {len(coord_names)}")
     domain = domain if domain is not None else unbounded_domain(dim)

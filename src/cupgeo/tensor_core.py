@@ -19,6 +19,7 @@ there is.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 
@@ -272,6 +273,35 @@ def require_scalar(f, what):
     if not isinstance(f, Field) or f.rank != 0:
         kind = f"a rank-{f.rank} field" if isinstance(f, Field) else type(f).__name__
         raise ConfigError(f"{what} must be a scalar field, got {kind}")
+
+
+def require_real(value, what):
+    """``value`` as a float; a ConfigError naming ``what`` unless it is a finite real
+    number: a bool is not one, nor a string, and any other :class:`numbers.Real` is,
+    numpy scalars included; an integer too large for a float is not finite."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{what} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value}")
+    return value
+
+
+def require_integer(value, what, low, high=None):
+    """``value`` as an int; a ConfigError naming ``what`` unless it is an integer
+    (a bool is not one, nor 2.0 the number 2, and numpy integers are) of at
+    least ``low`` and, when ``high`` is given, at most ``high``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
+    if value < low or high is not None and value > high:
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ConfigError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 def _callable_name(fn):

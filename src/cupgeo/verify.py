@@ -30,7 +30,6 @@ reporting vacuously and is itself considered broken.
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +61,7 @@ from .geometry import (
     riemann,
 )
 from .manifolds import gaussian_model, multinomial_model
-from .tensor_core import as_coords
+from .tensor_core import as_coords, require_real
 
 MODE_TOLERANCE = {"jet": 1e-7, "fd": 1e-4}
 TRACE_TOLERANCE = 1e-9
@@ -131,15 +130,20 @@ class SuiteConfig:
             if not case.densities:
                 raise ConfigError(f"model case {case.model.name!r} has no densities")
             case.model.require_inside(case.points)
+        for alpha in self.alphas:
+            require_real(alpha, "alpha")
+        unknown = [c for c in self.tol_overrides if c not in CHECK_IDS]
+        if unknown:
+            raise ConfigError(f"tol_overrides must be keyed by check ids, got "
+                              f"{', '.join(map(repr, unknown))}; known: {', '.join(CHECK_IDS)}")
         tolerances = {"tolerance": self.tolerance,
                       **{f"tol_overrides[{c!r}]": t for c, t in self.tol_overrides.items()}}
         for name, value in tolerances.items():
-            if value is not None and not (math.isfinite(value) and value > 0.0):
+            if value is not None and not require_real(value, name) > 0.0:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         for name in ("hessian_k", "sym_weight", "laplacian_s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+            if getattr(self, name) is not None:
+                require_real(getattr(self, name), name)
 
 
 def _grid(case):

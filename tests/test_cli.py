@@ -424,7 +424,26 @@ class TestErrorPaths:
                                "--rescaling", str(cfg), capsys=capsys)
         assert rc == 2
         assert out == ""
-        assert err == "error: alpha must be a number, got True\n"
+        assert err == "error: alpha must be a real number, got True\n"
+
+    @pytest.mark.parametrize("alpha, message", [
+        ("1" + "0" * 400, "alpha must be finite, got inf"),
+        ('"0.5"', "alpha must be a real number, got '0.5'"),
+    ])
+    def test_a_rescaling_alpha_must_be_a_finite_json_number(self, tmp_path, capsys,
+                                                            alpha, message):
+        cfg = tmp_path / "resc.json"
+        cfg.write_text(f'{{"alpha": {alpha}, "potential": "mu"}}')
+        rc, out, err = run_cli("tensors", "--model", "gaussian", "--point", "0,1",
+                               "--rescaling", str(cfg), capsys=capsys)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    def test_an_overflowing_score_is_one_error_line_and_no_warning(self, capsys):
+        # sigma = 1e308 draws samples whose score overflows to inf and nan
+        rc, out, err = run_cli("estimate", "--model", "gaussian", "--point", "0,1e308",
+                               "--count", "2", "--seed", "3", capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == "error: non-finite log-likelihood derivatives at (0.0, 1e+308)\n"
 
     def test_missing_rescaling_file(self, capsys):
         rc, _, err = run_cli("tensors", "--model", "gaussian", "--point", "0,1",

@@ -313,9 +313,9 @@ def test_a_number_input_transforms_as_its_constant_field(points):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_number_input_is_a_config_error(value):
     r = resc(0.5, "0.3*mu")
-    with pytest.raises(ConfigError, match="density must be a finite number"):
+    with pytest.raises(ConfigError, match="density must be finite"):
         transform_density(WeightedDensity(value, 1.0), r)
-    with pytest.raises(ConfigError, match="coupling must be a finite number"):
+    with pytest.raises(ConfigError, match="coupling must be finite"):
         transform_coupling(NonlinearCoupling(value, 2.0), r)
 
 
@@ -411,7 +411,7 @@ def test_parse_rescaling_errors():
     with pytest.raises(ConfigError):
         parse_rescaling(json.dumps({"alpha": "x", "potential": "mu"}), GAUSS)
     for flag in (True, False):
-        with pytest.raises(ConfigError, match=f"alpha must be a number, got {flag}"):
+        with pytest.raises(ConfigError, match=f"alpha must be a real number, got {flag}"):
             parse_rescaling(json.dumps({"alpha": flag, "potential": "mu"}), GAUSS)
     with pytest.raises(ConfigError):
         parse_rescaling(json.dumps({"alpha": 1.0, "potential": 5}), GAUSS)

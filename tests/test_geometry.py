@@ -393,9 +393,9 @@ class TestDensityEntry:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_number_density_rejected(self, value):
-        with pytest.raises(ConfigError, match="finite number"):
+        with pytest.raises(ConfigError, match="must be finite"):
             cup_laplacian(GAUSS, 0.0, value, (0.0, 1.0))
-        with pytest.raises(ConfigError, match="finite number"):
+        with pytest.raises(ConfigError, match="must be finite"):
             nonlinear_cup_operator(GAUSS, 0.0, 1.0, NonlinearCoupling(value, 3.0), (0.0, 1.0))
 
     def test_bad_density_type_named(self):
