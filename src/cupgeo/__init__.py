@@ -26,6 +26,7 @@ from .errors import (
     EvaluationError,
     ExpressionError,
     SingularMetricError,
+    UndefinedValueError,
     UnsupportedOrderError,
     VarianceError,
 )
@@ -67,7 +68,6 @@ from .tensor_core import (
     NumericField,
     Point,
     Tensor,
-    as_point,
     invert_metric,
 )
 from .verify import (

@@ -253,17 +253,26 @@ def cmd_laplacian(args):
 def _case_for(model):
     """A verification case with a generic grid and chart-generic inputs."""
     second = 1 % model.dim  # itself on a 1-d model, which the suite's validation rejects
+    bounds = model.domain.bounds
     if model.domain.simplex:
-        b = 1.0 / (model.dim + 1)
-        points = [tuple(b for _ in range(model.dim))]
-        delta = b / 2.0
+        # start at the lower bounds, those left free low enough to leave room
+        # under the simplex, and step into it, half way at most to an upper bound
+        lows = [lo for lo, _ in bounds if lo is not None]
+        free = -sum(lows) / max(model.dim - len(lows), 1)
+        start = [min(0, free, math.inf if hi is None else hi - 1) if lo is None else lo
+                 for lo, hi in bounds]
+        room = (1 - sum(start)) / (model.dim + 1)
+        steps = [room if hi is None else min(room, (hi - s) / 2)
+                 for s, (_, hi) in zip(start, bounds)]
+        centre = [s + step for s, step in zip(start, steps)]
+        points = [tuple(centre)]
         for axis in range(min(model.dim, 4)):
-            tilted = [b] * model.dim
-            tilted[axis] += delta
+            tilted = list(centre)
+            tilted[axis] += steps[axis] / 2
             points.append(tuple(tilted))
     else:
         values = []
-        for lo, hi in model.domain.bounds:
+        for lo, hi in bounds:
             if lo is not None and hi is not None:
                 span = hi - lo
                 values.append((lo + 0.3 * span, lo + 0.5 * span, lo + 0.7 * span))
@@ -280,6 +289,9 @@ def _case_for(model):
                 pt[0], pt[second] = a, b
                 points.append(tuple(pt))
     points = tuple(dict.fromkeys(points))
+    if not np.all(model.domain.contains(points)):
+        raise ConfigError(f"the bounds of model {model.name!r} leave no room for a grid inside "
+                          "its domain")
     c1, c2 = model.coord_names[0], model.coord_names[second]
     return ModelCase(
         model=model,

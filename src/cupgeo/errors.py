@@ -6,16 +6,13 @@ class CupGeoError(Exception):
 
 
 class DomainError(CupGeoError):
-    """A point lies outside the valid chart domain (boundary margin included).
+    """A point lies outside the valid chart domain (boundary margin included),
+    or a field is undefined at it: a field evaluation names the field and the
+    first point of its batch that fails alone."""
 
-    Jet arithmetic raises it with ``mask``, the per-entry flags of the
-    offending operand values; a field evaluation replaces such an error with
-    one that names the field and the first offending point, and no mask.
-    """
 
-    def __init__(self, message, mask=None):
-        super().__init__(message)
-        self.mask = mask
+class UndefinedValueError(DomainError, ArithmeticError):
+    """Jet arithmetic met a value outside a function's domain (``log`` of a non-positive value)."""
 
 
 class UnsupportedOrderError(CupGeoError):

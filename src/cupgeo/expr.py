@@ -39,7 +39,7 @@ from collections import OrderedDict
 import numpy as np
 
 from . import jets
-from .errors import DomainError, EvaluationError, ExpressionError
+from .errors import EvaluationError, ExpressionError
 
 _FUNCTIONS = {
     "exp": jets.exp,
@@ -513,7 +513,7 @@ def _unroll(program, coord_names, order):
     try:
         with np.errstate(all="ignore"):
             values = program.run(dict(zip(coord_names, seeds)))
-    except (_OverBudget, ArithmeticError, DomainError, EvaluationError):
+    except (_OverBudget, ArithmeticError, EvaluationError):
         return None
 
     # (order, table index, entry) for every entry of an output that is not

@@ -75,7 +75,7 @@ def _finite(value, quantity, x, **params):
     finite = np.isfinite(value)
     if finite.all():
         return value
-    row = first_false(finite.reshape(np.shape(x)[:-1] + (-1,)).all(axis=-1))
+    row = first_false(finite, x)
     at = ", ".join(f"{name} = {v:g}" for name, v in params.items())
     raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
 
@@ -427,13 +427,13 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     lam = _field_jet(coupling.lam, model, x, 0, "coupling").value
     a = coupling.a
     if not a.is_integer() and np.any(np.less(fval, 0.0)):
-        row = first_false(np.greater_equal(fval, 0.0))
+        row = first_false(np.greater_equal(fval, 0.0), x)
         raise DomainError(
             f"density value {np.reshape(fval, -1)[row]} is negative at {point_text(x, row)}; "
             f"exponent {a} needs a positive base"
         )
     if a < 0.0 and np.any(np.equal(fval, 0.0)):
-        row = first_false(np.not_equal(fval, 0.0))
+        row = first_false(np.not_equal(fval, 0.0), x)
         raise DomainError(f"density vanishes at {point_text(x, row)}; exponent {a} is negative")
     with np.errstate(all="ignore"):
         # a numpy float overflows to inf where a plain float raises OverflowError

@@ -35,7 +35,7 @@ central differences.
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedOrderError
+from .errors import UndefinedValueError, UnsupportedOrderError
 
 MAX_ORDER = 2
 
@@ -87,9 +87,9 @@ def _power(v, p):
 
 
 def _require(bad, message):
-    """Raise a DomainError carrying the per-entry flags ``bad`` if any is set."""
+    """Raise an UndefinedValueError if any of the per-entry flags ``bad`` is set."""
     if bad.any():
-        raise DomainError(message, mask=bad)
+        raise UndefinedValueError(message)
 
 
 def _require_power_base(v, e):
@@ -298,7 +298,7 @@ def power(base, exponent):
     """``base ** exponent`` for jets and plain numbers alike.
 
     Plain numbers follow the domain rule of :meth:`Jet.__pow__`, so a
-    negative base under a fractional exponent raises DomainError instead of
+    negative base under a fractional exponent raises UndefinedValueError instead of
     giving a complex number.
     """
     if not isinstance(base, Jet) and not isinstance(exponent, Jet):

@@ -41,9 +41,9 @@ from .tensor_core import (
     COV,
     Field,
     NumericField,
+    Point,
     Tensor,
     as_coords,
-    as_point,
     field_jet,
     first_false,
     point_text,
@@ -227,7 +227,7 @@ class ManifoldModel:
             )
         inside = self.domain.contains(x)
         if inside is not True and not np.all(inside):
-            raise DomainError(f"point {point_text(x, first_false(inside))} "
+            raise DomainError(f"point {point_text(x, first_false(inside, x))} "
                               f"outside the domain of model {self.name!r}")
         return x
 
@@ -326,12 +326,17 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _gaussian_sampler(point, size, rng):
-    return rng.normal(point[0], point[1], size)
+    """Deviations ``sigma * z`` from the mean: a sample ``mu + sigma * z`` would
+    round to the precision of mu, and lose its deviation where |mu| >> sigma."""
+    d = rng.standard_normal(size)
+    with np.errstate(over="ignore"):  # reported as a non-finite score
+        d *= point[1]
+    return d
 
 
-def _gaussian_log_likelihood(x, coord_jets):
+def _gaussian_log_likelihood(d, coord_jets):
     mu, sigma = coord_jets
-    z = (x - mu) / sigma
+    z = (d + (mu.value - mu)) / sigma
     return -jets.log(sigma) - 0.5 * (z * z) - 0.5 * _LOG_2PI
 
 
@@ -492,7 +497,7 @@ def estimate_fisher_tensors(spec, p):
     both standard-error arrays are bitwise symmetric.  Fixed seed implies
     identical estimates.
     """
-    point = as_point(p)
+    point = Point(p)
     n = len(point)
     rng = np.random.default_rng(spec.seed)
     coord_jets = jets.seed(point.coords, 1)

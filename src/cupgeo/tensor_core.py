@@ -32,6 +32,7 @@ from .errors import (
     DomainError,
     EvaluationError,
     SingularMetricError,
+    UndefinedValueError,
     VarianceError,
 )
 
@@ -41,15 +42,15 @@ CONTRA = "contra"
 
 @dataclass(frozen=True)
 class Point:
-    """An ordered tuple of chart coordinates."""
+    """An ordered tuple of chart coordinates, read through :func:`as_coords`."""
 
     coords: tuple
 
     def __init__(self, coords):
-        coords = tuple(float(c) for c in coords)
-        if not all(np.isfinite(c) for c in coords):
-            raise DomainError(f"non-finite coordinates: {coords}")
-        object.__setattr__(self, "coords", coords)
+        x = as_coords(coords)
+        if x.ndim != 1:
+            raise DimensionMismatchError(f"a point must have shape (n,), got {x.shape}")
+        object.__setattr__(self, "coords", tuple(x.tolist()))
 
     def __len__(self):
         return len(self.coords)
@@ -61,10 +62,6 @@ class Point:
         return iter(self.coords)
 
 
-def as_point(p):
-    return p if isinstance(p, Point) else Point(p)
-
-
 def as_coords(p):
     """Coordinates as a float array: shape ``(n,)`` for one point, ``(P, n)`` for a batch.
 
@@ -72,6 +69,8 @@ def as_coords(p):
     offending row.
     """
     try:
+        if isinstance(p, (str, bytes)):  # numpy would read "12" as the number 12
+            raise TypeError
         x = np.asarray(p.coords if isinstance(p, Point) else p, dtype=float)
     except (TypeError, ValueError):
         raise DimensionMismatchError(
@@ -80,14 +79,14 @@ def as_coords(p):
         raise DimensionMismatchError(f"points must have shape (n,) or (P, n), got {x.shape}")
     finite = np.isfinite(x)
     if not finite.all():
-        rows = finite.all(axis=-1)
-        raise DomainError(f"non-finite coordinates: {point_text(x, first_false(rows))}")
+        raise DomainError(f"non-finite coordinates: {point_text(x, first_false(finite, x))}")
     return x
 
 
-def first_false(mask):
-    """Index of the first False entry of a per-row mask (0 for one point)."""
-    return int(np.argmin(mask))
+def first_false(ok, x):
+    """The first row of ``x`` (0 for one point) with a False among its entry
+    flags: ``ok`` leads with the batch axes of ``x``."""
+    return int(np.argmin(np.reshape(ok, np.shape(x)[:-1] + (-1,)).all(axis=-1)))
 
 
 def point_text(x, row=0):
@@ -140,7 +139,7 @@ def invert_metric(g, at=None):
     eigs = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
     positive = eigs[..., 0] > 0.0
     if not np.all(positive):
-        row = first_false(positive)
+        row = first_false(positive, eigs)
         low = float(eigs[..., 0].reshape(-1)[row])
         where = "" if at is None else f" at {point_text(np.asarray(at), row)}"
         raise SingularMetricError(
@@ -157,16 +156,6 @@ def invert_metric(g, at=None):
 # -- fields -----------------------------------------------------------------
 
 
-def _row_all(flags, batch):
-    """Per batch row, whether every one of its entries' ``flags`` is set.
-
-    Flags without the batch axes (those of a plain number) hold for every row.
-    """
-    if flags.shape[:len(batch)] == batch:
-        return flags.reshape(batch + (-1,)).all(axis=-1)
-    return np.full(batch, flags.all())
-
-
 def _readonly(x):
     """A read-only view of an array (a number passes through)."""
     if isinstance(x, np.ndarray):
@@ -175,55 +164,51 @@ def _readonly(x):
     return x
 
 
-def _raising_point(x, order, compute):
-    """The first point of ``x`` whose evaluation alone raises, as text."""
-    for row in range(len(x)) if x.ndim == 2 else ():
-        try:
-            compute(x[row], order)
-        except (ZeroDivisionError, OverflowError):
-            return point_text(x, row)
-    return point_text(x) if x.ndim == 1 else f"a batch of {len(x)} points"
+def _checked(compute, x, order):
+    """``compute(x, order)`` as ``(jet, None)``, or ``(None, failure)``: the
+    ArithmeticError it raised, or None when an entry is not finite."""
+    try:
+        jet = compute(x, order)
+    except ArithmeticError as e:
+        return None, e
+    if not isinstance(jet, jets.Jet):
+        jet = jets.constant_at(jet, x, order)
+    parts = [jet.deriv(k) for k in range(jet.order + 1)]
+    # a finite sum of squares proves every entry finite: only a non-finite
+    # one needs the entry-by-entry check
+    if (math.isfinite(sum(np.vdot(part, part) for part in parts))
+            or all(np.isfinite(part).all() for part in parts)):
+        return jet, None
+    return None, None
 
 
 def field_jet(source, coords, order, compute):
     """``compute(coords, order)`` as one field evaluation at ``coords``, checked.
 
     The arithmetic runs under ``np.errstate``, so batched division by zero
-    or overflow yields inf/nan instead of a warning; those values, and the
-    ZeroDivisionError/OverflowError of scalar arithmetic, raise an
-    :class:`EvaluationError` naming ``source`` and the first offending
-    point (of a batch, the first that raises alone).  A :class:`DomainError`
-    of the jet arithmetic (``log`` of a non-positive value, say) is raised
-    again naming them too.  A plain-number result becomes a constant jet.
+    or overflow yields inf/nan instead of a warning.  A batch fails as its
+    first failing point fails alone: on an ArithmeticError or an entry that
+    is not finite, its rows run again in order, and the first failing row's
+    own failure names ``source`` and that point, as a DomainError for an
+    UndefinedValueError (``log`` of a non-positive value, say), else as an
+    EvaluationError.  A nested field's error passes through unchanged.  A
+    plain-number result becomes a constant jet.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
-        try:
-            jet = compute(x, order)
-        except (ZeroDivisionError, OverflowError) as e:
-            at = _raising_point(x, order, compute)
-            raise EvaluationError(f"{source} failed at {at}: {e}") from e
-        except DomainError as e:
-            if e.mask is None:
-                raise
-            row = first_false(_row_all(~e.mask, x.shape[:-1]))
-            raise DomainError(f"{source} failed at {point_text(x, row)}: {e}") from e
-        if not isinstance(jet, jets.Jet):
-            jet = jets.constant_at(jet, x, order)
-        parts = [jet.deriv(k) for k in range(jet.order + 1)]
-        # a finite sum of squares proves every entry finite, so only a
-        # non-finite one needs the entry-by-entry check
-        total = 0.0
-        for part in parts:
-            total += np.vdot(part, part)
-        if math.isfinite(total):
+        jet, failure = _checked(compute, x, order)
+        if jet is not None:
             return jet
-    finite = np.ones(x.shape[:-1], dtype=bool)
-    for part in parts:
-        finite &= _row_all(np.isfinite(part), x.shape[:-1])
-    if np.all(finite):
-        return jet
-    raise EvaluationError(f"{source} is not finite at {point_text(x, first_false(finite))}")
+        at = point_text(x) if x.ndim == 1 else f"a batch of {len(x)} points"
+        for row in range(len(x)) if x.ndim == 2 else ():
+            jet, row_failure = _checked(compute, x[row], order)
+            if jet is None:
+                at, failure = point_text(x, row), row_failure
+                break
+    if failure is None:
+        raise EvaluationError(f"{source} is not finite at {at}")
+    kind = DomainError if isinstance(failure, UndefinedValueError) else EvaluationError
+    raise kind(f"{source} failed at {at}: {failure}") from failure
 
 
 class Field:

@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, exit codes, byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -304,6 +305,51 @@ class TestVerify:
         rc, _, _ = run_cli("verify", "--model", "euclidean:2", capsys=capsys)
         assert rc == 0
         assert seen[0].alphas is verify.DEFAULT_ALPHAS
+
+    @pytest.mark.parametrize("model, digest", [
+        ("multinomial:4", "8eb8e134ead8be7db38163e391ab930e72182740bde21b6be5d70711a1807afc"),
+        ("multinomial:9", "0c0b6c2d317598c1b54b7afbe777a3bf93680f5420cdefeafe5c875c9448a551"),
+    ])
+    def test_named_model_json_is_pinned_by_sha256(self, model, digest, capsys):
+        rc, out, _ = run_cli("verify", "--model", model, "--json", capsys=capsys)
+        assert rc == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("domain", [
+        {"x": [-1, 2], "y": [0.5, 3]},
+        {"x": [None, 1], "y": [None, 2]},
+        {"x": [None, -5], "simplex": True},
+        {"x": [None, 5], "y": [2, None], "simplex": True},
+        {"simplex": True},
+    ], ids=["box", "upper bounds", "simplex, upper bound", "simplex, mixed bounds", "simplex"])
+    def test_the_generic_grid_lies_inside_the_domain(self, domain, tmp_path, capsys):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                      "metric": {"11": "1 + x^2", "22": "1 + y^2",
+                                                 "12": "0.1*sin(x+y)"},
+                                      "skewness": {"111": "x*y", "122": "0.2*y"},
+                                      "domain": domain}))
+        rc, out, err = run_cli("verify", "--model", str(config), capsys=capsys)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "suite: PASS"
+
+    def test_a_simplex_with_lower_bounds_is_verified_inside_them(self, capsys):
+        # the grid used to sit at 1/3 on each axis, below the bound a >= 0.5
+        config = Path(__file__).resolve().parent / "data" / "bounded-simplex.json"
+        rc, out, err = run_cli("verify", "--model", str(config), capsys=capsys)
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == "suite: PASS"
+
+    def test_bounds_that_leave_no_room_under_the_simplex_are_one_error_line(self, tmp_path,
+                                                                              capsys):
+        config = tmp_path / "model.json"
+        config.write_text(json.dumps({"dim": 2, "coords": ["x", "y"],
+                                      "metric": {"11": "1", "22": "1"},
+                                      "domain": {"x": [0.6, 1], "y": [0.5, 1], "simplex": True}}))
+        rc, out, err = run_cli("verify", "--model", str(config), capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: the bounds of model 'custom' leave no room for a grid inside "
+                       "its domain\n")
 
     def test_default_and_model_together_is_one_error_line(self, capsys):
         rc, out, err = run_cli("verify", "--default", "--model", "gaussian", capsys=capsys)

@@ -23,7 +23,13 @@ from cupgeo.cup_transform import (
     transform_coupling,
     transform_density,
 )
-from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
+from cupgeo.errors import (
+    ConfigError,
+    CupGeoError,
+    DimensionMismatchError,
+    DomainError,
+    EvaluationError,
+)
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
@@ -169,6 +175,40 @@ def test_a_failing_evaluation_names_the_field_and_the_point(kind):
     field.jet(points[:1], order)  # the first row alone is finite
     with pytest.raises(error, match=message):
         field.jet(points, order)
+
+
+# kind: (field, order, a good point, a bad point); 1/mu at mu = 0 raises a
+# ZeroDivisionError alone and gives an inf inside a batch
+ALONE = {
+    "expression scalar": (GAUSS.scalar_field("1/mu"), 2, (1.0, 1.0), (0.0, 1.0)),
+    "rule": (FuncField(rule_log, 2), 2, (1.0, 1.0), (-1.0, 1.0)),
+    "fd scalar": (NumericField(fd_inverse, 2), 2, (1.0, 1.0), (0.0, 1.0)),
+    "fd tensor": (NumericField(fd_tensor, 2, rank=2), 2, (1.0, 1.0), (0.0, 1.0)),
+    "expression component": (CURVED.metric, 2, (1.0, 1.0), (-1.0, 1.0)),
+    "rescaled metric": (HUGE_RESCALED.metric, 2, (0.0, 0.0), (1.0, 0.0)),
+    "rescaled by a failing potential": (
+        rescaled_model(GAUSS, make_rescaling(0.5, GAUSS.scalar_field("1/mu"))).metric,
+        2, (1.0, 1.0), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ALONE))
+def test_a_batch_fails_as_its_first_failing_point_fails_alone(kind):
+    field, order, good, bad = ALONE[kind]
+    with pytest.raises(CupGeoError) as alone:
+        field.jet(np.array(bad), order)
+    with pytest.raises(CupGeoError) as batch:
+        field.jet(np.array([good, bad]), order)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value).replace(f"{bad}", f"{bad} (row 1)", 1)
+
+
+def test_a_batch_names_its_first_failing_row_not_the_first_row_an_operation_flags():
+    # log(mu) flags row 1 first, but row 0 fails too, at log(sigma - 1.5)
+    f = GAUSS.scalar_field("log(mu) + log(sigma - 1.5)")
+    with pytest.raises(DomainError, match=r"^field 'log\(mu\) \+ log\(sigma - 1\.5\)' failed at "
+                                          r"\(1\.0, 1\.0\) \(row 0\): log of a non-positive value$"):
+        cup_laplacian(GAUSS, 0.0, f, [(1.0, 1.0), (-1.0, 2.0)])
 
 
 WRONG_COUNT_FIELDS = {

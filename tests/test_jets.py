@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cupgeo
 from cupgeo.errors import DomainError, UnsupportedOrderError
 from cupgeo.expr import Expression
 from cupgeo.jets import Jet, cos, exp, finite_difference_jet, log, seed, sin, sqrt
@@ -131,6 +132,13 @@ def test_fractional_power_of_zero_base_rejected():
     (x,) = seed((0.0,), 1)
     with pytest.raises(DomainError):
         x ** 2.5
+
+
+def test_an_undefined_value_is_a_domain_error_and_an_arithmetic_error():
+    (x,) = seed((-0.5,), 1)
+    with pytest.raises(cupgeo.UndefinedValueError, match="^log of a non-positive value$") as info:
+        log(x)
+    assert isinstance(info.value, DomainError) and isinstance(info.value, ArithmeticError)
 
 
 def test_log_and_sqrt_domain_guards():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupgeo import expr, jets, manifolds
-from cupgeo.errors import ConfigError, DomainError, EvaluationError
+from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from cupgeo.manifolds import (
     Domain,
     SampleSpec,
@@ -23,7 +23,7 @@ from cupgeo.manifolds import (
     parse_model,
     resolve_model,
 )
-from cupgeo.tensor_core import _component_symmetrize, as_point
+from cupgeo.tensor_core import Point, _component_symmetrize
 
 from helpers import assert_fully_symmetric, mirrored_tensor_jet, symmetrize_by_classes
 
@@ -238,6 +238,17 @@ class TestMonteCarloOracle:
             assert np.all(np.abs(est.metric.components - g_ref) <= 3 * est.metric_se + 1e-12)
             assert np.all(np.abs(est.skewness.components - t_ref) <= 3 * est.skewness_se + 1e-12)
 
+    @pytest.mark.parametrize("point", [(1e16, 1.0), (1e308, 1.0), (-3e12, 1e-3)])
+    def test_gaussian_estimates_hold_where_the_mean_dwarfs_the_scale(self, point):
+        # a sample mu + sigma*z used to round to mu, so x - mu lost the deviation
+        m = gaussian_model()
+        est = estimate_fisher_tensors(m.sample_spec(count=100_000, seed=3), point)
+        g_ref = m.metric_at(point).components
+        t_ref = m.skewness_at(point).components
+        assert np.all(est.metric_se > 0)
+        assert np.all(np.abs(est.metric.components - g_ref) <= 5 * est.metric_se)
+        assert np.all(np.abs(est.skewness.components - t_ref) <= 5 * est.skewness_se)
+
     def test_bernoulli_estimates(self):
         m = multinomial_model(2)
         spec = m.sample_spec(count=50_000, seed=3)
@@ -280,6 +291,12 @@ class TestMonteCarloOracle:
             estimate_fisher_tensors(spec, point)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("point", ["01", [[0, 1], [1, 1]], 5.0],
+                             ids=["string", "batch", "number"])
+    def test_what_is_not_one_point_is_a_dimension_mismatch(self, point):
+        with pytest.raises(DimensionMismatchError):
+            estimate_fisher_tensors(gaussian_model().sample_spec(10, seed=1), point)
+
     def test_batching_does_not_change_the_estimate(self, monkeypatch):
         for name, point in (("gaussian", (0.5, 1.5)), ("multinomial:4", (0.2, 0.3, 0.25))):
             spec = resolve_model(name).sample_spec(count=30_000, seed=7)
@@ -311,7 +328,7 @@ class TestMonteCarloOracle:
         spec = resolve_model(name).sample_spec(count=count, seed=11)
         est = estimate_fisher_tensors(spec, point)
         # the same draws, reduced component by component with math.fsum
-        pt = as_point(point)
+        pt = Point(point)
         samples = spec.sampler(pt, count, np.random.default_rng(spec.seed))
         score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
         n = len(point)

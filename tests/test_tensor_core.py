@@ -29,7 +29,6 @@ from cupgeo.tensor_core import (
     Point,
     Tensor,
     as_coords,
-    as_point,
     invert_metric,
 )
 
@@ -50,10 +49,16 @@ class TestPoint:
         with pytest.raises(DomainError):
             Point((float("inf"),))
 
-    def test_as_point_passthrough(self):
-        p = Point((1.0,))
-        assert as_point(p) is p
-        assert as_point((1.0, 2.0)).coords == (1.0, 2.0)
+    @pytest.mark.parametrize("coords", ["01", "ab", b"01", 5.0, [[0.0, 1.0]], [[0, 1], [1, 1]]],
+                             ids=["digits", "letters", "bytes", "number", "one row", "batch"])
+    def test_rejects_what_is_not_one_point(self, coords):
+        with pytest.raises(DimensionMismatchError):
+            Point(coords)
+
+    def test_a_point_reads_a_point(self):
+        p = Point((1.0, 2.0))
+        assert Point(p) == p
+        assert Point(p).coords == (1.0, 2.0)
 
 
 class TestTensor:
