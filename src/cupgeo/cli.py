@@ -30,7 +30,7 @@ from .cup_transform import (
 )
 from .errors import ConfigError, CupGeoError
 from .manifolds import estimate_fisher_tensors, resolve_model
-from .tensor_core import require_integer
+from .tensor_core import require_integer, require_real
 from .verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
@@ -211,6 +211,10 @@ def cmd_tensors(args):
 
 def cmd_laplacian(args):
     model, resc = _load_model(args)
+    if resc is not None and require_real(args.alpha, "alpha") != resc.alpha:
+        raise ConfigError(f"--alpha {_fmt(args.alpha)} differs from the rescaling's alpha "
+                          f"{_fmt(resc.alpha)}; the operators are invariant only at the "
+                          "rescaling's own alpha")
     if args.density is None:
         raise ConfigError("laplacian needs --density <expression>")
     if (args.lam is None) != (args.a is None):

@@ -13,6 +13,12 @@ the factor degenerates to eta = 1 while psi still deforms the skewness;
 all shift predictions carry an alpha prefactor, so they vanish there
 consistently.
 
+A rescaling's alpha is a float or a ``(P,)`` array of one alpha per batch
+row.  Everything here is row-wise in alpha (eta, the transformed fields, the
+rescaled model, the predictions), so one rescaling can carry a grid tiled
+under several alphas, each row computed as at its own float alpha; such a
+rescaling takes only batches of P points.
+
 The three closed-form shift predictions (connection, curvature, Ricci) are
 the module's substance: each one is checked elsewhere against direct
 recomputation on the rescaled model.
@@ -26,9 +32,10 @@ import numpy as np
 from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
+from .jets import _bc
 from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_real, require_scalar
-from .geometry import (NonlinearCoupling, _constant, _hessian, _real, _require_chart,
-                       point_geometry, ricci_reconstruction)
+from .geometry import (NonlinearCoupling, _constant, _hessian, _per_row, _real, _require_chart,
+                       point_geometry, require_alpha, ricci_reconstruction)
 
 
 @dataclass(frozen=True)
@@ -57,11 +64,17 @@ class _RuleField(Field):
 
 
 class CupRescaling:
-    """alpha, the generating potential, and the derived eta and psi."""
+    """alpha, the generating potential, and the derived eta and psi.
+
+    ``alpha`` is a float, or a ``(P,)`` array of one alpha per row: such a
+    rescaling, and every field and model it drives, is evaluated only on
+    batches of P points, and each row gets eta = exp(-alpha * potential) at
+    its own alpha.
+    """
 
     def __init__(self, alpha, potential):
         require_scalar(potential, "rescaling potential")
-        self.alpha = require_real(alpha, "alpha")
+        self.alpha = require_alpha(alpha)
         self.potential = potential
         self.dim = potential.dim
         rate = -self.alpha
@@ -70,6 +83,7 @@ class CupRescaling:
                                potential)
 
     def eta_jet(self, coords, order):
+        _per_row(self.alpha, coords)
         return self._eta.jet(coords, order)
 
     def eta(self, p):
@@ -194,10 +208,12 @@ def connection_shift_prediction(resc, p):
     contributions to the rescaled connection cancel except for these two
     soldering terms.
     """
-    psi = resc.psi(p).components
+    x = as_coords(p)
+    _per_row(resc.alpha, x)
+    psi = resc.psi(x).components
     n = resc.dim
     eye = np.eye(n)
-    comps = -resc.alpha * (
+    comps = _bc(-resc.alpha, 3) * (
         np.einsum("ki,...j->...kij", eye, psi) + np.einsum("kj,...i->...kij", eye, psi)
     )
     return Tensor(n, (CONTRA, COV, COV), comps)
@@ -209,13 +225,13 @@ def _psi_shift_core(model, resc, p):
     ws = point_geometry(model, resc.alpha, p)
     # psi = d(potential), so nabla psi is the Hessian of the potential
     phi = resc.potential.jet(ws.p, 2)
-    return _hessian(ws, phi) + resc.alpha * np.einsum("...i,...j->...ij", phi.d1, phi.d1)
+    return _hessian(ws, phi) + _bc(resc.alpha, 2) * np.einsum("...i,...j->...ij", phi.d1, phi.d1)
 
 
 def ricci_shift_prediction(model, resc, p):
     """Predicted Ric-tilde minus Ric: (n-1) alpha (nabla psi + alpha psi psi)."""
     m = _psi_shift_core(model, resc, p)
-    return Tensor(model.dim, (COV, COV), (model.dim - 1) * resc.alpha * m)
+    return Tensor(model.dim, (COV, COV), _bc((model.dim - 1) * resc.alpha, 2) * m)
 
 
 def curvature_shift_prediction(model, resc, p):

@@ -17,21 +17,26 @@ All functions are pure.  Each takes one point or a ``(P, n)`` batch of
 points: a batch adds one leading axis to every array and every returned
 tensor (component axes follow it, derivative axes trail as above), and a
 scalar result becomes an array of shape ``(P,)``.  One point keeps batch
-shape ``()`` and returns plain floats.  A :class:`PointGeometry` instance
+shape ``()`` and returns plain floats.  ``alpha`` is a float, or for a
+batch a ``(P,)`` array of one alpha per row (see :func:`require_alpha`):
+alpha is then a batch axis like the points, and each row comes out bit for
+bit as a call at its own float alpha would give it, so one call can carry
+a grid tiled under several alphas.  A :class:`PointGeometry` instance
 caches the intermediate arrays for one (model, alpha, points) triple, and
 :func:`point_geometry` shares one instance between every call with the same
 triple: each model owns a memo of its :data:`GEOMETRY_MEMO_SIZE` most
-recently used geometries, keyed by ``float(alpha)`` and the shape and bytes
-of the coordinates.  Sharing is sound because models are immutable and
-their fields pure; the shared arrays are read-only, so a caller cannot
-alter what a later call returns.  A grid is checked once, when its
-geometry is built: the memo holds only geometries that passed, so a hit
-needs no check.  Each operator evaluates its density and coupling at the
-coordinates of its geometry.
+recently used geometries, keyed by the float alpha (or the shape and bytes
+of the alpha array) and the shape and bytes of the coordinates.  Sharing is
+sound because models are immutable and their fields pure; the shared
+arrays are read-only, so a caller cannot alter what a later call returns.
+A grid is checked once, when its geometry is built: the memo holds only
+geometries that passed, so a hit needs no check.  Each operator evaluates
+its density and coupling at the coordinates of its geometry.
 
 A connection, curvature or operator value that is not finite (an overflow
 at a huge alpha, coupling k or exponent a) raises :class:`EvaluationError`
-naming the quantity, its parameters and the first offending point.
+naming the quantity, its parameters and the first offending point; an
+alpha array is named by that point's alpha.
 """
 
 import numbers
@@ -65,9 +70,40 @@ def _real(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def require_alpha(alpha, x=None):
+    """``alpha`` as a float (see :func:`require_real`), or a ``(P,)`` ndarray as a
+    read-only float array of finite entries, one per row of the batch ``x`` if given.
+
+    Anything else is a ConfigError naming the first offending entry; rows that
+    do not match ``x`` are a DimensionMismatchError.
+    """
+    if type(alpha) is not np.ndarray:
+        return require_real(alpha, "alpha")
+    if alpha.ndim != 1 or alpha.dtype.kind not in "iuf":
+        raise ConfigError(f"alpha must be a real number or a (P,) array of them, "
+                          f"got an array of shape {alpha.shape} and dtype {alpha.dtype}")
+    alpha = alpha.astype(float)
+    finite = np.isfinite(alpha)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ConfigError(f"alpha must be finite, got {alpha[row]} (row {row})")
+    if x is not None:
+        _per_row(alpha, x)
+    return _readonly(alpha)
+
+
+def _per_row(alpha, x):
+    """Raise DimensionMismatchError unless a checked ``alpha`` is a float or has one
+    entry per row of the batch ``x``."""
+    if type(alpha) is not float and alpha.shape != np.shape(x)[:-1]:
+        raise DimensionMismatchError(f"alpha has shape {alpha.shape}, one entry per row "
+                                     f"of points of shape {np.shape(x)} needs {np.shape(x)[:-1]}")
+
+
 def _finite(value, quantity, x, **params):
     """``value`` if it is finite, else an EvaluationError naming ``quantity``,
-    ``params`` and the first offending point of ``x``.
+    ``params`` and the first offending point of ``x``; a per-row parameter (an
+    alpha array) is named by its entry at that point.
 
     Callers compute ``value`` under ``np.errstate(all="ignore")``: an
     overflow arrives here as inf or nan, not as a numpy warning.
@@ -76,8 +112,24 @@ def _finite(value, quantity, x, **params):
     if finite.all():
         return value
     row = first_false(finite, x)
-    at = ", ".join(f"{name} = {v:g}" for name, v in params.items())
+    at = ", ".join(f"{name} = {v[row] if np.ndim(v) else v:g}" for name, v in params.items())
     raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
+
+
+def _shifted(base, alpha, term):
+    """``base - (alpha/2) * term()``, row by row for an alpha array.
+
+    A row at alpha = 0 keeps ``base`` by a select, not by a product with zero,
+    exactly as a float alpha of 0 does: its term (a skewness product that
+    overflowed to inf, say) cannot make it nan, and a -0.0 in ``base`` keeps
+    its sign.  When no row has a nonzero alpha, ``term`` is not called.
+    """
+    if type(alpha) is float:
+        return base - 0.5 * alpha * term() if alpha != 0.0 else base
+    if not alpha.any():
+        return base
+    alpha = _bc(alpha, np.ndim(base) - 1)
+    return np.where(alpha == 0.0, base, base - 0.5 * alpha * term())
 
 
 @dataclass(frozen=True)
@@ -117,7 +169,8 @@ class PointGeometry:
     """Lazily computed geometric data of one model at one point or a batch.
 
     Construction is the one place where points are checked: every point
-    against the model domain, then ``alpha`` for finiteness.  It keeps a
+    against the model domain, then ``alpha`` (a float, or one per row of a
+    batch) for finiteness.  It keeps a
     read-only copy of the coordinates as ``p`` (shape ``(n,)`` or
     ``(P, n)``); every array is computed at most once per instance and is
     read-only.  Each construction is a fresh instance: the operators share
@@ -131,7 +184,7 @@ class PointGeometry:
         self._metric = model.metric
         self._skewness = model.skewness
         self.p = _readonly(np.array(model.require_inside(p)))
-        self.alpha = require_real(alpha, "alpha")
+        self.alpha = require_alpha(alpha, self.p)
         self.dim = model.dim
 
     @cached_property
@@ -192,9 +245,7 @@ class PointGeometry:
     @cached_property
     @np.errstate(all="ignore")
     def gamma(self):
-        gamma = self.gamma0
-        if self.alpha != 0.0:
-            gamma = gamma - 0.5 * self.alpha * self.skew_mixed
+        gamma = _shifted(self.gamma0, self.alpha, lambda: self.skew_mixed)
         return _readonly(_finite(gamma, "alpha-connection", self.p, alpha=self.alpha))
 
     @cached_property
@@ -209,11 +260,13 @@ class PointGeometry:
         )
         out = np.einsum("...kml,...mij->...kijl", self.dginv, self._lowered)
         out += np.einsum("...km,...mijl->...kijl", self.ginv, dA)
-        if self.alpha != 0.0:
+
+        def dskew():
             dskew = np.einsum("...ijml,...mk->...kijl", self.dt, self.ginv)
             dskew += np.einsum("...ijm,...mkl->...kijl", self.t, self.dginv)
-            out -= 0.5 * self.alpha * dskew
-        return _readonly(out)
+            return dskew
+
+        return _readonly(_shifted(out, self.alpha, dskew))
 
     @cached_property
     @np.errstate(all="ignore")
@@ -238,21 +291,26 @@ class PointGeometry:
 def point_geometry(model, alpha, p):
     """The shared :class:`PointGeometry` of ``model`` at ``alpha`` and ``p``.
 
-    The instance comes from the model's memo when the same ``float(alpha)``
-    and the same coordinates (shape and bytes) were asked for among its last
-    :data:`GEOMETRY_MEMO_SIZE` distinct requests, and is built, which checks
-    the points and ``alpha``, and remembered otherwise.  A float64 array is
-    looked up as it is: the memo holds only checked grids, so equal shape and
-    bytes are the same valid coordinates, and an invalid array misses and
-    fails its build.  Other points go through :func:`as_coords`; an ``alpha``
-    that is not a float is checked by :func:`require_real` after the points.
+    The instance comes from the model's memo when the same ``alpha`` (a float,
+    or the shape and bytes of a per-row array) and the same coordinates (shape
+    and bytes) were asked for among its last :data:`GEOMETRY_MEMO_SIZE`
+    distinct requests, and is built, which checks the points and ``alpha``,
+    and remembered otherwise.  A float64 array is looked up as it is, points
+    and alphas alike: the memo holds only checked requests, so equal shapes and
+    bytes are the same valid values, and an invalid array misses and fails its
+    build.  Other points go through :func:`as_coords`; any other ``alpha`` is
+    checked by :func:`require_alpha` after the points.
     """
     if type(p) is not np.ndarray or p.dtype != np.float64:
         p = as_coords(p)
-    if type(alpha) is not float:
+    if type(alpha) is not float and (type(alpha) is not np.ndarray
+                                     or alpha.dtype != np.float64):
         model.require_inside(p)
-        alpha = require_real(alpha, "alpha")
-    key = (alpha, p.shape, p.tobytes())
+        alpha = require_alpha(alpha, p)
+    if type(alpha) is float:
+        key = (alpha, p.shape, p.tobytes())
+    else:
+        key = (alpha.shape, alpha.tobytes(), p.shape, p.tobytes())
     memo = model.geometry_memo
     ws = memo.pop(key, None)
     if ws is None:
@@ -379,7 +437,7 @@ def modified_hessian(model, alpha, spec, f, p):
         comps = _hessian(ws, fj)
         if k != 0.0:
             comps = comps + k * ws.ricci * _bc(fj.value, 2)
-    comps = _finite(comps, "Ricci-coupled Hessian", ws.p, alpha=alpha, k=k)
+    comps = _finite(comps, "Ricci-coupled Hessian", ws.p, alpha=ws.alpha, k=k)
     return Tensor(model.dim, (COV, COV), comps)
 
 
@@ -395,7 +453,7 @@ def cup_laplacian(model, alpha, f, p):
     fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
         out = _cup_trace(ws, k, fj)
-    return _real(_finite(out, "trace operator", ws.p, alpha=alpha))
+    return _real(_finite(out, "trace operator", ws.p, alpha=ws.alpha))
 
 
 def cup_laplacian_decomposed(model, alpha, f, p):
@@ -411,10 +469,10 @@ def cup_laplacian_decomposed(model, alpha, f, p):
     fj = _field_jet(f, model, ws.p, 2)
     with np.errstate(all="ignore"):
         out = _laplacian(ws, fj)
-        out = out + alpha * np.einsum("...abm,...ab,...mk,...k->...",
-                                      ws.t, ws.ginv, ws.ginv, fj.d1)
+        out = out + ws.alpha * np.einsum("...abm,...ab,...mk,...k->...",
+                                         ws.t, ws.ginv, ws.ginv, fj.d1)
         out = out + k * ws.scalar * fj.value
-    return _real(_finite(out, "decomposed trace operator", ws.p, alpha=alpha))
+    return _real(_finite(out, "decomposed trace operator", ws.p, alpha=ws.alpha))
 
 
 def nonlinear_cup_operator(model, alpha, f, coupling, p):
@@ -438,15 +496,15 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     with np.errstate(all="ignore"):
         # a numpy float overflows to inf where a plain float raises OverflowError
         out = _cup_trace(ws, k, fj) + lam * np.float64(fval) ** a
-    return _real(_finite(out, "nonlinear operator", x, alpha=alpha, a=a))
+    return _real(_finite(out, "nonlinear operator", x, alpha=ws.alpha, a=a))
 
 
 def ricci_reconstruction(ric, k):
     """The curvature a Ricci tensor predicts: k (delta^i_k Ric_jl - delta^i_l Ric_jk).
 
-    ``ric`` holds Ric_jl components with any leading batch axes; the result
-    has components R[..., i, j, k, l].
+    ``ric`` holds Ric_jl components with any leading batch axes, and ``k`` is
+    a number or one per batch row; the result has components R[..., i, j, k, l].
     """
     eye = np.eye(np.shape(ric)[-1])
-    return k * (np.einsum("ik,...jl->...ijkl", eye, ric)
-                - np.einsum("il,...jk->...ijkl", eye, ric))
+    return _bc(k, 4) * (np.einsum("ik,...jl->...ijkl", eye, ric)
+                        - np.einsum("il,...jk->...ijkl", eye, ric))

@@ -21,7 +21,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, permutations
+from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -65,13 +65,13 @@ class Point:
 def as_coords(p):
     """Coordinates as a float array: shape ``(n,)`` for one point, ``(P, n)`` for a batch.
 
-    Non-finite coordinates raise :class:`DomainError` naming the first
-    offending row.
+    A coordinate is a real number: a string or a bool is not one, so a
+    sequence or an array holding either is a DimensionMismatchError, as is
+    anything else that is not a sequence of reals.  Non-finite coordinates
+    raise :class:`DomainError` naming the first offending row.
     """
     try:
-        if isinstance(p, (str, bytes)):  # numpy would read "12" as the number 12
-            raise TypeError
-        x = np.asarray(p.coords if isinstance(p, Point) else p, dtype=float)
+        x = _real_array(p.coords if isinstance(p, Point) else p)
     except (TypeError, ValueError):
         raise DimensionMismatchError(
             "points must be a coordinate sequence or a (P, n) array of reals") from None
@@ -81,6 +81,36 @@ def as_coords(p):
     if not finite.all():
         raise DomainError(f"non-finite coordinates: {point_text(x, first_false(finite, x))}")
     return x
+
+
+def _real_array(p):
+    """``p`` as a float array, or a TypeError when an entry is not a real number.
+
+    A sequence is converted once without a dtype, so strings stay strings
+    (numpy would read "12" as the number 12); a bool among floats converts
+    to a float, so a sequence is also scanned for bools, an array only
+    judged by its dtype.
+    """
+    if type(p) is np.ndarray:
+        x = p
+    elif isinstance(p, (str, bytes)):
+        raise TypeError
+    else:
+        x = np.asarray(p)
+        if x.ndim and x.dtype.kind in "iuf" and not _BOOLS.isdisjoint(
+                map(type, p if x.ndim == 1 else chain.from_iterable(p))):
+            raise TypeError
+    if x.dtype is _FLOAT:
+        return x
+    kind = x.dtype.kind
+    if kind not in "iufO" or kind == "O" and not all(
+            isinstance(c, numbers.Real) and type(c) not in _BOOLS for c in x.flat):
+        raise TypeError
+    return x.astype(float)
+
+
+_BOOLS = frozenset((bool, np.bool_))
+_FLOAT = np.dtype(float)
 
 
 def first_false(ok, x):

@@ -3,12 +3,17 @@
 Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
-residual.  The operators take a case's whole grid as one batch; a check
-records its batches and reduces them once, in its report, which alone
-judges it: the worst relative residual, and that of any side law, must be
-within tolerance.  Relative residuals are normalized by max(1, |lhs|,
-|rhs|) so near-zero references cannot inflate them; a non-finite side or
-difference is an infinite residual and fails the check.
+residual.  Alpha is a batch axis: each case's grid is tiled under every
+suite alpha, alpha by alpha, into one batch of alpha x point rows, and one
+rescaling per (case, potential) carries every alpha, so each operator runs
+once per (case, potential, density, coupling) on the whole tiled grid.  A
+check records its rows in suite order (case, alpha, potential, density,
+coupling, point), exactly as one batch per alpha would, and reduces them
+once, in its report, which alone judges it: the worst relative residual,
+and that of any side law, must be within tolerance.  Relative residuals
+are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
+inflate them; a non-finite side or difference is an infinite residual and
+fails the check.
 
 Two engines run the rescaling checks.  The shift engine compares the
 closed-form prediction of what the rescaling adds to the connection, the
@@ -45,6 +50,7 @@ from .cup_transform import (
     transform_density,
 )
 from .errors import ConfigError
+from .jets import _bc
 from .geometry import (
     HessianSpec,
     NonlinearCoupling,
@@ -146,8 +152,12 @@ class SuiteConfig:
                 require_real(getattr(self, name), name)
 
 
-def _grid(case):
-    return as_coords(case.points).reshape(-1, case.model.dim)
+def _grid(config, case):
+    """The case's grid tiled under every alpha of ``config``, alpha by alpha: the
+    ``(A * P, n)`` points and the alpha of each row."""
+    pts = as_coords(case.points).reshape(-1, case.model.dim)
+    alphas = np.array([require_real(a, "alpha") for a in config.alphas])
+    return np.tile(pts, (len(alphas), 1)), np.repeat(alphas, len(pts))
 
 
 class _Residuals:
@@ -165,6 +175,24 @@ class _Residuals:
         rows = len(points)
         if rows:
             self._batches.append((points, np.reshape(lhs, (rows, -1)), np.reshape(rhs, (rows, -1))))
+
+    def add_cells(self, points, blocks, cells):
+        """Record the (lhs, rhs) ``cells`` of one tiled grid in suite order.
+
+        ``points`` holds ``blocks`` equal blocks of rows, one per alpha, and
+        each cell one row per point.  The rows are recorded block by block,
+        and within a block cell by cell, as one batch per alpha and cell would be.
+        """
+        rows, dim = len(points) // blocks, points.shape[-1]
+
+        def ordered(sides):
+            return np.stack([np.reshape(a, (blocks, rows, -1)) for a in sides],
+                            axis=1).reshape(blocks * len(sides) * rows, -1)
+
+        tiled = np.broadcast_to(np.reshape(points, (blocks, 1, rows, dim)),
+                                (blocks, len(cells), rows, dim)).reshape(-1, dim)
+        lhs, rhs = zip(*cells)
+        self.add(tiled, ordered(lhs), ordered(rhs))
 
     def report(self, check_id, tolerance, sides=(), **extra):
         """The check's report, judged here and only here.
@@ -225,26 +253,26 @@ def _tolerance_for(config, check_id):
     return max(MODE_TOLERANCE[case.model.mode] for case in config.cases)
 
 
-def _rescalings(config, case, alpha, variants):
-    """The (rescaling, rescaled model, inputs) triples of ``case`` at ``alpha``, one
-    per potential; ``inputs`` maps each case density and coupling to its transform.
+def _rescalings(config, case, alphas, variants):
+    """The (rescaling, rescaled model, inputs) triples of ``case``, one per
+    potential, each carrying the per-row ``alphas`` of the case's tiled grid;
+    ``inputs`` maps each case density and coupling to its transform.
 
     ``variants`` holds them for one run over ``config``'s cases, so every
     check of the run reuses the same models and fields, and with them their
-    memoized geometry and jets.  The rescalings and inputs are keyed by case
-    and alpha; only a rescaled model also depends on the skewness-shift
-    weight.
+    memoized geometry and jets.  The rescalings and inputs are keyed by case;
+    only a rescaled model also depends on the skewness-shift weight.
     """
-    key = (id(case), float(alpha))
+    key = id(case)
     if key not in variants:
         pairs = []
         for potential in case.potentials:
-            resc = make_rescaling(alpha, potential)
+            resc = make_rescaling(alphas, potential)
             inputs = {d: transform_density(d, resc).f for d in case.densities}
             inputs.update((c, transform_coupling(c, resc).lam) for c in case.couplings)
             pairs.append((resc, inputs))
         variants[key] = tuple(pairs)
-    weighted = key + (float(config.sym_weight),)
+    weighted = (key, float(config.sym_weight))
     if weighted not in variants:
         variants[weighted] = tuple(
             (resc, rescaled_model(case.model, resc, sym_weight=config.sym_weight), inputs)
@@ -252,47 +280,40 @@ def _rescalings(config, case, alpha, variants):
     return variants[weighted]
 
 
+def _cases(config, variants):
+    """Every case with its tiled grid, the alpha of each row and its rescaled triples."""
+    for case in config.cases:
+        pts, alphas = _grid(config, case)
+        yield case, pts, alphas, _rescalings(config, case, alphas, variants)
+
+
 # -- structural checks on models --------------------------------------------
 
 
-def _model_variants(config, case, alpha, variants):
-    yield case.model
-    for _, varied, _ in _rescalings(config, case, alpha, variants):
-        yield varied
+def _structural(config, variants, law):
+    """Record ``law(model, alphas, pts)`` on each case model and its rescaled variants."""
+    res = _Residuals()
+    for case, pts, alphas, rescalings in _cases(config, variants):
+        models = (case.model,) + tuple(varied for _, varied, _ in rescalings)
+        res.add_cells(pts, len(config.alphas), [law(m, alphas, pts) for m in models])
+    return res
 
 
 def _check_metric_compat(config, tol, variants):
-    res = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for model in _model_variants(config, case, alpha, variants):
-                nabla_g = covariant_derivative_metric(model, alpha, pts).components
-                res.add(pts, nabla_g, alpha * point_geometry(model, alpha, pts).t)
-    return res.report("metric_compat", tol)
+    def law(model, alphas, pts):
+        nabla_g = covariant_derivative_metric(model, alphas, pts).components
+        return nabla_g, _bc(alphas, 3) * point_geometry(model, alphas, pts).t
+    return _structural(config, variants, law).report("metric_compat", tol)
 
 
 def _check_codazzi(config, tol, variants):
-    res = _Residuals()
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for model in _model_variants(config, case, alpha, variants):
-                nabla_g = covariant_derivative_metric(model, alpha, pts).components
-                res.add(pts, nabla_g, np.swapaxes(nabla_g, -3, -2))
-    return res.report("codazzi", tol)
+    def law(model, alphas, pts):
+        nabla_g = covariant_derivative_metric(model, alphas, pts).components
+        return nabla_g, np.swapaxes(nabla_g, -3, -2)
+    return _structural(config, variants, law).report("codazzi", tol)
 
 
 # -- shift predictions vs direct recomputation ------------------------------
-
-
-def _rescaled_cells(config, variants):
-    """Every (case, grid, alpha, rescaling, rescaled model, inputs) cell, in suite order."""
-    for case in config.cases:
-        pts = _grid(case)
-        for alpha in config.alphas:
-            for resc, varied, inputs in _rescalings(config, case, alpha, variants):
-                yield case, pts, alpha, resc, varied, inputs
 
 
 def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None):
@@ -301,12 +322,17 @@ def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None)
     ``side``, if given, is a (field, tolerance, law) side law: ``law(model, resc,
     pts, pred)`` gives the two sides of a second residual."""
     res, side_res = _Residuals(), _Residuals()
-    for case, pts, alpha, resc, varied, _ in _rescaled_cells(config, variants):
-        pred = prediction(case.model, resc, pts).components
-        res.add(pts, pred, (quantity(varied, alpha, pts).components
-                            - quantity(case.model, alpha, pts).components))
+    for case, pts, alphas, rescalings in _cases(config, variants):
+        cells, side_cells = [], []
+        for resc, varied, _ in rescalings:
+            pred = prediction(case.model, resc, pts).components
+            cells.append((pred, quantity(varied, alphas, pts).components
+                          - quantity(case.model, alphas, pts).components))
+            if side:
+                side_cells.append(side[2](case.model, resc, pts, pred))
+        res.add_cells(pts, len(config.alphas), cells)
         if side:
-            side_res.add(pts, *side[2](case.model, resc, pts, pred))
+            side_res.add_cells(pts, len(config.alphas), side_cells)
     return res.report(check_id, tol, [(side[0], side_res, side[1])] if side else ())
 
 
@@ -329,34 +355,27 @@ def _check_ricci_shift(config, tol, variants):
 # -- operator invariances ---------------------------------------------------
 
 
-def _cells(config, variants):
-    """Every rescaled cell once per case density, with its (f, eta^r f) pair, in suite order."""
-    for cell in _rescaled_cells(config, variants):
-        for density in cell[0].densities:
-            yield cell + ((density.f, cell[-1][density]),)
-
-
 def _components(value):
     return value.components if hasattr(value, "components") else value
 
 
-def _invariance(res, operator, s, model, varied, resc, inputs, pts):
-    """Record the (r; s) law on one grid and return both of its sides.
+def _invariance(operator, s, model, varied, resc, inputs, pts):
+    """The (lhs, rhs) cell of the (r; s) law on one grid, and the original side's value.
 
     The law: ``operator`` on the rescaled model, applied to the weighted
     inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
     original model applied to the inputs themselves; ``inputs`` holds the
     (f, eta^r f) pairs.  ``operator(model, *fields, pts)`` takes the whole
-    grid as one batch and returns per-row scalars or a tensor.  Returns the
-    two operator values, the rescaled side first, before any eta^s factor.
+    grid as one batch and returns per-row scalars or a tensor.  The value
+    returned beside the cell is the operator on the original model, before
+    any eta^s factor.
     """
     lhs = _components(operator(varied, *(scaled for _, scaled in inputs), pts))
     base = _components(operator(model, *(f for f, _ in inputs), pts))
     rhs = base
     if s != 0.0:
         rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
-    res.add(pts, lhs, rhs)
-    return lhs, base
+    return (lhs, rhs), base
 
 
 def _hessian_k(config, case):
@@ -364,34 +383,53 @@ def _hessian_k(config, case):
     return _ricci_coupling(case.model.dim) if config.hessian_k is None else config.hessian_k
 
 
+def _inputs(case, rescalings):
+    """Every rescaled triple of a case once per case density, with its (f, eta^r f)
+    pair, in suite order."""
+    for resc, varied, inputs in rescalings:
+        for density in case.densities:
+            yield resc, varied, inputs, (density.f, inputs[density])
+
+
 def _check_hessian_inv(config, tol, variants):
     res = _Residuals()
-    for case, pts, alpha, resc, varied, _, density in _cells(config, variants):
-        k = _hessian_k(config, case)
-        op = lambda m, f, p: modified_hessian(m, alpha, HessianSpec(k), f, p)
-        _invariance(res, op, 1.0, case.model, varied, resc, (density,), pts)
+    for case, pts, alphas, rescalings in _cases(config, variants):
+        spec = HessianSpec(_hessian_k(config, case))
+        op = lambda m, f, p: modified_hessian(m, alphas, spec, f, p)
+        res.add_cells(pts, len(config.alphas), [
+            _invariance(op, 1.0, case.model, varied, resc, (density,), pts)[0]
+            for resc, varied, _, density in _inputs(case, rescalings)])
     return res.report("hessian_inv", tol)
 
 
 def _check_laplacian_inv(config, tol, variants):
     res, decomp = _Residuals(), _Residuals()
-    for case, pts, alpha, resc, varied, _, (plain, scaled) in _cells(config, variants):
-        op = lambda m, f, p: cup_laplacian(m, alpha, f, p)
-        lhs, base = _invariance(res, op, config.laplacian_s, case.model, varied, resc,
-                                ((plain, scaled),), pts)
-        decomp.add(pts, lhs, cup_laplacian_decomposed(varied, alpha, scaled, pts))
-        decomp.add(pts, base, cup_laplacian_decomposed(case.model, alpha, plain, pts))
+    for case, pts, alphas, rescalings in _cases(config, variants):
+        op = lambda m, f, p: cup_laplacian(m, alphas, f, p)
+        cells, decomp_cells = [], []
+        for resc, varied, _, (plain, scaled) in _inputs(case, rescalings):
+            cell, base = _invariance(op, config.laplacian_s, case.model, varied, resc,
+                                     ((plain, scaled),), pts)
+            cells.append(cell)
+            decomp_cells.append((cell[0], cup_laplacian_decomposed(varied, alphas, scaled, pts)))
+            decomp_cells.append((base, cup_laplacian_decomposed(case.model, alphas, plain, pts)))
+        res.add_cells(pts, len(config.alphas), cells)
+        decomp.add_cells(pts, len(config.alphas), decomp_cells)
     return res.report("laplacian_inv", tol, [("decomp_residual", decomp, DECOMPOSITION_TOLERANCE)])
 
 
 def _check_nonlinear_inv(config, tol, variants):
     """The coupling lam enters as a second input, of weight -a."""
     res = _Residuals()
-    for case, pts, alpha, resc, varied, inputs, density in _cells(config, variants):
-        for c in case.couplings:
-            op = lambda m, f, lam, p: nonlinear_cup_operator(
-                m, alpha, f, NonlinearCoupling(lam, c.a), p)
-            _invariance(res, op, 0.0, case.model, varied, resc, (density, (c.lam, inputs[c])), pts)
+    for case, pts, alphas, rescalings in _cases(config, variants):
+        cells = []
+        for resc, varied, inputs, density in _inputs(case, rescalings):
+            for c in case.couplings:
+                op = lambda m, f, lam, p: nonlinear_cup_operator(
+                    m, alphas, f, NonlinearCoupling(lam, c.a), p)
+                cells.append(_invariance(op, 0.0, case.model, varied, resc,
+                                         (density, (c.lam, inputs[c])), pts)[0])
+        res.add_cells(pts, len(config.alphas), cells)
     return res.report("nonlinear_inv", tol)
 
 
@@ -399,14 +437,13 @@ def _check_integrability(config, tol, variants):
     res = _Residuals()
     flat = 0
     for case in config.cases:
-        pts = _grid(case)
+        pts, alphas = _grid(config, case)
         k = _hessian_k(config, case)
-        for alpha in config.alphas:
-            riem = riemann(case.model, alpha, pts).components
-            curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
-            flat += len(pts) - int(np.count_nonzero(curved))
-            predicted = ricci_reconstruction(ricci(case.model, alpha, pts).components, k)
-            res.add(pts[curved], riem[curved], predicted[curved])
+        riem = riemann(case.model, alphas, pts).components
+        curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
+        flat += len(pts) - int(np.count_nonzero(curved))
+        predicted = ricci_reconstruction(ricci(case.model, alphas, pts).components, k)
+        res.add(pts[curved], riem[curved], predicted[curved])
     return res.report("integrability", tol, flat_points=flat)
 
 

@@ -3,7 +3,9 @@
 Every point-taking public function accepts either one point or a batch.
 A batch must reproduce the stack of single-point calls to within 1e-15
 relative, on exact-jet models, a rescaled model and a finite-difference
-twin, and a single point must keep returning plain floats.
+twin, and a single point must keep returning plain floats.  Alpha is a
+batch axis too: an array of one alpha per row must reproduce one call per
+alpha bit for bit, signs of zeros included.
 """
 
 import numpy as np
@@ -11,9 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupgeo import (
+    ConfigError,
+    DimensionMismatchError,
     DomainError,
+    EvaluationError,
     HessianSpec,
     NonlinearCoupling,
+    PointGeometry,
+    WeightedDensity,
     alpha_connection,
     connection_shift_prediction,
     covariant_derivative_metric,
@@ -30,7 +37,11 @@ from cupgeo import (
     parse_model,
     rescaled_model,
     ricci_shift_prediction,
+    scalar_curvature,
+    transform_coupling,
+    transform_density,
 )
+from cupgeo import geometry
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -140,3 +151,115 @@ def test_batch_names_the_first_point_where_a_field_leaves_its_domain():
     with pytest.raises(DomainError, match=r"component \(0, 0\) \('1 \+ sqrt\(x\)'\) "
                                           r"failed at \(-1\.0, 1\.0\) \(row 2\)"):
         curvature(model, 0.5, points)
+
+
+# -- alpha as a batch axis ----------------------------------------------------
+
+ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+ALPHA_BASES = {
+    "gaussian": (BASES["gaussian"], [(0.0, 1.0), (-1.0, 0.6), (0.5, 1.8)]),
+    "multinomial:4": (BASES["multinomial:4"], [(0.2, 0.3, 0.1), (0.25, 0.25, 0.25)]),
+    "gaussian-fd": (BASES["gaussian-fd"], [(0.0, 1.0), (-1.0, 0.6), (0.5, 1.8)]),
+}
+STAGES = ("g", "dg", "d2g", "t", "dt", "ginv", "dginv", "gamma0", "skew_mixed", "gamma",
+          "dgamma", "riemann", "ricci", "scalar")
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _per_alpha_quantities(base, alpha, pts):
+    """Every alpha-dependent quantity at ``alpha`` (a float or one per row of ``pts``)."""
+    c1, c2 = base.coord_names[:2]
+    f = base.scalar_field(f"1 + 0.1*{c1}*{c2} + {c1}^2")
+    coupling = NonlinearCoupling(base.scalar_field(f"1 + 0.1*{c1}"), 0.5)
+    resc = make_rescaling(alpha, base.scalar_field(f"0.3*{c1} + 0.1*{c1}*{c2}"))
+    varied = rescaled_model(base, resc)
+    density = transform_density(WeightedDensity(f, 1.0), resc).f
+    lam = transform_coupling(coupling, resc)
+    spec = HessianSpec(1.0 / (base.dim - 1))
+    out = {}
+    for name, model in (("base", base), ("rescaled", varied)):
+        geo = PointGeometry(model, alpha, pts)
+        out.update({f"{name}.{stage}": getattr(geo, stage) for stage in STAGES})
+        out.update({
+            f"{name}.modified_hessian": modified_hessian(model, alpha, spec, f, pts).components,
+            f"{name}.cup_laplacian": cup_laplacian(model, alpha, f, pts),
+            f"{name}.cup_laplacian_decomposed": cup_laplacian_decomposed(model, alpha, f, pts),
+            f"{name}.nonlinear_cup_operator": nonlinear_cup_operator(model, alpha, f, coupling,
+                                                                     pts),
+        })
+    for name, field in (("rescaled metric", varied.metric),
+                        ("rescaled skewness", varied.skewness),
+                        ("rescaled density", density), ("rescaled coupling", lam.lam)):
+        jet = field.jet(pts, 2 if field.rank == 0 else 1)
+        out.update({f"{name}.d{k}": jet.deriv(k) for k in range(jet.order + 1)})
+    out["connection_shift_prediction"] = connection_shift_prediction(resc, pts).components
+    out["curvature_shift_prediction"] = curvature_shift_prediction(base, resc, pts).components
+    out["ricci_shift_prediction"] = ricci_shift_prediction(base, resc, pts).components
+    out["eta"] = resc.eta(pts)
+    return out
+
+
+@pytest.mark.parametrize("name", list(ALPHA_BASES))
+def test_an_alpha_array_matches_one_call_per_alpha_bitwise(name):
+    base, grid = ALPHA_BASES[name]
+    pts = np.array(grid)
+    tiled = np.tile(pts, (len(ALPHAS), 1))
+    rows = np.repeat(ALPHAS, len(pts))
+    batched = _per_alpha_quantities(base, rows, tiled)
+    single = [_per_alpha_quantities(base, alpha, pts) for alpha in ALPHAS]
+    # two models' stages and operators, four fields' jet parts, three shifts and eta
+    assert len(batched) == 2 * (len(STAGES) + 4) + 10 + 4
+    for label, got in batched.items():
+        want = np.concatenate([np.asarray(s[label]) for s in single])
+        assert _same_bits(got, want), label
+
+
+def test_a_zero_alpha_row_keeps_its_base_bitwise():
+    base = np.array([[-0.0, 1.0], [-0.0, 1.0]])
+    term = np.array([[-1.0, np.inf], [2.0, 4.0]])
+    with np.errstate(all="ignore"):  # as the geometry stages compute it
+        got = geometry._shifted(base, np.array([0.0, 0.5]), lambda: term)
+    assert _same_bits(got[0], base[0])
+    assert np.array_equal(got[1], [-0.5, 0.0])
+    assert geometry._shifted(base, np.zeros(2), lambda: pytest.fail("term read")) is base
+    assert geometry._shifted(base, 0.0, lambda: pytest.fail("term read")) is base
+
+
+def test_an_error_names_the_alpha_of_its_failing_row():
+    p = (0.0, 1.0)
+    with pytest.raises(EvaluationError) as alone:
+        curvature(GAUSS, 1e300, p)
+    assert str(alone.value) == "curvature is not finite at (0.0, 1.0); alpha = 1e+300"
+    with pytest.raises(EvaluationError) as batch:
+        curvature(GAUSS, np.array([0.5, 1e300]), np.array([p, p]))
+    assert str(batch.value) == str(alone.value).replace("(0.0, 1.0)", "(0.0, 1.0) (row 1)")
+
+
+@pytest.mark.parametrize("alpha, error, message", [
+    (np.array([0.5]), DimensionMismatchError, r"^alpha has shape \(1,\), one entry per row"),
+    (np.array([[0.5], [1.0]]), ConfigError, r"^alpha must be a real number or a \(P,\) array"),
+    (np.array([True, False]), ConfigError, r"^alpha must be a real number or a \(P,\) array"),
+    (np.array([0.5, np.nan]), ConfigError, r"^alpha must be finite, got nan \(row 1\)$"),
+])
+def test_an_alpha_array_must_be_finite_reals_one_per_row(alpha, error, message):
+    pts = np.array([[0.0, 1.0], [0.5, 1.5]])
+    with pytest.raises(error, match=message):
+        scalar_curvature(GAUSS, alpha, pts)
+    with pytest.raises(DimensionMismatchError, match=r"^alpha has shape \(2,\)"):
+        scalar_curvature(GAUSS, np.array([0.5, 1.0]), (0.0, 1.0))
+
+
+def test_an_alpha_array_rescaling_takes_only_its_own_rows():
+    resc = make_rescaling(np.array([0.5, 1.0]), GAUSS.scalar_field("0.3*mu"))
+    with pytest.raises(DimensionMismatchError, match=r"^alpha has shape \(2,\)"):
+        resc.eta(np.array([[0.0, 1.0], [0.5, 1.5], [1.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError, match=r"^alpha has shape \(2,\)"):
+        connection_shift_prediction(resc, (0.0, 1.0))
+    assert np.array_equal(resc.eta(np.array([[1.0, 1.0], [1.0, 1.0]])),
+                          [make_rescaling(a, GAUSS.scalar_field("0.3*mu")).eta((1.0, 1.0))
+                           for a in (0.5, 1.0)])

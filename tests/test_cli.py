@@ -542,7 +542,7 @@ class TestErrorPaths:
         (("laplacian", "--model", "gaussian", "--alpha", "1e200", "--point", "0,1",
           "--density", "1+mu"), "curvature is not finite at (0.0, 1.0); alpha = 1e+200"),
         (("verify", "--default", "--check", "hessian_inv", "--k", "1e308"),
-         "Ricci-coupled Hessian is not finite at (-1.0, 0.6) (row 0); alpha = -0.5, k = 1e+308"),
+         "Ricci-coupled Hessian is not finite at (-1.0, 0.6) (row 9); alpha = -0.5, k = 1e+308"),
     ], ids=["power", "tensors-alpha", "laplacian-alpha", "hessian-k"])
     def test_overflow_is_one_error_line(self, argv, named, capsys):
         with warnings.catch_warnings(record=True) as caught:
@@ -562,11 +562,25 @@ class TestErrorPaths:
         if rescaled:
             config = tmp_path / "resc.json"
             config.write_text('{"alpha": 0.5, "potential": "0.1*mu*sigma"}')
-            argv += ["--rescaling", str(config)]
+            argv += ["--rescaling", str(config), "--alpha", "0.5"]
         rc, out, err = run_cli(*argv, capsys=capsys)
         assert rc == 2
         assert out == ""
         assert err == f"error: density weight r must be finite, got {weight}\n"
+
+    @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.3"]], ids=["default", "0.3"])
+    def test_laplacian_alpha_must_be_the_rescalings(self, alpha, capsys):
+        config = str(Path(__file__).resolve().parent / "data" / "rescaling-gaussian.json")
+        rc, out, err = run_cli("laplacian", "--model", "gaussian", "--point", "0.5,1.3",
+                               "--density", "1 + 0.1*mu*sigma", "--rescaling", config,
+                               *alpha, capsys=capsys)
+        given = alpha[1] if alpha else "0"
+        assert (rc, out) == (2, "")
+        assert err == (f"error: --alpha {given} differs from the rescaling's alpha 0.5; the "
+                       "operators are invariant only at the rescaling's own alpha\n")
+        rc, out, _ = run_cli("tensors", "--model", "gaussian", "--point", "0.5,1.3",
+                             "--rescaling", config, *alpha, capsys=capsys)
+        assert rc == 0 and f"(alpha = {given})" in out
 
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_non_finite_exponent(self, a, capsys):

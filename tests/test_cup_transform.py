@@ -122,8 +122,8 @@ def test_default_pass_evaluates_each_potential_once_per_grid():
                 return evaluate(coords, order)
             potential._jet = counted
     assert run_suite(config).passed
-    # 40 rescalings of the same four potentials on one grid per case: the
-    # first request is at the highest order any of them needs
+    # one rescaling of each of the four potentials, on its case's alpha-tiled
+    # grid: the first request is at the highest order any of them needs
     assert orders == [2, 2, 2, 2]
 
 

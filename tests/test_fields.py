@@ -369,14 +369,14 @@ def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--default", "--json"]) == 0
     # per case: a metric and a skewness, 2 potentials, 2 densities and 4
-    # couplings; per case, alpha and potential, eta, 6 transformed inputs and
-    # a rescaled metric and skewness, twice with the 1/3-weight control, whose
-    # connection reads no skewness at alpha = 0
+    # couplings; per case and potential, on the alpha-tiled grid: eta, 6
+    # transformed inputs and a rescaled metric and skewness, twice with the
+    # 1/3-weight control
     assert dict(evaluations) == {
         "ExprTensorField": 4,
         "ExprScalarField": 16,
-        "rescaled metric": 40,
-        "rescaled skewness": 36,
-        "conformal factor": 20,
-        "eta^": 120,
+        "rescaled metric": 8,
+        "rescaled skewness": 8,
+        "conformal factor": 4,
+        "eta^": 24,
     }

@@ -47,7 +47,7 @@ def builds(monkeypatch):
     init = PointGeometry.__init__
 
     def counting(self, model, alpha, p):
-        made.append((model.name, float(alpha)))
+        made.append((model.name, alpha))
         init(self, model, alpha, p)
 
     monkeypatch.setattr(geometry.PointGeometry, "__init__", counting)
@@ -83,11 +83,13 @@ def test_each_model_object_has_its_own_memo(builds):
     assert len(builds) == 2
 
 
-def test_suite_pass_builds_fifty_geometries(builds):
+def test_suite_pass_builds_ten_geometries(builds):
+    # per case, on its alpha-tiled grid: the model and its two rescaled
+    # variants, each also at the 1/3 skewness-shift weight of the control
     for _ in range(2):
         builds.clear()
         assert run_suite(default_suite_config()).passed
-        assert len(builds) == 50
+        assert len(builds) == 10
 
 
 def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds, monkeypatch):
@@ -99,15 +101,16 @@ def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds,
         return require_inside(model, p)
 
     def counting_init(self, alpha, potential):
-        rescalings.append(float(alpha))
+        rescalings.append(alpha)
         init(self, alpha, potential)
 
     monkeypatch.setattr(ManifoldModel, "require_inside", counting_check)
     monkeypatch.setattr(CupRescaling, "__init__", counting_init)
     assert run_suite(default_suite_config()).passed
     # one check per case in the config's validation, then one per built geometry;
-    # one rescaling per case, alpha and potential, shared by the 1/3-weight control
-    assert (len(checks), len(builds), len(rescalings)) == (52, 50, 20)
+    # one rescaling per case and potential, carrying every alpha, shared by the
+    # 1/3-weight control
+    assert (len(checks), len(builds), len(rescalings)) == (12, 10, 4)
 
 
 def test_a_float_grid_hit_checks_nothing(builds, monkeypatch):
@@ -131,6 +134,20 @@ def test_a_float_grid_hit_checks_nothing(builds, monkeypatch):
     # an int array of the same grid is converted, then finds the same geometry
     assert point_geometry(model, 0.5, np.array([[0, 1], [1, 2]])) is first
     assert (calls, len(builds)) == (["as_coords"], 1)
+
+
+def test_an_alpha_array_is_keyed_by_its_shape_and_bytes(builds):
+    model = gaussian_model()
+    grid = np.array([[0.0, 1.0], [1.0, 2.0]])
+    alphas = np.array([0.5, 1.0])
+    first = point_geometry(model, alphas, grid)
+    assert point_geometry(model, alphas.copy(), grid) is first
+    alphas[0] = -0.5  # the memo keeps its own copy
+    assert np.array_equal(first.alpha, [0.5, 1.0])
+    ints = point_geometry(model, np.array([1, 1]), grid)
+    assert point_geometry(model, np.array([1.0, 1.0]), grid) is ints
+    assert point_geometry(model, 1.0, grid) is not ints
+    assert len(builds) == 3
 
 
 def test_an_invalid_float_grid_still_fails_its_build():

@@ -17,7 +17,7 @@ from cupgeo.cup_transform import (
     parse_rescaling,
     rescaled_model,
 )
-from cupgeo.errors import ConfigError
+from cupgeo.errors import ConfigError, DimensionMismatchError
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
@@ -25,8 +25,8 @@ from cupgeo.geometry import (
     modified_hessian,
     scalar_curvature,
 )
-from cupgeo.manifolds import gaussian_model
-from cupgeo.tensor_core import require_integer, require_real
+from cupgeo.manifolds import estimate_fisher_tensors, gaussian_model
+from cupgeo.tensor_core import Point, as_coords, require_integer, require_real
 from cupgeo.verify import CHECK_IDS, default_suite_config, run_check
 
 G = gaussian_model()
@@ -133,3 +133,28 @@ def test_numpy_numbers_give_the_bits_of_their_floats():
     assert spec.tobytes() == plain.tobytes()
     assert cup_laplacian(G, 0.5, np.int64(2), P) == cup_laplacian(G, 0.5, 2, P)
     assert WeightedDensity(F, np.int64(2)).r == 2.0
+
+
+@pytest.mark.parametrize("coords", [
+    ["0.5", "1"], ("0.5", 1.0), (True, 1.0), (0.5, np.bool_(False)), [(0.0, 1.0), (0.5, True)],
+    np.array(["0.5", "1"]), np.array([True, False]), np.array(["0.5", 1.0], dtype=object),
+    np.array([True, 1.0], dtype=object),
+], ids=["strings", "mixed-string", "bool", "numpy-bool", "bool-in-batch", "string-array",
+        "bool-array", "string-object-array", "bool-object-array"])
+def test_a_coordinate_that_is_a_string_or_a_bool_is_a_dimension_mismatch(coords):
+    for read in (as_coords, Point, G.metric_at,
+                 lambda p: estimate_fisher_tensors(G.sample_spec(10), p)):
+        with pytest.raises(DimensionMismatchError, match="array of reals"):
+            read(coords)
+
+
+@pytest.mark.parametrize("coords", [
+    (0.5, 1), [(0, 1), (1, 2)], (Fraction(1, 2), 1.0), np.array([1, 2]),
+    (np.float32(0.5), np.int64(1)), [np.array([0.5, 1.0]), (1.0, 2.0)],
+    np.array([Fraction(1, 2), 1], dtype=object),
+], ids=["tuple", "int-batch", "fraction", "int-array", "numpy-scalars", "array-rows",
+        "fraction-object-array"])
+def test_coordinates_of_any_real_type_are_their_floats(coords):
+    x = as_coords(coords)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, np.asarray(coords, dtype=float))

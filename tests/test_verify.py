@@ -378,6 +378,26 @@ def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
     assert type(max_abs) is type(max_rel) is type(rowwise.max_abs) is float
 
 
+def test_tiled_cells_are_recorded_as_one_batch_per_alpha_and_cell():
+    points, blocks = np.array([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]), 3
+    rows = blocks * len(points)
+    cells = [(np.zeros((rows, 2, 2)), np.zeros((rows, 2, 2))) for _ in range(3)]
+    # two rows tie for the worst: point 0 of the last block in the first cell,
+    # which comes later in suite order, and point 1 of the first block in the last
+    cells[0][1][2 * len(points) + 0] = 1.0
+    cells[2][1][0 * len(points) + 1] = 1.0
+    together, apart = _Residuals(), _Residuals()
+    together.add_cells(np.tile(points, (blocks, 1)), blocks, cells)
+    for b in range(blocks):
+        for lhs, rhs in cells:
+            block = slice(b * len(points), (b + 1) * len(points))
+            apart.add(points, lhs[block], rhs[block])
+    report = together.report("demo", 1.0)
+    assert report == apart.report("demo", 1.0)
+    assert report.worst_point == (0.0, 1.0)
+    assert report.points_evaluated == len(cells) * rows
+
+
 def test_full_default_suite_passes():
     """The slow one: the complete shipped matrix, all twelve reports."""
     result = run_suite(default_suite_config())
