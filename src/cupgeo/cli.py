@@ -13,6 +13,7 @@ inputs produce byte-identical output and values round-trip losslessly.
 import argparse
 import contextlib
 import dataclasses
+import json
 import math
 import os
 import sys
@@ -67,8 +68,7 @@ def render_json(obj, indent=0):
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):

@@ -6,14 +6,18 @@ couplings x grid points) and reports the worst absolute and relative
 residual.  Alpha is a batch axis: each case's grid is tiled under every
 suite alpha, alpha by alpha, into one batch of alpha x point rows, and one
 rescaling per (case, potential) carries every alpha, so each operator runs
-once per (case, potential, density, coupling) on the whole tiled grid.  A
-check records its rows in suite order (case, alpha, potential, density,
-coupling, point), exactly as one batch per alpha would, and reduces them
-once, in its report, which alone judges it: the worst relative residual,
-and that of any side law, must be within tolerance.  Relative residuals
-are normalized by max(1, |lhs|, |rhs|) so near-zero references cannot
-inflate them; a non-finite side or difference is an infinite residual and
-fails the check.
+once per (case, potential, density, coupling) on the whole tiled grid.
+
+One driver, :func:`_law`, runs every check but ``integrability``: the check
+yields the (lhs, rhs) cells of each case, its own and those of any side
+law, one row per tiled grid row, and the driver records each cell as it
+comes, reduced at once to its rows' residuals.  The report alone judges
+the check: the worst relative residual, and that of any side law, must be
+within tolerance.  The worst point is the last row, in recording order,
+reaching that worst residual, so a tie goes to the last row.  Relative
+residuals are normalized by max(1, |lhs|, |rhs|) so near-zero references
+cannot inflate them; a non-finite side or difference is an infinite
+residual and fails the check.
 
 Two engines run the rescaling checks.  The shift engine compares the
 closed-form prediction of what the rescaling adds to the connection, the
@@ -34,7 +38,6 @@ reporting vacuously and is itself considered broken.
 """
 
 import dataclasses
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,73 +164,45 @@ def _grid(config, case):
 
 
 class _Residuals:
-    """The residuals of one check, one per row of each recorded batch, in suite order.
-
-    ``add`` only records a batch; :meth:`report` reduces every batch at once,
-    each run of consecutive batches of equal width concatenated.
-    """
+    """The residuals of one check, one per recorded row, in recording order:
+    ``add`` reduces each batch at once, and :meth:`report` concatenates the rows."""
 
     def __init__(self):
         self._batches = []
 
     def add(self, points, lhs, rhs):
-        """Record a batch: one row of ``lhs`` and ``rhs`` per point, in row order."""
-        rows = len(points)
-        if rows:
-            self._batches.append((points, np.reshape(lhs, (rows, -1)), np.reshape(rhs, (rows, -1))))
+        """Record a batch, one row of ``lhs`` and ``rhs`` per point.
 
-    def add_cells(self, points, blocks, cells):
-        """Record the (lhs, rhs) ``cells`` of one tiled grid in suite order.
-
-        ``points`` holds ``blocks`` equal blocks of rows, one per alpha, and
-        each cell one row per point.  The rows are recorded block by block,
-        and within a block cell by cell, as one batch per alpha and cell would be.
+        A row's residual is the largest gap between its two sides, and its
+        relative residual that gap over max(1, |lhs|, |rhs|), both infinite
+        for a non-finite gap.
         """
-        rows, dim = len(points) // blocks, points.shape[-1]
-
-        def ordered(sides):
-            return np.stack([np.reshape(a, (blocks, rows, -1)) for a in sides],
-                            axis=1).reshape(blocks * len(sides) * rows, -1)
-
-        tiled = np.broadcast_to(np.reshape(points, (blocks, 1, rows, dim)),
-                                (blocks, len(cells), rows, dim)).reshape(-1, dim)
-        lhs, rhs = zip(*cells)
-        self.add(tiled, ordered(lhs), ordered(rhs))
+        rows = len(points)
+        if not rows:
+            return
+        lhs = np.reshape(np.asarray(lhs, dtype=float), (rows, -1))
+        rhs = np.reshape(np.asarray(rhs, dtype=float), (rows, -1))
+        with np.errstate(all="ignore"):
+            diff = np.abs(lhs - rhs).max(axis=1, initial=0.0)  # not finite if any gap is not
+            finite = np.isfinite(diff)
+            scale = np.maximum(np.abs(lhs), np.abs(rhs)).max(axis=1, initial=1.0)
+            rel = np.where(finite, diff / scale, np.inf)
+        self._batches.append((points, np.where(finite, diff, np.inf), rel))
 
     def report(self, check_id, tolerance, sides=(), **extra):
         """The check's report, judged here and only here.
 
-        A row's residual is the largest gap between its two sides, and its
-        relative residual that gap over max(1, |lhs|, |rhs|), both infinite
-        for a non-finite gap; the worst point is the last row's reaching the
-        largest.  ``sides`` holds (field, residuals, tolerance) side laws, each
-        reported under its field; the check passes when it and every side do.
+        The worst point is the last row, in recording order, reaching the
+        largest relative residual.  ``sides`` holds (field, residuals,
+        tolerance) side laws, each reported under its field; the check
+        passes when it and every side do.
         """
-        diffs, rels = [np.zeros(0)], [np.zeros(0)]
-        width = lambda batch: (batch[1].shape[1], batch[2].shape[1])
-        for _, run in itertools.groupby(self._batches, key=width):
-            _, lhs, rhs = zip(*run)
-            lhs = np.concatenate(lhs, dtype=float)
-            rhs = np.concatenate(rhs, dtype=float)
-            with np.errstate(all="ignore"):
-                gap = np.abs(lhs - rhs)
-                finite = np.isfinite(gap).all(axis=1)
-                diff = np.where(finite, gap.max(axis=1, initial=0.0), np.inf)
-                scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(axis=1, initial=0.0),
-                                                   np.abs(rhs).max(axis=1, initial=0.0)))
-                rels.append(np.where(finite, diff / scale, np.inf))
-            diffs.append(diff)
-        diff, rel = np.concatenate(diffs), np.concatenate(rels)
-        worst, count = (), len(rel)
-        if count:
-            row = count - 1 - int(np.argmax(rel[::-1]))  # the last row reaching the maximum
-            start = count
-            for points, _, _ in reversed(self._batches):
-                start -= len(points)
-                if start <= row:
-                    worst = tuple(float(c) for c in points[row - start])
-                    break
+        diff = np.concatenate([np.zeros(0)] + [d for _, d, _ in self._batches])
+        rel = np.concatenate([np.zeros(0)] + [r for _, _, r in self._batches])
         max_rel = float(rel.max(initial=0.0))
+        # the last row reaching the maximum, in the last batch reaching it
+        worst = next((tuple(float(c) for c in points[len(r) - 1 - int(np.argmax(r[::-1]))])
+                      for points, _, r in reversed(self._batches) if r.max() == max_rel), ())
         passed = max_rel <= tolerance
         for field_name, side, side_tolerance in sides:
             side_report = side.report(field_name, side_tolerance)
@@ -235,7 +210,7 @@ class _Residuals:
             passed = passed and side_report.passed
         return CheckReport(
             check_id=check_id,
-            points_evaluated=count,
+            points_evaluated=len(rel),
             max_abs_residual=float(diff.max(initial=0.0)),
             max_rel_residual=max_rel,
             tolerance=tolerance,
@@ -280,37 +255,47 @@ def _rescalings(config, case, alphas, variants):
     return variants[weighted]
 
 
-def _cases(config, variants):
-    """Every case with its tiled grid, the alpha of each row and its rescaled triples."""
+def _law(config, variants, check_id, tol, cells, sides=()):
+    """Report ``check_id`` on the cells of every case of ``config``, each recorded as it comes.
+
+    ``cells(case, pts, alphas, rescalings)`` yields the (field, lhs, rhs)
+    cells of one case on its tiled grid ``pts``, each side one row per grid
+    row; ``field`` is None for the check's own cells and otherwise names a
+    side law, one of the (field, tolerance) pairs of ``sides``.
+    """
+    res = {field_name: _Residuals() for field_name, _ in ((None, tol), *sides)}
     for case in config.cases:
         pts, alphas = _grid(config, case)
-        yield case, pts, alphas, _rescalings(config, case, alphas, variants)
+        for field_name, lhs, rhs in cells(case, pts, alphas,
+                                          _rescalings(config, case, alphas, variants)):
+            res[field_name].add(pts, lhs, rhs)
+    return res[None].report(check_id, tol, [(f, res[f], t) for f, t in sides])
 
 
 # -- structural checks on models --------------------------------------------
 
 
-def _structural(config, variants, law):
-    """Record ``law(model, alphas, pts)`` on each case model and its rescaled variants."""
-    res = _Residuals()
-    for case, pts, alphas, rescalings in _cases(config, variants):
-        models = (case.model,) + tuple(varied for _, varied, _ in rescalings)
-        res.add_cells(pts, len(config.alphas), [law(m, alphas, pts) for m in models])
-    return res
+def _structural(law):
+    """The cells of ``law(model, alphas, pts)`` on a case model and each of its
+    rescaled variants."""
+    def cells(case, pts, alphas, rescalings):
+        for model in (case.model, *(varied for _, varied, _ in rescalings)):
+            yield None, *law(model, alphas, pts)
+    return cells
 
 
 def _check_metric_compat(config, tol, variants):
     def law(model, alphas, pts):
         nabla_g = covariant_derivative_metric(model, alphas, pts).components
         return nabla_g, _bc(alphas, 3) * point_geometry(model, alphas, pts).t
-    return _structural(config, variants, law).report("metric_compat", tol)
+    return _law(config, variants, "metric_compat", tol, _structural(law))
 
 
 def _check_codazzi(config, tol, variants):
     def law(model, alphas, pts):
         nabla_g = covariant_derivative_metric(model, alphas, pts).components
         return nabla_g, np.swapaxes(nabla_g, -3, -2)
-    return _structural(config, variants, law).report("codazzi", tol)
+    return _law(config, variants, "codazzi", tol, _structural(law))
 
 
 # -- shift predictions vs direct recomputation ------------------------------
@@ -321,19 +306,14 @@ def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None)
     against ``quantity`` on the rescaled model minus ``quantity`` on the model.
     ``side``, if given, is a (field, tolerance, law) side law: ``law(model, resc,
     pts, pred)`` gives the two sides of a second residual."""
-    res, side_res = _Residuals(), _Residuals()
-    for case, pts, alphas, rescalings in _cases(config, variants):
-        cells, side_cells = [], []
+    def cells(case, pts, alphas, rescalings):
         for resc, varied, _ in rescalings:
             pred = prediction(case.model, resc, pts).components
-            cells.append((pred, quantity(varied, alphas, pts).components
-                          - quantity(case.model, alphas, pts).components))
+            yield None, pred, (quantity(varied, alphas, pts).components
+                               - quantity(case.model, alphas, pts).components)
             if side:
-                side_cells.append(side[2](case.model, resc, pts, pred))
-        res.add_cells(pts, len(config.alphas), cells)
-        if side:
-            side_res.add_cells(pts, len(config.alphas), side_cells)
-    return res.report(check_id, tol, [(side[0], side_res, side[1])] if side else ())
+                yield side[0], *side[2](case.model, resc, pts, pred)
+    return _law(config, variants, check_id, tol, cells, [side[:2]] if side else ())
 
 
 def _check_conn_shift(config, tol, variants):
@@ -355,27 +335,23 @@ def _check_ricci_shift(config, tol, variants):
 # -- operator invariances ---------------------------------------------------
 
 
-def _components(value):
-    return value.components if hasattr(value, "components") else value
-
-
 def _invariance(operator, s, model, varied, resc, inputs, pts):
-    """The (lhs, rhs) cell of the (r; s) law on one grid, and the original side's value.
+    """The two sides of the (r; s) law on one grid, and the original side's value.
 
     The law: ``operator`` on the rescaled model, applied to the weighted
     inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
     original model applied to the inputs themselves; ``inputs`` holds the
     (f, eta^r f) pairs.  ``operator(model, *fields, pts)`` takes the whole
-    grid as one batch and returns per-row scalars or a tensor.  The value
-    returned beside the cell is the operator on the original model, before
-    any eta^s factor.
+    grid as one batch and returns per-row scalars or tensor components.
+    The value returned after the two sides is the operator on the original
+    model, before any eta^s factor.
     """
-    lhs = _components(operator(varied, *(scaled for _, scaled in inputs), pts))
-    base = _components(operator(model, *(f for f, _ in inputs), pts))
+    lhs = operator(varied, *(scaled for _, scaled in inputs), pts)
+    base = operator(model, *(f for f, _ in inputs), pts)
     rhs = base
     if s != 0.0:
         rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
-    return (lhs, rhs), base
+    return lhs, rhs, base
 
 
 def _hessian_k(config, case):
@@ -384,53 +360,44 @@ def _hessian_k(config, case):
 
 
 def _inputs(case, rescalings):
-    """Every rescaled triple of a case once per case density, with its (f, eta^r f)
-    pair, in suite order."""
+    """Every rescaled triple of a case once per case density, with its (f, eta^r f) pair."""
     for resc, varied, inputs in rescalings:
         for density in case.densities:
             yield resc, varied, inputs, (density.f, inputs[density])
 
 
 def _check_hessian_inv(config, tol, variants):
-    res = _Residuals()
-    for case, pts, alphas, rescalings in _cases(config, variants):
+    def cells(case, pts, alphas, rescalings):
         spec = HessianSpec(_hessian_k(config, case))
-        op = lambda m, f, p: modified_hessian(m, alphas, spec, f, p)
-        res.add_cells(pts, len(config.alphas), [
-            _invariance(op, 1.0, case.model, varied, resc, (density,), pts)[0]
-            for resc, varied, _, density in _inputs(case, rescalings)])
-    return res.report("hessian_inv", tol)
+        op = lambda m, f, p: modified_hessian(m, alphas, spec, f, p).components
+        for resc, varied, _, density in _inputs(case, rescalings):
+            yield None, *_invariance(op, 1.0, case.model, varied, resc, (density,), pts)[:2]
+    return _law(config, variants, "hessian_inv", tol, cells)
 
 
 def _check_laplacian_inv(config, tol, variants):
-    res, decomp = _Residuals(), _Residuals()
-    for case, pts, alphas, rescalings in _cases(config, variants):
+    def cells(case, pts, alphas, rescalings):
         op = lambda m, f, p: cup_laplacian(m, alphas, f, p)
-        cells, decomp_cells = [], []
         for resc, varied, _, (plain, scaled) in _inputs(case, rescalings):
-            cell, base = _invariance(op, config.laplacian_s, case.model, varied, resc,
-                                     ((plain, scaled),), pts)
-            cells.append(cell)
-            decomp_cells.append((cell[0], cup_laplacian_decomposed(varied, alphas, scaled, pts)))
-            decomp_cells.append((base, cup_laplacian_decomposed(case.model, alphas, plain, pts)))
-        res.add_cells(pts, len(config.alphas), cells)
-        decomp.add_cells(pts, len(config.alphas), decomp_cells)
-    return res.report("laplacian_inv", tol, [("decomp_residual", decomp, DECOMPOSITION_TOLERANCE)])
+            lhs, rhs, base = _invariance(op, config.laplacian_s, case.model, varied, resc,
+                                         ((plain, scaled),), pts)
+            yield None, lhs, rhs
+            yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled, pts)
+            yield "decomp_residual", base, cup_laplacian_decomposed(case.model, alphas, plain, pts)
+    return _law(config, variants, "laplacian_inv", tol, cells,
+                [("decomp_residual", DECOMPOSITION_TOLERANCE)])
 
 
 def _check_nonlinear_inv(config, tol, variants):
     """The coupling lam enters as a second input, of weight -a."""
-    res = _Residuals()
-    for case, pts, alphas, rescalings in _cases(config, variants):
-        cells = []
+    def cells(case, pts, alphas, rescalings):
         for resc, varied, inputs, density in _inputs(case, rescalings):
             for c in case.couplings:
                 op = lambda m, f, lam, p: nonlinear_cup_operator(
                     m, alphas, f, NonlinearCoupling(lam, c.a), p)
-                cells.append(_invariance(op, 0.0, case.model, varied, resc,
-                                         (density, (c.lam, inputs[c])), pts)[0])
-        res.add_cells(pts, len(config.alphas), cells)
-    return res.report("nonlinear_inv", tol)
+                yield None, *_invariance(op, 0.0, case.model, varied, resc,
+                                         (density, (c.lam, inputs[c])), pts)[:2]
+    return _law(config, variants, "nonlinear_inv", tol, cells)
 
 
 def _check_integrability(config, tol, variants):

@@ -141,6 +141,18 @@ class TestTensors:
         assert rc == 0
         assert render_json(json.loads(out)) + "\n" == out
 
+    def test_a_control_character_in_the_model_name_round_trips(self, tmp_path, capsys):
+        source = Path(__file__).resolve().parent / "data" / "bounded-simplex.json"
+        config = json.loads(source.read_text(encoding="utf-8"))
+        config["name"] = "a\u0001b"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        rc, out, _ = run_cli("tensors", "--model", str(path), "--point", "0.6,0.1",
+                             "--json", capsys=capsys)
+        assert rc == 0
+        assert json.loads(out)["model"] == "a\u0001b"
+        assert render_json(json.loads(out)) + "\n" == out
+
     @pytest.mark.parametrize("pinned, args", [
         ("tensors-gaussian.json", ("--model", "gaussian", "--alpha", "0.5")),
         ("tensors-multinomial4.json", ("--model", "multinomial:4", "--alpha", "-0.5")),
@@ -175,6 +187,13 @@ class TestTensors:
 
 
 class TestLaplacian:
+    def test_a_tab_in_the_density_round_trips(self, capsys):
+        rc, out, _ = run_cli("laplacian", "--model", "gaussian", "--point", "0,1",
+                             "--density", "1 +\tmu", "--json", capsys=capsys)
+        assert rc == 0
+        assert json.loads(out)["density"] == "1 +\tmu"
+        assert render_json(json.loads(out)) + "\n" == out
+
     def test_readme_example_matches_the_code(self, capsys):
         argv, runs = readme_example("laplacian")
         assert runs == [["(mu=0, sigma=1)  laplacian = -0.75  with coupling = 1.25"]]

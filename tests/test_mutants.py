@@ -1,0 +1,107 @@
+"""Planted one-line errors: each must fail at least one regular row of the suite.
+
+A mutant is a function or a cached property recompiled from its own source
+with one line changed, and patched in for one test; the source files are
+never edited.  A function is patched in every ``cupgeo`` module that holds it,
+as an edit of its source would change it there too.  Each run builds fresh
+models, so no geometry or jet computed under a mutant outlives its test.
+"""
+
+import inspect
+import sys
+import textwrap
+from functools import cached_property
+
+import pytest
+
+from cupgeo import cup_transform, geometry, verify
+from cupgeo.cli import _case_for
+from cupgeo.manifolds import gaussian_model, multinomial_model
+
+# (owner, name, line before, line after): geometry, the operators, then the
+# closed-form predictions of cup_transform
+MUTANTS = {
+    "riemann quad x(-0.7)": (
+        geometry.PointGeometry, "riemann",
+        "quad = quad - np.swapaxes(quad, -1, -2)",
+        "quad = -0.7 * (quad - np.swapaxes(quad, -1, -2))"),
+    "christoffel lowering sign": (
+        geometry.PointGeometry, "_lowered",
+        '- np.einsum("...ijm->...mij", dg)',
+        '+ np.einsum("...ijm->...mij", dg)'),
+    "dgamma drops t dginv": (
+        geometry.PointGeometry, "dgamma",
+        'dskew += np.einsum("...ijm,...mkl->...kijl", self.t, self.dginv)',
+        "pass"),
+    "hessian gamma sign": (
+        geometry, "_hessian",
+        "return fj.d2 - np.einsum",
+        "return fj.d2 + np.einsum"),
+    "laplacian drops dginv": (
+        geometry, "_laplacian",
+        'out = out + np.einsum("...iji,...j->...", ws.dginv, fj.d1)',
+        "out = out"),
+    "trace scalar-curvature sign": (
+        geometry, "_cup_trace",
+        "+ k * ws.scalar * fj.value",
+        "- k * ws.scalar * fj.value"),
+    "nonlinear exponent a+1": (
+        geometry, "nonlinear_cup_operator",
+        "lam * np.float64(fval) ** a",
+        "lam * np.float64(fval) ** (a + 1)"),
+    "psi core drops alpha psi psi": (
+        cup_transform, "_psi_shift_core",
+        "return _hessian(ws, phi) + _bc(",
+        "return _hessian(ws, phi) + 0.0 * _bc("),
+    "connection shift doubles one delta": (
+        cup_transform, "connection_shift_prediction",
+        'np.einsum("kj,...i->...kij", eye, psi)',
+        'np.einsum("ki,...j->...kij", eye, psi)'),
+    "ricci shift (n-1) -> n": (
+        cup_transform, "ricci_shift_prediction",
+        "(model.dim - 1) * resc.alpha",
+        "model.dim * resc.alpha"),
+}
+
+
+def reduced_config():
+    """A 2-d and a 3-d case at two alphas, on fresh models."""
+    cases = (_case_for(gaussian_model()), _case_for(multinomial_model(4)))
+    return verify.SuiteConfig(cases=cases, alphas=(-1.0, 0.5))
+
+
+def failed_rows(result):
+    return [r.check_id for r in result.reports if not r.negative_control and not r.passed]
+
+
+def plant(monkeypatch, owner, name, before, after):
+    """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``."""
+    original = inspect.getattr_static(owner, name)
+    func = getattr(original, "func", original)  # a cached property's function
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(before) == 1, f"{name} has no single line holding {before!r}"
+    module = sys.modules[func.__module__]
+    defined = {}
+    code = compile(source.replace(before, after), inspect.getsourcefile(func), "exec")
+    exec(code, vars(module), defined)
+    mutant = defined[name]
+    if isinstance(mutant, cached_property):
+        mutant.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, mutant)
+        return
+    holders = [m for n, m in sys.modules.items()
+               if n.split(".")[0] == "cupgeo" and vars(m).get(name) is original]
+    for holder in holders:
+        monkeypatch.setattr(holder, name, mutant)
+
+
+def test_the_reduced_config_passes_unmutated():
+    result = verify.run_suite(reduced_config())
+    assert result.passed
+    assert failed_rows(result) == []
+
+
+@pytest.mark.parametrize("label", MUTANTS)
+def test_a_mutant_fails_a_regular_row(label, monkeypatch):
+    plant(monkeypatch, *MUTANTS[label])
+    assert failed_rows(verify.run_suite(reduced_config()))

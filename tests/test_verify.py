@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cupgeo import verify
-from cupgeo.cli import render_json
+from cupgeo.cli import _case_for, render_json
 from cupgeo.cup_transform import WeightedDensity
 from cupgeo.errors import ConfigError
 from cupgeo.geometry import NonlinearCoupling
@@ -378,24 +378,26 @@ def test_a_batch_is_recorded_as_its_rows_one_by_one(batches):
     assert type(max_abs) is type(max_rel) is type(rowwise.max_abs) is float
 
 
-def test_tiled_cells_are_recorded_as_one_batch_per_alpha_and_cell():
-    points, blocks = np.array([(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)]), 3
-    rows = blocks * len(points)
-    cells = [(np.zeros((rows, 2, 2)), np.zeros((rows, 2, 2))) for _ in range(3)]
-    # two rows tie for the worst: point 0 of the last block in the first cell,
-    # which comes later in suite order, and point 1 of the first block in the last
-    cells[0][1][2 * len(points) + 0] = 1.0
-    cells[2][1][0 * len(points) + 1] = 1.0
-    together, apart = _Residuals(), _Residuals()
-    together.add_cells(np.tile(points, (blocks, 1)), blocks, cells)
-    for b in range(blocks):
-        for lhs, rhs in cells:
-            block = slice(b * len(points), (b + 1) * len(points))
-            apart.add(points, lhs[block], rhs[block])
-    report = together.report("demo", 1.0)
-    assert report == apart.report("demo", 1.0)
-    assert report.worst_point == (0.0, 1.0)
-    assert report.points_evaluated == len(cells) * rows
+def test_a_suite_of_a_2d_and_a_3d_case_reduces_as_its_two_cases():
+    """Each report of a suite mixing a 2-d and a 3-d case is its two single-case
+    reports reduced: counts add up, maxima take the larger, and the worst point
+    is the one of the case holding the maximum."""
+    both = (_case_for(gaussian_model()), _case_for(multinomial_model(4)))
+    mixed, first, second = (
+        run_suite(SuiteConfig(cases=cases, alphas=verify.DEFAULT_ALPHAS)).reports
+        for cases in (both, both[:1], both[1:]))
+    for m, a, b in zip(mixed, first, second, strict=True):
+        assert m.check_id == a.check_id == b.check_id
+        assert m.points_evaluated == a.points_evaluated + b.points_evaluated
+        assert m.flat_points == a.flat_points + b.flat_points
+        assert m.max_abs_residual == max(a.max_abs_residual, b.max_abs_residual)
+        assert m.max_rel_residual == max(a.max_rel_residual, b.max_rel_residual)
+        for side in ("trace_residual", "decomp_residual"):
+            if getattr(a, side) is not None:
+                assert getattr(m, side) == max(getattr(a, side), getattr(b, side))
+        # a tie goes to the later case, whose rows are recorded last
+        holder = b if b.max_rel_residual >= a.max_rel_residual else a
+        assert m.worst_point == holder.worst_point
 
 
 def test_full_default_suite_passes():
