@@ -22,6 +22,17 @@ jet of a rank-2 field over P points has ``value`` of shape ``(P, n, n)``
 and ``d1`` of shape ``(P, n, n, n)``.  Monte-Carlo samples ride the same
 leading axis.
 
+Memory layout follows one rule, and the logical axes above do not change
+with it.  Where a derivative part is broadcast against an operand with more
+axes than the part -- a point-level part meeting a sample batch -- the
+result is formed batch-innermost (``order="F"``), so numpy's inner loops
+run along the samples, not along the n derivative slots.  Everywhere else
+numpy's default ``order="K"`` carries the operands' layout on, so a whole
+log-likelihood over a batch stays batch-innermost, and parts whose values
+share their batch axes (one point, or a grid of points) stay C-contiguous.
+The layout never changes an element: the arithmetic on parts is
+elementwise.
+
 The arithmetic is also the generator of :mod:`cupgeo.expr`'s unrolled code,
 which runs it on jets whose value is a traced code name and whose partials
 are object arrays of names and numbers: every value-level function goes
@@ -47,6 +58,20 @@ def _bc(value, k):
     if k == 0 or not isinstance(value, np.ndarray) or value.ndim == 0:
         return value
     return value.reshape(value.shape + (1,) * k)
+
+
+def _formed(ufunc, a, b):
+    """``ufunc(a, b)`` for the derivative part ``b`` and an operand ``a``,
+    batch-innermost where one has more axes than the other and ``a`` is an
+    array with axes of its own.
+
+    That is a point-level part meeting a sample batch (or the reverse), which
+    numpy would lay out in C order, with an inner loop of length n.
+    """
+    na = getattr(a, "ndim", 0)  # np.ndim of a float costs a microsecond
+    if na and na != b.ndim:
+        return ufunc(a, b, order="F")
+    return ufunc(a, b)
 
 
 def _elem(value, fn, *args):
@@ -178,13 +203,15 @@ class Jet:
             value = self.value + other
             parts = [self.deriv(k) for k in range(1, self.order + 1)]
             if isinstance(other, np.ndarray) and np.shape(value) != np.shape(self.value):
-                # an array operand added batch axes: the shared parts gain them too
+                # an array operand added batch axes: the parts gain them too,
+                # batch-innermost as in _formed
                 lead = np.shape(value)
-                parts = [np.broadcast_to(d, lead + d.shape[d.ndim - k:])
+                parts = [np.asarray(np.broadcast_to(d, lead + d.shape[d.ndim - k:]), order="F")
                          for k, d in enumerate(parts, 1)]
             return Jet(self.dim, self.order, value, *parts)
         self._check(other)
-        parts = [self.deriv(k) + other.deriv(k) for k in range(1, self.order + 1)]
+        parts = [_formed(np.add, self.deriv(k), other.deriv(k))
+                 for k in range(1, self.order + 1)]
         return Jet(self.dim, self.order, self.value + other.value, *parts)
 
     __radd__ = __add__
@@ -201,22 +228,25 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            parts = [_bc(other, k) * self.deriv(k) for k in range(1, self.order + 1)]
+            parts = [_formed(np.multiply, _bc(other, k), self.deriv(k))
+                     for k in range(1, self.order + 1)]
             return Jet(self.dim, self.order, self.value * other, *parts)
         self._check(other)
         f, g = self, other
         n, m = f.dim, f.order
         value = f.value * g.value
+        # each sum is formed in place, in its first term's buffer: one temporary fewer
         parts = []
         if m >= 1:
-            parts.append(_bc(f.value, 1) * g.d1 + _bc(g.value, 1) * f.d1)
+            d1 = _formed(np.multiply, _bc(f.value, 1), g.d1)
+            d1 += _formed(np.multiply, _bc(g.value, 1), f.d1)
+            parts.append(d1)
         if m >= 2:
-            cross = f.d1[..., :, None] * g.d1[..., None, :]
-            parts.append(
-                _bc(f.value, 2) * g.d2
-                + _bc(g.value, 2) * f.d2
-                + (cross + np.swapaxes(cross, -1, -2))
-            )
+            cross = _formed(np.multiply, f.d1[..., :, None], g.d1[..., None, :])
+            d2 = _formed(np.multiply, _bc(f.value, 2), g.d2)
+            d2 += _formed(np.multiply, _bc(g.value, 2), f.d2)
+            d2 += cross + np.swapaxes(cross, -1, -2)
+            parts.append(d2)
         return Jet(n, m, value, *parts)
 
     __rmul__ = __mul__
@@ -258,10 +288,11 @@ class Jet:
         m = self.order
         parts = []
         if m >= 1:
-            parts.append(_bc(c1, 1) * self.d1)
+            parts.append(_formed(np.multiply, _bc(c1, 1), self.d1))
         if m >= 2:
             outer11 = self.d1[..., :, None] * self.d1[..., None, :]
-            parts.append(_bc(c2, 2) * outer11 + _bc(c1, 2) * self.d2)
+            parts.append(_formed(np.multiply, _bc(c2, 2), outer11)
+                         + _formed(np.multiply, _bc(c1, 2), self.d2))
         return Jet(self.dim, m, c0, *parts)
 
     def __repr__(self):

@@ -444,8 +444,11 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
     Returns the batch sums of s_i s_j, (s_i s_j)^2, s_i s_j s_k and
     (s_i s_j s_k)^2 as ``(n, n)``, ``(n, n)``, ``(n, n, n)`` and
     ``(n, n, n)`` arrays.  Each is formed by matrix products, so BLAS does
-    the summing: the triple sums take one product per leading index, on
-    row-scaled copies written into a single reused ``(size, n)`` buffer.
+    the summing.  They reduce over ``s``, the score transposed to
+    ``(n, size)``: the jets lay a batch's score out sample-innermost, so
+    ``s`` is a C-contiguous view and each of its rows one run of memory.
+    The triple sums take one product per leading index i, on the rows
+    scaled by row i, written into a single reused ``(n, size)`` buffer.
     Only the four small sums leave this call; the samples, the jets and the
     score are freed with it, before the next batch is drawn.
     """
@@ -462,16 +465,17 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
         )
     if not np.all(np.isfinite(score)):
         raise EvaluationError(f"non-finite log-likelihood derivatives at {point.coords}")
-    sq = score * score
-    scaled = np.empty_like(score)
+    s = score.T
+    sq = s * s
+    scaled = np.empty((n, size))
     triple = np.empty((n, n, n))
     triple_sq = np.empty((n, n, n))
     for i in range(n):
-        np.multiply(score, score[:, i, None], out=scaled)
-        triple[i] = scaled.T @ score
-        np.multiply(sq, sq[:, i, None], out=scaled)
-        triple_sq[i] = scaled.T @ sq
-    return score.T @ score, sq.T @ sq, triple, triple_sq
+        np.multiply(s, s[i], out=scaled)
+        triple[i] = scaled @ s.T
+        np.multiply(sq, sq[i], out=scaled)
+        triple_sq[i] = scaled @ sq.T
+    return s @ s.T, sq @ sq.T, triple, triple_sq
 
 
 def _mirror_sorted(arr, rank=None, lead=0):

@@ -35,6 +35,7 @@ from cupgeo.geometry import (
     NonlinearCoupling,
     cup_laplacian,
     cup_laplacian_decomposed,
+    curvature,
     modified_hessian,
     nonlinear_cup_operator,
 )
@@ -47,6 +48,7 @@ from cupgeo.manifolds import (
     parse_model,
 )
 from cupgeo.tensor_core import Field, FuncField, NumericField
+from cupgeo.verify import default_suite_config, run_suite
 
 GAUSS = gaussian_model()
 FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
@@ -380,3 +382,61 @@ def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
         "conformal factor": 4,
         "eta^": 24,
     }
+
+
+# -- memory layout on the geometry paths -------------------------------------
+#
+# jets lays a part out batch-innermost only where a point-level part meets an
+# operand with more axes.  A field's jet at one point has no batch axes, and
+# the fields of a suite grid all share theirs, so every part the geometry
+# reads keeps the C layout its pinned bytes were computed on.
+
+
+@pytest.fixture
+def returned_parts(monkeypatch):
+    """Every array part of every jet ``Field.jet`` returns."""
+    parts = []
+
+    def recorded(self, coords, order, jet=Field.jet):
+        got = jet(self, coords, order)
+        parts.extend(got.deriv(k) for k in range(order + 1)
+                     if isinstance(got.deriv(k), np.ndarray))
+        return got
+
+    monkeypatch.setattr(Field, "jet", recorded)
+    return parts
+
+
+def _pointwise_block():
+    """Single-point queries: curvature, a modified Hessian and a nonlinear
+    operator per model, rescaled and finite-difference models included."""
+    models = [(GAUSS, (0.3, 1.2)), (multinomial_model(3), (0.3, 0.3)),
+              (multinomial_model(4), (0.2, 0.3, 0.25)),
+              (rescaled_model(GAUSS, RESCALING), (-0.4, 0.8)),
+              (FIELD_MODELS["gaussian-fd"](), POINT)]
+    for model, point in models:
+        c1 = model.coord_names[0]
+        f = model.scalar_field(f"1 + 0.1*{c1}")
+        coupling = NonlinearCoupling(model.scalar_field("2"), 3.0)
+        for alpha in (-1.0, 0.5):
+            curvature(model, alpha, point)
+            modified_hessian(model, alpha, HessianSpec(0.5), f, point)
+            nonlinear_cup_operator(model, alpha, f, coupling, point)
+
+
+LAYOUT_RUNS = {
+    "default suite": lambda: run_suite(default_suite_config()),
+    "verify multinomial:4": lambda: cli.main(["verify", "--model", "multinomial:4", "--json"]),
+    "pointwise": _pointwise_block,
+}
+
+
+@pytest.mark.parametrize("run", sorted(LAYOUT_RUNS))
+def test_the_geometry_reads_only_c_contiguous_parts(run, returned_parts):
+    with contextlib.redirect_stdout(io.StringIO()):
+        LAYOUT_RUNS[run]()
+    assert returned_parts
+    kinds = collections.Counter(
+        "C" if a.flags.c_contiguous else "F" if a.flags.f_contiguous else "strided"
+        for a in returned_parts)
+    assert set(kinds) == {"C"}, kinds

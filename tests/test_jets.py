@@ -252,6 +252,77 @@ def test_array_operand_acts_as_a_constant_jet(order, one_point):
                 assert np.array_equal(got.deriv(k), want.deriv(k)), (name, side, k)
 
 
+# -- memory layout ------------------------------------------------------------
+
+# Each formula takes two jets x, y and an operand a: a (P,) array, a batch
+# jet built from one (as the Monte-Carlo log-likelihoods are), or one row of
+# either as a float.  The arguments of log, sqrt and the fractional power
+# stay positive for positive x, y and a.
+_LAYOUT_FORMULAS = {
+    "product": lambda x, y, a: x * a,
+    "reflected product": lambda x, y, a: a * y,
+    "sum": lambda x, y, a: x + a,
+    "difference": lambda x, y, a: a - y,
+    "quotient": lambda x, y, a: x / a,
+    "reflected quotient": lambda x, y, a: a / y,
+    "jet product": lambda x, y, a: (x * a) * y * (y + a),
+    "jet sum": lambda x, y, a: y + x * a,
+    "jet quotient": lambda x, y, a: y / (x + a),
+    "integer power": lambda x, y, a: (x * a) ** 3 + (y + a) ** -2,
+    "fractional power": lambda x, y, a: (x * a) ** 1.5,
+    "exp": lambda x, y, a: exp(x * a),
+    "log": lambda x, y, a: log(y * a),
+    "sqrt": lambda x, y, a: sqrt(a + x),
+    "sin": lambda x, y, a: sin(a * x),
+    "cos": lambda x, y, a: cos(a - y),
+}
+
+
+def _batch_jet(x, y, a):
+    return x * a + y
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("operand", ["array", "batch jet"])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(_LAYOUT_FORMULAS))
+def test_a_point_level_jet_meeting_a_sample_batch_is_laid_out_batch_innermost(
+        name, order, operand):
+    formula = _LAYOUT_FORMULAS[name]
+    if operand == "batch jet":
+        inner = formula
+        formula = lambda x, y, a: inner(x, y, _batch_jet(x, y, a))  # noqa: E731
+    a = np.random.default_rng(5).uniform(0.5, 2.0, 7)
+    x, y = seed((0.7, 1.3), order)
+    got = formula(x, y, a)
+    for k in range(1, order + 1):
+        part = got.deriv(k)
+        assert part.shape == (7,) + (2,) * k
+        assert part.strides[0] == part.itemsize, (k, part.strides)  # batch-innermost
+        rows = [formula(x, y, float(v)).deriv(k) for v in a]
+        assert np.array_equal(_bits(part), _bits(np.stack(rows))), k
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", sorted(_LAYOUT_FORMULAS))
+def test_jets_sharing_their_batch_axes_keep_c_contiguous_parts(name, order):
+    formula = _LAYOUT_FORMULAS[name]
+    rng = np.random.default_rng(6)
+    grid = rng.uniform(0.5, 2.0, (7, 2))
+    a = rng.uniform(0.5, 2.0, 7)
+    got = formula(*seed(grid, order), a)
+    for k in range(1, order + 1):
+        part = got.deriv(k)
+        assert part.flags.c_contiguous, k
+        rows = [formula(*seed(pt, order), float(v)).deriv(k) for pt, v in zip(grid, a)]
+        assert np.array_equal(_bits(part), _bits(np.stack(rows))), k
+    point = formula(*seed(grid[0], order), float(a[0]))
+    assert all(point.deriv(k).flags.c_contiguous for k in range(1, order + 1))
+
+
 def test_finite_difference_of_array_valued_callable():
     def fn(v):
         x, y = v

@@ -319,18 +319,27 @@ class TestMonteCarloOracle:
             for perm in permutations(range(arr.ndim)):
                 assert np.array_equal(arr, np.transpose(arr, perm))
 
+    @pytest.mark.parametrize("batch_size", [None, 700], ids=["one batch", "split"])
     @pytest.mark.parametrize("name, point", [
         ("gaussian", (0.3, 1.7)),
+        ("multinomial:3", (0.3, 0.3)),
         ("multinomial:4", (0.2, 0.3, 0.25)),
     ])
-    def test_sums_match_an_exactly_rounded_reference(self, name, point):
+    def test_sums_match_an_exactly_rounded_reference(self, name, point, batch_size,
+                                                      monkeypatch):
         count = 2000
+        if batch_size is not None:
+            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", batch_size)
         spec = resolve_model(name).sample_spec(count=count, seed=11)
         est = estimate_fisher_tensors(spec, point)
-        # the same draws, reduced component by component with math.fsum
+        # the same draws, batch by batch, reduced component by component with math.fsum
         pt = Point(point)
-        samples = spec.sampler(pt, count, np.random.default_rng(spec.seed))
-        score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
+        rng = np.random.default_rng(spec.seed)
+        size = manifolds.MC_BATCH_SIZE
+        score = np.concatenate([
+            spec.log_likelihood(spec.sampler(pt, min(size, count - start), rng),
+                                jets.seed(pt.coords, 1)).d1
+            for start in range(0, count, size)])
         n = len(point)
         for rank, mean, se in ((2, est.metric.components, est.metric_se),
                                (3, est.skewness.components, est.skewness_se)):
