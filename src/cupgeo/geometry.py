@@ -24,13 +24,13 @@ bit as a call at its own float alpha would give it, so one call can carry
 a grid tiled under several alphas.  A :class:`PointGeometry` instance
 caches the intermediate arrays for one (model, alpha, points) triple, and
 :func:`point_geometry` shares one instance between every call with the same
-triple: each model owns a memo of its :data:`GEOMETRY_MEMO_SIZE` most
-recently used geometries, keyed by the float alpha (or the shape and bytes
-of the alpha array) and the shape and bytes of the coordinates.  Sharing is
-sound because models are immutable and their fields pure; the shared
-arrays are read-only, so a caller cannot alter what a later call returns.
-A grid is checked once, when its geometry is built: the memo holds only
-geometries that passed, so a hit needs no check.  Each operator evaluates
+triple: each model keeps the geometry of its last request, keyed by the
+shape and bytes of the alpha (a float or an array alike) and of the
+coordinates, as each field keeps its last jet.  Sharing is sound because
+models are immutable and their fields pure; the shared arrays are
+read-only, so a caller cannot alter what a later call returns.  A grid is
+checked once, when its geometry is built: a model keeps only a geometry
+that passed, so a hit needs no check.  Each operator evaluates
 its density and coupling at the coordinates of its geometry.
 
 A connection, curvature or operator value that is not finite (an overflow
@@ -60,9 +60,6 @@ from .tensor_core import (
     require_real,
     require_scalar,
 )
-
-
-GEOMETRY_MEMO_SIZE = 16
 
 
 def _real(x):
@@ -119,14 +116,12 @@ def _finite(value, quantity, x, **params):
 def _shifted(base, alpha, term):
     """``base - (alpha/2) * term()``, row by row for an alpha array.
 
-    A row at alpha = 0 keeps ``base`` by a select, not by a product with zero,
-    exactly as a float alpha of 0 does: its term (a skewness product that
-    overflowed to inf, say) cannot make it nan, and a -0.0 in ``base`` keeps
-    its sign.  When no row has a nonzero alpha, ``term`` is not called.
+    A float alpha is one row.  A row at alpha = 0 keeps ``base`` by a select,
+    not by a product with zero: its term (a skewness product that overflowed
+    to inf, say) cannot make it nan, and a -0.0 in ``base`` keeps its sign.
+    When no row has a nonzero alpha, ``term`` is not called.
     """
-    if type(alpha) is float:
-        return base - 0.5 * alpha * term() if alpha != 0.0 else base
-    if not alpha.any():
+    if not np.any(alpha):
         return base
     alpha = _bc(alpha, np.ndim(base) - 1)
     return np.where(alpha == 0.0, base, base - 0.5 * alpha * term())
@@ -177,7 +172,7 @@ class PointGeometry:
     instances through :func:`point_geometry` instead.
 
     The instance holds the model's metric and skewness fields, not the
-    model, so a model's memo of its geometries forms no reference cycle.
+    model, so the geometry a model keeps forms no reference cycle.
     """
 
     def __init__(self, model, alpha, p):
@@ -291,15 +286,15 @@ class PointGeometry:
 def point_geometry(model, alpha, p):
     """The shared :class:`PointGeometry` of ``model`` at ``alpha`` and ``p``.
 
-    The instance comes from the model's memo when the same ``alpha`` (a float,
-    or the shape and bytes of a per-row array) and the same coordinates (shape
-    and bytes) were asked for among its last :data:`GEOMETRY_MEMO_SIZE`
-    distinct requests, and is built, which checks the points and ``alpha``,
-    and remembered otherwise.  A float64 array is looked up as it is, points
-    and alphas alike: the memo holds only checked requests, so equal shapes and
-    bytes are the same valid values, and an invalid array misses and fails its
-    build.  Other points go through :func:`as_coords`; any other ``alpha`` is
-    checked by :func:`require_alpha` after the points.
+    The model keeps the instance of its last request and returns it when the
+    same ``alpha`` and coordinates (the shape and bytes of each) are asked
+    for again; any other request builds a new instance, which checks the
+    points and ``alpha``, and keeps it in place of the old one.  A float64
+    array is looked up as it is, points and alphas alike: only a checked
+    request is kept, so equal shapes and bytes are the same valid values,
+    and an invalid array misses, fails its build and leaves the kept
+    geometry in place.  Other points go through :func:`as_coords`; any other
+    ``alpha`` is checked by :func:`require_alpha` after the points.
     """
     if type(p) is not np.ndarray or p.dtype != np.float64:
         p = as_coords(p)
@@ -307,18 +302,10 @@ def point_geometry(model, alpha, p):
                                      or alpha.dtype != np.float64):
         model.require_inside(p)
         alpha = require_alpha(alpha, p)
-    if type(alpha) is float:
-        key = (alpha, p.shape, p.tobytes())
-    else:
-        key = (alpha.shape, alpha.tobytes(), p.shape, p.tobytes())
-    memo = model.geometry_memo
-    ws = memo.pop(key, None)
-    if ws is None:
-        ws = PointGeometry(model, alpha, p)
-    memo[key] = ws
-    if len(memo) > GEOMETRY_MEMO_SIZE:
-        memo.popitem(last=False)
-    return ws
+    key = (np.shape(alpha), np.asarray(alpha).tobytes(), p.shape, p.tobytes())
+    if model._kept_geometry[0] != key:
+        model._kept_geometry = (key, PointGeometry(model, alpha, p))
+    return model._kept_geometry[1]
 
 
 # -- connections ------------------------------------------------------------

@@ -29,7 +29,6 @@ import json
 import math
 import re
 import sys
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -195,13 +194,15 @@ class ManifoldModel:
     ``sampling`` is None or the ``(log_likelihood, sampler)`` of its sample specs.
 
     Purity is a contract, not only a property of the built-in models: the
-    model owns ``geometry_memo``, in which :func:`cupgeo.geometry.point_geometry`
-    keeps the geometry of its most recent (alpha, points) requests, and each
-    field keeps its last jet, so a second request returns what the first
-    computed.  Replacing a field of a model, or giving a ``NumericField`` or
-    ``FuncField`` (as :func:`model_from_callables` does) a callable whose
-    output changes between calls, would make those answers stale.
+    model keeps the geometry of its last (alpha, points) request to
+    :func:`cupgeo.geometry.point_geometry`, and each field keeps its last
+    jet, so a repeated request returns what the first computed.  Replacing
+    a field of a model, or giving a ``NumericField`` or ``FuncField`` (as
+    :func:`model_from_callables` does) a callable whose output changes
+    between calls, would make those answers stale.
     """
+
+    _kept_geometry = (None, None)
 
     def __init__(self, coord_names, metric, skewness, domain, name="model", sampling=None):
         self.coord_names = tuple(coord_names)
@@ -212,7 +213,6 @@ class ManifoldModel:
         self.name = name
         self.mode = "fd" if "fd" in (metric.mode, skewness.mode) else "jet"
         self.sampling = sampling
-        self.geometry_memo = OrderedDict()
 
     def require_inside(self, p):
         """Validated coordinates of one point, or of every row of a ``(P, n)`` batch.
@@ -382,18 +382,17 @@ def multinomial_model(k):
             skewness[key] = f"-1/{rest}^2"
 
     def sampler(point, size, rng):
-        probs = list(point.coords) + [1.0 - sum(point.coords)]
-        cat = rng.choice(k, size=size, p=probs)
-        onehot = np.zeros((size, k))
-        onehot[np.arange(size), cat] = 1.0
-        return onehot
+        return rng.choice(k, size=size, p=list(point.coords) + [1.0 - sum(point.coords)])
 
-    def log_likelihood(x, coord_jets):
+    def log_likelihood(cat, coord_jets):
+        # each part of the k log-jets, stacked on a trailing axis, is gathered
+        # there by sample and that axis moved to the front: batch-innermost
         p_last = 1.0 - sum(coord_jets[1:], coord_jets[0])
-        ll = x[:, n] * jets.log(p_last)
-        for c in range(n):
-            ll = ll + x[:, c] * jets.log(coord_jets[c])
-        return ll
+        logs = [jets.log(p) for p in (*coord_jets, p_last)]
+        order = p_last.order
+        return jets.Jet(n, order, *(
+            np.moveaxis(np.take(np.stack([log.deriv(d) for log in logs], -1), cat, -1), -1, 0)
+            for d in range(order + 1)))
 
     return _expr_model(
         f"multinomial:{k}",
@@ -455,7 +454,10 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
     n = len(point)
     samples = spec.sampler(point, size, rng)
     with np.errstate(all="ignore"):  # a non-finite score is reported below
-        ll = spec.log_likelihood(samples, coord_jets)
+        try:
+            ll = spec.log_likelihood(samples, coord_jets)
+        except ValueError as e:  # jets whose shapes do not broadcast, say
+            raise EvaluationError(f"log-likelihood failed on a sample batch: {e}") from None
     if not isinstance(ll, jets.Jet):
         raise EvaluationError("log-likelihood did not propagate coordinate jets")
     score = np.asarray(ll.d1, dtype=float)

@@ -1,5 +1,9 @@
-"""Assertions shared by several test modules."""
+"""Assertions and helpers shared by several test modules."""
 
+import inspect
+import sys
+import textwrap
+from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
@@ -76,3 +80,24 @@ def mirrored_tensor_jet(field, coords, order):
             for k in range(order + 1):
                 out.deriv(k)[lead + perm] = value.deriv(k)
     return out
+
+
+def plant(monkeypatch, owner, name, before, after):
+    """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``."""
+    original = inspect.getattr_static(owner, name)
+    func = getattr(original, "func", original)  # a cached property's function
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(before) == 1, f"{name} has no single line holding {before!r}"
+    module = sys.modules[func.__module__]
+    defined = {}
+    code = compile(source.replace(before, after), inspect.getsourcefile(func), "exec")
+    exec(code, vars(module), defined)
+    mutant = defined[name]
+    if isinstance(mutant, cached_property):
+        mutant.__set_name__(owner, name)
+        monkeypatch.setattr(owner, name, mutant)
+        return
+    holders = [m for n, m in sys.modules.items()
+               if n.split(".")[0] == "cupgeo" and vars(m).get(name) is original]
+    for holder in holders:
+        monkeypatch.setattr(holder, name, mutant)

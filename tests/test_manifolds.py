@@ -268,6 +268,27 @@ class TestMonteCarloOracle:
         assert np.all(np.abs(est.metric.components - g_ref) <= 3 * est.metric_se + 1e-12)
         assert np.all(np.abs(est.skewness.components - t_ref) <= 3 * est.skewness_se + 1e-12)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_category_samples_match_a_one_hot_sum_bitwise(self, k, order):
+        # the sampler draws category indices; the log-likelihood gathers each
+        # sample's log-jet, which has the bits of a sum over one-hot weights
+        spec = multinomial_model(k).sample_spec(count=5000, seed=3)
+        point = Point(np.linspace(0.5, 1.5, k - 1) / k)
+        cat = spec.sampler(point, 5000, np.random.default_rng(3))
+        assert cat.shape == (5000,) and set(cat.tolist()) == set(range(k))
+        coord_jets = jets.seed(point.coords, order)
+        ll = spec.log_likelihood(cat, coord_jets)
+        onehot = np.eye(k)[cat]
+        p_last = 1.0 - sum(coord_jets[1:], coord_jets[0])
+        ref = onehot[:, k - 1] * jets.log(p_last)
+        for c in range(k - 1):
+            ref = ref + onehot[:, c] * jets.log(coord_jets[c])
+        for d in range(order + 1):
+            assert ll.deriv(d).shape == ref.deriv(d).shape
+            assert ll.deriv(d).tobytes() == ref.deriv(d).tobytes()
+        assert ll.d1.T.flags.c_contiguous  # batch-innermost
+
     def test_same_seed_reproduces_bitwise(self):
         m = gaussian_model()
         a = estimate_fisher_tensors(m.sample_spec(count=10_000, seed=99), (0.0, 1.0))
@@ -358,6 +379,9 @@ class TestMonteCarloOracle:
         (lambda x, cj: x, "did not propagate"),
         (lambda x, cj: cj[0] * x[:1], "score batch has shape"),
         (lambda x, cj: jets.Jet(2, 1, x, np.full((x.size, 2), np.inf)), "non-finite"),
+        # a jet whose value has batch axes its parts lack does not broadcast
+        (lambda x, cj: cj[0] * jets.Jet(2, 1, np.ones(x.size), np.array([1.0, 0.0])),
+         "log-likelihood failed on a sample batch: non-broadcastable output operand"),
     ])
     def test_malformed_log_likelihood_rejected(self, log_likelihood, message):
         spec = SampleSpec(log_likelihood, lambda point, size, rng: np.zeros(size), count=10)

@@ -1,10 +1,10 @@
-"""The per-model geometry memo and the suite's shared rescaled models.
+"""The geometry each model keeps and the suite's shared rescaled models.
 
 Every operator fetches its geometry through ``point_geometry``, which keeps
-the most recent (alpha, points) geometries on the model; a verification run
-builds each rescaled model once and shares it across checks.  The memo must
-return what a fresh ``PointGeometry`` computes, hand out read-only arrays,
-stay bounded, and never keep a model alive on its own.
+the geometry of the last (alpha, points) request on the model; a
+verification run builds each rescaled model once and shares it across
+checks.  The kept geometry must be what a fresh ``PointGeometry`` computes,
+hand out read-only arrays, and never keep a model alive on its own.
 """
 
 import gc
@@ -37,7 +37,7 @@ from cupgeo import (
     run_suite,
 )
 from cupgeo import geometry, manifolds
-from cupgeo.geometry import GEOMETRY_MEMO_SIZE, point_geometry
+from cupgeo.geometry import point_geometry
 
 
 @pytest.fixture
@@ -150,51 +150,67 @@ def test_an_alpha_array_is_keyed_by_its_shape_and_bytes(builds):
     assert len(builds) == 3
 
 
-def test_an_invalid_float_grid_still_fails_its_build():
+def test_an_invalid_float_grid_still_fails_its_build(builds):
     model = gaussian_model()
     grid = np.array([[0.0, 1.0], [1.0, 2.0]])
-    point_geometry(model, 0.5, grid)
-    with pytest.raises(DomainError, match=r"non-finite coordinates: \(1\.0, nan\) \(row 1\)"):
-        point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, np.nan]]))
-    with pytest.raises(DomainError, match=r"\(1\.0, -2\.0\) \(row 1\) outside the domain"):
-        point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, -2.0]]))
-    with pytest.raises(DimensionMismatchError, match=r"got \(1, 2, 2\)"):
-        point_geometry(model, 0.5, grid[None])
-    assert len(model.geometry_memo) == 1
+    first = point_geometry(model, 0.5, grid)
+    for _ in range(2):  # an invalid grid is never kept: it fails every time
+        with pytest.raises(DomainError, match=r"non-finite coordinates: \(1\.0, nan\) \(row 1\)"):
+            point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, np.nan]]))
+        with pytest.raises(DomainError, match=r"\(1\.0, -2\.0\) \(row 1\) outside the domain"):
+            point_geometry(model, 0.5, np.array([[0.0, 1.0], [1.0, -2.0]]))
+        with pytest.raises(DimensionMismatchError, match=r"got \(1, 2, 2\)"):
+            point_geometry(model, 0.5, grid[None])
+    # nor does it evict the kept geometry
+    built = len(builds)
+    assert point_geometry(model, 0.5, grid) is first
+    assert len(builds) == built
 
 
-def test_memo_is_a_bounded_lru(builds):
+def test_the_last_request_replaces_the_kept_geometry(builds):
     model = gaussian_model()
-    points = [(0.1 * i, 1.0) for i in range(GEOMETRY_MEMO_SIZE + 1)]
-    for p in points[:GEOMETRY_MEMO_SIZE]:
-        riemann(model, 0.5, p)
-    riemann(model, 0.5, points[0])
-    riemann(model, 0.5, points[-1])
-    assert len(builds) == GEOMETRY_MEMO_SIZE + 1
-    assert len(model.geometry_memo) == GEOMETRY_MEMO_SIZE
-    riemann(model, 0.5, points[0])
-    assert len(builds) == GEOMETRY_MEMO_SIZE + 1
-    riemann(model, 0.5, points[1])
-    assert len(builds) == GEOMETRY_MEMO_SIZE + 2
+    first = point_geometry(model, 0.5, (0.1, 1.0))
+    assert point_geometry(model, 0.5, (0.1, 1.0)) is first
+    assert len(builds) == 1
+    second = point_geometry(model, 0.5, (0.2, 1.0))
+    assert point_geometry(model, 0.5, (0.2, 1.0)) is second
+    assert len(builds) == 2
+    again = point_geometry(model, 0.5, (0.1, 1.0))
+    assert again is not first and len(builds) == 3
+    assert np.array_equal(again.riemann, first.riemann)
+    # an alpha array is keyed by its shape and bytes, as a float alpha is: the
+    # one-row request at the same alpha and point is new, and its repeat is not
+    point_geometry(model, -0.5, (0.1, 1.0))
+    assert len(builds) == 4
+    point_geometry(model, np.array([-0.5]), np.array([[0.1, 1.0]]))
+    point_geometry(model, np.array([-0.5]), np.array([[0.1, 1.0]]))
+    assert len(builds) == 5
 
 
-def test_an_invalid_point_is_never_remembered():
+def test_an_invalid_point_is_never_remembered(builds):
     model = gaussian_model()
-    riemann(model, 0.5, (0.0, 1.0))
-    with pytest.raises(DomainError):
-        riemann(model, 0.5, (0.0, -1.0))
-    assert len(model.geometry_memo) == 1
+    first = point_geometry(model, 0.5, (0.0, 1.0))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            riemann(model, 0.5, (0.0, -1.0))
+    assert point_geometry(model, 0.5, (0.0, 1.0)) is first
+    assert len(builds) == 3  # the valid point once, the invalid one at each request
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
-def test_an_invalid_point_is_reported_before_a_non_finite_alpha(alpha):
+def test_an_invalid_point_is_reported_before_a_non_finite_alpha(alpha, builds):
     model = gaussian_model()
-    for p in ((0.0, -1.0), (0.0, float("nan")), (0.0, 1.0, 2.0)):
-        with pytest.raises(DomainError):
-            riemann(model, alpha, p)
-    with pytest.raises(ConfigError, match="alpha must be finite"):
-        riemann(model, alpha, (0.0, 1.0))
-    assert not model.geometry_memo
+    first = point_geometry(model, 0.5, (0.0, 1.0))
+    for _ in range(2):  # nothing invalid is kept: each request fails again
+        for p in ((0.0, -1.0), (0.0, float("nan")), (0.0, 1.0, 2.0)):
+            with pytest.raises(DomainError):
+                riemann(model, alpha, p)
+        with pytest.raises(ConfigError, match="alpha must be finite"):
+            riemann(model, alpha, (0.0, 1.0))
+    assert point_geometry(model, 0.5, (0.0, 1.0)) is first
+    # the valid request once, then three builds at each try: a nan coordinate
+    # fails in as_coords, before any build
+    assert len(builds) == 7
 
 
 def test_memo_hit_matches_a_fresh_geometry_bitwise():

@@ -7,16 +7,13 @@ as an edit of its source would change it there too.  Each run builds fresh
 models, so no geometry or jet computed under a mutant outlives its test.
 """
 
-import inspect
-import sys
-import textwrap
-from functools import cached_property
-
 import pytest
 
 from cupgeo import cup_transform, geometry, verify
 from cupgeo.cli import _case_for
 from cupgeo.manifolds import gaussian_model, multinomial_model
+
+from helpers import plant
 
 # (owner, name, line before, line after): geometry, the operators, then the
 # closed-form predictions of cup_transform
@@ -72,27 +69,6 @@ def reduced_config():
 
 def failed_rows(result):
     return [r.check_id for r in result.reports if not r.negative_control and not r.passed]
-
-
-def plant(monkeypatch, owner, name, before, after):
-    """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``."""
-    original = inspect.getattr_static(owner, name)
-    func = getattr(original, "func", original)  # a cached property's function
-    source = textwrap.dedent(inspect.getsource(func))
-    assert source.count(before) == 1, f"{name} has no single line holding {before!r}"
-    module = sys.modules[func.__module__]
-    defined = {}
-    code = compile(source.replace(before, after), inspect.getsourcefile(func), "exec")
-    exec(code, vars(module), defined)
-    mutant = defined[name]
-    if isinstance(mutant, cached_property):
-        mutant.__set_name__(owner, name)
-        monkeypatch.setattr(owner, name, mutant)
-        return
-    holders = [m for n, m in sys.modules.items()
-               if n.split(".")[0] == "cupgeo" and vars(m).get(name) is original]
-    for holder in holders:
-        monkeypatch.setattr(holder, name, mutant)
 
 
 def test_the_reduced_config_passes_unmutated():
