@@ -28,7 +28,6 @@ from .errors import (
     SingularMetricError,
     UndefinedValueError,
     UnsupportedOrderError,
-    VarianceError,
 )
 from .geometry import (
     CurvaturePack,
@@ -61,8 +60,6 @@ from .manifolds import (
     resolve_model,
 )
 from .tensor_core import (
-    CONTRA,
-    COV,
     Field,
     FuncField,
     NumericField,

@@ -33,7 +33,7 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel, _mirror_sorted
 from .jets import _bc
-from .tensor_core import CONTRA, COV, Field, Tensor, as_coords, require_real, require_scalar
+from .tensor_core import Field, Tensor, as_coords, require_real, require_scalar
 from .geometry import (NonlinearCoupling, _constant, _hessian, _per_row, _real, _require_chart,
                        point_geometry, require_alpha, ricci_reconstruction)
 
@@ -101,7 +101,8 @@ class CupRescaling:
         return jets.Jet(phi.dim, order, phi.d1, *parts)
 
     def psi(self, p):
-        return Tensor(self.dim, (COV,), self.psi_jet(as_coords(p), 0).value)
+        """The covector psi_i = d_i(potential), one lower slot: components psi[..., i]."""
+        return Tensor(self.psi_jet(as_coords(p), 0).value)
 
 
 def make_rescaling(alpha, potential):
@@ -202,7 +203,8 @@ def transform_coupling(c, resc):
 
 
 def connection_shift_prediction(resc, p):
-    """Predicted Gamma-tilde minus Gamma: -alpha (delta^k_i psi_j + delta^k_j psi_i).
+    """Predicted Gamma-tilde minus Gamma: -alpha (delta^k_i psi_j + delta^k_j psi_i),
+    placed as the connection is, components [..., k, i, j].
 
     Independent of the model: the metric-derivative and skewness-shift
     contributions to the rescaled connection cancel except for these two
@@ -211,12 +213,10 @@ def connection_shift_prediction(resc, p):
     x = as_coords(p)
     _per_row(resc.alpha, x)
     psi = resc.psi(x).components
-    n = resc.dim
-    eye = np.eye(n)
-    comps = _bc(-resc.alpha, 3) * (
+    eye = np.eye(resc.dim)
+    return Tensor(_bc(-resc.alpha, 3) * (
         np.einsum("ki,...j->...kij", eye, psi) + np.einsum("kj,...i->...kij", eye, psi)
-    )
-    return Tensor(n, (CONTRA, COV, COV), comps)
+    ))
 
 
 def _psi_shift_core(model, resc, p):
@@ -229,18 +229,18 @@ def _psi_shift_core(model, resc, p):
 
 
 def ricci_shift_prediction(model, resc, p):
-    """Predicted Ric-tilde minus Ric: (n-1) alpha (nabla psi + alpha psi psi)."""
+    """Predicted Ric-tilde minus Ric: (n-1) alpha (nabla psi + alpha psi psi), both slots lower."""
     m = _psi_shift_core(model, resc, p)
-    return Tensor(model.dim, (COV, COV), _bc((model.dim - 1) * resc.alpha, 2) * m)
+    return Tensor(_bc((model.dim - 1) * resc.alpha, 2) * m)
 
 
 def curvature_shift_prediction(model, resc, p):
-    """Predicted Riem-tilde minus Riem: alpha (delta^i_k M_lj - delta^i_l M_kj).
+    """Predicted Riem-tilde minus Riem: alpha (delta^i_k M_lj - delta^i_l M_kj),
+    placed as the curvature is, components [..., i, j, k, l].
 
     The delta-slot insertions of the psi-shift core M, i.e. the Ricci
     reconstruction of M transposed; its first/third-slot trace is the
     Ricci prediction.
     """
     m = _psi_shift_core(model, resc, p)
-    comps = ricci_reconstruction(np.swapaxes(m, -1, -2), resc.alpha)
-    return Tensor(model.dim, (CONTRA, COV, COV, COV), comps)
+    return Tensor(ricci_reconstruction(np.swapaxes(m, -1, -2), resc.alpha))

@@ -23,10 +23,6 @@ class DimensionMismatchError(CupGeoError):
     """Operands refer to different chart dimensions or incompatible shapes."""
 
 
-class VarianceError(CupGeoError):
-    """A tensor slot has the wrong variance for the requested operation."""
-
-
 class SingularMetricError(CupGeoError):
     """The metric is not positive-definite at the evaluation point."""
 

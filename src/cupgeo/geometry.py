@@ -48,8 +48,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from .jets import _bc, constant_at
 from .tensor_core import (
-    CONTRA,
-    COV,
     Field,
     Tensor,
     _readonly,
@@ -121,7 +119,7 @@ def _shifted(base, alpha, term):
     to inf, say) cannot make it nan, and a -0.0 in ``base`` keeps its sign.
     When no row has a nonzero alpha, ``term`` is not called.
     """
-    if not np.any(alpha):
+    if not np.count_nonzero(alpha):
         return base
     alpha = _bc(alpha, np.ndim(base) - 1)
     return np.where(alpha == 0.0, base, base - 0.5 * alpha * term())
@@ -129,6 +127,8 @@ def _shifted(base, alpha, term):
 
 @dataclass(frozen=True)
 class CurvaturePack:
+    """Riemann R^i_jkl, Ricci Ric_jl and scalar curvature, as :func:`curvature` gives them."""
+
     riemann: Tensor
     ricci: Tensor
     scalar: float
@@ -180,7 +180,6 @@ class PointGeometry:
         self._skewness = model.skewness
         self.p = _readonly(np.array(model.require_inside(p)))
         self.alpha = require_alpha(alpha, self.p)
-        self.dim = model.dim
 
     @cached_property
     def _gjet(self):
@@ -312,35 +311,36 @@ def point_geometry(model, alpha, p):
 
 
 def alpha_connection(model, alpha, p):
-    """The skewness-shifted connection: Gamma^0 - (alpha/2) t . g^{-1}."""
-    ws = point_geometry(model, alpha, p)
-    return Tensor(model.dim, (CONTRA, COV, COV), ws.gamma)
+    """The skewness-shifted connection: Gamma^0 - (alpha/2) t . g^{-1}, with
+    components Gamma[..., k, i, j] = Gamma^k_ij."""
+    return Tensor(point_geometry(model, alpha, p).gamma)
 
 
 def covariant_derivative_metric(model, alpha, p):
     """(nabla g)_{kij} = d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il.
 
-    Slot 0 is the differentiation direction.  Equals alpha times the
-    skewness tensor for every model that honors the metric/skewness pairing.
+    All three slots are lower; slot 0 is the differentiation direction.
+    Equals alpha times the skewness tensor for every model that honors the
+    metric/skewness pairing.
     """
     ws = point_geometry(model, alpha, p)
     comps = np.einsum("...ijk->...kij", ws.dg)
     comps = comps - np.einsum("...lki,...lj->...kij", ws.gamma, ws.g)
     comps = comps - np.einsum("...lkj,...il->...kij", ws.gamma, ws.g)
-    return Tensor(model.dim, (COV, COV, COV), comps)
+    return Tensor(comps)
 
 
 # -- curvature --------------------------------------------------------------
 
 
 def riemann(model, alpha, p):
-    ws = point_geometry(model, alpha, p)
-    return Tensor(model.dim, (CONTRA, COV, COV, COV), ws.riemann)
+    """The curvature of the alpha-connection, components R[..., i, j, k, l] = R^i_jkl."""
+    return Tensor(point_geometry(model, alpha, p).riemann)
 
 
 def ricci(model, alpha, p):
-    ws = point_geometry(model, alpha, p)
-    return Tensor(model.dim, (COV, COV), ws.ricci)
+    """The Ricci tensor Ric_jl = R^k_jkl, both slots lower: components Ric[..., j, l]."""
+    return Tensor(point_geometry(model, alpha, p).ricci)
 
 
 def scalar_curvature(model, alpha, p):
@@ -348,13 +348,10 @@ def scalar_curvature(model, alpha, p):
 
 
 def curvature(model, alpha, p):
-    """Riemann, Ricci, and scalar curvature in one evaluation."""
+    """Riemann, Ricci, and scalar curvature in one evaluation: R^i_jkl and Ric_jl,
+    placed as :func:`riemann` and :func:`ricci` place them."""
     ws = point_geometry(model, alpha, p)
-    return CurvaturePack(
-        riemann=Tensor(model.dim, (CONTRA, COV, COV, COV), ws.riemann),
-        ricci=Tensor(model.dim, (COV, COV), ws.ricci),
-        scalar=ws.scalar,
-    )
+    return CurvaturePack(riemann=Tensor(ws.riemann), ricci=Tensor(ws.ricci), scalar=ws.scalar)
 
 
 # -- scalar operators -------------------------------------------------------
@@ -412,7 +409,7 @@ def _ricci_coupling(dim):
 
 
 def modified_hessian(model, alpha, spec, f, p):
-    """The Hessian with its curvature correction: (nabla d)f + k Ric f.
+    """The Hessian with its curvature correction: (nabla d)f + k Ric f, both slots lower.
 
     The Ricci term multiplies the evaluated density: this operator action is
     the one whose rescaling behavior is exactly conformal of weight one.
@@ -424,8 +421,7 @@ def modified_hessian(model, alpha, spec, f, p):
         comps = _hessian(ws, fj)
         if k != 0.0:
             comps = comps + k * ws.ricci * _bc(fj.value, 2)
-    comps = _finite(comps, "Ricci-coupled Hessian", ws.p, alpha=ws.alpha, k=k)
-    return Tensor(model.dim, (COV, COV), comps)
+    return Tensor(_finite(comps, "Ricci-coupled Hessian", ws.p, alpha=ws.alpha, k=k))
 
 
 def _cup_trace(ws, k, fj):

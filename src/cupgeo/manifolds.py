@@ -37,7 +37,6 @@ import numpy as np
 from . import expr, jets
 from .errors import ConfigError, CupGeoError, DomainError, EvaluationError
 from .tensor_core import (
-    COV,
     Field,
     NumericField,
     Point,
@@ -238,10 +237,12 @@ class ManifoldModel:
         return self.skewness.jet(self.require_inside(p), order)
 
     def metric_at(self, p):
-        return Tensor(self.dim, (COV, COV), self.metric_jet(p, 0).value)
+        """The metric g_ij, both slots lower: components g[..., i, j]."""
+        return Tensor(self.metric_jet(p, 0).value)
 
     def skewness_at(self, p):
-        return Tensor(self.dim, (COV,) * 3, self.skewness_jet(p, 0).value)
+        """The skewness tensor t_ijk, all three slots lower: components t[..., i, j, k]."""
+        return Tensor(self.skewness_jet(p, 0).value)
 
     def scalar_field(self, source):
         """Parse an expression in this model's coordinates."""
@@ -423,7 +424,12 @@ def euclidean_model(dim=2):
 
 @dataclass(frozen=True)
 class FisherEstimate:
-    """Score-moment estimates with componentwise standard errors."""
+    """Score-moment estimates with componentwise standard errors.
+
+    ``metric`` estimates g_ij and ``skewness`` t_ijk, every slot lower, placed
+    as :meth:`ManifoldModel.metric_at` and :meth:`ManifoldModel.skewness_at`
+    place them; ``metric_se`` and ``skewness_se`` match their components.
+    """
 
     metric: Tensor
     skewness: Tensor
@@ -528,8 +534,8 @@ def estimate_fisher_tensors(spec, p):
     g_est, g_se = finish(*sums[:2])
     t_est, t_se = finish(*sums[2:])
     return FisherEstimate(
-        metric=Tensor(n, (COV, COV), g_est),
-        skewness=Tensor(n, (COV,) * 3, t_est),
+        metric=Tensor(g_est),
+        skewness=Tensor(t_est),
         metric_se=g_se,
         skewness_se=t_se,
         count=count,

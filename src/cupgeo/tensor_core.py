@@ -1,9 +1,8 @@
 """Dense chart-local tensor values and the field evaluation layer.
 
 Everything here is tiny per point: statistical manifolds live in a
-handful of dimensions, so tensors are dense ndarrays with an explicit
-variance signature, and index gymnastics go through einsum.  Slot 0 is
-always the leftmost written component index.
+handful of dimensions, so tensors are dense ndarrays and index gymnastics
+go through einsum.  Slot 0 is always the leftmost written component index.
 
 Points are given either one at a time (a coordinate tuple, shape ``(n,)``)
 or as a batch (a ``(P, n)`` array); :func:`as_coords` normalizes both.
@@ -20,7 +19,7 @@ there is.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
@@ -33,11 +32,7 @@ from .errors import (
     EvaluationError,
     SingularMetricError,
     UndefinedValueError,
-    VarianceError,
 )
-
-COV = "cov"
-CONTRA = "contra"
 
 
 @dataclass(frozen=True)
@@ -128,44 +123,25 @@ def point_text(x, row=0):
 
 @dataclass(frozen=True)
 class Tensor:
-    """A dense tensor at a point or a batch: dimension, slot variances, components.
+    """A dense tensor at a point or a batch: its components, stored fully (no
+    symmetry packing) after any leading batch axes, shape ``batch + (n,) * rank``.
 
-    ``variance`` lists one of ``"cov"`` / ``"contra"`` per slot, leftmost
-    written index first.  Components are stored fully, no symmetry packing,
-    after any leading batch axes: shape ``batch + (dim,) * rank``.
+    Which slots are upper and which lower is the index placement that the
+    function returning the tensor states.
     """
 
-    dim: int
-    variance: tuple
-    components: np.ndarray = field(repr=False)
-
-    def __init__(self, dim, variance, components):
-        variance = tuple(variance)
-        if any(v not in (COV, CONTRA) for v in variance):
-            raise VarianceError(f"unknown slot kind in {variance}")
-        components = np.asarray(components, dtype=float)
-        expected = (dim,) * len(variance)
-        if components.shape[components.ndim - len(variance):] != expected:
-            raise DimensionMismatchError(
-                f"components shape {components.shape} does not end in {expected}"
-            )
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "variance", variance)
-        object.__setattr__(self, "components", components)
-
-    @property
-    def rank(self):
-        return len(self.variance)
+    components: np.ndarray
 
 
 def invert_metric(g, at=None):
-    """Inverse of a symmetric positive-definite cov-2 tensor, or of a stack of them.
+    """Inverse g^ij of a symmetric positive-definite metric g_ij, or of a stack of them.
 
+    ``g`` is an array whose last two axes are the metric's; so is the result.
     Raises :class:`SingularMetricError` (reporting the smallest eigenvalue)
     when positive-definiteness fails; ``at``, the coordinates the metric was
     evaluated at, lets the message name the first offending point.
     """
-    m = g.components if isinstance(g, Tensor) else np.asarray(g, dtype=float)
+    m = np.asarray(g, dtype=float)
     eigs = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
     positive = eigs[..., 0] > 0.0
     if not np.all(positive):
@@ -177,10 +153,7 @@ def invert_metric(g, at=None):
             min_eigenvalue=low,
         )
     inv = np.linalg.inv(m)
-    inv = 0.5 * (inv + np.swapaxes(inv, -1, -2))
-    if isinstance(g, Tensor):
-        return Tensor(g.dim, (CONTRA, CONTRA), inv)
-    return inv
+    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
 # -- fields -----------------------------------------------------------------

@@ -227,7 +227,8 @@ def test_a_zero_alpha_row_keeps_its_base_bitwise():
     assert _same_bits(got[0], base[0])
     assert np.array_equal(got[1], [-0.5, 0.0])
     assert geometry._shifted(base, np.zeros(2), lambda: pytest.fail("term read")) is base
-    assert geometry._shifted(base, 0.0, lambda: pytest.fail("term read")) is base
+    for alpha in (0.0, -0.0):
+        assert geometry._shifted(base, alpha, lambda: pytest.fail("term read")) is base
 
 
 def test_an_error_names_the_alpha_of_its_failing_row():

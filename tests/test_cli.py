@@ -27,12 +27,15 @@ def run_cli(*argv, capsys=None):
     return rc, out, err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_example(subcommand):
     """The README's example of ``cupgeo <subcommand>``: its argv and the shown output.
 
     The shown output is split into the runs of lines between ``...`` elisions.
     """
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = re.search(rf"```\n\$ cupgeo ({subcommand} (?:.*\\\n)*.*)\n((?:.*\n)*?)```", readme)
     argv = shlex.split(block.group(1).replace("\\\n", " "))
     runs = [[]]
@@ -53,6 +56,16 @@ def assert_shows_in_order(out, runs):
                    if lines[i:i + len(run)] == run), None)
         assert at is not None, run
         start = at + len(run)
+
+
+def test_readme_python_blocks_run_in_order():
+    """The README's ``python`` blocks (the library tour, batches, alpha rows and the
+    Monte-Carlo snippet) run clean in order, each reading what the ones before it made."""
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
 
 
 def run_subprocess(*argv):

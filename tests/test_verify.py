@@ -12,7 +12,7 @@ from cupgeo.cup_transform import WeightedDensity
 from cupgeo.errors import ConfigError
 from cupgeo.geometry import NonlinearCoupling
 from cupgeo.manifolds import gaussian_model, multinomial_model
-from cupgeo.tensor_core import COV, Tensor
+from cupgeo.tensor_core import Tensor
 from cupgeo.verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
@@ -323,7 +323,7 @@ def test_curv_shift_fails_on_its_trace_side_law_alone(monkeypatch):
     is compared with is wrong."""
     exact = verify.ricci_shift_prediction
     monkeypatch.setattr(verify, "ricci_shift_prediction", lambda model, resc, p: Tensor(
-        model.dim, (COV, COV), 1.5 * exact(model, resc, p).components))
+        1.5 * exact(model, resc, p).components))
     report = run_check("curv_shift", small_config())
     assert report.max_rel_residual <= report.tolerance
     assert report.trace_residual > verify.TRACE_TOLERANCE
