@@ -163,6 +163,21 @@ class TestInvertMetric:
             invert_metric(np.diag([1.0, -2.0]))
         assert err.value.min_eigenvalue == pytest.approx(-2.0)
 
+    def test_a_stack_inverts_each_metric(self):
+        stack = np.stack([np.diag([1.0, 2.0]), np.diag([4.0, 0.5]), [[2.0, 1.0], [1.0, 2.0]]])
+        inv = invert_metric(stack)
+        assert inv.shape == stack.shape
+        for g, g_inv in zip(stack, inv):
+            assert np.allclose(g @ g_inv, np.eye(2), rtol=0, atol=1e-15)
+
+    def test_a_stack_failure_names_its_first_offending_point(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -3.0]), np.diag([-5.0, 1.0])])
+        at = np.array([[0.0, 1.0], [0.5, 2.0], [1.5, 3.0]])
+        with pytest.raises(SingularMetricError) as err:
+            invert_metric(stack, at=at)
+        assert err.value.min_eigenvalue == pytest.approx(-3.0)
+        assert "at (0.5, 2.0) (row 1)" in str(err.value)
+
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=80, deadline=None)
     def test_inverse_reconstructs_identity(self, n, seed):
