@@ -50,7 +50,7 @@ from .tensor_core import (
 
 DOMAIN_MARGIN = 1e-6
 MAX_DIM = 32  # the cost of building and evaluating a model grows steeply with its dimension
-MC_BATCH_SIZE = 250_000  # samples drawn and reduced at a time by the Monte-Carlo oracle
+MC_BATCH_SIZE = 16_384  # samples drawn and reduced at a time by the Monte-Carlo oracle
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -452,10 +452,13 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
     the summing.  They reduce over ``s``, the score transposed to
     ``(n, size)``: the jets lay a batch's score out sample-innermost, so
     ``s`` is a C-contiguous view and each of its rows one run of memory.
-    The triple sums take one product per leading index i, on the rows
-    scaled by row i, written into a single reused ``(n, size)`` buffer.
-    Only the four small sums leave this call; the samples, the jets and the
-    score are freed with it, before the next batch is drawn.
+    The triple sums form only the sorted index classes i <= j <= k: for each
+    leading index i, rows ``i:`` scaled by row i are written into a slice of
+    one reused ``(n, size)`` buffer and multiplied by rows ``i:``, filling
+    ``[i, i:, i:]``.  The other entries stay zero; :func:`_mirror_sorted`
+    reads only the sorted ones.  Only the four small sums leave this call;
+    the samples, the jets and the score are freed with it, before the next
+    batch is drawn.
     """
     n = len(point)
     samples = spec.sampler(point, size, rng)
@@ -475,14 +478,15 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
         raise EvaluationError(f"non-finite log-likelihood derivatives at {point.coords}")
     s = score.T
     sq = s * s
-    scaled = np.empty((n, size))
-    triple = np.empty((n, n, n))
-    triple_sq = np.empty((n, n, n))
+    buffer = np.empty((n, size))
+    triple = np.zeros((n, n, n))
+    triple_sq = np.zeros((n, n, n))
     for i in range(n):
-        np.multiply(s, s[i], out=scaled)
-        triple[i] = scaled @ s.T
-        np.multiply(sq, sq[i], out=scaled)
-        triple_sq[i] = scaled @ sq.T
+        scaled = buffer[:n - i]
+        np.multiply(s[i:], s[i], out=scaled)
+        triple[i, i:, i:] = scaled @ s[i:].T
+        np.multiply(sq[i:], sq[i], out=scaled)
+        triple_sq[i, i:, i:] = scaled @ sq[i:].T
     return s @ s.T, sq @ sq.T, triple, triple_sq
 
 
@@ -504,10 +508,16 @@ def estimate_fisher_tensors(spec, p):
     batch adds its sums of score products and of their squares, formed by
     matrix products, and is freed before the next one is drawn, so peak
     memory scales with the batch size times the dimension, not with the count.
-    The totals keep one representative per index class (sorted indices,
-    i <= j <= k), mirrored into every permutation, so the estimates and
-    both standard-error arrays are bitwise symmetric.  Fixed seed implies
-    identical estimates.
+    The block is cache-sized: a jet part of a batch takes 128 KiB per
+    derivative slot, so the jet arithmetic and the products reread it from
+    the processor's cache, not from main memory.  The triple sums are
+    formed only for the sorted index classes (i <= j <= k), about a third of
+    the n^3 products at high dimension; every total keeps that one
+    representative per class, mirrored into every permutation, so the
+    estimates and both standard-error arrays are bitwise symmetric.  Fixed
+    seed implies identical estimates.  Both samplers draw the same stream in
+    blocks as in one call, so the block size moves only the last bits, by
+    the order of summation.
     """
     point = Point(p)
     n = len(point)

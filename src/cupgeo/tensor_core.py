@@ -121,7 +121,7 @@ def point_text(x, row=0):
     return f"{tuple(float(c) for c in x[row])} (row {row})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tensor:
     """A dense tensor at a point or a batch: its components, stored fully (no
     symmetry packing) after any leading batch axes, shape ``batch + (n,) * rank``.

@@ -83,7 +83,11 @@ def mirrored_tensor_jet(field, coords, order):
 
 
 def plant(monkeypatch, owner, name, before, after):
-    """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``."""
+    """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``.
+
+    A function is patched in every ``cupgeo`` module that holds it; a method,
+    which no module holds, on its class.  A plant that patches nothing fails.
+    """
     original = inspect.getattr_static(owner, name)
     func = getattr(original, "func", original)  # a cached property's function
     source = textwrap.dedent(inspect.getsource(func))
@@ -99,5 +103,8 @@ def plant(monkeypatch, owner, name, before, after):
         return
     holders = [m for n, m in sys.modules.items()
                if n.split(".")[0] == "cupgeo" and vars(m).get(name) is original]
+    if not holders and isinstance(owner, type):
+        holders = [owner]
+    assert holders, f"no module and no class holds {name}: the mutant would patch nothing"
     for holder in holders:
         monkeypatch.setattr(holder, name, mutant)

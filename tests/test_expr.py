@@ -1,6 +1,5 @@
 """Expression grammar: parsing, precedence, compiled evaluation, error positions."""
 
-import math
 import re
 from pathlib import Path
 

@@ -35,7 +35,6 @@ from cupgeo.manifolds import (
     gaussian_model,
     model_from_callables,
     multinomial_model,
-    resolve_model,
 )
 from cupgeo.tensor_core import FuncField, as_coords
 

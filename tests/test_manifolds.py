@@ -332,6 +332,7 @@ class TestMonteCarloOracle:
         ("gaussian", (0.3, 1.7)),
         ("multinomial:3", (0.3, 0.3)),
         ("multinomial:4", (0.2, 0.3, 0.25)),
+        ("multinomial:9", (0.1,) * 8),
     ])
     def test_estimates_are_bitwise_symmetric(self, name, point):
         est = estimate_fisher_tensors(
@@ -345,6 +346,8 @@ class TestMonteCarloOracle:
         ("gaussian", (0.3, 1.7)),
         ("multinomial:3", (0.3, 0.3)),
         ("multinomial:4", (0.2, 0.3, 0.25)),
+        # dimension 8: eight leading indices, each with its own block of sorted classes
+        ("multinomial:9", (0.05, 0.1, 0.15, 0.05, 0.1, 0.15, 0.05, 0.1)),
     ])
     def test_sums_match_an_exactly_rounded_reference(self, name, point, batch_size,
                                                       monkeypatch):

@@ -3,14 +3,18 @@
 A mutant is a function or a cached property recompiled from its own source
 with one line changed, and patched in for one test; the source files are
 never edited.  A function is patched in every ``cupgeo`` module that holds it,
-as an edit of its source would change it there too.  Each run builds fresh
-models, so no geometry or jet computed under a mutant outlives its test.
+as an edit of its source would change it there too, and a method on its
+class.  Each run builds fresh models, so no geometry or jet computed under a
+mutant outlives its test.
 """
+
+import types
 
 import pytest
 
 from cupgeo import cup_transform, geometry, verify
 from cupgeo.cli import _case_for
+from cupgeo.jets import Jet, seed
 from cupgeo.manifolds import gaussian_model, multinomial_model
 
 from helpers import plant
@@ -81,3 +85,22 @@ def test_the_reduced_config_passes_unmutated():
 def test_a_mutant_fails_a_regular_row(label, monkeypatch):
     plant(monkeypatch, *MUTANTS[label])
     assert failed_rows(verify.run_suite(reduced_config()))
+
+
+def test_a_mutant_method_is_patched_on_its_class(monkeypatch):
+    # no module holds a plain method, so the plant sets it on the class
+    before = (1 / seed((2.0,), 2)[0]).d2
+    plant(monkeypatch, Jet, "_reciprocal", "2.0 * _power(inv, 3)", "2.2 * _power(inv, 3)")
+    after = (1 / seed((2.0,), 2)[0]).d2
+    assert before == pytest.approx(0.25) and after == pytest.approx(0.275)
+
+
+def _halve(x):
+    return x / 2
+
+
+def test_a_plant_that_patches_nothing_fails(monkeypatch):
+    # no cupgeo module holds the function, and its owner is not a class
+    owner = types.SimpleNamespace(_halve=_halve)
+    with pytest.raises(AssertionError, match="patch nothing"):
+        plant(monkeypatch, owner, "_halve", "x / 2", "x / 3")

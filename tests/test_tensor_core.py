@@ -63,6 +63,13 @@ class TestTensor:
         sym = Tensor(symmetrize(np.array([1.0, 2.0]), np.eye(2)))
         assert_fully_symmetric(sym.components)
 
+    def test_results_compare_by_identity_and_hash(self):
+        # equal components do not make equal tensors: comparing arrays is not a bool
+        a = Tensor(np.eye(2))
+        b = Tensor(np.eye(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestEvaluateJet:
     """Field jets at one point, as ``field.jet(as_coords(p), order)``."""
