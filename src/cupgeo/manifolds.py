@@ -171,17 +171,25 @@ class SampleSpec:
 
     ``sampler(point, size, rng)`` draws ``size`` samples along a leading
     axis; ``log_likelihood(samples, coord_jets)`` must broadcast over that
-    axis and be differentiable in the coordinate jets.
+    axis and be differentiable in the coordinate jets.  ``support`` is None
+    for a family of continuous samples, or the category count k of a finite
+    family, whose sampler draws integer category indices 0 to k-1: the
+    oracle then counts the draws of each category and calls the
+    log-likelihood once, on the drawn categories.
     """
 
     log_likelihood: object
     sampler: object
     count: int
     seed: int = 0
+    support: object = None
 
     def __post_init__(self):
         object.__setattr__(self, "count", require_integer(self.count, "sample count", 1))
         object.__setattr__(self, "seed", require_integer(self.seed, "sample seed", 0))
+        if self.support is not None:
+            object.__setattr__(self, "support",
+                               require_integer(self.support, "sample support", 1))
 
 
 class ManifoldModel:
@@ -190,7 +198,8 @@ class ManifoldModel:
     Immutable after construction; evaluations are pure.  ``mode`` records
     how derivatives are obtained ("jet" exact, "fd" finite differences, when
     either field is "fd"), which downstream tolerance defaults key off.
-    ``sampling`` is None or the ``(log_likelihood, sampler)`` of its sample specs.
+    ``sampling`` is None or the ``(log_likelihood, sampler, support)`` of its
+    sample specs (see :class:`SampleSpec`).
 
     Purity is a contract, not only a property of the built-in models: the
     model keeps the geometry of its last (alpha, points) request to
@@ -252,13 +261,13 @@ class ManifoldModel:
         """A :class:`SampleSpec` whose sampler first checks the point against this model."""
         if self.sampling is None:
             raise ConfigError(f"model {self.name!r} has no sampling rule attached")
-        log_likelihood, sampler = self.sampling
+        log_likelihood, sampler, support = self.sampling
 
         def sample_inside(point, size, rng):
             self.require_inside(point)
             return sampler(point, size, rng)
 
-        return SampleSpec(log_likelihood, sample_inside, count, seed)
+        return SampleSpec(log_likelihood, sample_inside, count, seed, support)
 
 
 # -- built-in families ------------------------------------------------------
@@ -354,7 +363,7 @@ def gaussian_model():
         {"11": "1/sigma^2", "22": "2/sigma^2"},
         {"112": "2/sigma^3", "222": "8/sigma^3"},
         Domain(((None, None), (0.0, None))),
-        sampling=(_gaussian_log_likelihood, _gaussian_sampler),
+        sampling=(_gaussian_log_likelihood, _gaussian_sampler, None),
     )
 
 
@@ -387,7 +396,7 @@ def multinomial_model(k):
 
     def log_likelihood(cat, coord_jets):
         # each part of the k log-jets, stacked on a trailing axis, is gathered
-        # there by sample and that axis moved to the front: batch-innermost
+        # there by category and that axis moved to the front: batch-innermost
         p_last = 1.0 - sum(coord_jets[1:], coord_jets[0])
         logs = [jets.log(p) for p in (*coord_jets, p_last)]
         order = p_last.order
@@ -401,7 +410,7 @@ def multinomial_model(k):
         metric,
         skewness,
         Domain(((0.0, 1.0),) * n, simplex=True),
-        sampling=(log_likelihood, sampler),
+        sampling=(log_likelihood, sampler, k),
     )
 
 
@@ -443,25 +452,13 @@ class FisherEstimate:
         return self.count >= 2
 
 
-def _batch_moment_sums(spec, point, coord_jets, size, rng):
-    """Score-product sums over one freshly drawn batch of ``size`` samples.
+def _score(spec, point, coord_jets, samples, size):
+    """The score of ``size`` samples at ``point``, transposed to ``(n, size)``.
 
-    Returns the batch sums of s_i s_j, (s_i s_j)^2, s_i s_j s_k and
-    (s_i s_j s_k)^2 as ``(n, n)``, ``(n, n)``, ``(n, n, n)`` and
-    ``(n, n, n)`` arrays.  Each is formed by matrix products, so BLAS does
-    the summing.  They reduce over ``s``, the score transposed to
-    ``(n, size)``: the jets lay a batch's score out sample-innermost, so
-    ``s`` is a C-contiguous view and each of its rows one run of memory.
-    The triple sums form only the sorted index classes i <= j <= k: for each
-    leading index i, rows ``i:`` scaled by row i are written into a slice of
-    one reused ``(n, size)`` buffer and multiplied by rows ``i:``, filling
-    ``[i, i:, i:]``.  The other entries stay zero; :func:`_mirror_sorted`
-    reads only the sorted ones.  Only the four small sums leave this call;
-    the samples, the jets and the score are freed with it, before the next
-    batch is drawn.
+    The jets lay a batch's score out sample-innermost, so the transpose is
+    a C-contiguous view and each of its rows one run of memory.
     """
     n = len(point)
-    samples = spec.sampler(point, size, rng)
     with np.errstate(all="ignore"):  # a non-finite score is reported below
         try:
             ll = spec.log_likelihood(samples, coord_jets)
@@ -476,18 +473,49 @@ def _batch_moment_sums(spec, point, coord_jets, size, rng):
         )
     if not np.all(np.isfinite(score)):
         raise EvaluationError(f"non-finite log-likelihood derivatives at {point.coords}")
-    s = score.T
+    return score.T
+
+
+def _category_counts(samples, support, size):
+    """How often each of the ``support`` categories occurs in a batch of ``size`` draws."""
+    samples = np.asarray(samples)
+    if samples.shape != (size,) or samples.dtype.kind not in "iu":
+        got = f"an array of {samples.dtype} with shape {samples.shape}"
+    elif not 0 <= samples.min() <= samples.max() < support:
+        got = f"index {samples.min() if samples.min() < 0 else samples.max()}"
+    else:
+        return np.bincount(samples.astype(np.intp, copy=False), minlength=support)
+    raise EvaluationError(f"sampler drew {got}, not {size} category indices "
+                          f"of the support 0 to {support - 1}")
+
+
+def _moment_sums(s, weights=None):
+    """Score-product sums over the columns of the score ``s``, shaped ``(n, size)``.
+
+    Returns the sums of s_i s_j, (s_i s_j)^2, s_i s_j s_k and
+    (s_i s_j s_k)^2 as ``(n, n)``, ``(n, n)``, ``(n, n, n)`` and
+    ``(n, n, n)`` arrays, each column counted ``weights[c]`` times (once
+    each for ``weights=None``).  Each is formed by matrix products, so BLAS
+    does the summing, reading one run of memory per row of ``s``.  The
+    triple sums form only the sorted index classes i <= j <= k: for each
+    leading index i, rows ``i:`` scaled by the weighted row i are written
+    into a slice of one reused ``(n, size)`` buffer and multiplied by rows
+    ``i:``, filling ``[i, i:, i:]``.  The other entries stay zero;
+    :func:`_mirror_sorted` reads only the sorted ones.
+    """
+    n, size = s.shape
     sq = s * s
+    ws, wsq = (s, sq) if weights is None else (s * weights, sq * weights)
     buffer = np.empty((n, size))
     triple = np.zeros((n, n, n))
     triple_sq = np.zeros((n, n, n))
     for i in range(n):
         scaled = buffer[:n - i]
-        np.multiply(s[i:], s[i], out=scaled)
+        np.multiply(s[i:], ws[i], out=scaled)
         triple[i, i:, i:] = scaled @ s[i:].T
-        np.multiply(sq[i:], sq[i], out=scaled)
+        np.multiply(sq[i:], wsq[i], out=scaled)
         triple_sq[i, i:, i:] = scaled @ sq[i:].T
-    return s @ s.T, sq @ sq.T, triple, triple_sq
+    return ws @ s.T, wsq @ sq.T, triple, triple_sq
 
 
 def _mirror_sorted(arr, rank=None, lead=0):
@@ -504,20 +532,26 @@ def estimate_fisher_tensors(spec, p):
 
     g is estimated by the mean of score outer products, t by the mean of
     score triple products; both converge at the usual count^(-1/2) rate.
-    The samples are drawn and reduced :data:`MC_BATCH_SIZE` at a time: each
-    batch adds its sums of score products and of their squares, formed by
-    matrix products, and is freed before the next one is drawn, so peak
-    memory scales with the batch size times the dimension, not with the count.
-    The block is cache-sized: a jet part of a batch takes 128 KiB per
-    derivative slot, so the jet arithmetic and the products reread it from
-    the processor's cache, not from main memory.  The triple sums are
-    formed only for the sorted index classes (i <= j <= k), about a third of
-    the n^3 products at high dimension; every total keeps that one
+    The samples are drawn :data:`MC_BATCH_SIZE` at a time, so peak memory
+    scales with the batch size times the dimension, not with the count.  A
+    continuous family (``spec.support`` None) reduces each batch as it is
+    drawn: the batch adds its sums of score products and of their squares,
+    formed by :func:`_moment_sums`, and its jets and score are freed before
+    the next one is drawn.  The block is cache-sized: a jet part of a batch
+    takes 128 KiB per derivative slot, so the jet arithmetic and the
+    products reread it from the processor's cache, not from main memory.  A
+    finite family adds each batch's category counts into one count vector;
+    the sums over the samples are then the sums over the drawn categories,
+    each weighted by its count, so the log-likelihood and
+    :func:`_moment_sums` run once, on at most ``support`` rows.  The triple
+    sums are formed only for the sorted index classes (i <= j <= k), about a
+    third of the n^3 products at high dimension; every total keeps that one
     representative per class, mirrored into every permutation, so the
     estimates and both standard-error arrays are bitwise symmetric.  Fixed
     seed implies identical estimates.  Both samplers draw the same stream in
-    blocks as in one call, so the block size moves only the last bits, by
-    the order of summation.
+    blocks as in one call, so the block size moves a continuous family's
+    estimates only in the last bits, by the order of summation, and leaves a
+    finite family's counts, hence its estimates, unchanged.
     """
     point = Point(p)
     n = len(point)
@@ -525,12 +559,25 @@ def estimate_fisher_tensors(spec, p):
     coord_jets = jets.seed(point.coords, 1)
     # pair sum, pair squares, triple sum, triple squares
     sums = [np.zeros((n,) * rank) for rank in (2, 2, 3, 3)]
+
+    def add(samples, size, weights=None):
+        score = _score(spec, point, coord_jets, samples, size)
+        for total, part in zip(sums, _moment_sums(score, weights)):
+            total += part
+
+    counts = None if spec.support is None else np.zeros(spec.support, dtype=np.int64)
     remaining = spec.count
     while remaining > 0:
         size = min(MC_BATCH_SIZE, remaining)
-        for total, part in zip(sums, _batch_moment_sums(spec, point, coord_jets, size, rng)):
-            total += part
+        samples = spec.sampler(point, size, rng)
+        if counts is None:
+            add(samples, size)
+        else:
+            counts += _category_counts(samples, spec.support, size)
         remaining -= size
+    if counts is not None:
+        drawn = np.flatnonzero(counts)
+        add(drawn, drawn.size, counts[drawn])
     count = spec.count
 
     def finish(total, total_sq):

@@ -3,11 +3,13 @@
 import inspect
 import sys
 import textwrap
+from collections import OrderedDict
 from functools import cached_property
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
+from cupgeo import expr
 from cupgeo.jets import Jet, constant_at, seed
 
 
@@ -85,8 +87,12 @@ def mirrored_tensor_jet(field, coords, order):
 def plant(monkeypatch, owner, name, before, after):
     """Patch ``owner.name`` with its source recompiled with ``before`` changed to ``after``.
 
-    A function is patched in every ``cupgeo`` module that holds it; a method,
-    which no module holds, on its class.  A plant that patches nothing fails.
+    A function is patched in every ``cupgeo`` module that holds it and in
+    every module-level table (a dict such as ``expr._OPS``) that holds it; a
+    method, which no module holds, on its class.  A plant that patches
+    nothing fails.  The unrolled code of ``expr``'s memo starts empty for
+    the plant's lifetime, so code generated before the plant neither hides
+    the mutant nor outlives it.
     """
     original = inspect.getattr_static(owner, name)
     func = getattr(original, "func", original)  # a cached property's function
@@ -97,14 +103,19 @@ def plant(monkeypatch, owner, name, before, after):
     code = compile(source.replace(before, after), inspect.getsourcefile(func), "exec")
     exec(code, vars(module), defined)
     mutant = defined[name]
+    monkeypatch.setattr(expr, "_memo", OrderedDict())
     if isinstance(mutant, cached_property):
         mutant.__set_name__(owner, name)
         monkeypatch.setattr(owner, name, mutant)
         return
-    holders = [m for n, m in sys.modules.items()
-               if n.split(".")[0] == "cupgeo" and vars(m).get(name) is original]
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "cupgeo"]
+    holders = [m for m in modules if vars(m).get(name) is original]
     if not holders and isinstance(owner, type):
         holders = [owner]
-    assert holders, f"no module and no class holds {name}: the mutant would patch nothing"
+    slots = [(table, key) for m in modules for table in vars(m).values()
+             if isinstance(table, dict) for key, value in table.items() if value is original]
+    assert holders or slots, f"no module and no class holds {name}: the mutant would patch nothing"
     for holder in holders:
         monkeypatch.setattr(holder, name, mutant)
+    for table, key in slots:
+        monkeypatch.setitem(table, key, mutant)

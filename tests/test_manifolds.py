@@ -227,6 +227,14 @@ def _estimate_arrays(est):
     return (est.metric.components, est.metric_se, est.skewness.components, est.skewness_se)
 
 
+def _bernoulli_with_a_bad_category(cat, coord_jets):
+    """A Bernoulli log-likelihood in p on categories 0 and 1, with a score of
+    inf at category 2."""
+    p = coord_jets[0].value
+    score = np.array([[1 / p], [-1 / (1 - p)], [np.inf]])[cat]
+    return jets.Jet(1, 1, np.zeros(len(cat)), score)
+
+
 class TestMonteCarloOracle:
     def test_gaussian_estimates_within_three_standard_errors(self):
         m = gaussian_model()
@@ -348,6 +356,9 @@ class TestMonteCarloOracle:
         ("multinomial:4", (0.2, 0.3, 0.25)),
         # dimension 8: eight leading indices, each with its own block of sorted classes
         ("multinomial:9", (0.05, 0.1, 0.15, 0.05, 0.1, 0.15, 0.05, 0.1)),
+        # dimensions 16 and 32: the counted categories of a finite family, weighted
+        ("multinomial:17", (0.03, 0.05, 0.07, 0.04) * 4),
+        ("multinomial:33", (0.02, 0.03, 0.025, 0.015) * 8),
     ])
     def test_sums_match_an_exactly_rounded_reference(self, name, point, batch_size,
                                                       monkeypatch):
@@ -390,6 +401,44 @@ class TestMonteCarloOracle:
         spec = SampleSpec(log_likelihood, lambda point, size, rng: np.zeros(size), count=10)
         with pytest.raises(EvaluationError, match=message):
             estimate_fisher_tensors(spec, (0.5, 1.0))
+
+    def test_a_category_never_drawn_is_never_scored(self):
+        # the score is non-finite only at category 2, which the sampler never draws
+        spec = SampleSpec(_bernoulli_with_a_bad_category,
+                          lambda point, size, rng: (rng.random(size) >= point[0]).astype(int),
+                          count=20_000, seed=4, support=3)
+        est = estimate_fisher_tensors(spec, (0.3,))
+        m = multinomial_model(2)
+        for arr, ref, se in ((est.metric.components, m.metric_at((0.3,)), est.metric_se),
+                             (est.skewness.components, m.skewness_at((0.3,)), est.skewness_se)):
+            assert np.all(np.abs(arr - ref.components) <= 5 * se)
+
+    def test_a_drawn_non_finite_score_is_an_evaluation_error(self):
+        spec = SampleSpec(_bernoulli_with_a_bad_category,
+                          lambda point, size, rng: rng.integers(0, 3, size),
+                          count=1000, seed=4, support=3)
+        with pytest.raises(EvaluationError,
+                           match=re.escape("non-finite log-likelihood derivatives at (0.3,)")):
+            estimate_fisher_tensors(spec, (0.3,))
+
+    @pytest.mark.parametrize("draw, got", [
+        (lambda size: np.full(size, 3), "index 3"),
+        (lambda size: np.arange(size) - 1, "index -1"),
+        (lambda size: np.zeros(size), "an array of float64 with shape (10,)"),
+        (lambda size: np.zeros((size, 3), dtype=int), "an array of int64 with shape (10, 3)"),
+    ], ids=["past the support", "negative", "floats", "one-hot rows"])
+    def test_a_draw_off_the_support_is_an_evaluation_error(self, draw, got):
+        spec = SampleSpec(_bernoulli_with_a_bad_category, lambda point, size, rng: draw(size),
+                          count=10, support=3)
+        with pytest.raises(EvaluationError) as info:
+            estimate_fisher_tensors(spec, (0.3,))
+        assert str(info.value) == (f"sampler drew {got}, not 10 category indices "
+                                   "of the support 0 to 2")
+
+    @pytest.mark.parametrize("support", [0, True, 2.5])
+    def test_support_validated(self, support):
+        with pytest.raises(ConfigError, match="sample support"):
+            SampleSpec(_bernoulli_with_a_bad_category, None, count=10, support=support)
 
     def test_single_sample_marks_errors_unreliable(self):
         m = gaussian_model()

@@ -2,9 +2,9 @@
 
 A mutant is a function or a cached property recompiled from its own source
 with one line changed, and patched in for one test; the source files are
-never edited.  A function is patched in every ``cupgeo`` module that holds it,
-as an edit of its source would change it there too, and a method on its
-class.  Each run builds fresh models, so no geometry or jet computed under a
+never edited.  A function is patched in every ``cupgeo`` module and every
+module-level table that holds it, as an edit of its source would change it
+there too, and a method on its class.  Each run builds fresh models, so no geometry or jet computed under a
 mutant outlives its test.
 """
 
@@ -12,10 +12,10 @@ import types
 
 import pytest
 
-from cupgeo import cup_transform, geometry, verify
+from cupgeo import cup_transform, geometry, jets, verify
 from cupgeo.cli import _case_for
 from cupgeo.jets import Jet, seed
-from cupgeo.manifolds import gaussian_model, multinomial_model
+from cupgeo.manifolds import ExprScalarField, gaussian_model, multinomial_model
 
 from helpers import plant
 
@@ -93,6 +93,19 @@ def test_a_mutant_method_is_patched_on_its_class(monkeypatch):
     plant(monkeypatch, Jet, "_reciprocal", "2.0 * _power(inv, 3)", "2.2 * _power(inv, 3)")
     after = (1 / seed((2.0,), 2)[0]).d2
     assert before == pytest.approx(0.25) and after == pytest.approx(0.275)
+
+
+def test_a_mutant_reaches_a_function_table_and_the_unrolled_code():
+    # expr's function tables hold jets.log, and the unrolled code of log(x),
+    # generated before the plant, is neither reused under it nor after it
+    def d1_of_log():
+        return ExprScalarField("log(x)", ("x",)).jet((2.0,), 2).d1.tolist()
+
+    assert d1_of_log() == [0.5]
+    with pytest.MonkeyPatch.context() as patch:
+        plant(patch, jets, "log", "inv = 1.0 / x.value", "inv = 1.5 / x.value")
+        assert d1_of_log() == [0.75]
+    assert d1_of_log() == [0.5]
 
 
 def _halve(x):
