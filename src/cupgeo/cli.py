@@ -219,7 +219,7 @@ def cmd_laplacian(args):
         raise ConfigError("laplacian needs --density <expression>")
     if (args.lam is None) != (args.a is None):
         raise ConfigError("--lambda and --a must be given together")
-    density = WeightedDensity(model.scalar_field(args.density), args.weight)
+    density = WeightedDensity(model.scalar_field(args.density), 1.0)
     coupling = None
     if args.lam is not None:
         coupling = geometry.NonlinearCoupling(model.scalar_field(args.lam), args.a)
@@ -316,16 +316,10 @@ def cmd_verify(args):
     if args.model and args.default:
         raise ConfigError("--default and --model cannot be combined")
     if args.model:
-        case = _case_for(resolve_model(args.model))
-        config = SuiteConfig(
-            cases=(case,),
-            alphas=DEFAULT_ALPHAS,
-            tolerance=args.tol,
-        )
+        config = SuiteConfig(cases=(_case_for(resolve_model(args.model)),), alphas=DEFAULT_ALPHAS)
     else:
-        config = default_suite_config(tolerance=args.tol)
-    if args.k is not None:
-        config = dataclasses.replace(config, hessian_k=args.k)
+        config = default_suite_config()
+    config = dataclasses.replace(config, tolerance=args.tol, hessian_k=args.k)
 
     if args.check:
         result = SuiteResult(reports=(run_check(args.check, config),))
@@ -412,7 +406,7 @@ def build_parser():
         "rescaling": dict(metavar="PATH", help="rescaling config JSON with alpha and potential"),
         "json": dict(action="store_true", help="machine-readable output"),
         "seed": dict(type=int, default=0),
-        "tol": dict(type=float, default=None, help="override every tolerance"),
+        "tol": dict(type=float, default=None, help="tolerance of every check"),
     }
 
     def common(p, *names, model_required=True):
@@ -430,7 +424,6 @@ def build_parser():
     l = sub.add_parser("laplacian", help="evaluate the trace operator on a density")
     common(l, "alpha", "point", "rescaling", "json")
     l.add_argument("--density", help="density expression in model coordinates")
-    l.add_argument("--weight", type=float, default=1.0, help="density weight r")
     l.add_argument("--lambda", dest="lam", help="coupling expression")
     l.add_argument("--a", type=float, default=None, help="nonlinearity exponent")
     l.set_defaults(func=cmd_laplacian)

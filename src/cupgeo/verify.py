@@ -13,11 +13,15 @@ yields the (lhs, rhs) cells of each case, its own and those of any side
 law, one row per tiled grid row, and the driver records each cell as it
 comes, reduced at once to its rows' residuals.  The report alone judges
 the check: the worst relative residual, and that of any side law, must be
-within tolerance.  The worst point is the last row, in recording order,
-reaching that worst residual, so a tie goes to the last row.  Relative
-residuals are normalized by max(1, |lhs|, |rhs|) so near-zero references
-cannot inflate them; a non-finite side or difference is an infinite
-residual and fails the check.
+within tolerance.  Every check has the suite's one tolerance: the config's
+``tolerance`` when set, else the loosest :data:`MODE_TOLERANCE` of its
+models (1e-7 for exact jets, 1e-4 for finite differences); the side laws
+keep :data:`TRACE_TOLERANCE` and :data:`DECOMPOSITION_TOLERANCE`.  The
+worst point is the last row, in recording order, reaching that worst
+residual, so a tie goes to the last row.  Relative residuals are
+normalized by max(1, |lhs|, |rhs|) so near-zero references cannot inflate
+them; a non-finite side or difference is an infinite residual and fails
+the check.
 
 Two engines run the rescaling checks.  The shift engine compares the
 closed-form prediction of what the rescaling adds to the connection, the
@@ -38,7 +42,7 @@ reporting vacuously and is itself considered broken.
 """
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,6 +114,8 @@ class ModelCase:
 class SuiteConfig:
     """The full evaluation matrix plus the injectable wrong-parameter knobs.
 
+    ``tolerance`` holds every check, side laws aside, to one bound;
+    ``None`` means the loosest :data:`MODE_TOLERANCE` of the cases' models.
     ``hessian_k=None`` means the canonical 1/(n-1); ``sym_weight`` scales
     the skewness shift (1 is the defining law); ``laplacian_s`` is the
     output weight asserted for the trace operator (0 is the claim).
@@ -118,7 +124,6 @@ class SuiteConfig:
     cases: tuple
     alphas: tuple
     tolerance: float = None
-    tol_overrides: dict = field(default_factory=dict)
     hessian_k: float = None
     sym_weight: float = 1.0
     laplacian_s: float = 0.0
@@ -141,15 +146,8 @@ class SuiteConfig:
             case.model.require_inside(case.points)
         for alpha in self.alphas:
             require_real(alpha, "alpha")
-        unknown = [c for c in self.tol_overrides if c not in CHECK_IDS]
-        if unknown:
-            raise ConfigError(f"tol_overrides must be keyed by check ids, got "
-                              f"{', '.join(map(repr, unknown))}; known: {', '.join(CHECK_IDS)}")
-        tolerances = {"tolerance": self.tolerance,
-                      **{f"tol_overrides[{c!r}]": t for c, t in self.tol_overrides.items()}}
-        for name, value in tolerances.items():
-            if value is not None and not require_real(value, name) > 0.0:
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if self.tolerance is not None and not require_real(self.tolerance, "tolerance") > 0.0:
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         for name in ("hessian_k", "sym_weight", "laplacian_s"):
             if getattr(self, name) is not None:
                 require_real(getattr(self, name), name)
@@ -220,9 +218,7 @@ class _Residuals:
         )
 
 
-def _tolerance_for(config, check_id):
-    if check_id in config.tol_overrides:
-        return float(config.tol_overrides[check_id])
+def _tolerance_for(config):
     if config.tolerance is not None:
         return float(config.tolerance)
     return max(MODE_TOLERANCE[case.model.mode] for case in config.cases)
@@ -438,7 +434,7 @@ def run_check(check_id, config):
 
 
 def _run_check(check_id, config, variants):
-    return _CHECK_FUNCTIONS[check_id](config, _tolerance_for(config, check_id), variants)
+    return _CHECK_FUNCTIONS[check_id](config, _tolerance_for(config), variants)
 
 
 @dataclass(frozen=True)
@@ -505,9 +501,10 @@ def standard_couplings(model):
                  for lam, a in (("2", 3.0), (linear, -2.0), ("2", 0.5), (linear, 1.0)))
 
 
-def default_suite_config(tolerance=None):
+def default_suite_config():
     """Gaussian and 3-category models on small interior grids, five alphas,
-    two rescaling potentials, two densities, and four coupling exponents."""
+    two rescaling potentials, two densities, and four coupling exponents,
+    every check held to the exact-jet tolerance 1e-7."""
     gauss = gaussian_model()
     gauss_case = ModelCase(
         model=gauss,
@@ -533,10 +530,4 @@ def default_suite_config(tolerance=None):
     return SuiteConfig(
         cases=(gauss_case, multi_case),
         alphas=DEFAULT_ALPHAS,
-        tolerance=tolerance,
-        tol_overrides={} if tolerance is not None else {
-            "curv_shift": 1e-6,
-            "ricci_shift": 1e-6,
-            "integrability": 1e-6,
-        },
     )

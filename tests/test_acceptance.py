@@ -72,7 +72,7 @@ def test_criterion_3_connection_shift(suite):
 def test_criterion_4_curvature_and_ricci_shift(suite):
     by_id, _, _ = suite
     curv, ric = by_id["curv_shift"], by_id["ricci_shift"]
-    assert curv.tolerance == 1e-6 and ric.tolerance == 1e-6
+    assert curv.tolerance == 1e-7 and ric.tolerance == 1e-7
     assert curv.passed and curv.max_rel_residual <= 1e-6
     assert ric.passed and ric.max_rel_residual <= 1e-6
     assert curv.trace_residual <= 1e-9
@@ -120,7 +120,7 @@ def test_criterion_7_nonlinear_invariance(suite):
 def test_criterion_8_curvature_integrability(suite):
     by_id, _, _ = suite
     r = by_id["integrability"]
-    assert r.tolerance == 1e-6
+    assert r.tolerance == 1e-7
     assert r.passed and r.max_rel_residual <= 1e-6
     assert r.flat_points > 0
     assert r.points_evaluated > 0

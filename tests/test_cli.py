@@ -290,6 +290,23 @@ class TestVerify:
         assert rc == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("matrix", [["--default"], ["--model", "gaussian"]],
+                             ids=["default", "model"])
+    def test_tol_sets_every_row_on_either_matrix(self, matrix, capsys):
+        rc, out, _ = run_cli("verify", *matrix, "--tol", "1e-3", "--json", capsys=capsys)
+        checks = json.loads(out)["checks"]
+        assert {c["tolerance"] for c in checks} == {1e-3}
+        assert all(c["passed"] for c in checks if not c["negative_control"])
+        assert rc == 1  # no negative control misses by 1000 x 1e-3
+
+    @pytest.mark.parametrize("matrix", [["--default"], ["--model", "gaussian"]],
+                             ids=["default", "model"])
+    def test_k_zero_fails_the_hessian_on_either_matrix(self, matrix, capsys):
+        rc, out, _ = run_cli("verify", *matrix, "--k", "0", "--json", capsys=capsys)
+        assert rc == 1
+        by_id = {c["check_id"]: c for c in json.loads(out)["checks"]}
+        assert by_id["hessian_inv"]["passed"] is False
+
     def test_full_default_suite_human(self, capsys):
         rc, out, _ = run_cli("verify", "--default", capsys=capsys)
         assert rc == 0
@@ -586,19 +603,20 @@ class TestErrorPaths:
         assert err == f"error: {named}\n"
 
     @pytest.mark.parametrize("rescaled", [False, True], ids=["plain", "rescaled"])
-    @pytest.mark.parametrize("weight", ["nan", "inf"])
-    def test_non_finite_density_weight_is_one_error_line(self, weight, rescaled, tmp_path,
-                                                         capsys):
+    def test_a_density_weight_is_a_usage_error(self, rescaled, tmp_path, capsys):
+        # the invariance laws hold only at weight 1, which laplacian always uses
         argv = ["laplacian", "--model", "gaussian", "--point", "0,1", "--density", "1+mu",
-                "--weight", weight]
+                "--weight", "2"]
         if rescaled:
             config = tmp_path / "resc.json"
             config.write_text('{"alpha": 0.5, "potential": "0.1*mu*sigma"}')
             argv += ["--rescaling", str(config), "--alpha", "0.5"]
-        rc, out, err = run_cli(*argv, capsys=capsys)
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
         assert out == ""
-        assert err == f"error: density weight r must be finite, got {weight}\n"
+        assert err.startswith("usage: ") and "unrecognized arguments: --weight 2" in err
 
     @pytest.mark.parametrize("alpha", [[], ["--alpha", "0.3"]], ids=["default", "0.3"])
     def test_laplacian_alpha_must_be_the_rescalings(self, alpha, capsys):

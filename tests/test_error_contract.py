@@ -80,7 +80,7 @@ def _command(draw, path):
             "alpha": draw(st.one_of(st.just(0.5), _JSON_VALUES)), "potential": draw(_DENSITY)}))
         argv.append(f"--rescaling={path / 'rescaling.json'}")
     if command == "laplacian":
-        argv += [f"--density={draw(_DENSITY)}", f"--weight={draw(_FLOAT_FLAG)}"]
+        argv.append(f"--density={draw(_DENSITY)}")
         if draw(st.booleans()):
             argv += [f"--lambda={draw(_DENSITY)}", f"--a={draw(_FLOAT_FLAG)}"]
     return argv

@@ -27,7 +27,7 @@ from cupgeo.geometry import (
 )
 from cupgeo.manifolds import estimate_fisher_tensors, gaussian_model
 from cupgeo.tensor_core import Point, as_coords, require_integer, require_real
-from cupgeo.verify import CHECK_IDS, default_suite_config, run_check
+from cupgeo.verify import default_suite_config, run_check
 
 G = gaussian_model()
 F = G.scalar_field("1 + 0.1*mu")
@@ -115,14 +115,6 @@ def test_a_bad_number_is_a_config_error_naming_its_parameter(call, named):
     with pytest.raises(ConfigError) as info:
         call()
     assert str(info.value).startswith(named + " must be")
-
-
-def test_an_unknown_tolerance_override_is_named_with_the_known_ids():
-    overrides = {"curv_shfit": 1e-3, "codazzi": 1e-6, "x": 1.0}
-    with pytest.raises(ConfigError) as info:
-        _suite(tolerance=None, tol_overrides=overrides).validate()
-    assert str(info.value) == ("tol_overrides must be keyed by check ids, got 'curv_shfit', "
-                               "'x'; known: " + ", ".join(CHECK_IDS))
 
 
 def test_numpy_numbers_give_the_bits_of_their_floats():

@@ -11,7 +11,7 @@ from cupgeo.cli import _case_for, render_json
 from cupgeo.cup_transform import WeightedDensity
 from cupgeo.errors import ConfigError
 from cupgeo.geometry import NonlinearCoupling
-from cupgeo.manifolds import gaussian_model, multinomial_model
+from cupgeo.manifolds import Domain, gaussian_model, model_from_callables, multinomial_model
 from cupgeo.tensor_core import Tensor
 from cupgeo.verify import (
     CHECK_IDS,
@@ -114,8 +114,6 @@ class TestValidation:
     @pytest.mark.parametrize("overrides, field", [
         ({"tolerance": float("nan")}, "tolerance"),
         ({"tolerance": 0.0}, "tolerance"),
-        ({"tol_overrides": {"codazzi": -1e-7}}, "tol_overrides['codazzi']"),
-        ({"tol_overrides": {"codazzi": float("inf")}}, "tol_overrides['codazzi']"),
         ({"hessian_k": float("nan")}, "hessian_k"),
         ({"sym_weight": float("inf")}, "sym_weight"),
         ({"laplacian_s": float("-inf")}, "laplacian_s"),
@@ -224,23 +222,29 @@ class TestIntegrabilityReporting:
 
 
 class TestTolerances:
-    def test_override_takes_precedence(self):
-        report = run_check("metric_compat", small_config(
-            tolerance=1e-7, tol_overrides={"metric_compat": 0.5}))
-        assert report.tolerance == 0.5
-
-    def test_unreachable_override_fails_the_check(self):
-        report = run_check("conn_shift", small_config(
-            tol_overrides={"conn_shift": 1e-30}))
+    def test_unreachable_tolerance_fails_the_check(self):
+        report = run_check("conn_shift", small_config(tolerance=1e-30))
         assert not report.passed
 
-    def test_global_tolerance_applies_when_not_overridden(self):
+    def test_a_set_tolerance_applies(self):
         report = run_check("codazzi", small_config(tolerance=1e-3))
         assert report.tolerance == 1e-3
 
     def test_mode_default_when_nothing_set(self):
         report = run_check("codazzi", small_config())
         assert report.tolerance == 1e-7
+
+    @pytest.mark.parametrize("model, tolerance", [
+        (GAUSS, 1e-7),
+        (model_from_callables(2, ("mu", "sigma"),
+                              lambda v: np.diag([1.0 / v[1] ** 2, 2.0 / v[1] ** 2]),
+                              lambda v: np.zeros((2, 2, 2)),
+                              domain=Domain(((None, None), (0.0, None)))), 1e-4),
+    ], ids=["jet", "fd"])
+    def test_every_row_of_a_model_case_has_its_mode_tolerance(self, model, tolerance):
+        result = run_suite(SuiteConfig(cases=(_case_for(model),), alphas=(-1.0, 0.5)))
+        assert len(result.reports) == 12
+        assert {r.tolerance for r in result.reports} == {tolerance}
 
 
 class TestDefaultConfig:
@@ -249,15 +253,11 @@ class TestDefaultConfig:
         assert len(config.cases) == 2
         assert {c.model.name for c in config.cases} == {"gaussian", "multinomial:3"}
         assert config.alphas == (-1.0, -0.5, 0.0, 0.5, 1.0)
-        assert set(config.tol_overrides) == {"curv_shift", "ricci_shift", "integrability"}
+        assert config.tolerance is None
+        assert {r.tolerance for r in run_suite(config).reports} == {1e-7}
         for case in config.cases:
             assert len(case.couplings) == 4
             assert {c.a for c in case.couplings} == {3.0, -2.0, 0.5, 1.0}
-
-    def test_explicit_tolerance_clears_overrides(self):
-        config = default_suite_config(tolerance=1e-5)
-        assert config.tol_overrides == {}
-        assert config.tolerance == 1e-5
 
     def test_knobs_default_to_honest_values(self):
         config = default_suite_config()
