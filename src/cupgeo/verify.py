@@ -3,10 +3,19 @@
 Each check evaluates one identity over the full parameter matrix of a
 :class:`SuiteConfig` (models x alphas x rescaling potentials x densities x
 couplings x grid points) and reports the worst absolute and relative
-residual.  Alpha is a batch axis: each case's grid is tiled under every
-suite alpha, alpha by alpha, into one batch of alpha x point rows, and one
-rescaling per (case, potential) carries every alpha, so each operator runs
-once per (case, potential, density, coupling) on the whole tiled grid.
+residual.  Alpha and the potential are batch axes: each case's grid is
+tiled under every suite alpha, alpha by alpha, and that under each of its
+potentials, into one batch of potential x alpha x point rows, and one
+rescaling per case carries every row, its potential's block i being
+potential i.  So each operator on a rescaled model runs once per (case,
+density, coupling) on the whole tiled grid, and each on the original model
+once per (case, density, coupling) as well, since it does not depend on the
+potential.  Only where a batch's n^4 arrays would outgrow
+:data:`POTENTIAL_BATCH_BYTES` do a case's potentials split into equal
+batches, one rescaling each (from dimension 11 up on the 5-point grid of
+``cupgeo verify --model multinomial:k``).  The structural rows and
+``integrability`` record the original model on its first potential block
+alone, so a check's rows are those of a grid tiled under alpha only.
 
 One driver, :func:`_law`, runs every check but ``integrability``: the check
 yields the (lhs, rhs) cells of each case, its own and those of any side
@@ -21,7 +30,8 @@ worst point is the last row, in recording order, reaching that worst
 residual, so a tie goes to the last row.  Relative residuals are
 normalized by max(1, |lhs|, |rhs|) so near-zero references cannot inflate
 them; a non-finite side or difference is an infinite residual and fails
-the check.
+the check.  An error raised inside a check names the row of the case's grid
+as the user wrote it, not the row of the tiled batch.
 
 Two engines run the rescaling checks.  The shift engine compares the
 closed-form prediction of what the rescaling adds to the connection, the
@@ -41,7 +51,9 @@ least a factor of 1000 over tolerance; a suite in which they pass is
 reporting vacuously and is itself considered broken.
 """
 
+import contextlib
 import dataclasses
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,11 +68,13 @@ from .cup_transform import (
     transform_coupling,
     transform_density,
 )
-from .errors import ConfigError
+from . import jets
+from .errors import ConfigError, CupGeoError
 from .jets import _bc
 from .geometry import (
     HessianSpec,
     NonlinearCoupling,
+    _require_chart,
     _ricci_coupling,
     alpha_connection,
     covariant_derivative_metric,
@@ -74,12 +88,18 @@ from .geometry import (
     riemann,
 )
 from .manifolds import gaussian_model, multinomial_model
-from .tensor_core import as_coords, require_real
+from .tensor_core import Field, as_coords, require_real
 
 MODE_TOLERANCE = {"jet": 1e-7, "fd": 1e-4}
 TRACE_TOLERANCE = 1e-9
 DECOMPOSITION_TOLERANCE = 1e-8
 CONTROL_FACTOR = 1e3
+# A rescaling carries as many of a case's potentials as keep one float64 n^4
+# array over its rows (d2g, dgamma, riemann, ...; a check holds a few dozen
+# at once) within this many bytes.  On the 25 rows per potential of
+# ``verify --model multinomial:k`` that is both potentials up to dimension
+# 10, and one per rescaling from dimension 11.
+POTENTIAL_BATCH_BYTES = 4 << 20
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,12 +173,67 @@ class SuiteConfig:
                 require_real(getattr(self, name), name)
 
 
+def _block(config, case):
+    """The rows of one potential block of the case's tiled grid: one per (alpha, point)."""
+    return len(config.alphas) * len(case.points)
+
+
+def _batch_size(config, case):
+    """How many of the case's potentials one rescaling carries: the most that
+    divides their number and keeps a batch's n^4 array within
+    :data:`POTENTIAL_BATCH_BYTES`, and one at least."""
+    count = len(case.potentials)
+    block_bytes = _block(config, case) * case.model.dim ** 4 * 8
+    return max(size for size in range(1, count + 1)
+               if count % size == 0 and (size == 1 or size * block_bytes <= POTENTIAL_BATCH_BYTES))
+
+
 def _grid(config, case):
-    """The case's grid tiled under every alpha of ``config``, alpha by alpha: the
-    ``(A * P, n)`` points and the alpha of each row."""
+    """The case's grid tiled under every alpha of ``config``, alpha by alpha, and
+    that under each potential of a batch: the ``(B * A * P, n)`` points and the
+    alpha of each row.  Its first ``A * P`` rows are the first potential block."""
     pts = as_coords(case.points).reshape(-1, case.model.dim)
     alphas = np.array([require_real(a, "alpha") for a in config.alphas])
-    return np.tile(pts, (len(alphas), 1)), np.repeat(alphas, len(pts))
+    size = _batch_size(config, case)
+    return np.tile(pts, (size * len(alphas), 1)), np.tile(np.repeat(alphas, len(pts)), size)
+
+
+@contextlib.contextmanager
+def _user_rows(case):
+    """Rename the batch row of an error raised inside: row r of a tiled grid is
+    row r mod P of the case's own grid of P points."""
+    try:
+        yield
+    except CupGeoError as e:
+        rename = lambda m: f"(row {int(m[1]) % len(case.points)})"
+        e.args = (re.sub(r"\(row (\d+)\)", rename, str(e)), *e.args[1:])
+        raise
+
+
+class _StackedPotential(Field):
+    """The potential of a rescaling that carries several: on a batch of equal
+    row blocks, block i is member i's jet on it.
+
+    At one point (a failing batch runs again row by row) it gives every row
+    at once: each member's jet at that point, repeated over the ``rows`` of
+    its block.
+    """
+
+    def __init__(self, members, rows):
+        self.members, self.rows = members, rows
+        self.dim, self.coord_names = members[0].dim, members[0].coord_names
+        self.mode = "fd" if any(f.mode == "fd" for f in members) else "jet"
+        self.label = " and ".join(f.label for f in members)
+
+    def _jet(self, coords, order):
+        if coords.ndim == 1:
+            parts = [f.jet(coords, order) for f in self.members]
+            join = lambda k: np.repeat(np.stack([p.deriv(k) for p in parts]), self.rows, axis=0)
+        else:
+            parts = [f.jet(block, order)
+                     for f, block in zip(self.members, np.split(coords, len(self.members)))]
+            join = lambda k: np.concatenate([p.deriv(k) for p in parts])
+        return jets.Jet(self.dim, order, *(join(k) for k in range(order + 1)))
 
 
 class _Residuals:
@@ -225,9 +300,10 @@ def _tolerance_for(config):
 
 
 def _rescalings(config, case, alphas, variants):
-    """The (rescaling, rescaled model, inputs) triples of ``case``, one per
-    potential, each carrying the per-row ``alphas`` of the case's tiled grid;
-    ``inputs`` maps each case density and coupling to its transform.
+    """The (rescaling, rescaled model, inputs) triples of ``case``, one per batch
+    of its potentials (all of them, unless :func:`_batch_size` splits them),
+    each carrying the case's tiled grid at its per-row ``alphas``; ``inputs``
+    maps each case density and coupling to its transform.
 
     ``variants`` holds them for one run over ``config``'s cases, so every
     check of the run reuses the same models and fields, and with them their
@@ -236,8 +312,12 @@ def _rescalings(config, case, alphas, variants):
     """
     key = id(case)
     if key not in variants:
-        pairs = []
         for potential in case.potentials:
+            _require_chart(potential, case.model, "rescaling potential")
+        size = _batch_size(config, case)
+        pairs = []
+        for i in range(0, len(case.potentials), size):
+            potential = _StackedPotential(case.potentials[i:i + size], _block(config, case))
             resc = make_rescaling(alphas, potential)
             inputs = {d: transform_density(d, resc).f for d in case.densities}
             inputs.update((c, transform_coupling(c, resc).lam) for c in case.couplings)
@@ -256,27 +336,32 @@ def _law(config, variants, check_id, tol, cells, sides=()):
 
     ``cells(case, pts, alphas, rescalings)`` yields the (field, lhs, rhs)
     cells of one case on its tiled grid ``pts``, each side one row per grid
-    row; ``field`` is None for the check's own cells and otherwise names a
-    side law, one of the (field, tolerance) pairs of ``sides``.
+    row, or per row of a leading block of the grid; ``field`` is None for
+    the check's own cells and otherwise names a side law, one of the (field,
+    tolerance) pairs of ``sides``.  The original model has the one grid
+    ``pts`` in every check; each rescaled model of ``rescalings`` has it too.
     """
     res = {field_name: _Residuals() for field_name, _ in ((None, tol), *sides)}
     for case in config.cases:
         pts, alphas = _grid(config, case)
-        for field_name, lhs, rhs in cells(case, pts, alphas,
-                                          _rescalings(config, case, alphas, variants)):
-            res[field_name].add(pts, lhs, rhs)
+        with _user_rows(case):
+            for field_name, lhs, rhs in cells(case, pts, alphas,
+                                              _rescalings(config, case, alphas, variants)):
+                res[field_name].add(pts[:len(lhs)], lhs, rhs)
     return res[None].report(check_id, tol, [(f, res[f], t) for f, t in sides])
 
 
 # -- structural checks on models --------------------------------------------
 
 
-def _structural(law):
-    """The cells of ``law(model, alphas, pts)`` on a case model and each of its
-    rescaled variants."""
+def _structural(config, law):
+    """The cells of ``law(model, alphas, pts)`` on a case model, in its first
+    potential block, and on each of its rescaled variants."""
     def cells(case, pts, alphas, rescalings):
-        for model in (case.model, *(varied for _, varied, _ in rescalings)):
-            yield None, *law(model, alphas, pts)
+        block = _block(config, case)
+        yield None, *(side[:block] for side in law(case.model, alphas, pts))
+        for _, varied, _ in rescalings:
+            yield None, *law(varied, alphas, pts)
     return cells
 
 
@@ -284,14 +369,14 @@ def _check_metric_compat(config, tol, variants):
     def law(model, alphas, pts):
         nabla_g = covariant_derivative_metric(model, alphas, pts).components
         return nabla_g, _bc(alphas, 3) * point_geometry(model, alphas, pts).t
-    return _law(config, variants, "metric_compat", tol, _structural(law))
+    return _law(config, variants, "metric_compat", tol, _structural(config, law))
 
 
 def _check_codazzi(config, tol, variants):
     def law(model, alphas, pts):
         nabla_g = covariant_derivative_metric(model, alphas, pts).components
         return nabla_g, np.swapaxes(nabla_g, -3, -2)
-    return _law(config, variants, "codazzi", tol, _structural(law))
+    return _law(config, variants, "codazzi", tol, _structural(config, law))
 
 
 # -- shift predictions vs direct recomputation ------------------------------
@@ -303,10 +388,10 @@ def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None)
     ``side``, if given, is a (field, tolerance, law) side law: ``law(model, resc,
     pts, pred)`` gives the two sides of a second residual."""
     def cells(case, pts, alphas, rescalings):
+        base = quantity(case.model, alphas, pts).components
         for resc, varied, _ in rescalings:
             pred = prediction(case.model, resc, pts).components
-            yield None, pred, (quantity(varied, alphas, pts).components
-                               - quantity(case.model, alphas, pts).components)
+            yield None, pred, quantity(varied, alphas, pts).components - base
             if side:
                 yield side[0], *side[2](case.model, resc, pts, pred)
     return _law(config, variants, check_id, tol, cells, [side[:2]] if side else ())
@@ -331,23 +416,29 @@ def _check_ricci_shift(config, tol, variants):
 # -- operator invariances ---------------------------------------------------
 
 
-def _invariance(operator, s, model, varied, resc, inputs, pts):
-    """The two sides of the (r; s) law on one grid, and the original side's value.
+def _invariance(operator, s, model, rescalings, pts, *inputs):
+    """The (r; s) law on one grid: the original side's value, and the law's
+    cells on each rescaled batch.
 
     The law: ``operator`` on the rescaled model, applied to the weighted
     inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
-    original model applied to the inputs themselves; ``inputs`` holds the
-    (f, eta^r f) pairs.  ``operator(model, *fields, pts)`` takes the whole
-    grid as one batch and returns per-row scalars or tensor components.
-    The value returned after the two sides is the operator on the original
-    model, before any eta^s factor.
+    original model applied to the inputs themselves.  ``inputs`` holds the
+    (f, key) pairs of the case densities and couplings the operator takes,
+    and each batch's inputs map a key to its eta^r f.  ``operator(model,
+    *fields, pts)`` takes the whole grid as one batch and returns per-row
+    scalars or tensor components.  The original side, before any eta^s
+    factor, does not depend on the potential and is computed once; each cell
+    is (rescaled model, its fields, lhs, rhs).
     """
-    lhs = operator(varied, *(scaled for _, scaled in inputs), pts)
     base = operator(model, *(f for f, _ in inputs), pts)
-    rhs = base
-    if s != 0.0:
-        rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
-    return lhs, rhs, base
+    cells = []
+    for resc, varied, transformed in rescalings:
+        scaled = [transformed[key] for _, key in inputs]
+        rhs = base
+        if s != 0.0:
+            rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
+        cells.append((varied, scaled, operator(varied, *scaled, pts), rhs))
+    return base, cells
 
 
 def _hessian_k(config, case):
@@ -355,31 +446,28 @@ def _hessian_k(config, case):
     return _ricci_coupling(case.model.dim) if config.hessian_k is None else config.hessian_k
 
 
-def _inputs(case, rescalings):
-    """Every rescaled triple of a case once per case density, with its (f, eta^r f) pair."""
-    for resc, varied, inputs in rescalings:
-        for density in case.densities:
-            yield resc, varied, inputs, (density.f, inputs[density])
-
-
 def _check_hessian_inv(config, tol, variants):
     def cells(case, pts, alphas, rescalings):
         spec = HessianSpec(_hessian_k(config, case))
         op = lambda m, f, p: modified_hessian(m, alphas, spec, f, p).components
-        for resc, varied, _, density in _inputs(case, rescalings):
-            yield None, *_invariance(op, 1.0, case.model, varied, resc, (density,), pts)[:2]
+        for density in case.densities:
+            _, batches = _invariance(op, 1.0, case.model, rescalings, pts, (density.f, density))
+            for _, _, lhs, rhs in batches:
+                yield None, lhs, rhs
     return _law(config, variants, "hessian_inv", tol, cells)
 
 
 def _check_laplacian_inv(config, tol, variants):
     def cells(case, pts, alphas, rescalings):
         op = lambda m, f, p: cup_laplacian(m, alphas, f, p)
-        for resc, varied, _, (plain, scaled) in _inputs(case, rescalings):
-            lhs, rhs, base = _invariance(op, config.laplacian_s, case.model, varied, resc,
-                                         ((plain, scaled),), pts)
-            yield None, lhs, rhs
-            yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled, pts)
-            yield "decomp_residual", base, cup_laplacian_decomposed(case.model, alphas, plain, pts)
+        for density in case.densities:
+            base, batches = _invariance(op, config.laplacian_s, case.model, rescalings, pts,
+                                        (density.f, density))
+            for varied, (scaled,), lhs, rhs in batches:
+                yield None, lhs, rhs
+                yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled, pts)
+            yield "decomp_residual", base, cup_laplacian_decomposed(case.model, alphas, density.f,
+                                                                    pts)
     return _law(config, variants, "laplacian_inv", tol, cells,
                 [("decomp_residual", DECOMPOSITION_TOLERANCE)])
 
@@ -387,26 +475,31 @@ def _check_laplacian_inv(config, tol, variants):
 def _check_nonlinear_inv(config, tol, variants):
     """The coupling lam enters as a second input, of weight -a."""
     def cells(case, pts, alphas, rescalings):
-        for resc, varied, inputs, density in _inputs(case, rescalings):
+        for density in case.densities:
             for c in case.couplings:
                 op = lambda m, f, lam, p: nonlinear_cup_operator(
                     m, alphas, f, NonlinearCoupling(lam, c.a), p)
-                yield None, *_invariance(op, 0.0, case.model, varied, resc,
-                                         (density, (c.lam, inputs[c])), pts)[:2]
+                _, batches = _invariance(op, 0.0, case.model, rescalings, pts,
+                                         (density.f, density), (c.lam, c))
+                for _, _, lhs, rhs in batches:
+                    yield None, lhs, rhs
     return _law(config, variants, "nonlinear_inv", tol, cells)
 
 
 def _check_integrability(config, tol, variants):
+    """Recorded on the first potential block of each case's grid."""
     res = _Residuals()
     flat = 0
     for case in config.cases:
         pts, alphas = _grid(config, case)
-        k = _hessian_k(config, case)
-        riem = riemann(case.model, alphas, pts).components
-        curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
-        flat += len(pts) - int(np.count_nonzero(curved))
-        predicted = ricci_reconstruction(ricci(case.model, alphas, pts).components, k)
-        res.add(pts[curved], riem[curved], predicted[curved])
+        block = _block(config, case)
+        with _user_rows(case):
+            k = _hessian_k(config, case)
+            riem = riemann(case.model, alphas, pts).components[:block]
+            curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
+            flat += block - int(np.count_nonzero(curved))
+            predicted = ricci_reconstruction(ricci(case.model, alphas, pts).components[:block], k)
+        res.add(pts[:block][curved], riem[curved], predicted[curved])
     return res.report("integrability", tol, flat_points=flat)
 
 

@@ -364,6 +364,19 @@ class TestVerify:
         assert rc == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    def test_potentials_split_into_batches_give_the_same_bytes(self, monkeypatch, capsys):
+        made = []
+        make = verify.make_rescaling
+        monkeypatch.setattr(verify, "make_rescaling",
+                            lambda alpha, potential: made.append(len(alpha)) or make(alpha, potential))
+        grouped = run_cli("verify", "--model", "multinomial:9", "--json", capsys=capsys)
+        # no batch fits under a zero bound, so each potential gets its own
+        monkeypatch.setattr(verify, "POTENTIAL_BATCH_BYTES", 0)
+        split = run_cli("verify", "--model", "multinomial:9", "--json", capsys=capsys)
+        assert split == grouped and grouped[0] == 0
+        # 5 alphas x 5 points, under both potentials at once, then one by one
+        assert made == [50, 25, 25]
+
     @pytest.mark.parametrize("domain", [
         {"x": [-1, 2], "y": [0.5, 3]},
         {"x": [None, 1], "y": [None, 2]},
@@ -591,7 +604,7 @@ class TestErrorPaths:
         (("laplacian", "--model", "gaussian", "--alpha", "1e200", "--point", "0,1",
           "--density", "1+mu"), "curvature is not finite at (0.0, 1.0); alpha = 1e+200"),
         (("verify", "--default", "--check", "hessian_inv", "--k", "1e308"),
-         "Ricci-coupled Hessian is not finite at (-1.0, 0.6) (row 9); alpha = -0.5, k = 1e+308"),
+         "Ricci-coupled Hessian is not finite at (-1.0, 0.6) (row 0); alpha = -0.5, k = 1e+308"),
     ], ids=["power", "tensors-alpha", "laplacian-alpha", "hessian-k"])
     def test_overflow_is_one_error_line(self, argv, named, capsys):
         with warnings.catch_warnings(record=True) as caught:

@@ -48,7 +48,7 @@ from cupgeo.manifolds import (
     parse_model,
 )
 from cupgeo.tensor_core import Field, FuncField, NumericField
-from cupgeo.verify import default_suite_config, run_suite
+from cupgeo.verify import _StackedPotential, default_suite_config, run_suite
 
 GAUSS = gaussian_model()
 FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
@@ -57,7 +57,8 @@ FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
 POINT = (0.3, 1.2)
 
 
-FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField, _RuleField]
+FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField, _RuleField,
+               _StackedPotential]
 
 
 def test_only_the_expression_tensor_field_overrides_jet():
@@ -370,17 +371,19 @@ def test_a_failing_point_raises_on_every_call(evaluations):
 def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--default", "--json"]) == 0
-    # per case: a metric and a skewness, 2 potentials, 2 densities and 4
-    # couplings; per case and potential, on the alpha-tiled grid: eta, 6
+    # per case: a metric and a skewness, 2 potentials (each on its own row
+    # block), 2 densities and 4 couplings; per case, on the grid tiled under
+    # both potentials and every alpha: the potentials stacked, eta, 6
     # transformed inputs and a rescaled metric and skewness, twice with the
     # 1/3-weight control
     assert dict(evaluations) == {
         "ExprTensorField": 4,
         "ExprScalarField": 16,
-        "rescaled metric": 8,
-        "rescaled skewness": 8,
-        "conformal factor": 4,
-        "eta^": 24,
+        "_StackedPotential": 2,
+        "rescaled metric": 4,
+        "rescaled skewness": 4,
+        "conformal factor": 2,
+        "eta^": 12,
     }
 
 

@@ -83,13 +83,14 @@ def test_each_model_object_has_its_own_memo(builds):
     assert len(builds) == 2
 
 
-def test_suite_pass_builds_ten_geometries(builds):
-    # per case, on its alpha-tiled grid: the model and its two rescaled
-    # variants, each also at the 1/3 skewness-shift weight of the control
+def test_suite_pass_builds_six_geometries(builds):
+    # per case, on its grid tiled under both potentials and every alpha: the
+    # model and its rescaled variant, which carries both potentials, and the
+    # variant again at the 1/3 skewness-shift weight of the control
     for _ in range(2):
         builds.clear()
         assert run_suite(default_suite_config()).passed
-        assert len(builds) == 10
+        assert len(builds) == 6
 
 
 def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds, monkeypatch):
@@ -108,9 +109,9 @@ def test_suite_pass_checks_each_grid_once_and_builds_each_rescaling_once(builds,
     monkeypatch.setattr(CupRescaling, "__init__", counting_init)
     assert run_suite(default_suite_config()).passed
     # one check per case in the config's validation, then one per built geometry;
-    # one rescaling per case and potential, carrying every alpha, shared by the
+    # one rescaling per case, carrying every potential and alpha, shared by the
     # 1/3-weight control
-    assert (len(checks), len(builds), len(rescalings)) == (12, 10, 4)
+    assert (len(checks), len(builds), len(rescalings)) == (8, 6, 2)
 
 
 def test_a_float_grid_hit_checks_nothing(builds, monkeypatch):

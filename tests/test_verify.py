@@ -8,8 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cupgeo import verify
 from cupgeo.cli import _case_for, render_json
-from cupgeo.cup_transform import WeightedDensity
-from cupgeo.errors import ConfigError
+from cupgeo.cup_transform import (
+    WeightedDensity,
+    make_rescaling,
+    rescaled_model,
+    transform_coupling,
+    transform_density,
+)
+from cupgeo.errors import ConfigError, EvaluationError, SingularMetricError
 from cupgeo.geometry import NonlinearCoupling
 from cupgeo.manifolds import Domain, gaussian_model, model_from_callables, multinomial_model
 from cupgeo.tensor_core import Tensor
@@ -96,6 +102,14 @@ class TestValidation:
         case = dataclasses.replace(small_config().cases[0], potentials=())
         with pytest.raises(ConfigError, match="potentials"):
             run_check("codazzi", small_config(cases=(case,)))
+
+    def test_a_potential_on_another_chart_is_named(self):
+        """Every potential of a batch is held to the case's chart, not only its first."""
+        case = dataclasses.replace(small_config().cases[0], potentials=(
+            GAUSS.scalar_field("0.2*mu"), multinomial_model(3).scalar_field("p1")))
+        with pytest.raises(ConfigError, match=r"chart mismatch: rescaling potential is written "
+                                              r"in \['p1', 'p2'\]"):
+            run_check("conn_shift", small_config(cases=(case,)))
 
     def test_point_outside_domain(self):
         case = dataclasses.replace(small_config().cases[0],
@@ -398,6 +412,95 @@ def test_a_suite_of_a_2d_and_a_3d_case_reduces_as_its_two_cases():
         # a tie goes to the later case, whose rows are recorded last
         holder = b if b.max_rel_residual >= a.max_rel_residual else a
         assert m.worst_point == holder.worst_point
+
+
+def _three_potentials():
+    gauss = default_suite_config().cases[0]
+    return dataclasses.replace(gauss, potentials=gauss.potentials + (
+        GAUSS.scalar_field("0.2*sigma^2 - 0.1*mu"),))
+
+
+BATCHED_CASES = {
+    "gaussian": lambda: default_suite_config().cases[0],
+    "multinomial:3": lambda: default_suite_config().cases[1],
+    "multinomial:4": lambda: _case_for(multinomial_model(4)),
+    "three potentials": _three_potentials,
+}
+
+
+@pytest.mark.parametrize("make_case", BATCHED_CASES.values(), ids=BATCHED_CASES)
+def test_each_row_block_of_the_batched_rescaling_is_its_potential_alone(make_case):
+    """Block i of the rescaling that carries every potential of a case, and of
+    everything it drives, is bitwise what potential i alone gives on the grid
+    tiled under alpha only."""
+    case = make_case()
+    config = SuiteConfig(cases=(case,), alphas=verify.DEFAULT_ALPHAS)
+    pts, alphas = verify._grid(config, case)
+    ((resc, varied, inputs),) = verify._rescalings(config, case, alphas, {})
+    block = len(config.alphas) * len(case.points)
+    assert len(pts) == len(case.potentials) * block
+    for i, potential in enumerate(case.potentials):
+        rows = slice(i * block, (i + 1) * block)
+        x, alone = pts[rows], make_rescaling(alphas[rows], potential)
+        alone_model = rescaled_model(case.model, alone)
+        pairs = [(resc.eta_jet(pts, 2), alone.eta_jet(x, 2)),
+                 (resc.psi_jet(pts, 1), alone.psi_jet(x, 1)),
+                 (varied.metric.jet(pts, 2), alone_model.metric.jet(x, 2)),
+                 (varied.skewness.jet(pts, 1), alone_model.skewness.jet(x, 1))]
+        pairs += [(inputs[d].jet(pts, 2), transform_density(d, alone).f.jet(x, 2))
+                  for d in case.densities]
+        pairs += [(inputs[c].jet(pts, 2), transform_coupling(c, alone).lam.jet(x, 2))
+                  for c in case.couplings]
+        for batched, single in pairs:
+            for k in range(single.order + 1):
+                got, want = batched.deriv(k)[rows], single.deriv(k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("model, size", [
+    (gaussian_model(), 2), (multinomial_model(3), 2), (multinomial_model(4), 2),
+    (multinomial_model(9), 2), (multinomial_model(17), 1)])
+def test_potentials_share_a_batch_while_its_n4_arrays_stay_small(model, size):
+    case = _case_for(model)
+    config = SuiteConfig(cases=(case,), alphas=verify.DEFAULT_ALPHAS)
+    assert verify._batch_size(config, case) == size
+    pts, alphas = verify._grid(config, case)
+    assert len(pts) == len(alphas) == size * len(config.alphas) * len(case.points)
+
+
+def test_batches_split_the_potentials_evenly(monkeypatch):
+    """Room for two of three potentials gives three batches of one, so the
+    original model keeps one grid."""
+    case = _three_potentials()
+    config = SuiteConfig(cases=(case,), alphas=verify.DEFAULT_ALPHAS)
+    block = len(config.alphas) * len(case.points) * 2 ** 4 * 8
+    assert verify._batch_size(config, case) == 3
+    monkeypatch.setattr(verify, "POTENTIAL_BATCH_BYTES", 2 * block)
+    assert verify._batch_size(config, case) == 1
+    assert len(verify._rescalings(config, case, verify._grid(config, case)[1], {})) == 3
+
+
+def test_an_error_names_the_row_of_the_users_grid():
+    case = default_suite_config().cases[0]  # 9 points
+    with pytest.raises(SingularMetricError, match=r"^metric is singular at \(0\.0, 1\.0\) "
+                                                  r"\(row 4\); alpha = 1$") as caught:
+        with verify._user_rows(case):
+            raise SingularMetricError("metric is singular at (0.0, 1.0) (row 85); alpha = 1",
+                                      min_eigenvalue=-1.0)
+    assert caught.value.min_eigenvalue == -1.0
+
+
+def test_a_failing_potential_block_names_the_users_row():
+    """eta overflows only under the second potential, at (0, 1) and alpha = -1;
+    the failing batch runs again point by point, each under every potential."""
+    case = _three_potentials()
+    bump = GAUSS.scalar_field("1000*exp(-100*(mu^2 + (sigma - 1)^2))")
+    config = SuiteConfig(cases=(dataclasses.replace(case, potentials=case.potentials[:1] + (bump,)),),
+                         alphas=verify.DEFAULT_ALPHAS)
+    with pytest.raises(EvaluationError, match=(
+            r"^conformal factor of potential field '0\.3\*mu' and field '1000\*exp\(.*\)' "
+            r"is not finite at \(0\.0, 1\.0\) \(row 4\)$")):
+        run_check("conn_shift", config)
 
 
 def test_full_default_suite_passes():
