@@ -401,7 +401,7 @@ def _fd_step(order, coord):
     return _EPS ** (1.0 / (order + 2)) * max(1.0, abs(coord))
 
 
-def _fd_partial(fn, x, axes):
+def _fd_partial(fn, x, axes, f0):
     """One mixed partial by a tensor product of per-axis central stencils.
 
     ``axes`` maps coordinate index to derivative multiplicity; the stencil for
@@ -409,7 +409,9 @@ def _fd_partial(fn, x, axes):
     Each symmetric pair of values is differenced before it is weighted,
     f(x + kh) - f(x - kh) for a first derivative and
     (f(x + kh) - f(x)) + (f(x - kh) - f(x)) for a second, so a constant
-    gives exactly zero however large it is.
+    gives exactly zero however large it is.  Up to :data:`MAX_ORDER` a
+    second derivative is the only one in its partial, so its centre is x
+    itself, whose value ``f0`` the caller already has.
     """
     total = sum(axes.values())
     plan = []
@@ -424,7 +426,7 @@ def _fd_partial(fn, x, axes):
         if level == len(plan):
             return fn(np.array(point))
         axis, h, mult, weights = plan[level]
-        centre = recurse(point, level + 1) if mult == 2 else None
+        centre = f0 if mult == 2 else None
         acc = 0.0
         for k, w in enumerate(weights, 1):
             up, down = list(point), list(point)
@@ -462,11 +464,11 @@ def finite_difference_jet(fn, coords, order):
     jet = Jet.constant(float(f0) if f0.ndim == 0 else f0, n, order)
     if order >= 1:
         for i in range(n):
-            jet.d1[..., i] = _fd_partial(fn, x, {i: 1})
+            jet.d1[..., i] = _fd_partial(fn, x, {i: 1}, f0)
     if order >= 2:
         for i in range(n):
             for j in range(i, n):
                 axes = {i: 2} if i == j else {i: 1, j: 1}
-                val = _fd_partial(fn, x, axes)
+                val = _fd_partial(fn, x, axes, f0)
                 jet.d2[..., i, j] = jet.d2[..., j, i] = val
     return jet

@@ -50,8 +50,9 @@ from .tensor_core import (
 
 DOMAIN_MARGIN = 1e-6
 MAX_DIM = 32  # the cost of building and evaluating a model grows steeply with its dimension
-MC_BATCH_SIZE = 16_384  # samples drawn and reduced at a time by the Monte-Carlo oracle
+MC_BATCH_SIZE = 16_384  # continuous-family samples drawn and reduced at a time by the MC oracle
 
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -169,13 +170,16 @@ class ExprScalarField(Field):
 class SampleSpec:
     """Inputs for the Monte-Carlo tensor oracle.
 
+    ``support`` is None for a family of continuous samples, whose
     ``sampler(point, size, rng)`` draws ``size`` samples along a leading
-    axis; ``log_likelihood(samples, coord_jets)`` must broadcast over that
-    axis and be differentiable in the coordinate jets.  ``support`` is None
-    for a family of continuous samples, or the category count k of a finite
-    family, whose sampler draws integer category indices 0 to k-1: the
-    oracle then counts the draws of each category and calls the
-    log-likelihood once, on the drawn categories.
+    axis.  For a finite family it is the category count k, and the sampler
+    returns how often each category 0 to k-1 occurs in ``size`` draws: an
+    integer array of shape ``(k,)`` summing to ``size``.
+    ``log_likelihood(samples, coord_jets)`` must broadcast over a leading
+    sample axis and be differentiable in the coordinate jets; a finite
+    family's takes integer category indices, and the oracle calls it once,
+    on the categories drawn.  ``count`` is at most the largest int64, the
+    most draws one count can hold.
     """
 
     log_likelihood: object
@@ -185,7 +189,8 @@ class SampleSpec:
     support: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "count", require_integer(self.count, "sample count", 1))
+        object.__setattr__(self, "count",
+                           require_integer(self.count, "sample count", 1, _MAX_COUNT))
         object.__setattr__(self, "seed", require_integer(self.seed, "sample seed", 0))
         if self.support is not None:
             object.__setattr__(self, "support",
@@ -372,7 +377,9 @@ def multinomial_model(k):
 
     Coordinates are the first k-1 cell probabilities; the score moments give
     g_ij = kron_ij/p_i + 1/p_last and t_ijk = kron_ijk/p_i^2 - 1/p_last^2
-    with p_last = 1 - sum of the others.
+    with p_last = 1 - sum of the others.  Its sampler returns the k category
+    counts of ``size`` draws, one Multinomial(size, p) draw; its
+    log-likelihood takes category indices.
     """
     k = require_integer(k, "multinomial category count k", -math.inf)  # bounded by its dimension
     n = require_integer(k - 1, f"the dimension of multinomial:{k}", 1, MAX_DIM)
@@ -392,7 +399,7 @@ def multinomial_model(k):
             skewness[key] = f"-1/{rest}^2"
 
     def sampler(point, size, rng):
-        return rng.choice(k, size=size, p=list(point.coords) + [1.0 - sum(point.coords)])
+        return rng.multinomial(size, list(point.coords) + [1.0 - sum(point.coords)])
 
     def log_likelihood(cat, coord_jets):
         # each part of the k log-jets, stacked on a trailing axis, is gathered
@@ -476,16 +483,19 @@ def _score(spec, point, coord_jets, samples, size):
     return score.T
 
 
-def _category_counts(samples, support, size):
-    """How often each of the ``support`` categories occurs in a batch of ``size`` draws."""
-    samples = np.asarray(samples)
-    if samples.shape != (size,) or samples.dtype.kind not in "iu":
-        got = f"an array of {samples.dtype} with shape {samples.shape}"
-    elif not 0 <= samples.min() <= samples.max() < support:
-        got = f"index {samples.min() if samples.min() < 0 else samples.max()}"
+def _category_counts(counts, support, size):
+    """A finite family's sampler output, checked to count ``size`` draws of the
+    ``support`` categories."""
+    counts = np.asarray(counts)
+    if counts.shape != (support,) or counts.dtype.kind not in "iu":
+        got = f"an array of {counts.dtype} with shape {counts.shape}"
+    elif counts.min() < 0:
+        got = f"a count of {counts.min()}"
+    elif (total := sum(counts.tolist())) != size:  # Python ints: a wrapped sum cannot pass
+        got = f"counts summing to {total}"
     else:
-        return np.bincount(samples.astype(np.intp, copy=False), minlength=support)
-    raise EvaluationError(f"sampler drew {got}, not {size} category indices "
+        return counts
+    raise EvaluationError(f"sampler returned {got}, not the counts of {size} draws "
                           f"of the support 0 to {support - 1}")
 
 
@@ -532,26 +542,28 @@ def estimate_fisher_tensors(spec, p):
 
     g is estimated by the mean of score outer products, t by the mean of
     score triple products; both converge at the usual count^(-1/2) rate.
-    The samples are drawn :data:`MC_BATCH_SIZE` at a time, so peak memory
-    scales with the batch size times the dimension, not with the count.  A
-    continuous family (``spec.support`` None) reduces each batch as it is
-    drawn: the batch adds its sums of score products and of their squares,
-    formed by :func:`_moment_sums`, and its jets and score are freed before
-    the next one is drawn.  The block is cache-sized: a jet part of a batch
-    takes 128 KiB per derivative slot, so the jet arithmetic and the
-    products reread it from the processor's cache, not from main memory.  A
-    finite family adds each batch's category counts into one count vector;
-    the sums over the samples are then the sums over the drawn categories,
-    each weighted by its count, so the log-likelihood and
-    :func:`_moment_sums` run once, on at most ``support`` rows.  The triple
-    sums are formed only for the sorted index classes (i <= j <= k), about a
-    third of the n^3 products at high dimension; every total keeps that one
-    representative per class, mirrored into every permutation, so the
-    estimates and both standard-error arrays are bitwise symmetric.  Fixed
-    seed implies identical estimates.  Both samplers draw the same stream in
-    blocks as in one call, so the block size moves a continuous family's
-    estimates only in the last bits, by the order of summation, and leaves a
-    finite family's counts, hence its estimates, unchanged.
+    A continuous family (``spec.support`` None) draws its samples
+    :data:`MC_BATCH_SIZE` at a time, so peak memory scales with the batch
+    size times the dimension, not with the count, and reduces each batch as
+    it is drawn: the batch adds its sums of score products and of their
+    squares, formed by :func:`_moment_sums`, and its jets and score are
+    freed before the next one is drawn.  The block is cache-sized: a jet
+    part of a batch takes 128 KiB per derivative slot, so the jet
+    arithmetic and the products reread it from the processor's cache, not
+    from main memory.  The Gaussian sampler draws the same stream in blocks
+    as in one call, so the block size moves its estimates only in the last
+    bits, by the order of summation.  A finite family's sampler is called
+    once, with ``size`` the whole count, and returns the count of each
+    category (see :class:`SampleSpec`): the multinomial's costs O(support),
+    not O(count).  The sums over the samples are the sums over the drawn
+    categories, each weighted by its count, so the log-likelihood and
+    :func:`_moment_sums` run once, on at most ``support`` rows, and the
+    block size does not enter.  The triple sums are formed only for the
+    sorted index classes (i <= j <= k), about a third of the n^3 products at
+    high dimension; every total keeps that one representative per class,
+    mirrored into every permutation, so the estimates and both
+    standard-error arrays are bitwise symmetric.  Fixed seed implies
+    identical estimates.
     """
     point = Point(p)
     n = len(point)
@@ -565,20 +577,15 @@ def estimate_fisher_tensors(spec, p):
         for total, part in zip(sums, _moment_sums(score, weights)):
             total += part
 
-    counts = None if spec.support is None else np.zeros(spec.support, dtype=np.int64)
-    remaining = spec.count
-    while remaining > 0:
-        size = min(MC_BATCH_SIZE, remaining)
-        samples = spec.sampler(point, size, rng)
-        if counts is None:
-            add(samples, size)
-        else:
-            counts += _category_counts(samples, spec.support, size)
-        remaining -= size
-    if counts is not None:
+    count = spec.count
+    if spec.support is None:
+        for start in range(0, count, MC_BATCH_SIZE):
+            size = min(MC_BATCH_SIZE, count - start)
+            add(spec.sampler(point, size, rng), size)
+    else:
+        counts = _category_counts(spec.sampler(point, count, rng), spec.support, count)
         drawn = np.flatnonzero(counts)
         add(drawn, drawn.size, counts[drawn])
-    count = spec.count
 
     def finish(total, total_sq):
         total, total_sq = _mirror_sorted(total), _mirror_sorted(total_sq)

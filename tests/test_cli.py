@@ -553,6 +553,14 @@ class TestErrorPaths:
         assert (rc, out) == (2, "")
         assert err == "error: non-finite log-likelihood derivatives at (0.0, 1e+308)\n"
 
+    def test_a_count_past_int64_is_one_error_line(self, capsys):
+        # one multinomial draw holds the whole count, so the count must fit an int64
+        rc, out, err = run_cli("estimate", "--model", "multinomial:3", "--point", "0.3,0.3",
+                               "--count", str(2**63), capsys=capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: sample count must be from 1 to 9223372036854775807, "
+                       "got 9223372036854775808\n")
+
     def test_missing_rescaling_file(self, capsys):
         rc, _, err = run_cli("tensors", "--model", "gaussian", "--point", "0,1",
                              "--rescaling", "/no/such/file.json", capsys=capsys)

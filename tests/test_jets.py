@@ -377,6 +377,24 @@ def test_fd_mixed_partials_mirrored_exactly():
     assert np.array_equal(fd.d2, fd.d2.T)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("order, calls", [(0, lambda n: 1), (1, lambda n: 1 + 4 * n),
+                                          (2, lambda n: 1 + 8 * n * n)])
+def test_fd_jet_evaluates_the_centre_once(n, order, calls):
+    # f(x) is the centre of every diagonal second partial; it is evaluated
+    # once, for the value, and each partial's other stencil points once each
+    points = []
+
+    def fn(v):
+        points.append(tuple(v))
+        return math.exp(0.3 * sum(v)) * math.sin(v[0])
+
+    x = tuple(np.linspace(0.3, 1.1, n))
+    finite_difference_jet(fn, x, order)
+    assert len(points) == calls(n)
+    assert points.count(x) == 1
+
+
 # -- property-based checks --------------------------------------------------
 
 coord = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)

@@ -279,12 +279,15 @@ class TestMonteCarloOracle:
     @pytest.mark.parametrize("order", [1, 2])
     @pytest.mark.parametrize("k", [3, 9])
     def test_category_samples_match_a_one_hot_sum_bitwise(self, k, order):
-        # the sampler draws category indices; the log-likelihood gathers each
-        # sample's log-jet, which has the bits of a sum over one-hot weights
+        # the sampler returns the count of each category; the log-likelihood
+        # gathers each category index's log-jet, which has the bits of a sum
+        # over one-hot weights
         spec = multinomial_model(k).sample_spec(count=5000, seed=3)
         point = Point(np.linspace(0.5, 1.5, k - 1) / k)
-        cat = spec.sampler(point, 5000, np.random.default_rng(3))
-        assert cat.shape == (5000,) and set(cat.tolist()) == set(range(k))
+        counts = spec.sampler(point, 5000, np.random.default_rng(3))
+        assert counts.shape == (k,) and counts.dtype.kind == "i"
+        assert counts.sum() == 5000 and np.all(counts > 0)
+        cat = np.repeat(np.arange(k), counts)
         coord_jets = jets.seed(point.coords, order)
         ll = spec.log_likelihood(cat, coord_jets)
         onehot = np.eye(k)[cat]
@@ -327,14 +330,50 @@ class TestMonteCarloOracle:
             estimate_fisher_tensors(gaussian_model().sample_spec(10, seed=1), point)
 
     def test_batching_does_not_change_the_estimate(self, monkeypatch):
-        for name, point in (("gaussian", (0.5, 1.5)), ("multinomial:4", (0.2, 0.3, 0.25))):
-            spec = resolve_model(name).sample_spec(count=30_000, seed=7)
-            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 100_000)
-            whole = estimate_fisher_tensors(spec, point)
-            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 7_000)
-            split = estimate_fisher_tensors(spec, point)
-            for a, b in zip(_estimate_arrays(whole), _estimate_arrays(split)):
-                assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+        # the order of summation moves a continuous family's estimate in the last bits
+        spec = gaussian_model().sample_spec(count=30_000, seed=7)
+        monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 100_000)
+        whole = estimate_fisher_tensors(spec, (0.5, 1.5))
+        monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", 7_000)
+        split = estimate_fisher_tensors(spec, (0.5, 1.5))
+        for a, b in zip(_estimate_arrays(whole), _estimate_arrays(split)):
+            assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+    def test_a_finite_family_estimate_is_bitwise_independent_of_the_batch_size(self,
+                                                                              monkeypatch):
+        spec = multinomial_model(4).sample_spec(count=30_000, seed=7)
+        estimates = []
+        for batch_size in (100_000, 7_000, 1):
+            monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", batch_size)
+            estimates.append(_estimate_arrays(estimate_fisher_tensors(spec, (0.2, 0.3, 0.25))))
+        for other in estimates[1:]:
+            for a, b in zip(estimates[0], other):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 5, 30_000, 10**9])
+    def test_a_finite_family_sampler_is_called_once_for_the_whole_count(self, count):
+        calls = []
+        base = multinomial_model(3).sample_spec(count=count, seed=2)
+
+        def sampler(point, size, rng):
+            calls.append(size)
+            return base.sampler(point, size, rng)
+
+        spec = SampleSpec(base.log_likelihood, sampler, count, 2, base.support)
+        est = estimate_fisher_tensors(spec, (0.3, 0.3))
+        assert calls == [count] and est.count == count
+
+    @pytest.mark.parametrize("count", [10**9, 2**63 - 1], ids=["1e9", "int64 max"])
+    def test_a_huge_multinomial_estimate_lies_within_six_standard_errors(self, count):
+        # one Multinomial(count, p) draw: the cost does not grow with the count
+        m = multinomial_model(3)
+        est = estimate_fisher_tensors(m.sample_spec(count=count, seed=1), (0.3, 0.3))
+        assert est.count == count and est.se_reliable
+        for arr, ref, se in ((est.metric.components, m.metric_at((0.3, 0.3)), est.metric_se),
+                             (est.skewness.components, m.skewness_at((0.3, 0.3)),
+                              est.skewness_se)):
+            assert np.all(se > 0)
+            assert np.all(np.abs(arr - ref.components) <= 6 * se)
 
     @pytest.mark.parametrize("name, point", [
         ("gaussian", (0.3, 1.7)),
@@ -367,14 +406,19 @@ class TestMonteCarloOracle:
             monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", batch_size)
         spec = resolve_model(name).sample_spec(count=count, seed=11)
         est = estimate_fisher_tensors(spec, point)
-        # the same draws, batch by batch, reduced component by component with math.fsum
+        # the same draws, one row per sample (a finite family's counts expanded
+        # into as many category indices), reduced component by component with
+        # math.fsum
         pt = Point(point)
         rng = np.random.default_rng(spec.seed)
-        size = manifolds.MC_BATCH_SIZE
-        score = np.concatenate([
-            spec.log_likelihood(spec.sampler(pt, min(size, count - start), rng),
-                                jets.seed(pt.coords, 1)).d1
-            for start in range(0, count, size)])
+        if spec.support is None:
+            size = manifolds.MC_BATCH_SIZE
+            samples = np.concatenate([spec.sampler(pt, min(size, count - start), rng)
+                                      for start in range(0, count, size)])
+        else:
+            samples = np.repeat(np.arange(spec.support), spec.sampler(pt, count, rng))
+        assert samples.shape == (count,)
+        score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
         n = len(point)
         for rank, mean, se in ((2, est.metric.components, est.metric_se),
                                (3, est.skewness.components, est.skewness_se)):
@@ -405,7 +449,8 @@ class TestMonteCarloOracle:
     def test_a_category_never_drawn_is_never_scored(self):
         # the score is non-finite only at category 2, which the sampler never draws
         spec = SampleSpec(_bernoulli_with_a_bad_category,
-                          lambda point, size, rng: (rng.random(size) >= point[0]).astype(int),
+                          lambda point, size, rng: np.bincount(
+                              (rng.random(size) >= point[0]).astype(int), minlength=3),
                           count=20_000, seed=4, support=3)
         est = estimate_fisher_tensors(spec, (0.3,))
         m = multinomial_model(2)
@@ -415,24 +460,31 @@ class TestMonteCarloOracle:
 
     def test_a_drawn_non_finite_score_is_an_evaluation_error(self):
         spec = SampleSpec(_bernoulli_with_a_bad_category,
-                          lambda point, size, rng: rng.integers(0, 3, size),
+                          lambda point, size, rng: np.bincount(rng.integers(0, 3, size),
+                                                               minlength=3),
                           count=1000, seed=4, support=3)
         with pytest.raises(EvaluationError,
                            match=re.escape("non-finite log-likelihood derivatives at (0.3,)")):
             estimate_fisher_tensors(spec, (0.3,))
 
-    @pytest.mark.parametrize("draw, got", [
-        (lambda size: np.full(size, 3), "index 3"),
-        (lambda size: np.arange(size) - 1, "index -1"),
-        (lambda size: np.zeros(size), "an array of float64 with shape (10,)"),
-        (lambda size: np.zeros((size, 3), dtype=int), "an array of int64 with shape (10, 3)"),
-    ], ids=["past the support", "negative", "floats", "one-hot rows"])
-    def test_a_draw_off_the_support_is_an_evaluation_error(self, draw, got):
-        spec = SampleSpec(_bernoulli_with_a_bad_category, lambda point, size, rng: draw(size),
+    @pytest.mark.parametrize("counts, got", [
+        (np.array([4, 6], dtype=np.int64), "an array of int64 with shape (2,)"),
+        (np.zeros(10, dtype=np.int64), "an array of int64 with shape (10,)"),
+        (np.zeros((10, 3), dtype=np.int64), "an array of int64 with shape (10, 3)"),
+        (np.array([3.0, 3.0, 4.0]), "an array of float64 with shape (3,)"),
+        (np.array([True, False, True]), "an array of bool with shape (3,)"),
+        (np.array([12, -2, 0]), "a count of -2"),
+        (np.array([5, 3, 1]), "counts summing to 9"),
+        (np.array([2**63 - 1, 2**63 - 1, 12], dtype=np.uint64),
+         f"counts summing to {2**64 + 10}"),
+    ], ids=["short", "category indices", "one-hot rows", "floats", "bools", "negative",
+            "sum short", "sum wraps round"])
+    def test_a_draw_off_the_support_is_an_evaluation_error(self, counts, got):
+        spec = SampleSpec(_bernoulli_with_a_bad_category, lambda point, size, rng: counts,
                           count=10, support=3)
         with pytest.raises(EvaluationError) as info:
             estimate_fisher_tensors(spec, (0.3,))
-        assert str(info.value) == (f"sampler drew {got}, not 10 category indices "
+        assert str(info.value) == (f"sampler returned {got}, not the counts of 10 draws "
                                    "of the support 0 to 2")
 
     @pytest.mark.parametrize("support", [0, True, 2.5])
@@ -447,9 +499,11 @@ class TestMonteCarloOracle:
         assert np.isnan(est.metric_se).all()
         assert np.isnan(est.skewness_se).all()
 
-    def test_count_validated(self):
-        with pytest.raises(ConfigError):
-            gaussian_model().sample_spec(count=0, seed=0)
+    @pytest.mark.parametrize("count", [0, 2**63])
+    def test_count_validated(self, count):
+        with pytest.raises(ConfigError, match="sample count must be from 1 to "
+                                              "9223372036854775807"):
+            gaussian_model().sample_spec(count=count, seed=0)
 
     def test_model_without_sampler_refuses(self):
         with pytest.raises(ConfigError):
