@@ -36,14 +36,13 @@ from .verify import (
     CHECK_IDS,
     CONTROL_FACTOR,
     DEFAULT_ALPHAS,
-    ModelCase,
     SuiteConfig,
     SuiteResult,
+    _case,
     control_failed_as_expected,
     default_suite_config,
     run_check,
     run_suite,
-    standard_couplings,
 )
 
 # -- deterministic JSON -----------------------------------------------------
@@ -297,18 +296,10 @@ def _case_for(model):
         raise ConfigError(f"the bounds of model {model.name!r} leave no room for a grid inside "
                           "its domain")
     c1, c2 = model.coord_names[0], model.coord_names[second]
-    return ModelCase(
-        model=model,
-        points=points,
-        potentials=(model.scalar_field(f"0.3*{c1}"), model.scalar_field(f"0.1*{c1}*{c2}")),
-        densities=(
-            WeightedDensity(model.scalar_field("1"), 1.0),
-            # the quadratic keeps a nonzero laplacian even on a flat chart,
-            # so the s=1 negative control cannot pass vacuously
-            WeightedDensity(model.scalar_field(f"1 + 0.1*{c1}^2 + 0.1*{c1}*{c2}"), 1.0),
-        ),
-        couplings=standard_couplings(model),
-    )
+    # the quadratic density keeps a nonzero laplacian even on a flat chart,
+    # so the s=1 negative control cannot pass vacuously
+    return _case(model, points, (f"0.3*{c1}", f"0.1*{c1}*{c2}"),
+                 ("1", f"1 + 0.1*{c1}^2 + 0.1*{c1}*{c2}"))
 
 
 def cmd_verify(args):

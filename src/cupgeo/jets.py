@@ -328,12 +328,12 @@ def sqrt(x):
 def power(base, exponent):
     """``base ** exponent`` for jets and plain numbers alike.
 
-    Plain numbers follow the domain rule of :meth:`Jet.__pow__`, so a
-    negative base under a fractional exponent raises UndefinedValueError instead of
-    giving a complex number.
+    Plain numbers follow the domain rule and the rounding of :meth:`Jet.__pow__`,
+    so a negative base under a fractional exponent raises UndefinedValueError
+    instead of giving a complex number, and a number rounds as a jet's value does.
     """
     if not isinstance(base, Jet) and not isinstance(exponent, Jet):
-        _require_power_base(base, exponent)
+        return _power(_require_power_base(base, exponent), exponent)
     return base ** exponent
 
 

@@ -6,14 +6,14 @@ couplings x grid points) and reports the worst absolute and relative
 residual.  Alpha and the potential are batch axes: each case's grid is
 tiled under every suite alpha, alpha by alpha, and that under each of its
 potentials, into one batch of potential x alpha x point rows, and one
-rescaling per case carries every row, its potential's block i being
-potential i.  So each operator on a rescaled model runs once per (case,
-density, coupling) on the whole tiled grid, and each on the original model
-once per (case, density, coupling) as well, since it does not depend on the
-potential.  Only where a batch's n^4 arrays would outgrow
-:data:`POTENTIAL_BATCH_BYTES` do a case's potentials split into equal
-batches, one rescaling each (from dimension 11 up on the 5-point grid of
-``cupgeo verify --model multinomial:k``).  The structural rows and
+rescaling per case carries every row: its potential is a rule field stacking
+the case's potentials, whose block i is potential i.  So each operator on a
+rescaled model runs once per (case, density, coupling) on the whole tiled
+grid, and each on the original model once per (case, density, coupling) as
+well, since it does not depend on the potential.  Only where a batch's n^4
+arrays would outgrow :data:`POTENTIAL_BATCH_BYTES` do a case's potentials
+split into equal batches, one rescaling each (from dimension 11 up on the
+5-point grid of ``cupgeo verify --model multinomial:k``).  The structural rows and
 ``integrability`` record the original model on its first potential block
 alone, so a check's rows are those of a grid tiled under alpha only.
 
@@ -38,7 +38,8 @@ closed-form prediction of what the rescaling adds to the connection, the
 curvature (with the trace of its prediction as a side law) or the Ricci
 tensor with the difference between the rescaled and the original model.
 The (r; s) invariance engine runs the operator checks: an operator applied
-to inputs of weight r, each rescaled to eta^r f, on the rescaled model
+to input objects of weight r (the case's densities and couplings), each
+transformed once per rescaling to carry eta^r f, on the rescaled model
 equals eta^s times the operator on the original.  ``hessian_inv`` has
 s = 1, ``laplacian_inv`` s = 0 (and reuses both sides for its
 decomposition side law), and ``nonlinear_inv`` s = 0 with the coupling lam
@@ -60,6 +61,7 @@ import numpy as np
 
 from .cup_transform import (
     WeightedDensity,
+    _RuleField,
     connection_shift_prediction,
     curvature_shift_prediction,
     make_rescaling,
@@ -88,7 +90,7 @@ from .geometry import (
     riemann,
 )
 from .manifolds import gaussian_model, multinomial_model
-from .tensor_core import Field, as_coords, require_real
+from .tensor_core import as_coords, require_real
 
 MODE_TOLERANCE = {"jet": 1e-7, "fd": 1e-4}
 TRACE_TOLERANCE = 1e-9
@@ -193,7 +195,7 @@ def _grid(config, case):
     that under each potential of a batch: the ``(B * A * P, n)`` points and the
     alpha of each row.  Its first ``A * P`` rows are the first potential block."""
     pts = as_coords(case.points).reshape(-1, case.model.dim)
-    alphas = np.array([require_real(a, "alpha") for a in config.alphas])
+    alphas = np.array(config.alphas, dtype=float)
     size = _batch_size(config, case)
     return np.tile(pts, (size * len(alphas), 1)), np.tile(np.repeat(alphas, len(pts)), size)
 
@@ -210,30 +212,24 @@ def _user_rows(case):
         raise
 
 
-class _StackedPotential(Field):
-    """The potential of a rescaling that carries several: on a batch of equal
-    row blocks, block i is member i's jet on it.
+def _stacked(potentials, rows):
+    """The potential of a rescaling that carries several: a rule field whose jet
+    on a batch of equal row blocks is, on block i, member i's jet.
 
     At one point (a failing batch runs again row by row) it gives every row
     at once: each member's jet at that point, repeated over the ``rows`` of
     its block.
     """
-
-    def __init__(self, members, rows):
-        self.members, self.rows = members, rows
-        self.dim, self.coord_names = members[0].dim, members[0].coord_names
-        self.mode = "fd" if any(f.mode == "fd" for f in members) else "jet"
-        self.label = " and ".join(f.label for f in members)
-
-    def _jet(self, coords, order):
+    def rule(coords, order):
         if coords.ndim == 1:
-            parts = [f.jet(coords, order) for f in self.members]
-            join = lambda k: np.repeat(np.stack([p.deriv(k) for p in parts]), self.rows, axis=0)
+            parts = [f.jet(coords, order) for f in potentials]
+            join = lambda k: np.repeat(np.stack([p.deriv(k) for p in parts]), rows, axis=0)
         else:
             parts = [f.jet(block, order)
-                     for f, block in zip(self.members, np.split(coords, len(self.members)))]
+                     for f, block in zip(potentials, np.split(coords, len(potentials)))]
             join = lambda k: np.concatenate([p.deriv(k) for p in parts])
-        return jets.Jet(self.dim, order, *(join(k) for k in range(order + 1)))
+        return jets.Jet(potentials[0].dim, order, *(join(k) for k in range(order + 1)))
+    return _RuleField(" and ".join(f.label for f in potentials), 0, rule, *potentials)
 
 
 class _Residuals:
@@ -302,8 +298,10 @@ def _tolerance_for(config):
 def _rescalings(config, case, alphas, variants):
     """The (rescaling, rescaled model, inputs) triples of ``case``, one per batch
     of its potentials (all of them, unless :func:`_batch_size` splits them),
-    each carrying the case's tiled grid at its per-row ``alphas``; ``inputs``
-    maps each case density and coupling to its transform.
+    each driven by the batch's potentials stacked into one rule field (see
+    :func:`_stacked`) and carrying the case's tiled grid at its per-row
+    ``alphas``; ``inputs`` maps each case density and coupling to its
+    transformed :class:`WeightedDensity` or :class:`NonlinearCoupling`.
 
     ``variants`` holds them for one run over ``config``'s cases, so every
     check of the run reuses the same models and fields, and with them their
@@ -317,10 +315,10 @@ def _rescalings(config, case, alphas, variants):
         size = _batch_size(config, case)
         pairs = []
         for i in range(0, len(case.potentials), size):
-            potential = _StackedPotential(case.potentials[i:i + size], _block(config, case))
-            resc = make_rescaling(alphas, potential)
-            inputs = {d: transform_density(d, resc).f for d in case.densities}
-            inputs.update((c, transform_coupling(c, resc).lam) for c in case.couplings)
+            resc = make_rescaling(alphas, _stacked(case.potentials[i:i + size],
+                                                   _block(config, case)))
+            inputs = {d: transform_density(d, resc) for d in case.densities}
+            inputs.update((c, transform_coupling(c, resc)) for c in case.couplings)
             pairs.append((resc, inputs))
         variants[key] = tuple(pairs)
     weighted = (key, float(config.sym_weight))
@@ -338,8 +336,11 @@ def _law(config, variants, check_id, tol, cells, sides=()):
     cells of one case on its tiled grid ``pts``, each side one row per grid
     row, or per row of a leading block of the grid; ``field`` is None for
     the check's own cells and otherwise names a side law, one of the (field,
-    tolerance) pairs of ``sides``.  The original model has the one grid
-    ``pts`` in every check; each rescaled model of ``rescalings`` has it too.
+    tolerance) pairs of ``sides``.  ``rescalings`` holds the case's
+    (rescaling, rescaled model, inputs) triples of :func:`_rescalings`, each
+    rescaling driven by a stacked rule field and ``inputs`` mapping each case
+    density and coupling to its transformed object.  The original model has
+    the one grid ``pts`` in every check; each rescaled model has it too.
     """
     res = {field_name: _Residuals() for field_name, _ in ((None, tol), *sides)}
     for case in config.cases:
@@ -423,17 +424,17 @@ def _invariance(operator, s, model, rescalings, pts, *inputs):
     The law: ``operator`` on the rescaled model, applied to the weighted
     inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
     original model applied to the inputs themselves.  ``inputs`` holds the
-    (f, key) pairs of the case densities and couplings the operator takes,
-    and each batch's inputs map a key to its eta^r f.  ``operator(model,
-    *fields, pts)`` takes the whole grid as one batch and returns per-row
+    case densities and couplings the operator takes, and each batch maps one
+    to its transformed object, whose field is eta^r f.  ``operator(model,
+    *inputs, pts)`` takes the whole grid as one batch and returns per-row
     scalars or tensor components.  The original side, before any eta^s
     factor, does not depend on the potential and is computed once; each cell
-    is (rescaled model, its fields, lhs, rhs).
+    is (rescaled model, its inputs, lhs, rhs).
     """
-    base = operator(model, *(f for f, _ in inputs), pts)
+    base = operator(model, *inputs, pts)
     cells = []
     for resc, varied, transformed in rescalings:
-        scaled = [transformed[key] for _, key in inputs]
+        scaled = [transformed[i] for i in inputs]
         rhs = base
         if s != 0.0:
             rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
@@ -449,9 +450,9 @@ def _hessian_k(config, case):
 def _check_hessian_inv(config, tol, variants):
     def cells(case, pts, alphas, rescalings):
         spec = HessianSpec(_hessian_k(config, case))
-        op = lambda m, f, p: modified_hessian(m, alphas, spec, f, p).components
+        op = lambda m, d, p: modified_hessian(m, alphas, spec, d.f, p).components
         for density in case.densities:
-            _, batches = _invariance(op, 1.0, case.model, rescalings, pts, (density.f, density))
+            _, batches = _invariance(op, 1.0, case.model, rescalings, pts, density)
             for _, _, lhs, rhs in batches:
                 yield None, lhs, rhs
     return _law(config, variants, "hessian_inv", tol, cells)
@@ -459,13 +460,14 @@ def _check_hessian_inv(config, tol, variants):
 
 def _check_laplacian_inv(config, tol, variants):
     def cells(case, pts, alphas, rescalings):
-        op = lambda m, f, p: cup_laplacian(m, alphas, f, p)
+        op = lambda m, d, p: cup_laplacian(m, alphas, d.f, p)
         for density in case.densities:
             base, batches = _invariance(op, config.laplacian_s, case.model, rescalings, pts,
-                                        (density.f, density))
+                                        density)
             for varied, (scaled,), lhs, rhs in batches:
                 yield None, lhs, rhs
-                yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled, pts)
+                yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled.f,
+                                                                       pts)
             yield "decomp_residual", base, cup_laplacian_decomposed(case.model, alphas, density.f,
                                                                     pts)
     return _law(config, variants, "laplacian_inv", tol, cells,
@@ -475,12 +477,10 @@ def _check_laplacian_inv(config, tol, variants):
 def _check_nonlinear_inv(config, tol, variants):
     """The coupling lam enters as a second input, of weight -a."""
     def cells(case, pts, alphas, rescalings):
+        op = lambda m, d, c, p: nonlinear_cup_operator(m, alphas, d.f, c, p)
         for density in case.densities:
             for c in case.couplings:
-                op = lambda m, f, lam, p: nonlinear_cup_operator(
-                    m, alphas, f, NonlinearCoupling(lam, c.a), p)
-                _, batches = _invariance(op, 0.0, case.model, rescalings, pts,
-                                         (density.f, density), (c.lam, c))
+                _, batches = _invariance(op, 0.0, case.model, rescalings, pts, density, c)
                 for _, _, lhs, rhs in batches:
                     yield None, lhs, rhs
     return _law(config, variants, "nonlinear_inv", tol, cells)
@@ -586,41 +586,30 @@ def run_suite(config):
 DEFAULT_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 
 
-def standard_couplings(model):
-    """The four couplings every shipped case checks: lam = 2 or 1 + 0.1 times
-    the first coordinate, at exponents 3, -2, 0.5 and 1."""
+def _case(model, points, potentials, densities):
+    """The case of ``model`` on ``points`` with the rescaling potentials and the
+    r = 1 densities of the given expressions, and four couplings: lam = 2 or
+    1 + 0.1 times the first coordinate, at exponents 3, -2, 0.5 and 1."""
+    field = model.scalar_field
     linear = f"1 + 0.1*{model.coord_names[0]}"
-    return tuple(NonlinearCoupling(model.scalar_field(lam), a)
-                 for lam, a in (("2", 3.0), (linear, -2.0), ("2", 0.5), (linear, 1.0)))
+    return ModelCase(
+        model=model,
+        points=tuple(points),
+        potentials=tuple(map(field, potentials)),
+        densities=tuple(WeightedDensity(field(s), 1.0) for s in densities),
+        couplings=tuple(NonlinearCoupling(field(lam), a)
+                        for lam, a in (("2", 3.0), (linear, -2.0), ("2", 0.5), (linear, 1.0))),
+    )
 
 
 def default_suite_config():
     """Gaussian and 3-category models on small interior grids, five alphas,
     two rescaling potentials, two densities, and four coupling exponents,
     every check held to the exact-jet tolerance 1e-7."""
-    gauss = gaussian_model()
-    gauss_case = ModelCase(
-        model=gauss,
-        points=tuple((mu, sigma) for mu in (-1.0, 0.0, 1.0) for sigma in (0.6, 1.0, 1.8)),
-        potentials=(gauss.scalar_field("0.3*mu"), gauss.scalar_field("0.1*mu*sigma")),
-        densities=(
-            WeightedDensity(gauss.scalar_field("1"), 1.0),
-            WeightedDensity(gauss.scalar_field("1 + 0.1*mu*sigma"), 1.0),
-        ),
-        couplings=standard_couplings(gauss),
-    )
-    multi = multinomial_model(3)
-    multi_case = ModelCase(
-        model=multi,
-        points=((1 / 3, 1 / 3), (0.2, 0.3), (0.3, 0.2), (0.25, 0.4), (0.4, 0.25)),
-        potentials=(multi.scalar_field("0.3*p1"), multi.scalar_field("0.2*p1*p2")),
-        densities=(
-            WeightedDensity(multi.scalar_field("1"), 1.0),
-            WeightedDensity(multi.scalar_field("1 + 0.1*p1*p2"), 1.0),
-        ),
-        couplings=standard_couplings(multi),
-    )
-    return SuiteConfig(
-        cases=(gauss_case, multi_case),
-        alphas=DEFAULT_ALPHAS,
-    )
+    gauss = _case(gaussian_model(),
+                  [(mu, sigma) for mu in (-1.0, 0.0, 1.0) for sigma in (0.6, 1.0, 1.8)],
+                  ("0.3*mu", "0.1*mu*sigma"), ("1", "1 + 0.1*mu*sigma"))
+    multi = _case(multinomial_model(3),
+                  [(1 / 3, 1 / 3), (0.2, 0.3), (0.3, 0.2), (0.25, 0.4), (0.4, 0.25)],
+                  ("0.3*p1", "0.2*p1*p2"), ("1", "1 + 0.1*p1*p2"))
+    return SuiteConfig(cases=(gauss, multi), alphas=DEFAULT_ALPHAS)

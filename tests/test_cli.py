@@ -431,12 +431,19 @@ class TestVerify:
         assert proc.stderr == ("error: model case 'multinomial:2' is one-dimensional; "
                                "the suite needs models of dimension 2 or more\n")
 
-    def test_default_json_is_pinned_byte_for_byte(self, capsys):
+    @pytest.mark.parametrize("pinned, args", [
+        ("verify-default-seed42.json", ("--default",)),
+        # the generic grids of a box chart and of a bounded simplex
+        ("verify-euclidean3-seed42.json", ("--model", "euclidean:3")),
+        ("verify-bounded-simplex-seed42.json", ("--model", "bounded-simplex.json")),
+    ], ids=["default", "euclidean:3", "bounded-simplex"])
+    def test_default_json_is_pinned_byte_for_byte(self, pinned, args, capsys):
         # a change that moves these bytes on purpose regenerates the pinned file
-        pinned = Path(__file__).resolve().parent / "data" / "verify-default-seed42.json"
-        rc, out, _ = run_cli("verify", "--default", "--seed", "42", "--json", capsys=capsys)
+        data = Path(__file__).resolve().parent / "data"
+        argv = [str(data / a) if a.endswith(".json") else a for a in args]
+        rc, out, _ = run_cli("verify", *argv, "--seed", "42", "--json", capsys=capsys)
         assert rc == 0
-        assert out.encode("utf-8") == pinned.read_bytes()
+        assert out.encode("utf-8") == (data / pinned).read_bytes()
 
 
 class TestEstimate:

@@ -185,6 +185,16 @@ def test_plain_number_power_follows_the_jet_domain_rule():
         ev("x^0.5", x=-4.0)
 
 
+def test_a_plain_number_power_rounds_as_a_jet_value_does():
+    # 1.3 ** 3 rounds to 2.197, the square-and-multiply of a jet's value to
+    # 2.1970000000000005; a constant base takes the jet's rounding
+    model = gaussian_model()
+    constant = model.scalar_field("1.3^3 + 0*mu").jet((1.3, 1.0), 0).value
+    variable = model.scalar_field("mu^3").jet((1.3, 1.0), 0).value
+    assert np.float64(constant).tobytes() == np.float64(variable).tobytes()
+    assert constant == 1.3 * 1.3 * 1.3
+
+
 @given(st.floats(min_value=0.1, max_value=10.0), st.integers(min_value=-3, max_value=5))
 @settings(max_examples=150, deadline=None)
 def test_powers_match_python(base, k):

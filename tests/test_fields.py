@@ -48,7 +48,7 @@ from cupgeo.manifolds import (
     parse_model,
 )
 from cupgeo.tensor_core import Field, FuncField, NumericField
-from cupgeo.verify import _StackedPotential, default_suite_config, run_suite
+from cupgeo.verify import default_suite_config, run_suite
 
 GAUSS = gaussian_model()
 FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
@@ -57,8 +57,7 @@ FD_GAUSS = model_from_callables(2, GAUSS.coord_names,
 POINT = (0.3, 1.2)
 
 
-FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField, _RuleField,
-               _StackedPotential]
+FIELD_KINDS = [FuncField, NumericField, ExprScalarField, ExprTensorField, _RuleField]
 
 
 def test_only_the_expression_tensor_field_overrides_jet():
@@ -260,8 +259,9 @@ def test_a_raising_row_of_a_batch_is_named(field):
 # -- each field keeps its last jet ------------------------------------------
 
 
-# the rules of the rule fields, as their labels begin
-RULES = re.compile(r"rescaled metric|rescaled skewness|conformal factor|eta\^")
+# the rules of the rule fields, as their labels begin; the potentials that
+# verify stacks into one rule field join their labels with " and "
+RULES = re.compile(r"rescaled metric|rescaled skewness|conformal factor|eta\^|.* and ")
 
 
 @pytest.fixture
@@ -271,7 +271,10 @@ def evaluations(monkeypatch):
     counts = collections.Counter()
     for kind in FIELD_KINDS:
         def counted(self, coords, order, evaluate=vars(kind)["_jet"], name=kind.__name__):
-            counts[RULES.match(self.label).group() if name == "_RuleField" else name] += 1
+            if name == "_RuleField":
+                rule = RULES.match(self.label).group()
+                name = "stacked potentials" if rule.endswith(" and ") else rule
+            counts[name] += 1
             return evaluate(self, coords, order)
         monkeypatch.setattr(kind, "_jet", counted)
     return counts
@@ -379,7 +382,7 @@ def test_a_default_pass_evaluates_each_field_once_per_grid(evaluations):
     assert dict(evaluations) == {
         "ExprTensorField": 4,
         "ExprScalarField": 16,
-        "_StackedPotential": 2,
+        "stacked potentials": 2,
         "rescaled metric": 4,
         "rescaled skewness": 4,
         "conformal factor": 2,

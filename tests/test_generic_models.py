@@ -6,7 +6,8 @@ hypothesis draws models of dimension 2 and 3 from JSON configs: the metric
 is L L^T with ``exp(...)`` on the diagonal of the lower-triangular L, so it
 is positive-definite everywhere, and the skewness classes mix polynomial,
 ``sin``, ``cos`` and ``exp`` terms.  Each model gets rescaling potentials,
-r = 1 densities, the standard couplings, a few alphas and a small grid.
+r = 1 densities, the four couplings every verify case checks, a few alphas
+and a small grid.
 
 Every law row must pass and every negative control must miss by
 :data:`cupgeo.verify.CONTROL_FACTOR`.  ``integrability`` is left out: it is
@@ -21,13 +22,8 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from cupgeo import ModelCase, SuiteConfig, WeightedDensity, geometry, parse_model, run_check
-from cupgeo.verify import (
-    _NEGATIVE_CONTROLS,
-    CHECK_IDS,
-    control_failed_as_expected,
-    standard_couplings,
-)
+from cupgeo import SuiteConfig, geometry, parse_model, run_check
+from cupgeo.verify import _NEGATIVE_CONTROLS, CHECK_IDS, _case, control_failed_as_expected
 
 from helpers import plant
 
@@ -88,14 +84,7 @@ def generic_cases(draw):
 def suite_config(case):
     model = parse_model(json.dumps(case["config"]))
     return SuiteConfig(
-        cases=(ModelCase(
-            model=model,
-            points=tuple(case["points"]),
-            potentials=tuple(model.scalar_field(s) for s in case["potentials"]),
-            densities=tuple(WeightedDensity(model.scalar_field(s), 1.0)
-                            for s in case["densities"]),
-            couplings=standard_couplings(model),
-        ),),
+        cases=(_case(model, case["points"], case["potentials"], case["densities"]),),
         alphas=tuple(case["alphas"]),
     )
 

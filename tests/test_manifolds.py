@@ -1,9 +1,10 @@
 """Model families: closed-form tensors, domains, configs, sampling oracle."""
 
+import functools
 import json
 import math
 import re
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,44 @@ def _estimate_arrays(est):
     return (est.metric.components, est.metric_se, est.skewness.components, est.skewness_se)
 
 
+@functools.cache
+def _fsum_reference(name, point, count, seed, block):
+    """Exactly rounded means and standard errors of the score products.
+
+    The same draws as ``estimate_fisher_tensors``, one row per sample (a
+    finite family's counts expanded into as many category indices; ``block``
+    is the continuous sampler's block size, None for a finite family), reduced
+    with math.fsum for each sorted index tuple and mirrored into its
+    permutations, as the estimator mirrors its sums; the symmetry test pins
+    that mirror. Maps the rank, 2 or 3, to read-only ``(mean, se)`` arrays.
+    """
+    spec = resolve_model(name).sample_spec(count=count, seed=seed)
+    pt = Point(point)
+    rng = np.random.default_rng(seed)
+    if block is not None:
+        samples = np.concatenate([spec.sampler(pt, min(block, count - start), rng)
+                                  for start in range(0, count, block)])
+    else:
+        samples = np.repeat(np.arange(spec.support), spec.sampler(pt, count, rng))
+    assert samples.shape == (count,)
+    score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
+    n = len(point)
+    refs = {}
+    for rank in (2, 3):
+        ref_mean = np.zeros((n,) * rank)
+        ref_se = np.zeros((n,) * rank)
+        for index in combinations_with_replacement(range(n), rank):
+            terms = np.prod(score[:, list(index)], axis=1)
+            m = math.fsum(terms) / count
+            var = (math.fsum(terms * terms) - count * m * m) / (count - 1)
+            ref_mean[index] = m
+            ref_se[index] = math.sqrt(var / count)
+        refs[rank] = tuple(manifolds._mirror_sorted(a) for a in (ref_mean, ref_se))
+        for a in refs[rank]:
+            a.flags.writeable = False
+    return refs
+
+
 def _bernoulli_with_a_bad_category(cat, coord_jets):
     """A Bernoulli log-likelihood in p on categories 0 and 1, with a score of
     inf at category 2."""
@@ -406,30 +445,12 @@ class TestMonteCarloOracle:
             monkeypatch.setattr(manifolds, "MC_BATCH_SIZE", batch_size)
         spec = resolve_model(name).sample_spec(count=count, seed=11)
         est = estimate_fisher_tensors(spec, point)
-        # the same draws, one row per sample (a finite family's counts expanded
-        # into as many category indices), reduced component by component with
-        # math.fsum
-        pt = Point(point)
-        rng = np.random.default_rng(spec.seed)
-        if spec.support is None:
-            size = manifolds.MC_BATCH_SIZE
-            samples = np.concatenate([spec.sampler(pt, min(size, count - start), rng)
-                                      for start in range(0, count, size)])
-        else:
-            samples = np.repeat(np.arange(spec.support), spec.sampler(pt, count, rng))
-        assert samples.shape == (count,)
-        score = spec.log_likelihood(samples, jets.seed(pt.coords, 1)).d1
-        n = len(point)
+        # a finite family draws its counts once, so both batch sizes share one
+        # reference; the Gaussian's reference draws in the same blocks
+        block = manifolds.MC_BATCH_SIZE if spec.support is None else None
         for rank, mean, se in ((2, est.metric.components, est.metric_se),
                                (3, est.skewness.components, est.skewness_se)):
-            ref_mean = np.empty((n,) * rank)
-            ref_se = np.empty((n,) * rank)
-            for index in product(range(n), repeat=rank):
-                terms = np.prod(score[:, list(index)], axis=1)
-                m = math.fsum(terms) / count
-                var = (math.fsum(terms * terms) - count * m * m) / (count - 1)
-                ref_mean[index] = m
-                ref_se[index] = math.sqrt(var / count)
+            ref_mean, ref_se = _fsum_reference(name, point, count, spec.seed, block)[rank]
             assert np.allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
             assert np.allclose(se, ref_se, rtol=1e-13, atol=0.0)
 

@@ -447,9 +447,9 @@ def test_each_row_block_of_the_batched_rescaling_is_its_potential_alone(make_cas
                  (resc.psi_jet(pts, 1), alone.psi_jet(x, 1)),
                  (varied.metric.jet(pts, 2), alone_model.metric.jet(x, 2)),
                  (varied.skewness.jet(pts, 1), alone_model.skewness.jet(x, 1))]
-        pairs += [(inputs[d].jet(pts, 2), transform_density(d, alone).f.jet(x, 2))
+        pairs += [(inputs[d].f.jet(pts, 2), transform_density(d, alone).f.jet(x, 2))
                   for d in case.densities]
-        pairs += [(inputs[c].jet(pts, 2), transform_coupling(c, alone).lam.jet(x, 2))
+        pairs += [(inputs[c].lam.jet(pts, 2), transform_coupling(c, alone).lam.jet(x, 2))
                   for c in case.couplings]
         for batched, single in pairs:
             for k in range(single.order + 1):
