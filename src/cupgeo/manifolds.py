@@ -41,6 +41,7 @@ from .tensor_core import (
     NumericField,
     Point,
     Tensor,
+    _mirror_sorted,
     as_coords,
     field_jet,
     first_false,
@@ -127,9 +128,11 @@ class ExprTensorField(Field):
         # one output per distinct expression and a last one, zero, for the unlisted components
         output = {e: r for r, e in enumerate(dict.fromkeys(self.entries.values()))}
         self.program = expr.Program([e.ast for e in output] + [expr.parse("0")])
-        shape = (self.dim,) * rank
-        self._rows = np.array([output.get(self.entries.get(tuple(sorted(index))), len(output))
-                               for index in np.ndindex(shape)]).reshape(shape)
+        # each sorted index holds its entry's output, mirrored into its permutations
+        rows = np.full((self.dim,) * rank, len(output))
+        for index, e in self.entries.items():
+            rows[index] = output[e]
+        self._rows = _mirror_sorted(rows)
 
     def jet(self, coords, order):
         try:
@@ -511,7 +514,7 @@ def _moment_sums(s, weights=None):
     leading index i, rows ``i:`` scaled by the weighted row i are written
     into a slice of one reused ``(n, size)`` buffer and multiplied by rows
     ``i:``, filling ``[i, i:, i:]``.  The other entries stay zero;
-    :func:`_mirror_sorted` reads only the sorted ones.
+    :func:`~cupgeo.tensor_core._mirror_sorted` reads only the sorted ones.
     """
     n, size = s.shape
     sq = s * s
@@ -526,15 +529,6 @@ def _moment_sums(s, weights=None):
         np.multiply(sq[i:], wsq[i], out=scaled)
         triple_sq[i, i:, i:] = scaled @ sq[i:].T
     return ws @ s.T, wsq @ sq.T, triple, triple_sq
-
-
-def _mirror_sorted(arr, rank=None, lead=0):
-    """Copy each entry with sorted indices into every permutation of them.
-
-    The indices are those of the ``rank`` axes (default: all) after ``lead`` batch axes.
-    """
-    index = np.sort(np.indices((arr.shape[lead],) * (rank or arr.ndim - lead)), axis=0)
-    return arr[(slice(None),) * lead + tuple(index)]
 
 
 def estimate_fisher_tensors(spec, p):

@@ -16,11 +16,10 @@ the model they are evaluated on, and the model's domain is the only one
 there is.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, permutations
+from itertools import chain
 
 import numpy as np
 
@@ -297,7 +296,13 @@ def _callable_name(fn):
 
 
 class FuncField(Field):
-    """Analytic rule written over coordinate jets (exact derivatives)."""
+    """Analytic rule written over coordinate jets (exact derivatives).
+
+    The rule returns a plain number or a jet whose value has the batch shape
+    of the coordinates; anything else is an :class:`EvaluationError`.  A batch
+    is also checked by its first row alone, to which a component array cannot
+    broadcast.
+    """
 
     def __init__(self, fn, dim):
         self.fn = fn
@@ -305,48 +310,44 @@ class FuncField(Field):
         self.label = f"rule {_callable_name(fn)!r}"
 
     def _jet(self, coords, order):
-        return self.fn(jets.seed(coords, order))
+        if np.ndim(coords) == 2:
+            self._result(coords[0], order)
+        return self._result(coords, order)
+
+    def _result(self, x, order):
+        out, batch = self.fn(jets.seed(x, order)), np.shape(x)[:-1]
+        if isinstance(out, jets.Jet):
+            if np.shape(out.value) == batch:
+                return out
+            got = f"a jet of shape {np.shape(out.value)}"
+        elif isinstance(out, numbers.Real):
+            return out
+        else:
+            got = f"{type(out).__name__} of shape {np.shape(out)}"
+        raise EvaluationError(
+            f"{self.label} returned {got}, expected a number or a jet of shape {batch}")
 
 
-@functools.lru_cache(maxsize=16)
-def _index_classes(n, rank):
-    """``perms[j, c]``, the flat index of the j-th sorted permutation of index
-    class ``c`` (past its size, ``n ** rank``: a zero appended to the entries),
-    the class sizes, and a table of every component's class."""
-    shape = (n,) * rank
-    classes = [sorted(set(permutations(index)))
-               for index in combinations_with_replacement(range(n), rank)]
-    perms = np.full((max(map(len, classes)), len(classes)), n ** rank)
-    table = np.empty(shape, dtype=int)
-    for c, members in enumerate(classes):
-        for j, p in enumerate(members):
-            perms[j, c] = np.ravel_multi_index(p, shape)
-            table[p] = c
-    return perms, np.array([float(len(c)) for c in classes]), table
+def _mirror_sorted(arr, rank=None, lead=0):
+    """Copy each entry with sorted indices into every permutation of them.
 
-
-def _component_symmetrize(arr, rank):
-    """The mean over each index class, summed as ``0.0 + a0 + a1 + ...`` over
-    its sorted permutations, all classes at once: the padding zeros change no
-    sum, as a sum from 0.0 is never -0.0."""
-    if rank < 2:
-        return arr
-    if rank == 2:
-        return 0.5 * (arr + np.swapaxes(arr, 0, 1))
-    perms, sizes, table = _index_classes(arr.shape[0], rank)
-    total = 0.0
-    for row in np.append(arr, 0.0)[perms]:
-        total = total + row
-    return (total / sizes)[table]
+    The indices are those of the ``rank`` axes (default: all) after ``lead``
+    batch axes; any axes after them (a jet part's derivative axes) are
+    carried along.  This is the one rule for a symmetric tensor's
+    components: the entry of a sorted index class fixes the whole class.
+    """
+    index = np.sort(np.indices((arr.shape[lead],) * (rank or arr.ndim - lead)), axis=0)
+    return arr[(slice(None),) * lead + tuple(index)]
 
 
 class NumericField(Field):
     """Black-box float callable; derivatives by finite differences.
 
     ``fn(x)`` returns the ``(dim,) * rank`` components at one point.  The
-    output is symmetrized over component permutations before the stencil
-    sees it, which both enforces the symmetry contract of a tensor field and
-    keeps the FD derivatives exactly symmetric in their component axes.
+    stencil runs on the components as returned, and each part of the jet then
+    has the entry of each sorted index class copied into every permutation of
+    it (:func:`_mirror_sorted`, over the component axes alone): the jet is
+    bitwise symmetric, and an asymmetric callable reads as its sorted entries.
     """
 
     mode = "fd"
@@ -363,7 +364,9 @@ class NumericField(Field):
             raise EvaluationError(
                 f"{self.label} returned shape {arr.shape}, expected {(self.dim,) * self.rank}"
             )
-        return _component_symmetrize(arr, self.rank)
+        return arr
 
     def _jet(self, coords, order):
-        return jets.finite_difference_jet(self._value, coords, order)
+        jet = jets.finite_difference_jet(self._value, coords, order)
+        lead = np.ndim(coords) - 1
+        return jet if self.rank < 2 else jet.map(lambda a: _mirror_sorted(a, self.rank, lead))

@@ -5,7 +5,7 @@ import sys
 import textwrap
 from collections import OrderedDict
 from functools import cached_property
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -22,20 +22,17 @@ def assert_fully_symmetric(components, lead=0):
         assert np.array_equal(components, np.transpose(components, axes)), perm
 
 
-def symmetrize_by_classes(arr, rank):
-    """Reference for ``tensor_core._component_symmetrize``: one index class at a
-    time, summed as ``0 + a0 + a1 + ...`` over its sorted permutations."""
-    if rank < 2:
-        return arr
-    if rank == 2:
-        return 0.5 * (arr + np.swapaxes(arr, 0, 1))
-    out = np.empty_like(arr)
-    for index in combinations_with_replacement(range(arr.shape[0]), rank):
-        perms = set(permutations(index))
-        mean = sum(arr[p] for p in sorted(perms)) / len(perms)
-        for p in perms:
-            out[p] = mean
-    return out
+def gaussian_metric(v):
+    """The Gaussian Fisher metric at (mu, sigma), written out for the finite-difference twin."""
+    return np.diag([1.0 / v[1] ** 2, 2.0 / v[1] ** 2])
+
+
+def gaussian_skewness(v):
+    """The Gaussian skewness at (mu, sigma), written out for the finite-difference twin."""
+    t = np.zeros((2, 2, 2))
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 2.0 / v[1] ** 3
+    t[1, 1, 1] = 8.0 / v[1] ** 3
+    return t
 
 
 class RowByRowResiduals:

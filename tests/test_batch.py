@@ -43,21 +43,10 @@ from cupgeo import (
 )
 from cupgeo import geometry
 
+from helpers import gaussian_metric, gaussian_skewness
+
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
-
-
-def _gaussian_metric(x):
-    s = x[1]
-    return np.diag([1.0 / s ** 2, 2.0 / s ** 2])
-
-
-def _gaussian_skewness(x):
-    s = x[1]
-    t = np.zeros((2, 2, 2))
-    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 2.0 / s ** 3
-    t[1, 1, 1] = 8.0 / s ** 3
-    return t
 
 
 BASES = {
@@ -65,8 +54,8 @@ BASES = {
     "multinomial:3": TRI,
     "multinomial:4": multinomial_model(4),
     "rescaled multinomial:3": TRI,
-    "gaussian-fd": model_from_callables(2, GAUSS.coord_names, _gaussian_metric,
-                                        _gaussian_skewness, domain=GAUSS.domain,
+    "gaussian-fd": model_from_callables(2, GAUSS.coord_names, gaussian_metric,
+                                        gaussian_skewness, domain=GAUSS.domain,
                                         name="gaussian-fd"),
 }
 

@@ -24,9 +24,14 @@ from cupgeo.manifolds import (
     parse_model,
     resolve_model,
 )
-from cupgeo.tensor_core import Point, _component_symmetrize
+from cupgeo.tensor_core import Point, _mirror_sorted
 
-from helpers import assert_fully_symmetric, mirrored_tensor_jet, symmetrize_by_classes
+from helpers import (
+    assert_fully_symmetric,
+    gaussian_metric,
+    gaussian_skewness,
+    mirrored_tensor_jet,
+)
 
 
 def readme_gaussian_config():
@@ -260,7 +265,7 @@ def _fsum_reference(name, point, count, seed, block):
             var = (math.fsum(terms * terms) - count * m * m) / (count - 1)
             ref_mean[index] = m
             ref_se[index] = math.sqrt(var / count)
-        refs[rank] = tuple(manifolds._mirror_sorted(a) for a in (ref_mean, ref_se))
+        refs[rank] = tuple(_mirror_sorted(a) for a in (ref_mean, ref_se))
         for a in refs[rank]:
             a.flags.writeable = False
     return refs
@@ -728,40 +733,49 @@ def test_a_parameter_of_the_wrong_kind_is_a_config_error_naming_it(call, message
 class TestCallableModels:
     def test_finite_difference_model_matches_expressions(self):
         ref = gaussian_model()
-
-        def metric_fn(v):
-            return np.diag([1.0 / v[1] ** 2, 2.0 / v[1] ** 2])
-
-        def skewness_fn(v):
-            t = np.zeros((2, 2, 2))
-            t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 2.0 / v[1] ** 3
-            t[1, 1, 1] = 8.0 / v[1] ** 3
-            return t
-
-        m = model_from_callables(2, ("mu", "sigma"), metric_fn, skewness_fn)
+        m = model_from_callables(2, ("mu", "sigma"), gaussian_metric, gaussian_skewness)
         assert m.mode == "fd"
         p = (0.3, 1.4)
         assert np.abs(m.metric_at(p).components - ref.metric_at(p).components).max() <= 1e-12
         assert np.abs(m.skewness_at(p).components - ref.skewness_at(p).components).max() <= 1e-12
 
-    def test_asymmetric_callable_output_is_symmetrized(self):
+    def test_asymmetric_callable_output_reads_its_sorted_entries(self):
         def lopsided_metric(v):
             return np.array([[1.0, 0.5], [0.0, 1.0]])
 
         m = model_from_callables(2, ("x", "y"), lopsided_metric, lambda v: np.zeros((2, 2, 2)))
         g = m.metric_at((0.0, 0.0)).components
-        assert np.allclose(g, [[1.0, 0.25], [0.25, 1.0]], rtol=1e-12)
+        # as a config's "12" key gives it: the sorted entry, not the mean 0.25
+        assert g.tolist() == [[1.0, 0.5], [0.5, 1.0]]
 
-    @pytest.mark.parametrize("rank", [2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_symmetrization_matches_the_class_loop_bitwise(self, n, rank):
-        rng = np.random.default_rng(10 * n + rank)
-        for _ in range(20):
-            arr = rng.standard_normal((n,) * rank) * 10.0 ** rng.integers(-8, 8, (n,) * rank)
-            arr[rng.random(arr.shape) < 0.2] = -0.0
-            out = _component_symmetrize(arr, rank)
-            ref = symmetrize_by_classes(arr, rank)
-            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+    def test_the_fd_gaussian_twin_equals_its_callables_bitwise(self):
+        twin = model_from_callables(2, ("mu", "sigma"), gaussian_metric, gaussian_skewness,
+                                    domain=gaussian_model().domain)
+        rng = np.random.default_rng(7)
+        points = np.column_stack([rng.uniform(-2.0, 2.0, 200), rng.uniform(0.3, 3.0, 200)])
+        for p in points:
+            assert twin.metric_at(p).components.tobytes() == gaussian_metric(p).tobytes()
+            assert twin.skewness_at(p).components.tobytes() == gaussian_skewness(p).tobytes()
+        batch = twin.skewness.jet(points, 0).value
+        assert batch.tobytes() == np.array([gaussian_skewness(p) for p in points]).tobytes()
+
+    def test_mirroring_a_batched_fd_jet_touches_only_its_component_axes(self):
+        def lopsided(v):
+            return np.einsum("i,j,k->ijk", np.sin(v), np.cos(v), v * v) + v[0] * v[1] * v[2]
+
+        coords = np.array([(0.3, 1.2, -0.4), (0.9, 0.5, 2.0)])
+        raw = jets.finite_difference_jet(lopsided, coords, 2)
+        for k in range(3):
+            part = raw.deriv(k)
+            assert not np.array_equal(part, np.swapaxes(part, 1, 2))
+            out = _mirror_sorted(part, rank=3, lead=1)
+            assert out.shape == part.shape
+            # each entry is its sorted class's entry, for every batch row and derivative slot
+            for index in np.ndindex((3,) * 3):
+                at, sorted_at = (slice(None),) + index, (slice(None),) + tuple(sorted(index))
+                assert out[at].tobytes() == part[sorted_at].tobytes()
+            moved = np.moveaxis(out, (1, 2, 3), (-3, -2, -1))
+            assert_fully_symmetric(moved, lead=moved.ndim - 3)
 
     def test_wrong_shape_callable_rejected(self):
         m = model_from_callables(2, ("x", "y"), lambda v: np.eye(3), lambda v: np.zeros((2, 2, 2)))

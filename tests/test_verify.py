@@ -31,7 +31,7 @@ from cupgeo.verify import (
     run_suite,
 )
 
-from helpers import RowByRowResiduals
+from helpers import RowByRowResiduals, gaussian_metric, gaussian_skewness
 
 GAUSS = gaussian_model()
 
@@ -259,6 +259,19 @@ class TestTolerances:
         result = run_suite(SuiteConfig(cases=(_case_for(model),), alphas=(-1.0, 0.5)))
         assert len(result.reports) == 12
         assert {r.tolerance for r in result.reports} == {tolerance}
+
+
+def test_an_fd_model_with_a_real_skewness_passes_the_whole_suite():
+    twin = model_from_callables(2, GAUSS.coord_names, gaussian_metric, gaussian_skewness,
+                                domain=GAUSS.domain, name="gaussian-fd")
+    result = run_suite(SuiteConfig(cases=(_case_for(twin),), alphas=verify.DEFAULT_ALPHAS))
+    assert result.passed
+    regular = [r for r in result.reports if not r.negative_control]
+    controls = [r for r in result.reports if r.negative_control]
+    assert len(regular) == len(CHECK_IDS) and len(controls) == 3
+    # both sides of each law read the same stencil jets: only rounding is left
+    assert max(r.max_rel_residual for r in regular) <= 1e-13
+    assert all(r.max_rel_residual >= CONTROL_FACTOR * 1e-4 for r in controls)
 
 
 class TestDefaultConfig:
