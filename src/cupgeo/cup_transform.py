@@ -53,7 +53,12 @@ class WeightedDensity:
 class _RuleField(Field):
     """A field of rank ``rank`` whose jet is ``rule(coords, order)``, computed from the
     fields ``reads``: written on the chart (dimension, coordinate names) of the
-    first, and "fd" when any of them is."""
+    first, and "fd" when any of them is.  The rule computes each row of a batch
+    from that row's own inputs (its alpha and its potential block included), so
+    a failing batch is not run again: its first row holding an entry that is
+    not finite is the failing one."""
+
+    _rerun = False
 
     def __init__(self, label, rank, rule, *reads):
         self.label, self.rank, self.rule = label, rank, rule

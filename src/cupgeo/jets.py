@@ -41,7 +41,9 @@ each formula is written here and only here.
 
 For black-box callables that only map coordinates to floats,
 :func:`finite_difference_jet` fills the same structure with fourth-order
-central differences.
+central differences, one step per axis: the first and second partials along
+an axis share its four stencil values, so an order-2 jet in n dimensions
+calls the function 1 + 8n^2 - 4n times.
 """
 
 import numpy as np
@@ -390,64 +392,19 @@ def constant_at(value, coords, order):
 
 # -- finite-difference jets for black-box callables ------------------------
 
-# Fourth-order central stencils by symmetric pairs: the weights of the
-# offsets 1 and 2 (the mirrored offset carries the same weight, with the
-# opposite sign for a first derivative) and the divisor.  A second
-# derivative's centre weight, -30, is the negated sum of the others times 2.
-_STENCILS = {1: ((8.0, -1.0), 12.0), 2: ((16.0, -1.0), 12.0)}
-
-
-def _fd_step(order, coord):
-    return _EPS ** (1.0 / (order + 2)) * max(1.0, abs(coord))
-
-
-def _fd_partial(fn, x, axes, f0):
-    """One mixed partial by a tensor product of per-axis central stencils.
-
-    ``axes`` maps coordinate index to derivative multiplicity; the stencil for
-    each axis matches its multiplicity, and the step follows the total order.
-    Each symmetric pair of values is differenced before it is weighted,
-    f(x + kh) - f(x - kh) for a first derivative and
-    (f(x + kh) - f(x)) + (f(x - kh) - f(x)) for a second, so a constant
-    gives exactly zero however large it is.  Up to :data:`MAX_ORDER` a
-    second derivative is the only one in its partial, so its centre is x
-    itself, whose value ``f0`` the caller already has.
-    """
-    total = sum(axes.values())
-    plan = []
-    scale = 1.0
-    for axis, mult in axes.items():
-        weights, divisor = _STENCILS[mult]
-        h = _fd_step(total, x[axis])
-        scale /= divisor * h ** mult
-        plan.append((axis, h, mult, weights))
-
-    def recurse(point, level):
-        if level == len(plan):
-            return fn(np.array(point))
-        axis, h, mult, weights = plan[level]
-        centre = f0 if mult == 2 else None
-        acc = 0.0
-        for k, w in enumerate(weights, 1):
-            up, down = list(point), list(point)
-            up[axis] += k * h
-            down[axis] -= k * h
-            f_up, f_down = recurse(up, level + 1), recurse(down, level + 1)
-            acc += w * ((f_up - centre) + (f_down - centre) if mult == 2 else f_up - f_down)
-        return acc
-
-    return scale * recurse(list(x), 0)
-
 
 def finite_difference_jet(fn, coords, order):
     """Jet of a black-box callable, via fourth-order central differences.
 
     ``fn`` may return a float or an ndarray; array values give a jet whose
     derivative axes trail the value axes, i.e. the jet of a whole tensor
-    field in one pass.  Every mixed partial is mirrored across index
-    permutations, so the symmetry invariant holds exactly.  Truncation error
-    is O(h^4); with the eps^(1/(order+2)) step rule the second-order partials
-    keep roughly seven significant digits.
+    field in one pass.  Each axis takes one step, h_i = eps^(1/4) max(1, |x_i|):
+    the first and the diagonal second partial along i share the values at
+    x +- h_i e_i and x +- 2 h_i e_i, and a mixed partial differences along j
+    at those four points, so an order-2 jet makes 1 + 8n^2 - 4n calls.  Each
+    symmetric pair of values is differenced before it is weighted, so a
+    constant gives exactly zero derivatives however large it is, and every
+    mixed partial is mirrored across index permutations.
 
     ``fn`` takes one point, so a ``(P, n)`` batch of ``coords`` is
     differenced row by row and the row jets are stacked on a leading axis.
@@ -462,13 +419,30 @@ def finite_difference_jet(fn, coords, order):
     n = x.size
     f0 = np.asarray(fn(x.copy()), dtype=float)
     jet = Jet.constant(float(f0) if f0.ndim == 0 else f0, n, order)
-    if order >= 1:
-        for i in range(n):
-            jet.d1[..., i] = _fd_partial(fn, x, {i: 1}, f0)
-    if order >= 2:
-        for i in range(n):
-            for j in range(i, n):
-                axes = {i: 2} if i == j else {i: 1, j: 1}
-                val = _fd_partial(fn, x, axes, f0)
-                jet.d2[..., i, j] = jet.d2[..., j, i] = val
+    steps = [_EPS ** 0.25 * max(1.0, abs(c)) for c in x]
+
+    def pairs(g, point, i):
+        """g at point +- k h_i e_i for k = 1, 2, as two symmetric pairs."""
+        def moved(d):
+            p = point.copy()
+            p[i] += d
+            return g(p)
+        return [(moved(k * steps[i]), moved(-k * steps[i])) for k in (1, 2)]
+
+    def slope(values):
+        """The first-derivative stencil on two symmetric pairs, times 12 h; the
+        leading 0.0, here and in a second partial, keeps a zero from being -0.0."""
+        (up1, down1), (up2, down2) = values
+        return 0.0 + 8.0 * (up1 - down1) - (up2 - down2)
+
+    for i in range(n) if order else ():
+        (up1, down1), (up2, down2) = values = pairs(fn, x, i)
+        h = steps[i]
+        jet.d1[..., i] = slope(values) / (12.0 * h)
+        if order == 2:
+            jet.d2[..., i, i] = 1.0 / (12.0 * h ** 2) * (
+                0.0 + 16.0 * ((up1 - f0) + (down1 - f0)) - ((up2 - f0) + (down2 - f0)))
+        for j in range(i + 1, n) if order == 2 else ():
+            mixed = slope(pairs(lambda point: slope(pairs(fn, point, j)), x, i))
+            jet.d2[..., i, j] = jet.d2[..., j, i] = 1.0 / (12.0 * h) / (12.0 * steps[j]) * mixed
     return jet

@@ -166,35 +166,46 @@ def _readonly(x):
     return x
 
 
+class _Misshapen(Exception):
+    """A field's own result without the shape of its values at a point: a
+    failure :func:`field_jet` names the point of."""
+
+
 def _checked(compute, x, order):
     """``compute(x, order)`` as ``(jet, None)``, or ``(None, failure)``: the
-    ArithmeticError it raised, or None when an entry is not finite."""
+    ArithmeticError or :class:`_Misshapen` it raised, or, for an entry that
+    is not finite, the first row of ``x`` holding one (0 at one point)."""
     try:
         jet = compute(x, order)
-    except ArithmeticError as e:
+    except (ArithmeticError, _Misshapen) as e:
         return None, e
     if not isinstance(jet, jets.Jet):
         jet = jets.constant_at(jet, x, order)
     parts = [jet.deriv(k) for k in range(jet.order + 1)]
     # a finite sum of squares proves every entry finite: only a non-finite
     # one needs the entry-by-entry check
-    if (math.isfinite(sum(np.vdot(part, part) for part in parts))
-            or all(np.isfinite(part).all() for part in parts)):
+    if math.isfinite(sum(np.vdot(part, part) for part in parts)):
         return jet, None
-    return None, None
+    rows = np.shape(x)[:-1] + (-1,)
+    finite = np.concatenate([np.reshape(np.isfinite(part), rows) for part in parts], axis=-1)
+    return (jet, None) if finite.all() else (None, first_false(finite, x))
 
 
-def field_jet(source, coords, order, compute):
+def field_jet(source, coords, order, compute, rerun=True):
     """``compute(coords, order)`` as one field evaluation at ``coords``, checked.
 
     The arithmetic runs under ``np.errstate``, so batched division by zero
     or overflow yields inf/nan instead of a warning.  A batch fails as its
-    first failing point fails alone: on an ArithmeticError or an entry that
-    is not finite, its rows run again in order, and the first failing row's
-    own failure names ``source`` and that point, as a DomainError for an
-    UndefinedValueError (``log`` of a non-positive value, say), else as an
-    EvaluationError.  A nested field's error passes through unchanged.  A
-    plain-number result becomes a constant jet.
+    first failing point fails alone: on an ArithmeticError, a
+    :class:`_Misshapen` result or an entry that is not finite, its rows run
+    again in order, and the first failing row's own failure names ``source``
+    and that point, as a DomainError for an UndefinedValueError (``log`` of a
+    non-positive value, say), else as an EvaluationError.  Without
+    ``rerun`` -- for a rule that computes each row from that row's own
+    inputs -- nothing runs again: the first row holding an entry that is not
+    finite is the failing one, and an error raised names the batch.  A
+    nested field's error passes through unchanged.  A plain-number result
+    becomes a constant jet.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
@@ -202,12 +213,14 @@ def field_jet(source, coords, order, compute):
         if jet is not None:
             return jet
         at = point_text(x) if x.ndim == 1 else f"a batch of {len(x)} points"
-        for row in range(len(x)) if x.ndim == 2 else ():
+        if x.ndim == 2 and not rerun and not isinstance(failure, Exception):
+            at = point_text(x, failure)
+        for row in range(len(x)) if x.ndim == 2 and rerun else ():
             jet, row_failure = _checked(compute, x[row], order)
             if jet is None:
                 at, failure = point_text(x, row), row_failure
                 break
-    if failure is None:
+    if not isinstance(failure, Exception):
         raise EvaluationError(f"{source} is not finite at {at}")
     kind = DomainError if isinstance(failure, UndefinedValueError) else EvaluationError
     raise kind(f"{source} failed at {at}: {failure}") from failure
@@ -224,12 +237,15 @@ class Field:
     evaluation.  It keeps its last jet (read-only parts, keyed by the shape and
     bytes of the coordinates) for the same coordinates at the same or a lower
     order, read off by truncation, which is exact; so evaluation must be pure.
+    A failing batch runs its rows again alone unless ``_rerun`` is false
+    (see :func:`field_jet`).
     """
 
     rank = 0
     mode = "jet"
     coord_names = None
     _kept = (None, None)
+    _rerun = True
 
     def jet(self, coords, order):
         """The jet at one point or a ``(P, n)`` batch, through :func:`field_jet`.
@@ -244,7 +260,7 @@ class Field:
                 f"{self.label} takes {self.dim} coordinates, got {x.shape[-1]}")
         key, jet = (x.shape, x.tobytes()), self._kept[1]
         if self._kept[0] != key or jet.order < order:
-            jet = field_jet(self.label, x, order, self._jet).map(_readonly)
+            jet = field_jet(self.label, x, order, self._jet, self._rerun).map(_readonly)
             self._kept = (key, jet)
         return jets.Jet(jet.dim, order, *(jet.deriv(k) for k in range(order + 1)))
 
@@ -299,9 +315,9 @@ class FuncField(Field):
     """Analytic rule written over coordinate jets (exact derivatives).
 
     The rule returns a plain number or a jet whose value has the batch shape
-    of the coordinates; anything else is an :class:`EvaluationError`.  A batch
-    is also checked by its first row alone, to which a component array cannot
-    broadcast.
+    of the coordinates; anything else is an :class:`EvaluationError` naming
+    the point (and its row in a batch).  A batch is also checked by its first
+    row alone, to which a component array cannot broadcast.
     """
 
     def __init__(self, fn, dim):
@@ -324,8 +340,7 @@ class FuncField(Field):
             return out
         else:
             got = f"{type(out).__name__} of shape {np.shape(out)}"
-        raise EvaluationError(
-            f"{self.label} returned {got}, expected a number or a jet of shape {batch}")
+        raise _Misshapen(f"returned {got}, expected a number or a jet of shape {batch}")
 
 
 def _mirror_sorted(arr, rank=None, lead=0):
@@ -343,8 +358,12 @@ def _mirror_sorted(arr, rank=None, lead=0):
 class NumericField(Field):
     """Black-box float callable; derivatives by finite differences.
 
-    ``fn(x)`` returns the ``(dim,) * rank`` components at one point.  The
-    stencil runs on the components as returned, and each part of the jet then
+    ``fn(x)`` returns the ``(dim,) * rank`` components at one point; another
+    shape is an :class:`EvaluationError` naming the point.  The stencil
+    (:func:`cupgeo.jets.finite_difference_jet`) takes one step per axis, and
+    the first and second partials along an axis share its four values, so an
+    order-2 jet calls ``fn`` 1 + 8n^2 - 4n times.  It runs on the components
+    as returned, and each part of the jet then
     has the entry of each sorted index class copied into every permutation of
     it (:func:`_mirror_sorted`, over the component axes alone): the jet is
     bitwise symmetric, and an asymmetric callable reads as its sorted entries.
@@ -361,9 +380,7 @@ class NumericField(Field):
     def _value(self, x):
         arr = np.asarray(self.fn(x), dtype=float)
         if arr.shape != (self.dim,) * self.rank:
-            raise EvaluationError(
-                f"{self.label} returned shape {arr.shape}, expected {(self.dim,) * self.rank}"
-            )
+            raise _Misshapen(f"returned shape {arr.shape}, expected {(self.dim,) * self.rank}")
         return arr
 
     def _jet(self, coords, order):

@@ -201,34 +201,33 @@ def _grid(config, case):
 
 
 @contextlib.contextmanager
-def _user_rows(case):
+def _user_rows(config, case):
     """Rename the batch row of an error raised inside: row r of a tiled grid is
-    row r mod P of the case's own grid of P points."""
+    row r mod P of the case's own grid of P points, and stacked potentials
+    (see :func:`_stacked`) are named by their member of block r // (A * P)."""
     try:
         yield
     except CupGeoError as e:
+        text = str(e)
+        row = re.search(r"\(row (\d+)\)", text)
+        if row:
+            labels = [f.label for f in case.potentials]
+            size, member = _batch_size(config, case), int(row[1]) // _block(config, case)
+            for i in range(0, len(labels), size):
+                text = text.replace(" and ".join(labels[i:i + size]), labels[i + member])
         rename = lambda m: f"(row {int(m[1]) % len(case.points)})"
-        e.args = (re.sub(r"\(row (\d+)\)", rename, str(e)), *e.args[1:])
+        e.args = (re.sub(r"\(row (\d+)\)", rename, text), *e.args[1:])
         raise
 
 
-def _stacked(potentials, rows):
+def _stacked(potentials):
     """The potential of a rescaling that carries several: a rule field whose jet
-    on a batch of equal row blocks is, on block i, member i's jet.
-
-    At one point (a failing batch runs again row by row) it gives every row
-    at once: each member's jet at that point, repeated over the ``rows`` of
-    its block.
-    """
+    on a batch of equal row blocks is, on block i, member i's jet."""
     def rule(coords, order):
-        if coords.ndim == 1:
-            parts = [f.jet(coords, order) for f in potentials]
-            join = lambda k: np.repeat(np.stack([p.deriv(k) for p in parts]), rows, axis=0)
-        else:
-            parts = [f.jet(block, order)
-                     for f, block in zip(potentials, np.split(coords, len(potentials)))]
-            join = lambda k: np.concatenate([p.deriv(k) for p in parts])
-        return jets.Jet(potentials[0].dim, order, *(join(k) for k in range(order + 1)))
+        parts = [f.jet(block, order)
+                 for f, block in zip(potentials, np.split(coords, len(potentials)))]
+        return jets.Jet(potentials[0].dim, order,
+                        *(np.concatenate([p.deriv(k) for p in parts]) for k in range(order + 1)))
     return _RuleField(" and ".join(f.label for f in potentials), 0, rule, *potentials)
 
 
@@ -315,8 +314,7 @@ def _rescalings(config, case, alphas, variants):
         size = _batch_size(config, case)
         pairs = []
         for i in range(0, len(case.potentials), size):
-            resc = make_rescaling(alphas, _stacked(case.potentials[i:i + size],
-                                                   _block(config, case)))
+            resc = make_rescaling(alphas, _stacked(case.potentials[i:i + size]))
             inputs = {d: transform_density(d, resc) for d in case.densities}
             inputs.update((c, transform_coupling(c, resc)) for c in case.couplings)
             pairs.append((resc, inputs))
@@ -345,7 +343,7 @@ def _law(config, variants, check_id, tol, cells, sides=()):
     res = {field_name: _Residuals() for field_name, _ in ((None, tol), *sides)}
     for case in config.cases:
         pts, alphas = _grid(config, case)
-        with _user_rows(case):
+        with _user_rows(config, case):
             for field_name, lhs, rhs in cells(case, pts, alphas,
                                               _rescalings(config, case, alphas, variants)):
                 res[field_name].add(pts[:len(lhs)], lhs, rhs)
@@ -493,7 +491,7 @@ def _check_integrability(config, tol, variants):
     for case in config.cases:
         pts, alphas = _grid(config, case)
         block = _block(config, case)
-        with _user_rows(case):
+        with _user_rows(config, case):
             k = _hessian_k(config, case)
             riem = riemann(case.model, alphas, pts).components[:block]
             curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)

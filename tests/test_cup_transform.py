@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cupgeo.errors import ConfigError, UnsupportedOrderError
+from cupgeo.errors import ConfigError, DomainError, EvaluationError, UnsupportedOrderError
 from cupgeo.cup_transform import (
     CupRescaling,
     WeightedDensity,
@@ -317,6 +317,39 @@ def test_a_non_finite_number_input_is_a_config_error(value):
         transform_density(WeightedDensity(value, 1.0), r)
     with pytest.raises(ConfigError, match="coupling must be finite"):
         transform_coupling(NonlinearCoupling(value, 2.0), r)
+
+
+# a rescaling with one alpha per row, at the rows' points; row 1 (alpha = -1
+# at mu = 1) is the only one where eta = exp(-alpha * potential) grows
+ROW_ALPHAS = np.array([0.0, -1.0, 1.0])
+ROW_POINTS = np.array([(-1.0, 1.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+def test_a_failing_row_of_a_per_row_rescaling_is_named_as_itself():
+    # exp(800) overflows at row 1 only; row 0 has eta = 1
+    r = make_rescaling(ROW_ALPHAS, GAUSS.scalar_field("800*mu"))
+    with pytest.raises(EvaluationError, match=r"^conformal factor of potential field '800\*mu' "
+                                              r"is not finite at \(1\.0, 1\.0\) \(row 1\)$"):
+        r.eta(ROW_POINTS)
+
+
+def test_a_failing_row_of_a_per_row_transformed_coupling_is_named_as_itself():
+    # eta = exp(400) is finite at row 1, and eta^2 is not
+    lam = transform_coupling(NonlinearCoupling(GAUSS.scalar_field("2"), -2.0),
+                             make_rescaling(ROW_ALPHAS, GAUSS.scalar_field("400*mu"))).lam
+    with pytest.raises(EvaluationError, match=r"^eta\^2 times field '2' is not finite at "
+                                              r"\(1\.0, 1\.0\) \(row 1\)$"):
+        lam.jet(ROW_POINTS, 0)
+
+
+def test_an_error_in_a_rules_own_arithmetic_names_the_batch():
+    # eta = exp(-800) is zero at row 1, and a fractional power of zero raises
+    lam = transform_coupling(NonlinearCoupling(GAUSS.scalar_field("2"), 0.5),
+                             make_rescaling(ROW_ALPHAS, GAUSS.scalar_field("-800*mu"))).lam
+    with pytest.raises(DomainError, match=(
+            r"^eta\^-0\.5 times field '2' failed at a batch of 3 points: "
+            r"zero base raised to fractional exponent -0\.5$")):
+        lam.jet(ROW_POINTS, 0)
 
 
 # -- shift predictions vs direct recomputation ------------------------------

@@ -244,29 +244,40 @@ def rule_of_a_constant_array(c):
     return np.ones(3)
 
 
-# a density rule whose result is not one value per point: (rule, points, message)
+def fd_two_components(v):
+    return v[0] * np.array([1.0, 2.0])
+
+
+# a density whose result is not one value per point: (field, points, message)
 WRONG_SHAPE_RULES = {
     "component array at a point": (
-        rule_of_two_components, (0.1, 1.0),
-        "rule 'rule_of_two_components' returned a jet of shape (2,), "
+        FuncField(rule_of_two_components, 2), (0.1, 1.0),
+        "rule 'rule_of_two_components' failed at (0.1, 1.0): returned a jet of shape (2,), "
         "expected a number or a jet of shape ()"),
     # the two components broadcast to the batch of two: its first row alone shows them
     "component array at a batch of its size": (
-        rule_of_two_components, [(0.1, 1.0), (0.2, 1.0)],
-        "rule 'rule_of_two_components' returned a jet of shape (2,), "
+        FuncField(rule_of_two_components, 2), [(0.1, 1.0), (0.2, 1.0)],
+        "rule 'rule_of_two_components' failed at (0.1, 1.0) (row 0): returned a jet of shape (2,), "
         "expected a number or a jet of shape ()"),
     "constant array": (
-        rule_of_a_constant_array, (0.1, 1.0),
-        "rule 'rule_of_a_constant_array' returned ndarray of shape (3,), "
+        FuncField(rule_of_a_constant_array, 2), (0.1, 1.0),
+        "rule 'rule_of_a_constant_array' failed at (0.1, 1.0): returned ndarray of shape (3,), "
         "expected a number or a jet of shape ()"),
+    "fd component array at a point": (
+        NumericField(fd_two_components, 2), (0.1, 1.0),
+        "callable 'fd_two_components' failed at (0.1, 1.0): returned shape (2,), expected ()"),
+    "fd component array at a batch": (
+        NumericField(fd_two_components, 2), [(0.1, 1.0), (0.2, 1.0)],
+        "callable 'fd_two_components' failed at (0.1, 1.0) (row 0): returned shape (2,), "
+        "expected ()"),
 }
 
 
 @pytest.mark.parametrize("name", list(WRONG_SHAPE_RULES))
 def test_a_rule_result_without_the_batch_shape_is_an_evaluation_error(name):
-    rule, points, message = WRONG_SHAPE_RULES[name]
+    field, points, message = WRONG_SHAPE_RULES[name]
     with pytest.raises(EvaluationError) as info:
-        cup_laplacian(GAUSS, 0.0, FuncField(rule, 2), points)
+        cup_laplacian(GAUSS, 0.0, field, points)
     assert str(info.value) == message
 
 

@@ -15,9 +15,13 @@ import cupgeo
 from cupgeo.errors import DomainError, UnsupportedOrderError
 from cupgeo.expr import Expression
 from cupgeo.jets import Jet, cos, exp, finite_difference_jet, log, seed, sin, sqrt
+from cupgeo.manifolds import gaussian_model
 from cupgeo.tensor_core import NumericField
 
+from helpers import gaussian_metric, gaussian_skewness
+
 EPS = np.finfo(float).eps
+GAUSS = gaussian_model()
 
 
 def _sym_defect(arr):
@@ -379,10 +383,11 @@ def test_fd_mixed_partials_mirrored_exactly():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("order, calls", [(0, lambda n: 1), (1, lambda n: 1 + 4 * n),
-                                          (2, lambda n: 1 + 8 * n * n)])
+                                          (2, lambda n: 1 + 8 * n * n - 4 * n)])
 def test_fd_jet_evaluates_the_centre_once(n, order, calls):
     # f(x) is the centre of every diagonal second partial; it is evaluated
-    # once, for the value, and each partial's other stencil points once each
+    # once, for the value, and the four values along each axis serve both its
+    # first and its second partial: 5, 25, 61 and 113 calls at order 2
     points = []
 
     def fn(v):
@@ -393,6 +398,22 @@ def test_fd_jet_evaluates_the_centre_once(n, order, calls):
     finite_difference_jet(fn, x, order)
     assert len(points) == calls(n)
     assert points.count(x) == 1
+
+
+@pytest.mark.parametrize("callable_, exact", [(gaussian_metric, "metric"),
+                                              (gaussian_skewness, "skewness")])
+def test_fd_jets_of_the_gaussian_tensors_match_their_exact_jets(callable_, exact):
+    # 250 seeded points; a zero component is a zero callable entry, whose
+    # differences vanish exactly
+    rng = np.random.default_rng(5)
+    points = np.column_stack([rng.uniform(-2.0, 2.0, 250), rng.uniform(0.5, 2.5, 250)])
+    want = getattr(GAUSS, exact).jet(points, 2)
+    got = finite_difference_jet(callable_, points, 2)
+    for k, bound in ((1, 5e-12), (2, 1e-8)):
+        a, b = got.deriv(k), want.deriv(k)
+        zero = b == 0
+        assert not a[zero].any()
+        assert np.max(np.abs(a - b)[~zero] / np.abs(b[~zero])) <= bound, k
 
 
 # -- property-based checks --------------------------------------------------

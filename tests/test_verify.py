@@ -494,26 +494,39 @@ def test_batches_split_the_potentials_evenly(monkeypatch):
 
 
 def test_an_error_names_the_row_of_the_users_grid():
-    case = default_suite_config().cases[0]  # 9 points
+    config = default_suite_config()
+    case = config.cases[0]  # 9 points
     with pytest.raises(SingularMetricError, match=r"^metric is singular at \(0\.0, 1\.0\) "
                                                   r"\(row 4\); alpha = 1$") as caught:
-        with verify._user_rows(case):
+        with verify._user_rows(config, case):
             raise SingularMetricError("metric is singular at (0.0, 1.0) (row 85); alpha = 1",
                                       min_eigenvalue=-1.0)
     assert caught.value.min_eigenvalue == -1.0
 
 
 def test_a_failing_potential_block_names_the_users_row():
-    """eta overflows only under the second potential, at (0, 1) and alpha = -1;
-    the failing batch runs again point by point, each under every potential."""
+    """eta overflows only under the second potential, at (0, 1) and alpha = -1:
+    the batch's first row that is not finite is row 49 of the tiled grid, in
+    the second potential's block of 45 rows, and row 4 of the case's grid."""
     case = _three_potentials()
     bump = GAUSS.scalar_field("1000*exp(-100*(mu^2 + (sigma - 1)^2))")
     config = SuiteConfig(cases=(dataclasses.replace(case, potentials=case.potentials[:1] + (bump,)),),
                          alphas=verify.DEFAULT_ALPHAS)
     with pytest.raises(EvaluationError, match=(
-            r"^conformal factor of potential field '0\.3\*mu' and field '1000\*exp\(.*\)' "
+            r"^conformal factor of potential field '1000\*exp\(.*\)' "
             r"is not finite at \(0\.0, 1\.0\) \(row 4\)$")):
         run_check("conn_shift", config)
+
+
+def test_a_failing_coupling_under_stacked_potentials_names_the_users_row():
+    """Under the second potential, 400*mu at alpha = -1, eta^-3 = exp(-1200 mu)
+    overflows at mu = -1: first at row 0 of the case's grid."""
+    case = dataclasses.replace(default_suite_config().cases[0], potentials=(
+        GAUSS.scalar_field("0.3*mu"), GAUSS.scalar_field("400*mu")))
+    config = SuiteConfig(cases=(case,), alphas=(-1.0, 0.0, 1.0))
+    with pytest.raises(EvaluationError, match=r"^eta\^-3 times field '2' is not finite at "
+                                              r"\(-1\.0, 0\.6\) \(row 0\)$"):
+        run_check("nonlinear_inv", config)
 
 
 def test_full_default_suite_passes():
