@@ -114,9 +114,12 @@ def _power(v, p):
 
 
 def _require(bad, message):
-    """Raise an UndefinedValueError if any of the per-entry flags ``bad`` is set."""
+    """Raise an UndefinedValueError, holding the per-entry flags ``bad`` as its
+    ``flags``, if any of them is set."""
     if bad.any():
-        raise UndefinedValueError(message)
+        error = UndefinedValueError(message)
+        error.flags = bad
+        raise error
 
 
 def _require_power_base(v, e):
@@ -262,9 +265,8 @@ class Jet:
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        v = self.value
-        inv = 1.0 / v
-        return self._compose(inv, -(inv * inv), 2.0 * _power(inv, 3))
+        inv = 1.0 / self.value
+        return self._compose(inv, lambda: -(inv * inv), lambda: 2.0 * _power(inv, 3))
 
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
@@ -278,7 +280,8 @@ class Jet:
         v = self.value
         if not e.is_integer():  # an integer power checks nothing: no call to trace
             _elem(v, _require_power_base, e)
-        return self._compose(_power(v, e), e * _power(v, e - 1), e * (e - 1) * _power(v, e - 2))
+        return self._compose(_power(v, e), lambda: e * _power(v, e - 1),
+                             lambda: e * (e - 1) * _power(v, e - 2))
 
     def __rpow__(self, base):
         return exp(self * _elem(base, np.log))
@@ -286,14 +289,17 @@ class Jet:
     # -- composition with a smooth univariate function --------------------
 
     def _compose(self, c0, c1, c2):
-        """Chain rule through phi given phi(v), phi'(v), phi''(v)."""
+        """Chain rule through phi given phi(v) and the functions giving phi'(v)
+        and phi''(v), each called only at an order that uses it: an unused
+        coefficient may fail (1/v at v = 0) where the jet itself does not."""
         m = self.order
         parts = []
         if m >= 1:
+            c1 = c1()
             parts.append(_formed(np.multiply, _bc(c1, 1), self.d1))
         if m >= 2:
             outer11 = self.d1[..., :, None] * self.d1[..., None, :]
-            parts.append(_formed(np.multiply, _bc(c2, 2), outer11)
+            parts.append(_formed(np.multiply, _bc(c2(), 2), outer11)
                          + _formed(np.multiply, _bc(c1, 2), self.d2))
         return Jet(self.dim, m, c0, *parts)
 
@@ -308,23 +314,22 @@ def exp(x):
     if not isinstance(x, Jet):
         return _elem(x, np.exp)
     v = _elem(x.value, np.exp)
-    return x._compose(v, v, v)
+    return x._compose(v, lambda: v, lambda: v)
 
 
 def log(x):
     if not isinstance(x, Jet):
         return _elem(x, _log)
-    v = _elem(x.value, _log)
-    inv = 1.0 / x.value
-    return x._compose(v, inv, -(inv * inv))
+    inv = lambda: 1.0 / x.value
+    return x._compose(_elem(x.value, _log), inv, lambda: -(inv() * inv()))
 
 
 def sqrt(x):
     if not isinstance(x, Jet):
         return _elem(x, _sqrt)
     r = _elem(x.value, _sqrt)
-    inv = 1.0 / x.value
-    return x._compose(r, 0.5 * r * inv, -0.25 * r * inv * inv)
+    inv = lambda: 1.0 / x.value
+    return x._compose(r, lambda: 0.5 * r * inv(), lambda: -0.25 * r * inv() * inv())
 
 
 def power(base, exponent):
@@ -343,16 +348,14 @@ def sin(x):
     if not isinstance(x, Jet):
         return _elem(x, np.sin)
     s = _elem(x.value, np.sin)
-    c = _elem(x.value, np.cos)
-    return x._compose(s, c, -s)
+    return x._compose(s, lambda: _elem(x.value, np.cos), lambda: -s)
 
 
 def cos(x):
     if not isinstance(x, Jet):
         return _elem(x, np.cos)
-    s = _elem(x.value, np.sin)
     c = _elem(x.value, np.cos)
-    return x._compose(c, -s, -c)
+    return x._compose(c, lambda: -_elem(x.value, np.sin), lambda: -c)
 
 
 def seed(coords, order):

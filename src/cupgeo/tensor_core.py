@@ -203,8 +203,9 @@ def field_jet(source, coords, order, compute, rerun=True):
     non-positive value, say), else as an EvaluationError.  Without
     ``rerun`` -- for a rule that computes each row from that row's own
     inputs -- nothing runs again: the first row holding an entry that is not
-    finite is the failing one, and an error raised names the batch.  A
-    nested field's error passes through unchanged.  A plain-number result
+    finite is the failing one, and an error raised names the first row its
+    ``flags`` set (those of a jets domain check), else the batch.  A nested
+    field's error passes through unchanged.  A plain-number result
     becomes a constant jet.
     """
     x = np.asarray(coords, dtype=float)
@@ -215,6 +216,9 @@ def field_jet(source, coords, order, compute, rerun=True):
         at = point_text(x) if x.ndim == 1 else f"a batch of {len(x)} points"
         if x.ndim == 2 and not rerun and not isinstance(failure, Exception):
             at = point_text(x, failure)
+        flags = getattr(failure, "flags", None)
+        if x.ndim == 2 and not rerun and np.shape(flags)[:1] == x.shape[:1]:
+            at = point_text(x, first_false(~flags, x))
         for row in range(len(x)) if x.ndim == 2 and rerun else ():
             jet, row_failure = _checked(compute, x[row], order)
             if jet is None:

@@ -11,16 +11,18 @@ the case's potentials, whose block i is potential i.  So each operator on a
 rescaled model runs once per (case, density, coupling) on the whole tiled
 grid, and each on the original model once per (case, density, coupling) as
 well, since it does not depend on the potential.  Only where a batch's n^4
-arrays would outgrow :data:`POTENTIAL_BATCH_BYTES` do a case's potentials
-split into equal batches, one rescaling each (from dimension 11 up on the
-5-point grid of ``cupgeo verify --model multinomial:k``).  The structural rows and
-``integrability`` record the original model on its first potential block
-alone, so a check's rows are those of a grid tiled under alpha only.
+arrays would outgrow :data:`POTENTIAL_BATCH_BYTES` does each potential get a
+rescaling of its own (from dimension 11 up on the 5-point grid of ``cupgeo
+verify --model multinomial:k``): a case's potentials share one rescaling or
+take one each.  The structural rows and ``integrability`` record the
+original model on its first potential block alone, so a check's rows are
+those of a grid tiled under alpha only.
 
-One driver, :func:`_law`, runs every check but ``integrability``: the check
-yields the (lhs, rhs) cells of each case, its own and those of any side
-law, one row per tiled grid row, and the driver records each cell as it
-comes, reduced at once to its rows' residuals.  The report alone judges
+One driver, :func:`_law`, runs every check: the check yields the cells of
+each case, its own and those of any side law, and the driver records each
+cell as it comes, reduced at once to its rows' residuals.  A cell names the
+rows of the tiled grid it holds, one per row of each side, and those are
+the rows it records.  The report alone judges
 the check: the worst relative residual, and that of any side law, must be
 within tolerance.  Every check has the suite's one tolerance: the config's
 ``tolerance`` when set, else the loosest :data:`MODE_TOLERANCE` of its
@@ -181,13 +183,11 @@ def _block(config, case):
 
 
 def _batch_size(config, case):
-    """How many of the case's potentials one rescaling carries: the most that
-    divides their number and keeps a batch's n^4 array within
-    :data:`POTENTIAL_BATCH_BYTES`, and one at least."""
+    """How many of the case's potentials one rescaling carries: all of them while
+    a batch's n^4 array fits in :data:`POTENTIAL_BATCH_BYTES`, else one."""
     count = len(case.potentials)
-    block_bytes = _block(config, case) * case.model.dim ** 4 * 8
-    return max(size for size in range(1, count + 1)
-               if count % size == 0 and (size == 1 or size * block_bytes <= POTENTIAL_BATCH_BYTES))
+    fits = count * _block(config, case) * case.model.dim ** 4 * 8 <= POTENTIAL_BATCH_BYTES
+    return count if fits else 1
 
 
 def _grid(config, case):
@@ -212,9 +212,7 @@ def _user_rows(config, case):
         row = re.search(r"\(row (\d+)\)", text)
         if row:
             labels = [f.label for f in case.potentials]
-            size, member = _batch_size(config, case), int(row[1]) // _block(config, case)
-            for i in range(0, len(labels), size):
-                text = text.replace(" and ".join(labels[i:i + size]), labels[i + member])
+            text = text.replace(" and ".join(labels), labels[int(row[1]) // _block(config, case)])
         rename = lambda m: f"(row {int(m[1]) % len(case.points)})"
         e.args = (re.sub(r"\(row (\d+)\)", rename, text), *e.args[1:])
         raise
@@ -257,7 +255,7 @@ class _Residuals:
             rel = np.where(finite, diff / scale, np.inf)
         self._batches.append((points, np.where(finite, diff, np.inf), rel))
 
-    def report(self, check_id, tolerance, sides=(), **extra):
+    def report(self, check_id, tolerance, sides=()):
         """The check's report, judged here and only here.
 
         The worst point is the last row, in recording order, reaching the
@@ -271,10 +269,10 @@ class _Residuals:
         # the last row reaching the maximum, in the last batch reaching it
         worst = next((tuple(float(c) for c in points[len(r) - 1 - int(np.argmax(r[::-1]))])
                       for points, _, r in reversed(self._batches) if r.max() == max_rel), ())
-        passed = max_rel <= tolerance
+        passed, side_residuals = max_rel <= tolerance, {}
         for field_name, side, side_tolerance in sides:
             side_report = side.report(field_name, side_tolerance)
-            extra[field_name] = side_report.max_rel_residual
+            side_residuals[field_name] = side_report.max_rel_residual
             passed = passed and side_report.passed
         return CheckReport(
             check_id=check_id,
@@ -284,7 +282,7 @@ class _Residuals:
             tolerance=tolerance,
             passed=passed,
             worst_point=worst,
-            **extra,
+            **side_residuals,
         )
 
 
@@ -295,8 +293,8 @@ def _tolerance_for(config):
 
 
 def _rescalings(config, case, alphas, variants):
-    """The (rescaling, rescaled model, inputs) triples of ``case``, one per batch
-    of its potentials (all of them, unless :func:`_batch_size` splits them),
+    """The (rescaling, rescaled model, inputs) triples of ``case``: one for all
+    its potentials, or one for each where :func:`_batch_size` splits them,
     each driven by the batch's potentials stacked into one rule field (see
     :func:`_stacked`) and carrying the case's tiled grid at its per-row
     ``alphas``; ``inputs`` maps each case density and coupling to its
@@ -330,11 +328,11 @@ def _rescalings(config, case, alphas, variants):
 def _law(config, variants, check_id, tol, cells, sides=()):
     """Report ``check_id`` on the cells of every case of ``config``, each recorded as it comes.
 
-    ``cells(case, pts, alphas, rescalings)`` yields the (field, lhs, rhs)
-    cells of one case on its tiled grid ``pts``, each side one row per grid
-    row, or per row of a leading block of the grid; ``field`` is None for
-    the check's own cells and otherwise names a side law, one of the (field,
-    tolerance) pairs of ``sides``.  ``rescalings`` holds the case's
+    ``cells(case, pts, alphas, rescalings)`` yields the (field, points, lhs,
+    rhs) cells of one case on its tiled grid ``pts``: ``points`` are the rows
+    of ``pts`` the cell records, each side one row per point; ``field`` is
+    None for the check's own cells and otherwise names a side law, one of the
+    (field, tolerance) pairs of ``sides``.  ``rescalings`` holds the case's
     (rescaling, rescaled model, inputs) triples of :func:`_rescalings`, each
     rescaling driven by a stacked rule field and ``inputs`` mapping each case
     density and coupling to its transformed object.  The original model has
@@ -344,9 +342,9 @@ def _law(config, variants, check_id, tol, cells, sides=()):
     for case in config.cases:
         pts, alphas = _grid(config, case)
         with _user_rows(config, case):
-            for field_name, lhs, rhs in cells(case, pts, alphas,
-                                              _rescalings(config, case, alphas, variants)):
-                res[field_name].add(pts[:len(lhs)], lhs, rhs)
+            for field_name, points, lhs, rhs in cells(case, pts, alphas,
+                                                      _rescalings(config, case, alphas, variants)):
+                res[field_name].add(points, lhs, rhs)
     return res[None].report(check_id, tol, [(f, res[f], t) for f, t in sides])
 
 
@@ -358,9 +356,9 @@ def _structural(config, law):
     potential block, and on each of its rescaled variants."""
     def cells(case, pts, alphas, rescalings):
         block = _block(config, case)
-        yield None, *(side[:block] for side in law(case.model, alphas, pts))
+        yield None, pts[:block], *(side[:block] for side in law(case.model, alphas, pts))
         for _, varied, _ in rescalings:
-            yield None, *law(varied, alphas, pts)
+            yield None, pts, *law(varied, alphas, pts)
     return cells
 
 
@@ -390,9 +388,9 @@ def _shift_law(config, tol, variants, check_id, quantity, prediction, side=None)
         base = quantity(case.model, alphas, pts).components
         for resc, varied, _ in rescalings:
             pred = prediction(case.model, resc, pts).components
-            yield None, pred, quantity(varied, alphas, pts).components - base
+            yield None, pts, pred, quantity(varied, alphas, pts).components - base
             if side:
-                yield side[0], *side[2](case.model, resc, pts, pred)
+                yield side[0], pts, *side[2](case.model, resc, pts, pred)
     return _law(config, variants, check_id, tol, cells, [side[:2]] if side else ())
 
 
@@ -415,9 +413,8 @@ def _check_ricci_shift(config, tol, variants):
 # -- operator invariances ---------------------------------------------------
 
 
-def _invariance(operator, s, model, rescalings, pts, *inputs):
-    """The (r; s) law on one grid: the original side's value, and the law's
-    cells on each rescaled batch.
+def _invariance(operator, s, model, rescalings, pts, *inputs, side=None):
+    """The (r; s) law's cells on one grid, one per rescaled batch.
 
     The law: ``operator`` on the rescaled model, applied to the weighted
     inputs each rescaled to eta^r f, equals eta^s times ``operator`` on the
@@ -426,18 +423,22 @@ def _invariance(operator, s, model, rescalings, pts, *inputs):
     to its transformed object, whose field is eta^r f.  ``operator(model,
     *inputs, pts)`` takes the whole grid as one batch and returns per-row
     scalars or tensor components.  The original side, before any eta^s
-    factor, does not depend on the potential and is computed once; each cell
-    is (rescaled model, its inputs, lhs, rhs).
+    factor, does not depend on the potential and is computed once.
+    ``side``, if given, is a (field, law) side law: ``law(model, *inputs,
+    pts)`` against each value of ``operator`` computed here, on the rescaled
+    models and then on the original.
     """
     base = operator(model, *inputs, pts)
-    cells = []
     for resc, varied, transformed in rescalings:
         scaled = [transformed[i] for i in inputs]
-        rhs = base
+        lhs, rhs = operator(varied, *scaled, pts), base
         if s != 0.0:
             rhs = np.reshape(resc.eta(pts) ** s, (-1,) + (1,) * (np.ndim(base) - 1)) * base
-        cells.append((varied, scaled, operator(varied, *scaled, pts), rhs))
-    return base, cells
+        yield None, pts, lhs, rhs
+        if side:
+            yield side[0], pts, lhs, side[1](varied, *scaled, pts)
+    if side:
+        yield side[0], pts, base, side[1](model, *inputs, pts)
 
 
 def _hessian_k(config, case):
@@ -450,24 +451,17 @@ def _check_hessian_inv(config, tol, variants):
         spec = HessianSpec(_hessian_k(config, case))
         op = lambda m, d, p: modified_hessian(m, alphas, spec, d.f, p).components
         for density in case.densities:
-            _, batches = _invariance(op, 1.0, case.model, rescalings, pts, density)
-            for _, _, lhs, rhs in batches:
-                yield None, lhs, rhs
+            yield from _invariance(op, 1.0, case.model, rescalings, pts, density)
     return _law(config, variants, "hessian_inv", tol, cells)
 
 
 def _check_laplacian_inv(config, tol, variants):
     def cells(case, pts, alphas, rescalings):
         op = lambda m, d, p: cup_laplacian(m, alphas, d.f, p)
+        decomposed = lambda m, d, p: cup_laplacian_decomposed(m, alphas, d.f, p)
         for density in case.densities:
-            base, batches = _invariance(op, config.laplacian_s, case.model, rescalings, pts,
-                                        density)
-            for varied, (scaled,), lhs, rhs in batches:
-                yield None, lhs, rhs
-                yield "decomp_residual", lhs, cup_laplacian_decomposed(varied, alphas, scaled.f,
-                                                                       pts)
-            yield "decomp_residual", base, cup_laplacian_decomposed(case.model, alphas, density.f,
-                                                                    pts)
+            yield from _invariance(op, config.laplacian_s, case.model, rescalings, pts, density,
+                                   side=("decomp_residual", decomposed))
     return _law(config, variants, "laplacian_inv", tol, cells,
                 [("decomp_residual", DECOMPOSITION_TOLERANCE)])
 
@@ -478,27 +472,23 @@ def _check_nonlinear_inv(config, tol, variants):
         op = lambda m, d, c, p: nonlinear_cup_operator(m, alphas, d.f, c, p)
         for density in case.densities:
             for c in case.couplings:
-                _, batches = _invariance(op, 0.0, case.model, rescalings, pts, density, c)
-                for _, _, lhs, rhs in batches:
-                    yield None, lhs, rhs
+                yield from _invariance(op, 0.0, case.model, rescalings, pts, density, c)
     return _law(config, variants, "nonlinear_inv", tol, cells)
 
 
 def _check_integrability(config, tol, variants):
-    """Recorded on the first potential block of each case's grid."""
-    res = _Residuals()
-    flat = 0
-    for case in config.cases:
-        pts, alphas = _grid(config, case)
+    """Recorded on the curved rows of the first potential block of each case's
+    grid; the block's other rows are its flat points."""
+    def cells(case, pts, alphas, rescalings):
         block = _block(config, case)
-        with _user_rows(config, case):
-            k = _hessian_k(config, case)
-            riem = riemann(case.model, alphas, pts).components[:block]
-            curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
-            flat += block - int(np.count_nonzero(curved))
-            predicted = ricci_reconstruction(ricci(case.model, alphas, pts).components[:block], k)
-        res.add(pts[:block][curved], riem[curved], predicted[curved])
-    return res.report("integrability", tol, flat_points=flat)
+        riem = riemann(case.model, alphas, pts).components[:block]
+        curved = ~(np.abs(riem).max(axis=(-4, -3, -2, -1)) <= tol)
+        predicted = ricci_reconstruction(ricci(case.model, alphas, pts).components[:block],
+                                         _hessian_k(config, case))
+        yield None, pts[:block][curved], riem[curved], predicted[curved]
+    report = _law(config, variants, "integrability", tol, cells)
+    blocks = sum(_block(config, case) for case in config.cases)
+    return dataclasses.replace(report, flat_points=blocks - report.points_evaluated)
 
 
 _CHECK_FUNCTIONS = {

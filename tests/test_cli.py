@@ -258,6 +258,14 @@ class TestLaplacian:
         assert rc == 0
         assert "(mu=0, sigma=1)  laplacian = -1" in out
 
+    def test_a_coupling_needs_only_its_value(self, capsys):
+        # sqrt's derivative 1/(2 sqrt(mu)) fails at mu = 0, but no order uses it
+        rc, out, err = run_cli("laplacian", "--model", "gaussian", "--point", "0,1",
+                               "--density", "1", "--lambda", "sqrt(mu)", "--a", "2",
+                               capsys=capsys)
+        assert (rc, err) == (0, "")
+        assert "laplacian = -1  with coupling = -1" in out
+
     def test_density_required(self, capsys):
         rc, _, err = run_cli("laplacian", "--model", "gaussian",
                              "--point", "0,1", capsys=capsys)

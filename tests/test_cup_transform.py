@@ -342,12 +342,13 @@ def test_a_failing_row_of_a_per_row_transformed_coupling_is_named_as_itself():
         lam.jet(ROW_POINTS, 0)
 
 
-def test_an_error_in_a_rules_own_arithmetic_names_the_batch():
-    # eta = exp(-800) is zero at row 1, and a fractional power of zero raises
+def test_an_error_in_a_rules_own_arithmetic_names_its_row():
+    # eta = exp(-800) is zero at row 1, and a fractional power of zero raises:
+    # the rule computes each row from its own inputs, so the flagged row fails
     lam = transform_coupling(NonlinearCoupling(GAUSS.scalar_field("2"), 0.5),
                              make_rescaling(ROW_ALPHAS, GAUSS.scalar_field("-800*mu"))).lam
     with pytest.raises(DomainError, match=(
-            r"^eta\^-0\.5 times field '2' failed at a batch of 3 points: "
+            r"^eta\^-0\.5 times field '2' failed at \(1\.0, 1\.0\) \(row 1\): "
             r"zero base raised to fractional exponent -0\.5$")):
         lam.jet(ROW_POINTS, 0)
 

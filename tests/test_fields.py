@@ -205,6 +205,33 @@ def test_a_batch_fails_as_its_first_failing_point_fails_alone(kind):
     assert str(batch.value) == str(alone.value).replace(f"{bad}", f"{bad} (row 1)", 1)
 
 
+# (expression, mu): at this mu a derivative coefficient fails (1/mu at
+# mu = 0 raises alone and gives an inf in a batch) that a low order never uses
+UNUSED_COEFFICIENTS = [("sqrt(mu)", 0.0), ("sqrt(mu)*sigma", 0.0), ("0*sqrt(mu)", 0.0),
+                       ("mu^-1", 1e-160), ("sqrt(mu - 1)", 1.0)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("source, mu", UNUSED_COEFFICIENTS)
+def test_a_row_of_a_batch_fails_exactly_when_its_point_fails_alone(source, mu, order):
+    """A jet computes a derivative coefficient only at an order that uses it, so
+    each value is finite at order 0, and the point fails alone as its row fails
+    behind (2, 1), with the same message, or gives that row's parts bitwise."""
+    field, point = GAUSS.scalar_field(source), (mu, 1.0)
+    batch = np.array([(2.0, 1.0), point])
+    try:
+        alone = field.jet(np.array(point), order)
+    except CupGeoError as e:
+        assert order > 0
+        with pytest.raises(type(e)) as failed:
+            field.jet(batch, order)
+        assert str(failed.value) == str(e).replace(f"{point}", f"{point} (row 1)", 1)
+        return
+    rows = field.jet(batch, order)
+    for k in range(order + 1):
+        assert np.array_equal(rows.deriv(k)[1], alone.deriv(k))
+
+
 def test_a_batch_names_its_first_failing_row_not_the_first_row_an_operation_flags():
     # log(mu) flags row 1 first, but row 0 fails too, at log(sigma - 1.5)
     f = GAUSS.scalar_field("log(mu) + log(sigma - 1.5)")

@@ -120,7 +120,7 @@ def test_a_mutant_reaches_a_function_table_and_the_unrolled_code():
 
     assert d1_of_log() == [0.5]
     with pytest.MonkeyPatch.context() as patch:
-        plant(patch, jets, "log", "inv = 1.0 / x.value", "inv = 1.5 / x.value")
+        plant(patch, jets, "log", "inv = lambda: 1.0 / x.value", "inv = lambda: 1.5 / x.value")
         assert d1_of_log() == [0.75]
     assert d1_of_log() == [0.5]
 

@@ -482,8 +482,8 @@ def test_potentials_share_a_batch_while_its_n4_arrays_stay_small(model, size):
 
 
 def test_batches_split_the_potentials_evenly(monkeypatch):
-    """Room for two of three potentials gives three batches of one, so the
-    original model keeps one grid."""
+    """A case's potentials share one rescaling or take one each: room for two of
+    three gives three rescalings of one, so the original model keeps one grid."""
     case = _three_potentials()
     config = SuiteConfig(cases=(case,), alphas=verify.DEFAULT_ALPHAS)
     block = len(config.alphas) * len(case.points) * 2 ** 4 * 8
@@ -491,6 +491,20 @@ def test_batches_split_the_potentials_evenly(monkeypatch):
     monkeypatch.setattr(verify, "POTENTIAL_BATCH_BYTES", 2 * block)
     assert verify._batch_size(config, case) == 1
     assert len(verify._rescalings(config, case, verify._grid(config, case)[1], {})) == 3
+
+
+def test_potentials_that_do_not_all_fit_take_one_rescaling_each(monkeypatch):
+    """Room for two of four potentials gives four rescalings of one, not two of
+    two, and the suite reports what it reports with all four stacked."""
+    case = dataclasses.replace(_three_potentials(), potentials=_three_potentials().potentials
+                               + (GAUSS.scalar_field("0.05*mu^2"),))
+    config = SuiteConfig(cases=(case,), alphas=verify.DEFAULT_ALPHAS)
+    stacked = run_suite(config).reports
+    block = len(config.alphas) * len(case.points) * 2 ** 4 * 8
+    monkeypatch.setattr(verify, "POTENTIAL_BATCH_BYTES", 2 * block)
+    assert verify._batch_size(config, case) == 1
+    assert len(verify._rescalings(config, case, verify._grid(config, case)[1], {})) == 4
+    assert run_suite(config).reports == stacked
 
 
 def test_an_error_names_the_row_of_the_users_grid():
