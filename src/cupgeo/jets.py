@@ -396,12 +396,14 @@ def constant_at(value, coords, order):
 # -- finite-difference jets for black-box callables ------------------------
 
 
-def finite_difference_jet(fn, coords, order):
+def finite_difference_jet(fn, coords, order, max_steps=None):
     """Jet of a black-box callable, via fourth-order central differences.
 
     ``fn`` may return a float or an ndarray; array values give a jet whose
     derivative axes trail the value axes, i.e. the jet of a whole tensor
-    field in one pass.  Each axis takes one step, h_i = eps^(1/4) max(1, |x_i|):
+    field in one pass.  Each axis takes one step, h_i = eps^(1/4) max(1, |x_i|),
+    or ``max_steps(x)[i]`` where that is smaller (a domain keeps the stencil
+    off its faces so):
     the first and the diagonal second partial along i share the values at
     x +- h_i e_i and x +- 2 h_i e_i, and a mixed partial differences along j
     at those four points, so an order-2 jet makes 1 + 8n^2 - 4n calls.  Each
@@ -416,13 +418,15 @@ def finite_difference_jet(fn, coords, order):
         raise UnsupportedOrderError(f"finite-difference order must be in [0, {MAX_ORDER}]")
     x = np.asarray(coords, dtype=float)
     if x.ndim == 2:
-        rows = [finite_difference_jet(fn, row, order) for row in x]
+        rows = [finite_difference_jet(fn, row, order, max_steps) for row in x]
         parts = [np.stack([j.deriv(k) for j in rows]) for k in range(order + 1)]
         return Jet(x.shape[1], order, *parts)
     n = x.size
     f0 = np.asarray(fn(x.copy()), dtype=float)
     jet = Jet.constant(float(f0) if f0.ndim == 0 else f0, n, order)
     steps = [_EPS ** 0.25 * max(1.0, abs(c)) for c in x]
+    if max_steps is not None:
+        steps = [min(h, float(cap)) for h, cap in zip(steps, max_steps(x))]
 
     def pairs(g, point, i):
         """g at point +- k h_i e_i for k = 1, 2, as two symmetric pairs."""

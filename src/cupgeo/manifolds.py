@@ -50,6 +50,7 @@ from .tensor_core import (
 )
 
 DOMAIN_MARGIN = 1e-6
+FD_FACE_DIVISOR = 40  # a finite-difference step is at most 1/40 of the distance to the nearest face
 MAX_DIM = 32  # the cost of building and evaluating a model grows steeply with its dimension
 MC_BATCH_SIZE = 16_384  # continuous-family samples drawn and reduced at a time by the MC oracle
 
@@ -70,11 +71,12 @@ class Domain:
     simplex: bool = False
 
     def __post_init__(self):
-        # the faces pulled in by the margin, as arrays every row is compared against
-        object.__setattr__(self, "_lo", np.array(
-            [-np.inf if lo is None else lo + DOMAIN_MARGIN for lo, _ in self.bounds]))
-        object.__setattr__(self, "_hi", np.array(
-            [np.inf if hi is None else hi - DOMAIN_MARGIN for _, hi in self.bounds]))
+        # the faces, and the faces pulled in by the margin that every row is compared against
+        lo = np.array([-np.inf if lo is None else lo for lo, _ in self.bounds], dtype=float)
+        hi = np.array([np.inf if hi is None else hi for _, hi in self.bounds], dtype=float)
+        object.__setattr__(self, "_faces", (lo, hi))
+        object.__setattr__(self, "_lo", lo + DOMAIN_MARGIN)
+        object.__setattr__(self, "_hi", hi - DOMAIN_MARGIN)
 
     def contains(self, p):
         """Whether one point lies inside; for a ``(P, n)`` batch, one bool per row."""
@@ -86,6 +88,18 @@ class Domain:
             if self.simplex:
                 inside &= x.sum(axis=-1) <= 1.0 - DOMAIN_MARGIN
         return inside if inside.ndim else bool(inside)
+
+    def max_steps(self, x):
+        """The largest finite-difference step along each axis at the point ``x``
+        inside: 1/:data:`FD_FACE_DIVISOR` of the distance to the nearest face
+        along that axis (a box bound, or for a simplex the face where the
+        coordinates sum to 1), so the stencil, which reaches two steps along
+        an axis, stays well inside.  Unbounded axes give inf."""
+        lo, hi = self._faces
+        distance = np.minimum(x - lo, hi - x)
+        if self.simplex:
+            distance = np.minimum(distance, 1.0 - x.sum())
+        return distance / FD_FACE_DIVISOR
 
 
 def unbounded_domain(dim):
@@ -354,8 +368,10 @@ def _gaussian_sampler(point, size, rng):
 
 def _gaussian_log_likelihood(d, coord_jets):
     mu, sigma = coord_jets
-    z = (d + (mu.value - mu)) / sigma
-    return -jets.log(sigma) - 0.5 * (z * z) - 0.5 * _LOG_2PI
+    # the point-level terms are combined before they meet the batch, and z
+    # is squared in one chain-rule pass, not by the product rule's three
+    z = (d + (mu.value - mu)) * (1.0 / sigma)
+    return -0.5 * z ** 2 - (jets.log(sigma) + 0.5 * _LOG_2PI)
 
 
 def gaussian_model():
@@ -508,27 +524,35 @@ def _moment_sums(s, weights=None):
     Returns the sums of s_i s_j, (s_i s_j)^2, s_i s_j s_k and
     (s_i s_j s_k)^2 as ``(n, n)``, ``(n, n)``, ``(n, n, n)`` and
     ``(n, n, n)`` arrays, each column counted ``weights[c]`` times (once
-    each for ``weights=None``).  Each is formed by matrix products, so BLAS
-    does the summing, reading one run of memory per row of ``s``.  The
-    triple sums form only the sorted index classes i <= j <= k: for each
-    leading index i, rows ``i:`` scaled by the weighted row i are written
-    into a slice of one reused ``(n, size)`` buffer and multiplied by rows
-    ``i:``, filling ``[i, i:, i:]``.  The other entries stay zero;
+    each for ``weights=None``).  Every sum forms only the sorted index
+    classes, i <= j and i <= j <= k: for each leading index i, rows ``i:``
+    scaled by the weighted row i are written into a slice of one reused
+    ``(n, size)`` buffer.  Its row sums fill the pair sums ``[i, i:]``, and
+    the buffer times rows ``i:`` fills the triple sums ``[i, i:, i:]``, so
+    BLAS does that summing, reading one run of memory per row.  No array is
+    multiplied by its own transpose: numpy sends such a product to BLAS's
+    symmetric rank-k update (syrk), which at n = 2 and 16 384 columns takes
+    about five times as long as a general product.  With no weights the
+    score itself stands for the weighted one, so weighted and unweighted
+    sums take one path, and unit weights give their bits.  The other
+    entries stay zero;
     :func:`~cupgeo.tensor_core._mirror_sorted` reads only the sorted ones.
     """
     n, size = s.shape
     sq = s * s
     ws, wsq = (s, sq) if weights is None else (s * weights, sq * weights)
     buffer = np.empty((n, size))
-    triple = np.zeros((n, n, n))
-    triple_sq = np.zeros((n, n, n))
+    pair, pair_sq = np.zeros((n, n)), np.zeros((n, n))
+    triple, triple_sq = np.zeros((n, n, n)), np.zeros((n, n, n))
     for i in range(n):
         scaled = buffer[:n - i]
         np.multiply(s[i:], ws[i], out=scaled)
+        pair[i, i:] = scaled.sum(axis=1)
         triple[i, i:, i:] = scaled @ s[i:].T
         np.multiply(sq[i:], wsq[i], out=scaled)
+        pair_sq[i, i:] = scaled.sum(axis=1)
         triple_sq[i, i:, i:] = scaled @ sq[i:].T
-    return ws @ s.T, wsq @ sq.T, triple, triple_sq
+    return pair, pair_sq, triple, triple_sq
 
 
 def estimate_fisher_tensors(spec, p):
@@ -540,8 +564,11 @@ def estimate_fisher_tensors(spec, p):
     :data:`MC_BATCH_SIZE` at a time, so peak memory scales with the batch
     size times the dimension, not with the count, and reduces each batch as
     it is drawn: the batch adds its sums of score products and of their
-    squares, formed by :func:`_moment_sums`, and its jets and score are
-    freed before the next one is drawn.  The block is cache-sized: a jet
+    squares, formed by :func:`_moment_sums` (the pair sums as row sums of
+    the products the triple sums already form, not as a product of the
+    score with its own transpose, which numpy hands to a slower BLAS
+    routine), and its jets and score are freed before the next one is
+    drawn.  The block is cache-sized: a jet
     part of a batch takes 128 KiB per derivative slot, so the jet
     arithmetic and the products reread it from the processor's cache, not
     from main memory.  The Gaussian sampler draws the same stream in blocks
@@ -674,6 +701,8 @@ def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, 
 
     The callables must be pure: the same point always gives the same
     components, since the model's geometry is computed once per point.
+    Both fields keep their stencils inside ``domain`` (see
+    :meth:`Domain.max_steps`).
     """
     dim = require_integer(dim, "model dimension", 1, MAX_DIM)
     if len(coord_names) != dim:
@@ -681,8 +710,8 @@ def model_from_callables(dim, coord_names, metric_fn, skewness_fn, domain=None, 
     domain = domain if domain is not None else unbounded_domain(dim)
     return ManifoldModel(
         coord_names=coord_names,
-        metric=NumericField(metric_fn, dim, rank=2),
-        skewness=NumericField(skewness_fn, dim, rank=3),
+        metric=NumericField(metric_fn, dim, rank=2, domain=domain),
+        skewness=NumericField(skewness_fn, dim, rank=3, domain=domain),
         domain=domain,
         name=name,
     )

@@ -371,14 +371,17 @@ class NumericField(Field):
     has the entry of each sorted index class copied into every permutation of
     it (:func:`_mirror_sorted`, over the component axes alone): the jet is
     bitwise symmetric, and an asymmetric callable reads as its sorted entries.
+    A ``domain`` (a :class:`cupgeo.manifolds.Domain`) caps each step by its
+    ``max_steps``, so the stencil stays well inside it near a face.
     """
 
     mode = "fd"
 
-    def __init__(self, fn, dim, rank=0):
+    def __init__(self, fn, dim, rank=0, domain=None):
         self.fn = fn
         self.dim = dim
         self.rank = rank
+        self.domain = domain
         self.label = f"{'tensor ' if rank else ''}callable {_callable_name(fn)!r}"
 
     def _value(self, x):
@@ -388,6 +391,7 @@ class NumericField(Field):
         return arr
 
     def _jet(self, coords, order):
-        jet = jets.finite_difference_jet(self._value, coords, order)
+        max_steps = None if self.domain is None else self.domain.max_steps
+        jet = jets.finite_difference_jet(self._value, coords, order, max_steps)
         lead = np.ndim(coords) - 1
         return jet if self.rank < 2 else jet.map(lambda a: _mirror_sorted(a, self.rank, lead))
