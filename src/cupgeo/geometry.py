@@ -50,6 +50,8 @@ from .jets import _bc, constant_at
 from .tensor_core import (
     Field,
     Tensor,
+    _all_of,
+    _any_of,
     _readonly,
     as_coords,
     first_false,
@@ -104,21 +106,31 @@ def _finite(value, quantity, x, **params):
     overflow arrives here as inf or nan, not as a numpy warning.
     """
     finite = np.isfinite(value)
-    if finite.all():
+    if _all_of(finite):
         return value
     row = first_false(finite, x)
     at = ", ".join(f"{name} = {v[row] if np.ndim(v) else v:g}" for name, v in params.items())
     raise EvaluationError(f"{quantity} is not finite at {point_text(x, row)}; {at}")
 
 
+def _transposed(a, *axes):
+    """A view of ``a`` with its trailing axes reordered as ``axes`` (negative,
+    counted from the end) and its batch axes left in front: the single-operand
+    ``np.einsum("...ijm->...mij", a)`` is ``_transposed(a, -1, -3, -2)``."""
+    return a.transpose(*range(a.ndim - len(axes)), *axes)
+
+
 def _shifted(base, alpha, term):
     """``base - (alpha/2) * term()``, row by row for an alpha array.
 
-    A float alpha is one row.  A row at alpha = 0 keeps ``base`` by a select,
-    not by a product with zero: its term (a skewness product that overflowed
-    to inf, say) cannot make it nan, and a -0.0 in ``base`` keeps its sign.
-    When no row has a nonzero alpha, ``term`` is not called.
+    A row at alpha = 0 keeps ``base``, not a product with zero: its term (a
+    skewness product that overflowed to inf, say) cannot make it nan, and a
+    -0.0 in ``base`` keeps its sign.  A float alpha holds for every row, so
+    its shift is one product; an array selects row by row.  When no row has
+    a nonzero alpha, ``term`` is not called.
     """
+    if type(alpha) is float:
+        return base if alpha == 0.0 else base - 0.5 * alpha * term()
     if not np.count_nonzero(alpha):
         return base
     alpha = _bc(alpha, np.ndim(base) - 1)
@@ -160,16 +172,33 @@ class NonlinearCoupling:
             raise ConfigError("nonlinearity exponent a must be nonzero")
 
 
+class _stage(cached_property):
+    """A geometry stage: a :class:`functools.cached_property` whose first access
+    computes and stores the value without the lock that Python 3.11's takes
+    on every first access.  Two threads reading one new stage at once may
+    both compute it; the stages are pure, so both store the same value."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class PointGeometry:
     """Lazily computed geometric data of one model at one point or a batch.
 
     Construction is the one place where points are checked: every point
     against the model domain, then ``alpha`` (a float, or one per row of a
-    batch) for finiteness.  It keeps a
-    read-only copy of the coordinates as ``p`` (shape ``(n,)`` or
-    ``(P, n)``); every array is computed at most once per instance and is
-    read-only.  Each construction is a fresh instance: the operators share
-    instances through :func:`point_geometry` instead.
+    batch) for finiteness.  It keeps a read-only copy of the coordinates as
+    ``p`` (shape ``(n,)`` or ``(P, n)``), the checked ``alpha``, and each
+    stage it has computed: the metric and skewness jets its fields hand out,
+    then every array below, each computed at most once per instance, on
+    first access, and read-only.  One point runs the same stage code as a
+    batch, and gives bit for bit row 0 of its one-row batch; at a float alpha
+    the skewness shift is one product, not a select by alpha.  Each
+    construction is a fresh instance: the operators share instances through
+    :func:`point_geometry` instead.
 
     The instance holds the model's metric and skewness fields, not the
     model, so the geometry a model keeps forms no reference cycle.
@@ -181,11 +210,11 @@ class PointGeometry:
         self.p = _readonly(np.array(model.require_inside(p)))
         self.alpha = require_alpha(alpha, self.p)
 
-    @cached_property
+    @_stage
     def _gjet(self):
         return self._metric.jet(self.p, 2)  # its parts are read-only
 
-    @cached_property
+    @_stage
     def _tjet(self):
         return self._skewness.jet(self.p, 1)
 
@@ -209,48 +238,48 @@ class PointGeometry:
     def dt(self):
         return self._tjet.d1
 
-    @cached_property
+    @_stage
     def ginv(self):
         return _readonly(invert_metric(self.g, at=self.p))
 
-    @cached_property
+    @_stage
     def dginv(self):
         # d_l g^{ab} = -g^{am} (d_l g_{mq}) g^{qb}
         return _readonly(-np.einsum("...am,...mql,...qb->...abl", self.ginv, self.dg, self.ginv))
 
-    @cached_property
+    @_stage
     def _lowered(self):
         # A[m, i, j] = (1/2)(d_i g_{jm} + d_j g_{im} - d_m g_{ij})
         dg = self.dg
         return _readonly(0.5 * (
-            np.einsum("...jmi->...mij", dg) + np.einsum("...imj->...mij", dg)
-            - np.einsum("...ijm->...mij", dg)
+            _transposed(dg, -2, -1, -3) + _transposed(dg, -2, -3, -1)
+            - _transposed(dg, -1, -3, -2)
         ))
 
-    @cached_property
+    @_stage
     def gamma0(self):
         return _readonly(np.einsum("...km,...mij->...kij", self.ginv, self._lowered))
 
-    @cached_property
+    @_stage
     def skew_mixed(self):
         # (t . g^{-1})^k_{ij} = t_{ijm} g^{mk}
         return _readonly(np.einsum("...ijm,...mk->...kij", self.t, self.ginv))
 
-    @cached_property
+    @_stage
     @np.errstate(all="ignore")
     def gamma(self):
         gamma = _shifted(self.gamma0, self.alpha, lambda: self.skew_mixed)
         return _readonly(_finite(gamma, "alpha-connection", self.p, alpha=self.alpha))
 
-    @cached_property
+    @_stage
     @np.errstate(all="ignore")
     def dgamma(self):
         # d_l of gamma, by the product rule on g^{-1}, the lowered symbol,
         # and the skewness correction
+        d2g = self.d2g
         dA = 0.5 * (
-            np.einsum("...jmil->...mijl", self.d2g)
-            + np.einsum("...imjl->...mijl", self.d2g)
-            - np.einsum("...ijml->...mijl", self.d2g)
+            _transposed(d2g, -3, -2, -4, -1) + _transposed(d2g, -3, -4, -2, -1)
+            - _transposed(d2g, -2, -4, -3, -1)
         )
         out = np.einsum("...kml,...mij->...kijl", self.dginv, self._lowered)
         out += np.einsum("...km,...mijl->...kijl", self.ginv, dA)
@@ -262,21 +291,21 @@ class PointGeometry:
 
         return _readonly(_shifted(out, self.alpha, dskew))
 
-    @cached_property
+    @_stage
     @np.errstate(all="ignore")
     def riemann(self):
         dG = self.dgamma
-        curl = np.einsum("...kijl->...kjli", dG) - np.einsum("...kijl->...kjil", dG)
+        curl = _transposed(dG, -4, -2, -1, -3) - _transposed(dG, -4, -2, -3, -1)
         quad = np.einsum("...ikm,...mlj->...ijkl", self.gamma, self.gamma)
         quad = quad - np.swapaxes(quad, -1, -2)
         return _readonly(_finite(curl + quad, "curvature", self.p, alpha=self.alpha))
 
-    @cached_property
+    @_stage
     def ricci(self):
         ricci = np.einsum("...kjkl->...jl", self.riemann)
         return _readonly(_finite(ricci, "Ricci curvature", self.p, alpha=self.alpha))
 
-    @cached_property
+    @_stage
     def scalar(self):
         scalar = _real(np.einsum("...jl,...jl->...", self.ginv, self.ricci))
         return _readonly(_finite(scalar, "scalar curvature", self.p, alpha=self.alpha))
@@ -324,7 +353,7 @@ def covariant_derivative_metric(model, alpha, p):
     metric/skewness pairing.
     """
     ws = point_geometry(model, alpha, p)
-    comps = np.einsum("...ijk->...kij", ws.dg)
+    comps = _transposed(ws.dg, -1, -3, -2)
     comps = comps - np.einsum("...lki,...lj->...kij", ws.gamma, ws.g)
     comps = comps - np.einsum("...lkj,...il->...kij", ws.gamma, ws.g)
     return Tensor(comps)
@@ -467,13 +496,13 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
     fval = fj.value
     lam = _field_jet(coupling.lam, model, x, 0, "coupling").value
     a = coupling.a
-    if not a.is_integer() and np.any(np.less(fval, 0.0)):
+    if not a.is_integer() and _any_of(fval < 0.0):
         row = first_false(np.greater_equal(fval, 0.0), x)
         raise DomainError(
             f"density value {np.reshape(fval, -1)[row]} is negative at {point_text(x, row)}; "
             f"exponent {a} needs a positive base"
         )
-    if a < 0.0 and np.any(np.equal(fval, 0.0)):
+    if a < 0.0 and _any_of(fval == 0.0):
         row = first_false(np.not_equal(fval, 0.0), x)
         raise DomainError(f"density vanishes at {point_text(x, row)}; exponent {a} is negative")
     with np.errstate(all="ignore"):

@@ -161,7 +161,7 @@ class ExprTensorField(Field):
     def _jet(self, coords, order):
         parts = self.program.jet_parts(self.coord_names, coords, order)
         axis = np.ndim(coords) - 1
-        return jets.Jet(self.dim, order, *(np.take(p, self._rows, axis=axis) for p in parts))
+        return jets.Jet(self.dim, order, *(p.take(self._rows, axis=axis) for p in parts))
 
 
 class ExprScalarField(Field):
@@ -176,7 +176,7 @@ class ExprScalarField(Field):
     def _jet(self, coords, order):
         parts = self.expression.program.jet_parts(self.coord_names, coords, order)
         axis = np.ndim(coords) - 1
-        parts = [np.take(p, 0, axis=axis) for p in parts]
+        parts = [p.take(0, axis=axis) for p in parts]
         return jets.Jet(self.dim, order, float(parts[0]) if not axis else parts[0], *parts[1:])
 
 

@@ -107,6 +107,18 @@ _BOOLS = frozenset((bool, np.bool_))
 _FLOAT = np.dtype(float)
 
 
+def _all_of(flags):
+    """Whether every one of ``flags`` is set: one bool (numpy's or Python's) at a
+    point, an array of them over a batch.  A numpy bool's own ``all`` is a
+    reduction, which costs a microsecond more than reading it."""
+    return bool(flags.all()) if type(flags) is np.ndarray else bool(flags)
+
+
+def _any_of(flags):
+    """Whether any one of ``flags`` is set, read as :func:`_all_of` reads them."""
+    return bool(flags.any()) if type(flags) is np.ndarray else bool(flags)
+
+
 def first_false(ok, x):
     """The first row of ``x`` (0 for one point) with a False among its entry
     flags: ``ok`` leads with the batch axes of ``x``."""
@@ -141,9 +153,9 @@ def invert_metric(g, at=None):
     evaluated at, lets the message name the first offending point.
     """
     m = np.asarray(g, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+    eigs = np.linalg.eigvalsh(0.5 * (m + m.swapaxes(-1, -2)))
     positive = eigs[..., 0] > 0.0
-    if not np.all(positive):
+    if not _all_of(positive):
         row = first_false(positive, eigs)
         low = float(eigs[..., 0].reshape(-1)[row])
         where = "" if at is None else f" at {point_text(np.asarray(at), row)}"
@@ -152,7 +164,7 @@ def invert_metric(g, at=None):
             min_eigenvalue=low,
         )
     inv = np.linalg.inv(m)
-    return 0.5 * (inv + np.swapaxes(inv, -1, -2))
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 # -- fields -----------------------------------------------------------------
@@ -171,6 +183,11 @@ class _Misshapen(Exception):
     failure :func:`field_jet` names the point of."""
 
 
+def _parts(jet):
+    """The value and derivative arrays of ``jet``, in order."""
+    return (jet.value, jet.d1, jet.d2)[:jet.order + 1]
+
+
 def _checked(compute, x, order):
     """``compute(x, order)`` as ``(jet, None)``, or ``(None, failure)``: the
     ArithmeticError or :class:`_Misshapen` it raised, or, for an entry that
@@ -181,7 +198,7 @@ def _checked(compute, x, order):
         return None, e
     if not isinstance(jet, jets.Jet):
         jet = jets.constant_at(jet, x, order)
-    parts = [jet.deriv(k) for k in range(jet.order + 1)]
+    parts = _parts(jet)
     # a finite sum of squares proves every entry finite: only a non-finite
     # one needs the entry-by-entry check
     if math.isfinite(sum(np.vdot(part, part) for part in parts)):
@@ -238,9 +255,12 @@ class Field:
     the ``coord_names`` of the chart it is written in (None when it names
     none) and a ``label`` that names it in error messages.  A subclass gives
     ``label`` and ``_jet(coords, order)``; :meth:`jet` is the one checked
-    evaluation.  It keeps its last jet (read-only parts, keyed by the shape and
-    bytes of the coordinates) for the same coordinates at the same or a lower
-    order, read off by truncation, which is exact; so evaluation must be pure.
+    evaluation.  It keeps the parts of its last jet (a tuple of the value and
+    derivative arrays, each read-only, keyed by the shape and bytes of the
+    coordinates) and answers the same coordinates at the same or a lower order
+    from them, by truncation, which is exact; so evaluation must be pure.
+    Each answer is a new :class:`~cupgeo.jets.Jet` around the kept parts, so a
+    caller that rebinds a part of it changes no later answer.
     A failing batch runs its rows again alone unless ``_rerun`` is false
     (see :func:`field_jet`).
     """
@@ -262,11 +282,12 @@ class Field:
         if x.shape[-1] != self.dim:
             raise DimensionMismatchError(
                 f"{self.label} takes {self.dim} coordinates, got {x.shape[-1]}")
-        key, jet = (x.shape, x.tobytes()), self._kept[1]
-        if self._kept[0] != key or jet.order < order:
-            jet = field_jet(self.label, x, order, self._jet, self._rerun).map(_readonly)
-            self._kept = (key, jet)
-        return jets.Jet(jet.dim, order, *(jet.deriv(k) for k in range(order + 1)))
+        key, parts = (x.shape, x.tobytes()), self._kept[1]
+        if self._kept[0] != key or len(parts) <= order:
+            jet = field_jet(self.label, x, order, self._jet, self._rerun)
+            parts = tuple(_readonly(part) for part in _parts(jet))
+            self._kept = (key, parts)
+        return jets.Jet(self.dim, order, *parts[:order + 1])
 
     def _jet(self, coords, order):
         raise NotImplementedError

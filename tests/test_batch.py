@@ -208,6 +208,55 @@ def test_an_alpha_array_matches_one_call_per_alpha_bitwise(name):
         assert _same_bits(got, want), label
 
 
+def _point_quantities(model, alpha, p):
+    """The geometry stages and the four scalar-density operators of ``model`` at
+    ``alpha`` and ``p``: one point at a float, or a batch at an alpha array."""
+    c1, c2 = model.coord_names[:2]
+    f = model.scalar_field(f"1 + 0.1*{c1}*{c2} + {c1}^2")
+    # a fractional, negative exponent runs both of the density's sign checks
+    coupling = NonlinearCoupling(model.scalar_field(f"1 + 0.1*{c1}"), -1.5)
+    spec = HessianSpec(1.0 / (model.dim - 1))
+    geo = PointGeometry(model, alpha, p)
+    out = {stage: getattr(geo, stage) for stage in STAGES}
+    out.update({
+        "modified_hessian": modified_hessian(model, alpha, spec, f, p).components,
+        "cup_laplacian": cup_laplacian(model, alpha, f, p),
+        "cup_laplacian_decomposed": cup_laplacian_decomposed(model, alpha, f, p),
+        "nonlinear_cup_operator": nonlinear_cup_operator(model, alpha, f, coupling, p),
+    })
+    return out
+
+
+POINT_MODELS = {
+    "gaussian": (BASES["gaussian"], (-0.0, 1.3)),
+    "multinomial:4": (BASES["multinomial:4"], (0.2, 0.3, 0.1)),
+    "gaussian-fd": (BASES["gaussian-fd"], (0.4, 1.1)),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, 0.5, -1.0])
+@pytest.mark.parametrize("name", [*POINT_MODELS, "rescaled gaussian", "rescaled multinomial:4"])
+def test_a_point_gives_its_one_row_batch_bitwise(name, alpha):
+    # a point at a float alpha takes the shortcuts a float allows (no select
+    # by alpha, a plain comparison of the density's value); a one-row batch
+    # at an alpha array takes none, and gives the same bits
+    base, p = POINT_MODELS[name.removeprefix("rescaled ")]
+    model = base
+    if name.startswith("rescaled"):
+        c1, c2 = base.coord_names[:2]
+        model = rescaled_model(base, make_rescaling(alpha, base.scalar_field(
+            f"0.3*{c1} + 0.1*{c1}*{c2}")))
+    alone = _point_quantities(model, alpha, p)
+    row = _point_quantities(model, np.array([alpha]), np.array([p]))
+    assert len(alone) == len(STAGES) + 4
+    for label, got in alone.items():
+        assert np.shape(row[label])[:1] == (1,), label
+        assert _same_bits(got, row[label][0]), label
+    for label in ("scalar", "cup_laplacian", "cup_laplacian_decomposed",
+                  "nonlinear_cup_operator"):
+        assert type(alone[label]) is float, label
+
+
 def test_a_zero_alpha_row_keeps_its_base_bitwise():
     base = np.array([[-0.0, 1.0], [-0.0, 1.0]])
     term = np.array([[-1.0, np.inf], [2.0, 4.0]])

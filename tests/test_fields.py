@@ -432,6 +432,34 @@ def test_a_returned_part_is_read_only(field):
             jet.deriv(k)[...] = 0.0
 
 
+@pytest.mark.parametrize("x", [(0.3, 1.2), [(0.3, 1.2), (-1.0, 0.6)]], ids=["point", "batch"])
+@pytest.mark.parametrize("make", [lambda: gaussian_model().metric,
+                                  lambda: FIELD_MODELS["gaussian-fd"]().metric,
+                                  lambda: GAUSS.scalar_field("exp(0.2*mu) * sigma")],
+                         ids=["expression", "fd", "scalar"])
+def test_a_returned_jet_is_the_callers_own(make, x, evaluations):
+    # a field keeps the parts of its last jet, not the jet it hands out:
+    # rebinding a part of a returned jet reaches neither the kept parts nor
+    # the next call's answer
+    field, x = make(), np.array(x)
+    low = field.jet(x, 1)
+    value, d1 = low.value, low.d1
+    low.value, low.d1 = np.zeros_like(value), None
+    count = sum(evaluations.values())
+    again = field.jet(x, 1)
+    assert sum(evaluations.values()) == count  # a hit
+    assert again is not low and again.value is value and again.d1 is d1
+    for part in (value, d1):
+        if isinstance(part, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0.0
+    # a higher order than the kept one evaluates again
+    high = field.jet(x, 2)
+    assert sum(evaluations.values()) == count + 1
+    assert_same_jet(again, make().jet(x, 1))
+    assert_same_jet(high, make().jet(x, 2))
+
+
 def test_a_failing_point_raises_on_every_call(evaluations):
     field = GAUSS.scalar_field("log(mu)")
     good = (1.0, 1.0)

@@ -28,8 +28,8 @@ MUTANTS = {
         "quad = -0.7 * (quad - np.swapaxes(quad, -1, -2))"),
     "christoffel lowering sign": (
         geometry.PointGeometry, "_lowered",
-        '- np.einsum("...ijm->...mij", dg)',
-        '+ np.einsum("...ijm->...mij", dg)'),
+        "- _transposed(dg, -1, -3, -2)",
+        "+ _transposed(dg, -1, -3, -2)"),
     "dgamma drops t dginv": (
         geometry.PointGeometry, "dgamma",
         'dskew += np.einsum("...ijm,...mkl->...kijl", self.t, self.dginv)',
