@@ -33,9 +33,9 @@ from . import jets
 from .errors import ConfigError, UnsupportedOrderError
 from .manifolds import ManifoldModel
 from .jets import _bc
-from .tensor_core import (Field, Tensor, _mirror_sorted, as_coords, require_real,
+from .tensor_core import (Field, Tensor, _mirror_sorted, _real, as_coords, require_real,
                           require_scalar)
-from .geometry import (NonlinearCoupling, _constant, _hessian, _per_row, _real, _require_chart,
+from .geometry import (NonlinearCoupling, _constant, _hessian, _per_row, _require_chart,
                        point_geometry, require_alpha, ricci_reconstruction)
 
 

@@ -18,18 +18,18 @@ straight-line code, one statement per value and per partial that is not
 zero by structure.  The code is generated by running :meth:`Program.run`
 on :class:`~cupgeo.jets.Jet` values whose values and partials are code
 names, so its formulas and association order are those of the jet
-arithmetic, which has no second copy here.  It runs on plain floats at one
-point and on row arrays for a batch, and gives the numbers the jets give,
-up to the sign of a zero; both routes add 0.0 to every entry, so no entry
-is a negative zero and a field's jet does not depend on the route that
-served it.  The generated source holds only its own variable names; the
-numbers and the functions it calls come in a tuple, never as text of an
-expression.  Unrolled code is kept in one process-wide memo keyed by the
-program's instructions, so rebuilt models reuse it.  A program is unrolled
-at its first request at an order.  Only a program past
-:data:`STATEMENT_BUDGET`, or one whose numbers raise (``1/0``,
-``log(-1)``), is evaluated by :meth:`Program.run` on jets instead, which
-raise its errors in the order the program meets them.
+arithmetic, which has no second copy here.  It runs IEEE arithmetic at
+one point as on the row arrays of a batch (a zero divisor gives inf), and
+gives the numbers the jets give, up to the sign of a zero; both routes add
+0.0 to every entry, so no entry is a negative zero and a field's jet does
+not depend on the route that served it.  The generated source holds only
+its own variable names; the numbers and the functions it calls come in a
+tuple, never as text of an expression.  Unrolled code is kept in one
+process-wide memo keyed by the program's instructions, so rebuilt models
+reuse it.  A program is unrolled at its first request at an order.  Only a
+program past :data:`STATEMENT_BUDGET`, or one whose numbers fail a domain
+check (``log(-1)``, ``(-1)^0.5``), is evaluated by :meth:`Program.run` on
+jets instead, which raise its errors in the order the program meets them.
 """
 
 import functools
@@ -210,7 +210,8 @@ class Program:
 
     The ASTs are hash-consed: each distinct subtree, in one AST or across
     several, gets one slot holding a number, a variable from the environment,
-    or one operation on earlier slots, and is computed once per run.
+    or one operation on earlier slots, and is computed once per run.  A number
+    is a float64 scalar, so ``1/0`` in a source is inf.
     """
 
     def __init__(self, asts):
@@ -242,7 +243,7 @@ class Program:
             slot = self._slots.get(key)
             if slot is None:
                 slot = self._slots[key] = len(self._init)
-                self._init.append(node[1] if kind == "num" else None)
+                self._init.append(np.float64(node[1]) if kind == "num" else None)
                 if kind == "var":
                     self.loads.append((slot, node[1]))
                 elif kind != "num":
@@ -292,8 +293,8 @@ class Program:
 
 # -- unrolled jet code ----------------------------------------------------------
 #
-# A program's jets for one order are unrolled into straight-line code on plain
-# floats (one point) or row arrays (a batch) by running Program.run on
+# A program's jets for one order are unrolled into straight-line code on
+# numbers (one point) or row arrays (a batch) by running Program.run on
 # jets.Jet values traced by name: each value is a _Name, and each partial an
 # entry of an object array, a _Name, a number or _ZERO.  Every operation on a
 # name emits one statement, once per distinct right-hand side, so the code
@@ -305,12 +306,12 @@ class Program:
 # returns, and a product with a seeded 1.0 is not formed.  The jets compute
 # such a partial as 0.0 or -0.0 and add it to others, so an entry may differ
 # from theirs in the sign of a zero, and in nothing else; adding 0.0 to every
-# entry of both routes makes them equal.  A number that raises (1/0, log(-1))
-# leaves the program to the jets, which raise it in order.  A statement that
-# no entry needs is dropped unless it may raise on plain floats: a division,
-# or a call of a value-level function other than a numpy ufunc (the domain
-# checks of log, sqrt and a fractional power), so at one point the code
-# raises where the jets raise.
+# entry of both routes makes them equal.  A number that fails a domain check
+# (log(-1)) leaves the program to the jets, which raise it in order.  A
+# statement that no entry needs is dropped unless it may raise: a call of a
+# value-level function other than a numpy ufunc (the domain checks of log,
+# sqrt and a fractional power), so the code raises where the jets raise.
+# Everything else follows IEEE rules, a division by zero included.
 
 
 class _OverBudget(Exception):
@@ -369,7 +370,7 @@ class _Name:
     __radd__, __rmul__ = __add__, __mul__
 
     def __rtruediv__(self, other):
-        return self.tape.emit("{} / {}", other, self, keep=True)
+        return self.tape.emit("{} / {}", other, self)
 
     def __neg__(self):
         if self.negates is None:
@@ -431,7 +432,7 @@ class _Tape:
             key = _key(a)
             if key not in consts:
                 consts[key] = f"{'k' if isinstance(a, float) else 'f'}{len(values)}"
-                values.append(a)
+                values.append(float(a) if isinstance(a, float) else a)  # faster than float64
             return consts[key]
 
         lines = [f"t{row} = " + form.format(*map(atom, args))
@@ -487,7 +488,11 @@ class _Unrolled:
     def __call__(self, x):
         """Per order k, every output's k-th parts at ``x``, stacked after the batch axes."""
         if x.ndim == 1:
-            entries = np.array(self.fn(x.tolist(), self.consts) + self.tail) + 0.0
+            try:  # Python floats round and overflow as float64 does, and raise at 1/0
+                computed = self.fn(x.tolist(), self.consts)
+            except ZeroDivisionError:  # float64 scalars give inf, as a batch row does
+                computed = self.fn(list(x), self.consts)
+            entries = np.array(computed + self.tail) + 0.0
             return [entries[t] for t in self.tables]
         computed = self.fn(x.T, self.consts)  # called for its checks even if it computes none
         entries = np.empty((len(x), self.width + len(self.tail)))
@@ -501,8 +506,8 @@ class _Unrolled:
 
 def _unroll(program, coord_names, order):
     """``program``'s jets to ``order`` as an :class:`_Unrolled`, or None if it
-    is left to the jets: over :data:`STATEMENT_BUDGET`, a number that raises,
-    or a variable outside ``coord_names``."""
+    is left to the jets: over :data:`STATEMENT_BUDGET`, a number outside a
+    function's domain, or a variable outside ``coord_names``."""
     n = len(coord_names)
     tape = _Tape()
     seeds = []

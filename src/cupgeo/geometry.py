@@ -53,6 +53,7 @@ from .tensor_core import (
     _all_of,
     _any_of,
     _readonly,
+    _real,
     as_coords,
     first_false,
     invert_metric,
@@ -60,11 +61,6 @@ from .tensor_core import (
     require_real,
     require_scalar,
 )
-
-
-def _real(x):
-    """A float for one point, the per-row array for a batch."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def require_alpha(alpha, x=None):
@@ -506,8 +502,7 @@ def nonlinear_cup_operator(model, alpha, f, coupling, p):
         row = first_false(np.not_equal(fval, 0.0), x)
         raise DomainError(f"density vanishes at {point_text(x, row)}; exponent {a} is negative")
     with np.errstate(all="ignore"):
-        # a numpy float overflows to inf where a plain float raises OverflowError
-        out = _cup_trace(ws, k, fj) + lam * np.float64(fval) ** a
+        out = _cup_trace(ws, k, fj) + lam * fval ** a
     return _real(_finite(out, "nonlinear operator", x, alpha=ws.alpha, a=a))
 
 

@@ -15,12 +15,12 @@ with respect to coordinate ``i``, ``d2[..., i, j]`` the second.
 The value may be a scalar or any ndarray, which lets a single evaluation
 carry a whole batch through the same arithmetic.  The value axes start
 with the batch axes: :func:`seed` of one point (shape ``(n,)``) gives
-Python-float values and batch shape ``()``, while a ``(P, n)`` array of
-points gives values of shape ``(P,)``.  Component axes of a tensor-valued
-jet follow the batch axes, and the derivative axes trail both, so the
-jet of a rank-2 field over P points has ``value`` of shape ``(P, n, n)``
-and ``d1`` of shape ``(P, n, n, n)``.  Monte-Carlo samples ride the same
-leading axis.
+float64 scalar values and batch shape ``()``, so a point follows the IEEE
+rules of its batch row (a zero divisor gives inf), while a ``(P, n)`` array
+of points gives values of shape ``(P,)``.  Component axes of a tensor-valued
+jet follow the batch axes, and the derivative axes trail both, so the jet
+of a rank-2 field over P points has ``value`` of shape ``(P, n, n)`` and
+``d1`` of shape ``(P, n, n, n)``.  Monte-Carlo samples ride the same axis.
 
 Memory layout follows one rule, and the logical axes above do not change
 with it.  Where a derivative part is broadcast against an operand with more
@@ -79,18 +79,16 @@ def _formed(ufunc, a, b):
 def _elem(value, fn, *args):
     """``fn(value, *args)`` of a value-level function, on an array or a number.
 
-    A number gives a float.  numpy rounds a number exactly as it rounds the
-    same array element, where the ``math`` functions may differ from it in
-    the last bit; so one point and a batch containing it evaluate alike.
-    A traced value, the code name of :mod:`cupgeo.expr`'s code generator,
-    records the call through its ``trace_call`` instead.
+    A number gives a float64 scalar.  numpy rounds a number exactly as it
+    rounds the same array element, where the ``math`` functions may differ
+    from it in the last bit; so one point and a batch containing it evaluate
+    alike.  A traced value, the code name of :mod:`cupgeo.expr`'s code
+    generator, records the call through its ``trace_call`` instead.
     """
-    if isinstance(value, np.ndarray):
-        return fn(value, *args)
     trace_call = getattr(value, "trace_call", None)
     if trace_call is not None:
         return trace_call(fn, *args)
-    return float(fn(value, *args))
+    return fn(value, *args)
 
 
 def _power(v, p):
@@ -102,7 +100,7 @@ def _power(v, p):
         return _elem(v, np.power, p)
     k = abs(int(p))
     if k == 0:
-        return np.ones_like(v) if isinstance(v, np.ndarray) else 1.0
+        return np.ones_like(v) if isinstance(v, np.ndarray) else np.float64(1.0)
     out = None
     while True:
         if k & 1:
@@ -273,8 +271,7 @@ class Jet:
             return exp(exponent * log(self))
         e = float(exponent)
         if e == 0.0:
-            return Jet.constant(np.ones(np.shape(self.value)) if np.ndim(self.value) else 1.0,
-                                self.dim, self.order)
+            return Jet.constant(_power(self.value, 0), self.dim, self.order)
         if e == 1.0:
             return self
         v = self.value
@@ -361,8 +358,8 @@ def cos(x):
 def seed(coords, order):
     """Variable jets, one per chart coordinate, at one point or a batch.
 
-    ``coords`` of shape ``(n,)`` gives float values (batch shape ``()``);
-    shape ``(P, n)`` gives values of shape ``(P,)``, one row per point.
+    ``coords`` of shape ``(n,)`` gives float64 scalar values (batch shape
+    ``()``); shape ``(P, n)`` gives values of shape ``(P,)``, one row per point.
     The derivative parts are read-only: variable ``i`` has row ``i`` of one
     identity block as its first derivative, and all share one zero block;
     both blocks are repeated over the batch axes.
@@ -375,22 +372,17 @@ def seed(coords, order):
         eye[i, ..., i] = 1.0
     zeros = np.zeros(batch + (n, n))
     eye.flags.writeable = zeros.flags.writeable = False
-    values = x.T if batch else map(float, x)
-    return [Jet(n, order, c, *(eye[i], zeros)[:order]) for i, c in enumerate(values)]
+    return [Jet(n, order, c, *(eye[i], zeros)[:order]) for i, c in enumerate(x.T)]
 
 
 def constant_at(value, coords, order):
     """The constant jet of ``value`` (a number or a component array) at ``coords``.
 
     Its value axes are the batch axes of ``coords`` followed by the axes of
-    ``value``; one point with a plain number gives a float value.
+    ``value``; one point with a plain number gives a float64 scalar value.
     """
-    batch = np.shape(coords)[:-1]
-    if batch or np.ndim(value):
-        value = np.full(batch + np.shape(value), value, dtype=float)
-    else:
-        value = float(value)
-    return Jet.constant(value, np.shape(coords)[-1], order)
+    value = np.full(np.shape(coords)[:-1] + np.shape(value), value, dtype=float)
+    return Jet.constant(value[()], np.shape(coords)[-1], order)
 
 
 # -- finite-difference jets for black-box callables ------------------------
@@ -423,7 +415,7 @@ def finite_difference_jet(fn, coords, order, max_steps=None):
         return Jet(x.shape[1], order, *parts)
     n = x.size
     f0 = np.asarray(fn(x.copy()), dtype=float)
-    jet = Jet.constant(float(f0) if f0.ndim == 0 else f0, n, order)
+    jet = Jet.constant(f0[()], n, order)
     steps = [_EPS ** 0.25 * max(1.0, abs(c)) for c in x]
     if max_steps is not None:
         steps = [min(h, float(cap)) for h, cap in zip(steps, max_steps(x))]

@@ -176,8 +176,7 @@ class ExprScalarField(Field):
     def _jet(self, coords, order):
         parts = self.expression.program.jet_parts(self.coord_names, coords, order)
         axis = np.ndim(coords) - 1
-        parts = [p.take(0, axis=axis) for p in parts]
-        return jets.Jet(self.dim, order, float(parts[0]) if not axis else parts[0], *parts[1:])
+        return jets.Jet(self.dim, order, *(p.take(0, axis=axis) for p in parts))
 
 
 # -- models -----------------------------------------------------------------

@@ -178,6 +178,11 @@ def _readonly(x):
     return x
 
 
+def _real(x):
+    """A float for one point, the per-row array for a batch."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class _Misshapen(Exception):
     """A field's own result without the shape of its values at a point: a
     failure :func:`field_jet` names the point of."""
@@ -198,10 +203,11 @@ def _checked(compute, x, order):
         return None, e
     if not isinstance(jet, jets.Jet):
         jet = jets.constant_at(jet, x, order)
-    parts = _parts(jet)
+    value, *derivs = parts = _parts(jet)
     # a finite sum of squares proves every entry finite: only a non-finite
-    # one needs the entry-by-entry check
-    if math.isfinite(sum(np.vdot(part, part) for part in parts)):
+    # one needs the entry-by-entry check; a point's value squares as a number
+    square = np.vdot(value, value) if type(value) is np.ndarray else value * value
+    if math.isfinite(sum(map(np.vdot, derivs, derivs), square)):
         return jet, None
     rows = np.shape(x)[:-1] + (-1,)
     finite = np.concatenate([np.reshape(np.isfinite(part), rows) for part in parts], axis=-1)
@@ -211,19 +217,19 @@ def _checked(compute, x, order):
 def field_jet(source, coords, order, compute, rerun=True):
     """``compute(coords, order)`` as one field evaluation at ``coords``, checked.
 
-    The arithmetic runs under ``np.errstate``, so batched division by zero
-    or overflow yields inf/nan instead of a warning.  A batch fails as its
-    first failing point fails alone: on an ArithmeticError, a
+    The arithmetic runs under ``np.errstate``: a zero division or an overflow,
+    at a point as in a batch, gives inf/nan, which the check finds.  A batch
+    fails as its first failing point fails alone: on an ArithmeticError, a
     :class:`_Misshapen` result or an entry that is not finite, its rows run
     again in order, and the first failing row's own failure names ``source``
     and that point, as a DomainError for an UndefinedValueError (``log`` of a
-    non-positive value, say), else as an EvaluationError.  Without
-    ``rerun`` -- for a rule that computes each row from that row's own
-    inputs -- nothing runs again: the first row holding an entry that is not
-    finite is the failing one, and an error raised names the first row its
-    ``flags`` set (those of a jets domain check), else the batch.  A nested
-    field's error passes through unchanged.  A plain-number result
-    becomes a constant jet.
+    non-positive value, say), else as an EvaluationError.  Without ``rerun``
+    -- for a rule that computes each row from that row's own inputs --
+    nothing runs again: the first row holding an entry that is not finite is
+    the failing one, and an error raised names the first row its ``flags``
+    set (those of a jets domain check), else the batch.  A nested field's
+    error passes through unchanged.  A plain-number result becomes a
+    constant jet.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
@@ -285,7 +291,10 @@ class Field:
         key, parts = (x.shape, x.tobytes()), self._kept[1]
         if self._kept[0] != key or len(parts) <= order:
             jet = field_jet(self.label, x, order, self._jet, self._rerun)
-            parts = tuple(_readonly(part) for part in _parts(jet))
+            value, *derivs = _parts(jet)
+            if type(value) is not np.ndarray or not value.ndim:  # one point's value, a
+                value = np.float64(value)  # rule's float too, follows a batch row's rules
+            parts = tuple(map(_readonly, (value, *derivs)))
             self._kept = (key, parts)
         return jets.Jet(self.dim, order, *parts[:order + 1])
 
@@ -293,7 +302,7 @@ class Field:
         raise NotImplementedError
 
     def __call__(self, p):
-        return self.jet(as_coords(p), 0).value
+        return _real(self.jet(as_coords(p), 0).value)
 
 
 def require_scalar(f, what):

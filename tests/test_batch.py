@@ -17,8 +17,10 @@ from cupgeo import (
     DimensionMismatchError,
     DomainError,
     EvaluationError,
+    FuncField,
     HessianSpec,
     NonlinearCoupling,
+    NumericField,
     PointGeometry,
     WeightedDensity,
     alpha_connection,
@@ -96,7 +98,16 @@ def _operators(model, base, resc, alpha):
         "curvature_shift_prediction":
             lambda p: curvature_shift_prediction(base, resc, p).components,
         "ricci_shift_prediction": lambda p: ricci_shift_prediction(base, resc, p).components,
+        "expression field": f,
+        "rule field": FuncField(lambda xs: 1 + 0.1 * xs[0] * xs[1] + xs[0] ** 2, model.dim),
+        "fd field": NumericField(lambda x: 1 + 0.1 * x[0] * x[1] + x[0] ** 2, model.dim),
+        "eta": resc.eta,
     }
+
+
+# the labels of _operators whose one-point value is a number
+SCALARS = ("curvature.scalar", "cup_laplacian", "cup_laplacian_decomposed",
+           "nonlinear_cup_operator", "expression field", "rule field", "fd field", "eta")
 
 
 @pytest.mark.parametrize("name", list(BASES))
@@ -112,8 +123,7 @@ def test_batch_matches_stacked_single_points(name, data):
     for label, fn in _operators(model, base, resc, alpha).items():
         batch = np.asarray(fn(points))
         single = [fn(tuple(p)) for p in points]
-        if label in ("curvature.scalar", "cup_laplacian", "cup_laplacian_decomposed",
-                     "nonlinear_cup_operator"):
+        if label in SCALARS:
             assert all(type(v) is float for v in single), label
         single = np.stack([np.asarray(v) for v in single])
         assert batch.shape == single.shape, label

@@ -413,10 +413,10 @@ def _outcome(field, coords, order, compute):
     ("1e400*mu", 1.0), ("exp(1000*sigma)", 1.0), ("0*sqrt(mu)", 0.0), ("mu^-1", 0.0),
     ("mu^-1", 1e-160),  # mu^-3, of the second derivative, underflows to 0
     ("mu + 1/0", 1.0), ("mu/0", 1.0),
-    # the check or the division that fails is needed by no entry at these orders
+    # the check that fails, or the inf of a zero divisor, feeds no entry at these orders
     ("log(mu)^0", -1.0), ("sqrt(mu)^0", 0.0), ("sqrt(mu)^0", -1.0), ("(mu-2)^1.5", 1.0),
     ("(mu-2)^1.5", 2.0),
-    # tracing meets 1/0 at either point; the jets raise the error of log(-1) first
+    # 1/0 is inf in the code as in the jets, and log(-1) raises first in both
     ("log(mu) + 1/0", -1.0), ("log(mu) + 1/0", 0.5),
 ])
 def test_unrolled_code_fails_as_the_jets_do(source, bad):

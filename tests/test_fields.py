@@ -179,8 +179,8 @@ def test_a_failing_evaluation_names_the_field_and_the_point(kind):
         field.jet(points, order)
 
 
-# kind: (field, order, a good point, a bad point); 1/mu at mu = 0 raises a
-# ZeroDivisionError alone and gives an inf inside a batch
+# kind: (field, order, a good point, a bad point); 1/mu at mu = 0 gives an inf
+# alone as inside a batch
 ALONE = {
     "expression scalar": (GAUSS.scalar_field("1/mu"), 2, (1.0, 1.0), (0.0, 1.0)),
     "rule": (FuncField(rule_log, 2), 2, (1.0, 1.0), (-1.0, 1.0)),
@@ -205,10 +205,14 @@ def test_a_batch_fails_as_its_first_failing_point_fails_alone(kind):
     assert str(batch.value) == str(alone.value).replace(f"{bad}", f"{bad} (row 1)", 1)
 
 
-# (expression, mu): at this mu a derivative coefficient fails (1/mu at
-# mu = 0 raises alone and gives an inf in a batch) that a low order never uses
+# (expression, mu): at this mu a derivative coefficient is not finite (1/mu at
+# mu = 0 is inf) where a low order never uses it, or a value is inf (1/mu at
+# mu = +-0, 1/(mu*mu) at a tiny mu) that exp takes to a finite value or ^0 drops
 UNUSED_COEFFICIENTS = [("sqrt(mu)", 0.0), ("sqrt(mu)*sigma", 0.0), ("0*sqrt(mu)", 0.0),
-                       ("mu^-1", 1e-160), ("sqrt(mu - 1)", 1.0)]
+                       ("mu^-1", 1e-160), ("sqrt(mu - 1)", 1.0),
+                       ("exp(-1/mu)", 0.0), ("(1/mu)^0", 0.0), ("(1/mu)^0", -0.0),
+                       ("sqrt(mu)^0", 0.0), ("sqrt(mu)^0", -0.0), ("exp(1/mu)", -0.0),
+                       ("exp(-1/(mu*mu))", 0.0), ("exp(-1/(mu*mu))", 5e-324)]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

@@ -10,7 +10,7 @@ and a finite-difference re-derivation through black-box model callables.
 import numpy as np
 import pytest
 
-from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError
+from cupgeo.errors import ConfigError, DimensionMismatchError, DomainError, EvaluationError
 from cupgeo.geometry import (
     HessianSpec,
     NonlinearCoupling,
@@ -36,7 +36,8 @@ from cupgeo.manifolds import (
     model_from_callables,
     multinomial_model,
 )
-from cupgeo.tensor_core import FuncField, as_coords
+from cupgeo.jets import Jet
+from cupgeo.tensor_core import FuncField, NumericField, as_coords
 
 GAUSS = gaussian_model()
 TRI = multinomial_model(3)
@@ -309,6 +310,20 @@ class TestNonlinearOperator:
         f = GAUSS.scalar_field("mu")  # vanishes at mu = 0
         with pytest.raises(DomainError):
             nonlinear_cup_operator(GAUSS, 0.0, f, coupling, (0.0, 1.0))
+
+    @pytest.mark.parametrize("density", [
+        NumericField(lambda x: 1e200, 2),
+        FuncField(lambda xs: 1e200, 2),
+        # a hand-built jet whose value is a Python float
+        FuncField(lambda xs: Jet.constant(1e200, xs[0].dim, xs[0].order), 2),
+    ], ids=["fd", "rule number", "rule jet"])
+    def test_an_overflowing_power_is_one_evaluation_error(self, density):
+        # 1e200 ** 3 overflows: a float64 gives inf, which the check names, where
+        # a Python float would raise OverflowError
+        coupling = NonlinearCoupling(GAUSS.scalar_field("1"), 3.0)
+        with pytest.raises(EvaluationError, match=r"^nonlinear operator is not finite at "
+                                                  r"\(0\.0, 1\.0\); alpha = 0, a = 3$"):
+            nonlinear_cup_operator(GAUSS, 0.0, density, coupling, (0.0, 1.0))
 
     def test_zero_density_with_positive_fractional_exponent_is_fine(self):
         coupling = NonlinearCoupling(GAUSS.scalar_field("3"), 0.5)

@@ -172,8 +172,8 @@ def test_seed_shares_read_only_blocks(coords):
     x, y = seed(coords, 2)
     batch = np.shape(coords)[:-1]
     assert np.array_equal(x.value, np.asarray(coords)[..., 0])
-    if not batch:
-        assert type(x.value) is float
+    if not batch:  # a float64 scalar, which follows a batch row's IEEE rules
+        assert type(x.value) is np.float64
     assert np.array_equal(x.d1, np.broadcast_to([1.0, 0.0], batch + (2,)))
     assert np.array_equal(y.d1, np.broadcast_to([0.0, 1.0], batch + (2,)))
     assert x.d2.shape == batch + (2, 2) and not x.d2.any() and x.d2 is y.d2

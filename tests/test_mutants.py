@@ -48,8 +48,8 @@ MUTANTS = {
         "- k * ws.scalar * fj.value"),
     "nonlinear exponent a+1": (
         geometry, "nonlinear_cup_operator",
-        "lam * np.float64(fval) ** a",
-        "lam * np.float64(fval) ** (a + 1)"),
+        "lam * fval ** a",
+        "lam * fval ** (a + 1)"),
     "psi core drops alpha psi psi": (
         cup_transform, "_psi_shift_core",
         "return _hessian(ws, phi) + _bc(",
