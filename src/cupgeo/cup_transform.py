@@ -137,9 +137,12 @@ def symmetric_g_psi(gj, psi):
 
     ``gj`` and ``psi`` are array-valued jets of a metric and a covector over
     the same batch axes.  The product g_ij psi_k is formed for every index
-    at once and summed over the three cyclic permutations of its component
-    axes; the entry of each sorted index class (i <= j <= k) is then copied
-    into every permutation of it, so the result is bitwise symmetric.
+    at once, from ``reshape`` views of both parts, and summed over the three
+    cyclic permutations of its component axes, taken as ``transpose`` views;
+    the entry of each sorted index class (i <= j <= k) is then copied into
+    every permutation of it through the one memoised index per (n, 3) of
+    :func:`~cupgeo.tensor_core._mirror_sorted`, so the result is bitwise
+    symmetric.
 
     The three-term cyclic sum is deliberately unnormalized: it is the unique
     weight for which the conformal change of the Levi-Civita connection and
@@ -147,11 +150,15 @@ def symmetric_g_psi(gj, psi):
     predicted connection shift hold identically.
     """
     b = np.ndim(gj.value) - 2
-    prod = gj.map(lambda a: np.expand_dims(a, b + 2)) * psi.map(
-        lambda a: np.expand_dims(a, (b, b + 1)))
+    prod = (gj.map(lambda a: a.reshape(a.shape[:b + 2] + (1,) + a.shape[b + 2:]))
+            * psi.map(lambda a: a.reshape(a.shape[:b] + (1, 1) + a.shape[b:])))
+    lead = tuple(range(b))
+
+    def turned(*axes):  # the component axes in the order ``axes``, the others kept
+        return lambda a: a.transpose(lead + axes + tuple(range(b + 3, a.ndim)))
+
     # (g psi)_jki and (g psi)_kij at [i, j, k]
-    total = (prod + prod.map(lambda a: np.moveaxis(a, b + 2, b))
-             + prod.map(lambda a: np.moveaxis(a, b, b + 2)))
+    total = prod + prod.map(turned(b + 2, b, b + 1)) + prod.map(turned(b + 1, b + 2, b))
     return total.map(lambda a: _mirror_sorted(a, rank=3, lead=b))
 
 
@@ -165,7 +172,9 @@ def rescaled_model(model, resc, sym_weight=1.0):
     def skewness(coords, order):
         gj = model.metric.jet(coords, order)
         tj = model.skewness.jet(coords, order)
-        sym = sym_weight * symmetric_g_psi(gj, resc.psi_jet(coords, order))
+        sym = symmetric_g_psi(gj, resc.psi_jet(coords, order))
+        if sym_weight != 1.0:  # a product by 1.0 is bitwise the identity
+            sym = sym_weight * sym
         return resc.eta_jet(coords, order).expand(3) * (tj + sym)
 
     of = f"of potential {resc.potential.label}"

@@ -186,11 +186,17 @@ class Jet:
     def expand(self, k):
         """This jet with ``k`` singleton axes appended to its value axes.
 
+        Each part is a ``reshape`` view (a number value becomes an array).
         A scalar jet expanded by the rank of a tensor-valued jet multiplies
         it componentwise, batch row by batch row.
         """
-        nv = np.ndim(self.value)
-        return self.map(lambda a: np.expand_dims(a, tuple(range(nv, nv + k))))
+        nv, ones = np.ndim(self.value), (1,) * k
+
+        def grown(a):
+            a = np.asarray(a)
+            return a.reshape(a.shape[:nv] + ones + a.shape[nv:])
+
+        return self.map(grown)
 
     def map(self, fn):
         """This jet with ``fn``, which must keep the trailing derivative axes, on every part."""

@@ -16,6 +16,7 @@ the model they are evaluated on, and the model's domain is the only one
 there is.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -202,7 +203,7 @@ def _checked(compute, x, order):
     except (ArithmeticError, _Misshapen) as e:
         return None, e
     if not isinstance(jet, jets.Jet):
-        jet = jets.constant_at(jet, x, order)
+        jet = jets.constant_at(_float(jet), x, order)
     value, *derivs = parts = _parts(jet)
     # a finite sum of squares proves every entry finite: only a non-finite
     # one needs the entry-by-entry check; a point's value squares as a number
@@ -229,7 +230,8 @@ def field_jet(source, coords, order, compute, rerun=True):
     the failing one, and an error raised names the first row its ``flags``
     set (those of a jets domain check), else the batch.  A nested field's
     error passes through unchanged.  A plain-number result becomes a
-    constant jet.
+    constant jet, an integer too large for a float an infinite one, which
+    the check finds.
     """
     x = np.asarray(coords, dtype=float)
     with np.errstate(all="ignore"):
@@ -319,13 +321,18 @@ def require_real(value, what):
     if type(value) is not float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{what} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf if value > 0 else -math.inf
+        value = _float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, got {value}")
     return value
+
+
+def _float(value):
+    """``float(value)`` of a real number; an integer too large for a float is +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def require_integer(value, what, low, high=None):
@@ -377,6 +384,17 @@ class FuncField(Field):
         raise _Misshapen(f"returned {got}, expected a number or a jet of shape {batch}")
 
 
+@functools.lru_cache(maxsize=128)
+def _sorted_index(n, rank):
+    """Per component axis, the read-only ``(n,) * rank`` array of the sorted
+    index of each entry's class: built once per ``(n, rank)``.  The bound
+    holds every model dimension (up to 32) at ranks 2 and 3 and keeps a
+    bare field of any other dimension from growing the memo without end."""
+    index = np.sort(np.indices((n,) * rank), axis=0)
+    index.flags.writeable = False
+    return tuple(index)
+
+
 def _mirror_sorted(arr, rank=None, lead=0):
     """Copy each entry with sorted indices into every permutation of them.
 
@@ -384,9 +402,11 @@ def _mirror_sorted(arr, rank=None, lead=0):
     batch axes; any axes after them (a jet part's derivative axes) are
     carried along.  This is the one rule for a symmetric tensor's
     components: the entry of a sorted index class fixes the whole class.
+    The gather reads one memoised index per ``(n, rank)``, whatever the
+    batch axes.
     """
-    index = np.sort(np.indices((arr.shape[lead],) * (rank or arr.ndim - lead)), axis=0)
-    return arr[(slice(None),) * lead + tuple(index)]
+    index = _sorted_index(arr.shape[lead], rank or arr.ndim - lead)
+    return arr[(slice(None),) * lead + index]
 
 
 class NumericField(Field):

@@ -171,6 +171,8 @@ class TestTensors:
         ("tensors-multinomial4.json", ("--model", "multinomial:4", "--alpha", "-0.5")),
         ("tensors-gaussian-rescaled.json", ("--model", "gaussian", "--alpha", "0.5",
                                             "--rescaling", "rescaling-gaussian.json")),
+        ("tensors-multinomial4-rescaled.json", ("--model", "multinomial:4", "--alpha", "0.5",
+                                                "--rescaling", "rescaling-multinomial4.json")),
     ])
     def test_json_is_pinned_byte_for_byte(self, pinned, args, capsys):
         # the signs of printed zeros (Christoffel, curvature) are pinned too

@@ -332,6 +332,19 @@ def test_a_raising_row_of_a_batch_is_named(field):
         field.jet([(0.0, 1.0), (0.0, 2.0)], 1)
 
 
+@pytest.mark.parametrize("huge", [10 ** 400, -10 ** 400], ids=["positive", "negative"])
+@pytest.mark.parametrize("points, at", [
+    ((0.0, 1.0), "(0.0, 1.0)"),
+    ([(0.0, 1.0), (2.0, 3.0)], "(0.0, 1.0) (row 0)"),
+], ids=["point", "batch"])
+def test_an_integer_too_large_for_a_float_is_not_finite(huge, points, at):
+    # the integer is +-inf, as for a config number, and the output check names it
+    field = FuncField(lambda xs: huge, 2)
+    with pytest.raises(EvaluationError) as info:
+        field.jet(np.array(points), 0)
+    assert str(info.value) == f"rule '<lambda>' is not finite at {at}"
+
+
 # -- each field keeps its last jet ------------------------------------------
 
 

@@ -12,19 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cupgeo import jets
-from cupgeo.cup_transform import symmetric_g_psi
+from cupgeo.cup_transform import make_rescaling, rescaled_model, symmetric_g_psi
 from cupgeo.errors import (
     DimensionMismatchError,
     DomainError,
     SingularMetricError,
     UnsupportedOrderError,
 )
-from cupgeo.manifolds import gaussian_model
+from cupgeo.manifolds import gaussian_model, multinomial_model
 from cupgeo.tensor_core import (
     FuncField,
     NumericField,
     Point,
     Tensor,
+    _mirror_sorted,
+    _sorted_index,
     as_coords,
     invert_metric,
 )
@@ -149,6 +151,141 @@ class TestSymmetrize:
         gg, uu = g[2], u[2]
         for i, j, k in itertools.combinations_with_replacement(range(4), 3):
             assert single.value[i, j, k] == gg[i, j] * uu[k] + gg[j, k] * uu[i] + gg[k, i] * uu[j]
+
+
+# -- reference formulas ------------------------------------------------------
+#
+# symmetric_g_psi, Jet.expand and _mirror_sorted move axes with reshape and
+# transpose views and gather through one memoised index per (n, rank).  The
+# references below are the same formulas written with numpy's axis helpers
+# and an index built on every call; the two must agree bit for bit, the
+# signs of zeros included.
+
+
+def ref_mirror_sorted(arr, rank=None, lead=0):
+    index = np.sort(np.indices((arr.shape[lead],) * (rank or arr.ndim - lead)), axis=0)
+    return arr[(slice(None),) * lead + tuple(index)]
+
+
+def ref_expand(jet, k):
+    nv = np.ndim(jet.value)
+    return jet.map(lambda a: np.expand_dims(a, tuple(range(nv, nv + k))))
+
+
+def ref_symmetric_g_psi(gj, psi):
+    b = np.ndim(gj.value) - 2
+    prod = gj.map(lambda a: np.expand_dims(a, b + 2)) * psi.map(
+        lambda a: np.expand_dims(a, (b, b + 1)))
+    total = (prod + prod.map(lambda a: np.moveaxis(a, b + 2, b))
+             + prod.map(lambda a: np.moveaxis(a, b, b + 2)))
+    return total.map(lambda a: ref_mirror_sorted(a, rank=3, lead=b))
+
+
+def assert_same_bits(got, want):
+    """Two jets (or arrays) of the same order, shapes and bytes, part by part."""
+    parts = [[x.deriv(k) for k in range(x.order + 1)] if isinstance(x, jets.Jet) else [x]
+             for x in (got, want)]
+    for k, (a, b) in enumerate(zip(*parts, strict=True)):
+        assert np.shape(a) == np.shape(b), k
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), k
+
+
+def signed_zeros(rng, shape):
+    """Normal draws with about a quarter of the entries +0.0 or -0.0."""
+    a = rng.standard_normal(shape)
+    a[rng.random(shape) < 0.25] = 0.0
+    return np.where(rng.random(shape) < 0.5, a, -a)
+
+
+def random_jet(rng, n, order, shape):
+    """A jet of value shape ``shape`` whose parts hold signed zeros."""
+    return jets.Jet(n, order, *(signed_zeros(rng, shape + (n,) * k) for k in range(order + 1)))
+
+
+DIMS, ORDERS = [1, 2, 3, 4], [0, 1, 2]
+BATCHES = {"point": (), "batch": (5,)}
+
+
+class TestReferenceFormulas:
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_symmetric_g_psi(self, n, order, batch):
+        rng = np.random.default_rng(100 * n + order)
+        lead = BATCHES[batch]
+        gj, psi = random_jet(rng, n, order, lead + (n, n)), random_jet(rng, n, order, lead + (n,))
+        assert_same_bits(symmetric_g_psi(gj, psi), ref_symmetric_g_psi(gj, psi))
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_expand(self, n, order, batch, k):
+        rng = np.random.default_rng(10 * n + order)
+        jet = random_jet(rng, n, order, BATCHES[batch])
+        if batch == "point":  # a point's value is a float64 scalar, as seed gives it
+            jet.value = jet.value[()]
+        assert_same_bits(jet.expand(k), ref_expand(jet, k))
+
+    def test_expand_takes_a_plain_number_value(self):
+        jet = jets.Jet(2, 1, 2.5, np.array([1.0, -0.0]))
+        assert_same_bits(jet.expand(2), ref_expand(jet, 2))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    def test_mirror_sorted(self, n, order, batch, rank):
+        rng = np.random.default_rng(1000 * rank + 10 * n + order)
+        lead = BATCHES[batch]
+        part = signed_zeros(rng, lead + (n,) * (rank + order))
+        assert_same_bits(_mirror_sorted(part, rank, len(lead)),
+                         ref_mirror_sorted(part, rank, len(lead)))
+        if not order:  # all axes after the batch ones, the default rank
+            assert_same_bits(_mirror_sorted(part, lead=len(lead)),
+                             ref_mirror_sorted(part, lead=len(lead)))
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("n", DIMS)
+    @pytest.mark.parametrize("alpha", ["float", "array"])
+    def test_rescaled_model_jets(self, n, order, alpha):
+        """The rescaled metric and skewness rules, under a float alpha and an
+        alpha array, against the references with the ``1.0 *`` weight kept;
+        the skewness, whose psi takes one more potential order, to order 1."""
+        model = multinomial_model(n + 1)
+        names = model.coord_names
+        resc_potential = model.scalar_field(
+            " + ".join(f"{0.1 * (i + 1)}*sin({c})*{names[-1]}" for i, c in enumerate(names)))
+        rng = np.random.default_rng(n)
+        x = rng.dirichlet([3.0] * (n + 1), size=4)[:, :n]
+        a = rng.uniform(-1.0, 1.0, size=4) if alpha == "array" else 0.5
+        resc = make_rescaling(a, resc_potential)
+        tilde = rescaled_model(model, resc)
+        eta = resc.eta_jet(x, order)
+        gj, tj = model.metric.jet(x, order), model.skewness.jet(x, order)
+        assert_same_bits(tilde.metric.jet(x, order), ref_expand(eta, 2) * gj)
+        if order == 2:
+            return
+        sym = 1.0 * ref_symmetric_g_psi(gj, resc.psi_jet(x, order))
+        assert_same_bits(tilde.skewness.jet(x, order), ref_expand(eta, 3) * (tj + sym))
+        if alpha == "float":  # and one point alone
+            eta, gj, tj = (f.jet(x[0], order) for f in (resc._eta, model.metric, model.skewness))
+            sym = 1.0 * ref_symmetric_g_psi(gj, resc.psi_jet(x[0], order))
+            assert_same_bits(tilde.skewness.jet(x[0], order), ref_expand(eta, 3) * (tj + sym))
+
+    def test_the_sorted_index_is_read_only_and_built_once_per_dimension_and_rank(self):
+        index = _sorted_index(3, 3)
+        assert index is _sorted_index(3, 3)
+        for axis in index:
+            assert not axis.flags.writeable
+            with pytest.raises(ValueError):
+                axis[0, 0, 0] = 1
+        before = _sorted_index.cache_info()
+        for rows in (1, 2, 7):  # a batch of any size gathers through the same index
+            _mirror_sorted(np.zeros((rows, 3, 3, 3, 3)), rank=3, lead=1)
+        after = _sorted_index.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert after.hits == before.hits + 3
 
 
 class TestInvertMetric:
